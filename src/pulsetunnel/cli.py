@@ -19,7 +19,6 @@ import argparse
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -109,14 +108,7 @@ class RunConfig:
 
     def energies(self) -> list[float]:
         if self.E_grid:
-            start, stop, num = self.E_grid.split(":")
-            start, stop, num = float(start), float(stop), int(num)
-            if num < 1:
-                raise DomainError("energy grid needs at least one point")
-            if num == 1:
-                return [start]
-            step = (stop - start) / (num - 1)
-            return [start + i * step for i in range(num)]
+            return _parse_grid(self.E_grid, "--E-grid")
         if self.E is not None:
             return [self.E]
         raise DomainError("provide --E or --E-grid")
@@ -143,6 +135,25 @@ class RunConfig:
             else:
                 kwargs[f.name] = raw
         return cls(**kwargs)
+
+
+def _parse_grid(spec: str, flag: str) -> list[float]:
+    """Points of a "start:stop:num" grid; both ends are included, so num >= 2."""
+    try:
+        start, stop, num = spec.split(":")
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError:
+        raise DomainError(f"{flag} must be start:stop:num, got {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"{flag} needs finite ends, got {spec!r}")
+    if num < 2:
+        raise DomainError(f"{flag} needs num >= 2 (both ends are included), "
+                          f"got {spec!r}")
+    return _grid(start, stop, num)
+
+
+def _grid(start: float, stop: float, num: int) -> list[float]:
+    return [start + (stop - start) * i / (num - 1) for i in range(num)]
 
 
 def _format_value(v) -> str:
@@ -231,8 +242,7 @@ def cmd_action_curve(config: RunConfig) -> tuple[list[str], list[tuple]]:
             except PulseTunnelError as exc:
                 return (E, None, None, None, f"error:{type(exc).__name__}")
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            rows = list(pool.map(one, energies))
+        rows = [one(E) for E in energies]
         return ["E", "A", "A0", "deltaA", "regime"], rows
 
     if method == "hj":
@@ -276,11 +286,9 @@ def cmd_rate(config: RunConfig) -> tuple[list[str], list[tuple]]:
         raise RegimeError("the rate formula needs a Lorentzian pulse")
     t_peak = rate_peak_time(barrier, pulse)
     if config.t_grid:
-        start, stop, num = config.t_grid.split(":")
-        start, stop, num = float(start), float(stop), int(num)
+        times = _parse_grid(config.t_grid, "--t-grid")
     else:
-        start, stop, num = 0.05 * t_peak, 4.0 * t_peak, 60
-    times = [start + (stop - start) * i / (num - 1) for i in range(num)]
+        times = _grid(0.05 * t_peak, 4.0 * t_peak, 60)
     series = decay_rate_series(times, barrier, pulse)
     rows = [
         (t, r, e, p)

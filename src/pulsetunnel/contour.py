@@ -1,49 +1,63 @@
-"""Adaptive quadrature along piecewise paths in the complex plane."""
+"""Adaptive quadrature along piecewise paths in the complex plane.
+
+One engine integrates every path.  Each element, a straight segment or a
+circular arc, is a map from a real parameter s in [0, 1] into the plane, and
+the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et al. 1983)
+works on panels in s.  Each pass evaluates the integrand once, on a complex
+array holding the 15 nodes of every new panel, so integrands must accept
+arrays.  The whole path converges under one global test,
+sum of panel errors <= max(epsabs, epsrel*|I|).  Reaching the panel limit or
+detecting roundoff warns with IntegrationWarning; a non-finite integrand
+value raises ConvergenceError.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
-from scipy import integrate
+import numpy as np
 
-__all__ = ["quad_line", "quad_path", "line_with_detour"]
+from .errors import ConvergenceError, IntegrationWarning
+
+__all__ = ["quad_line", "quad_path", "integrate_path", "line_with_detour"]
 
 _EPSABS = 1e-12
 _EPSREL = 1e-10
-_LIMIT = 400
+_LIMIT = 400            # panels over the whole path
+_ROUNDOFF = 10          # bisections that do not reduce the error estimate
+
+# G7-K15 nodes on [-1, 1] and weights (QUADPACK qk15); the Gauss-7 nodes are
+# the odd-indexed Kronrod nodes
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
 
 
 def quad_line(f, a: complex, b: complex, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
     """Integral of f along the straight segment from a to b."""
-    dz = b - a
-    if dz == 0:
-        return 0.0 + 0.0j
-
-    def g(s):
-        return f(a + s * dz) * dz
-
-    re, _ = integrate.quad(
-        lambda s: g(s).real, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=_LIMIT
-    )
-    im, _ = integrate.quad(
-        lambda s: g(s).imag, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=_LIMIT
-    )
-    return complex(re, im)
-
-
-def _quad_arc(f, center: complex, radius: float, phi0: float, phi1: float) -> complex:
-    def g(phi):
-        z = center + radius * cmath.exp(1j * phi)
-        return f(z) * 1j * radius * cmath.exp(1j * phi)
-
-    re, _ = integrate.quad(
-        lambda p: g(p).real, phi0, phi1, epsabs=_EPSABS, epsrel=_EPSREL, limit=_LIMIT
-    )
-    im, _ = integrate.quad(
-        lambda p: g(p).imag, phi0, phi1, epsabs=_EPSABS, epsrel=_EPSREL, limit=_LIMIT
-    )
-    return complex(re, im)
+    return integrate_path(f, [("line", a, b)], epsabs, epsrel)[0]
 
 
 def quad_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
@@ -52,17 +66,146 @@ def quad_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
     Each element is ("line", a, b) or ("arc", center, radius, phi0, phi1).
     A bare list of complex waypoints is accepted as a polyline.
     """
+    return integrate_path(f, path, epsabs, epsrel)[0]
+
+
+def integrate_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL):
+    """(value, abs_err, n_evals) of the integral of f along `path`.
+
+    `path` is as for quad_path.  abs_err is the summed G7-K15 error estimate
+    over all panels and n_evals the number of points f was evaluated at.
+    """
     if path and not isinstance(path[0], tuple):
         path = [("line", a, b) for a, b in zip(path[:-1], path[1:])]
-    total = 0.0 + 0.0j
-    for el in path:
-        if el[0] == "line":
-            total += quad_line(f, el[1], el[2], epsabs=epsabs, epsrel=epsrel)
-        elif el[0] == "arc":
-            total += _quad_arc(f, el[1], el[2], el[3], el[4])
-        else:
-            raise ValueError(f"unknown path element {el[0]!r}")
-    return total
+    elements = _Elements(path)
+    if not elements.length.size:
+        return 0.0 + 0.0j, 0.0, 0
+
+    # panels, in parameter s of their element
+    owner = np.arange(elements.length.size)
+    lo = np.zeros(owner.size)
+    hi = np.ones(owner.size)
+    val, err, floor = _gk15(f, elements, owner, lo, hi)
+    n_evals = 15 * owner.size
+    roundoff = 0
+    while True:
+        total = complex(val.sum())
+        err_sum = float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if err_sum <= tol:
+            break
+        # bisect the panels above their length share of the tolerance;
+        # a panel whose error is its roundoff floor cannot improve
+        span = (hi - lo) * elements.length[owner]
+        split = np.flatnonzero((err > tol * span / span.sum()) & (err > floor))
+        if roundoff >= _ROUNDOFF or split.size == 0:
+            _warn("roundoff error prevents the requested tolerance", err_sum, tol)
+            break
+        room = _LIMIT - owner.size
+        if room <= 0:
+            _warn(f"the panel limit ({_LIMIT}) is reached", err_sum, tol)
+            break
+        if split.size > room:
+            worst = np.argsort(-err[split], kind="stable")[:room]
+            split = np.sort(split[worst])
+        k = split.size
+        mid = 0.5 * (lo[split] + hi[split])
+        c_owner = np.concatenate([owner[split], owner[split]])
+        c_lo = np.concatenate([lo[split], mid])
+        c_hi = np.concatenate([mid, hi[split]])
+        c_val, c_err, c_floor = _gk15(f, elements, c_owner, c_lo, c_hi)
+        n_evals += 15 * 2 * k
+        # QUADPACK's roundoff test: bisection that neither moves the value
+        # nor reduces the error estimate
+        pair_val = c_val[:k] + c_val[k:]
+        pair_err = c_err[:k] + c_err[k:]
+        roundoff += int(np.count_nonzero(
+            (np.abs(val[split] - pair_val) <= 1e-5 * np.abs(pair_val))
+            & (pair_err >= 0.99 * err[split])
+        ))
+        keep = np.ones(owner.size, dtype=bool)
+        keep[split] = False
+        owner = np.concatenate([owner[keep], c_owner])
+        lo = np.concatenate([lo[keep], c_lo])
+        hi = np.concatenate([hi[keep], c_hi])
+        val = np.concatenate([val[keep], c_val])
+        err = np.concatenate([err[keep], c_err])
+        floor = np.concatenate([floor[keep], c_floor])
+    return total, err_sum, n_evals
+
+
+class _Elements:
+    """The path's elements of nonzero length, as maps of s in [0, 1].
+
+    A line a->b is z = a + s*(b - a); an arc is
+    z = center + radius*exp(i*(phi0 + s*dphi)).
+    """
+
+    def __init__(self, path):
+        rows = []
+        for el in path:
+            if el[0] == "line":
+                a, b = complex(el[1]), complex(el[2])
+                rows.append((False, a, b - a, 0.0, 0.0, abs(b - a)))
+            elif el[0] == "arc":
+                center, radius = complex(el[1]), float(el[2])
+                phi0, dphi = float(el[3]), float(el[4]) - float(el[3])
+                rows.append((True, center, radius, phi0, dphi, abs(radius * dphi)))
+            else:
+                raise ValueError(f"unknown path element {el[0]!r}")
+        cols = list(zip(*[r for r in rows if r[-1] > 0.0])) or [()] * 6
+        self.arc = np.array(cols[0], dtype=bool)
+        self.origin = np.array(cols[1], dtype=complex)    # a, or the center
+        self.scale = np.array(cols[2], dtype=complex)     # b - a, or the radius
+        self.phi0 = np.array(cols[3], dtype=float)
+        self.dphi = np.array(cols[4], dtype=float)
+        self.length = np.array(cols[5], dtype=float)
+
+    def nodes(self, owner, s):
+        """Points z(s) and derivatives dz/ds of panels `owner` at rows of s."""
+        o = owner[:, None]
+        z = self.origin[o] + s * self.scale[o]
+        jac = np.broadcast_to(self.scale[o], s.shape)
+        if self.arc.any():
+            rot = self.scale[o] * np.exp(1j * (self.phi0[o] + s * self.dphi[o]))
+            arc = self.arc[o]
+            z = np.where(arc, self.origin[o] + rot, z)
+            jac = np.where(arc, 1j * self.dphi[o] * rot, jac)
+        return z, jac
+
+
+def _gk15(f, elements, owner, lo, hi):
+    """G7-K15 value, QUADPACK error estimate and its roundoff floor per panel."""
+    half = 0.5 * (hi - lo)
+    z, jac = elements.nodes(owner, 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
+    fz = np.broadcast_to(np.asarray(f(z.ravel()), dtype=complex), z.size)
+    fz = fz.reshape(z.shape)
+    bad = ~np.isfinite(fz)
+    if bad.any():
+        raise ConvergenceError(
+            "integrand is not finite on the integration path",
+            diagnostics={"z": complex(z[bad][0])},
+        )
+    fv = fz * jac
+    kronrod = fv @ _KRONROD
+    gauss = fv @ _GAUSS
+    resabs = half * (np.abs(fv) @ _KRONROD)
+    resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
+    err = half * np.abs(kronrod - gauss)
+    scaled = resasc * np.minimum(
+        1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
+    err = np.where((resasc > 0) & (err > 0), scaled, err)
+    floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+    return half * kronrod, np.maximum(err, floor), floor
+
+
+def _warn(reason: str, err: float, tol: float) -> None:
+    warnings.warn(
+        f"contour quadrature: {reason}; error estimate {err:.3g} "
+        f"against tolerance {tol:.3g}",
+        IntegrationWarning,
+        stacklevel=4,
+    )
 
 
 def line_with_detour(a: complex, b: complex, poles, clearance: float,

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all solvers."""
 
+# quadrature warnings are scipy's class, so filters written for scipy.integrate
+# keep matching the contour engine
+from scipy.integrate import IntegrationWarning  # noqa: F401
+
 
 class PulseTunnelError(Exception):
     """Base class for every error raised by this package."""

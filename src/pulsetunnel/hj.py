@@ -430,12 +430,17 @@ def sigma2(
     path = line_with_detour(0.0, t - t0, [eta_pole],
                             clearance=max(r, 1e-12), radius=max(r, 1e-12),
                             side=-1.0 + 0.0j)
-    leg1 = quad_path(lambda eta: phi2(t0, t0 + eta), path,
+    leg1 = quad_path(_pointwise(lambda eta: phi2(t0, t0 + eta)), path,
                      epsabs=1e-10, epsrel=1e-7)
     # leg 2: coincident-argument source integrated from 0 to t0
-    leg2 = quad_line(lambda t1: phi2(t1, t1), 0.0, t0,
+    leg2 = quad_line(_pointwise(lambda t1: phi2(t1, t1)), 0.0, t0,
                      epsabs=1e-10, epsrel=1e-7)
     return leg1 + leg2
+
+
+def _pointwise(f):
+    """Array integrand from a scalar one: phi2 has no array form yet."""
+    return np.vectorize(f, otypes=[complex])
 
 
 # --- Branch structure and validity ---------------------------------------------

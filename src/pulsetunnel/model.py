@@ -206,21 +206,20 @@ class LorentzPulse:
             )
         return self.amplitude * self.width * float(_lorentz_J(x, self.exponent))
 
-    def antiderivative(self, t) -> complex:
+    def antiderivative(self, t):
         """int_0^t pulse(s) ds, exact; single-valued in the t-plane cut along
         the imaginary axis beyond the poles at +/- i*width."""
-        return complex(
-            1j * self.amplitude * self.width
-            * _lorentz_J(-1j * complex(t) / self.width, self.exponent)
-        )
+        t = np.asarray(t, dtype=complex)
+        out = (1j * self.amplitude * self.width
+               * _lorentz_J(-1j * t / self.width, self.exponent))
+        return out if out.ndim else complex(out)
 
-    def first_moment_antiderivative(self, t) -> complex:
+    def first_moment_antiderivative(self, t):
         """int_0^t s*pulse(s) ds, exact elementary form."""
         n = self.exponent
-        u = 1.0 + (complex(t) / self.width) ** 2
-        return complex(
-            self.amplitude * self.width**2 / (2.0 * (1 - n)) * (u ** (1 - n) - 1.0)
-        )
+        u = 1.0 + (np.asarray(t, dtype=complex) / self.width) ** 2
+        out = self.amplitude * self.width**2 / (2.0 * (1 - n)) * (u ** (1 - n) - 1.0)
+        return out if out.ndim else complex(out)
 
     def fourier_envelope(self, omega_query: float) -> float:
         """Spectral amplitude ~ amp*width*(w*width)^(n-1)*exp(-w*width).
@@ -262,15 +261,17 @@ class GaussianPulse:
             * special.erfi(self.rate * tau)
         )
 
-    def antiderivative(self, t) -> complex:
+    def antiderivative(self, t):
         # erf(z) = 1 - exp(-z^2) * w(iz), entire in z
-        z = self.rate * complex(t)
+        z = self.rate * np.asarray(t, dtype=complex)
         erf = 1.0 - np.exp(-z * z) * special.wofz(1j * z)
-        return complex(self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate) * erf)
+        out = self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate) * erf
+        return out if out.ndim else complex(out)
 
-    def first_moment_antiderivative(self, t) -> complex:
-        z2 = (self.rate * complex(t)) ** 2
-        return complex(self.amplitude / (2.0 * self.rate**2) * (1.0 - np.exp(-z2)))
+    def first_moment_antiderivative(self, t):
+        z2 = (self.rate * np.asarray(t, dtype=complex)) ** 2
+        out = self.amplitude / (2.0 * self.rate**2) * (1.0 - np.exp(-z2))
+        return out if out.ndim else complex(out)
 
     def fourier_envelope(self, omega_query: float) -> float:
         return self.amplitude * math.exp(-(omega_query**2) / (4.0 * self.rate**2))

@@ -61,18 +61,14 @@ class TrajectoryHandle:
         """dx0/dt consistent with the position branch."""
         self._check_cut(t)
         z = self.omega * (np.asarray(t, dtype=complex) + self.dt_shift)
-        if np.all(np.abs(z.real) > 200.0):
-            # cosh overflows; v -> a*omega*tanh(z) with error O(exp(-2|Re z|))
-            out = self.barrier.a * self.omega * np.tanh(z)
-        else:
-            w = self.u0 * np.cosh(z)
-            out = (
-                self.barrier.a
-                * self.u0
-                * self.omega
-                * np.sinh(z)
-                / np.sqrt(1.0 + w * w)
-            )
+        # where cosh would overflow, v -> a*omega*tanh(z) with error
+        # O(exp(-2|Re z|)); the near points alone go through cosh
+        far = np.abs(z.real) > 200.0
+        near = np.where(far, 0.0, z)
+        w = self.u0 * np.cosh(near)
+        a, u0, omega = self.barrier.a, self.u0, self.omega
+        out = np.where(far, a * omega * np.tanh(z),
+                       a * u0 * omega * np.sinh(near) / np.sqrt(1.0 + w * w))
         return out if out.ndim else complex(out)
 
     def _check_cut(self, t):

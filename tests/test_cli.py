@@ -93,6 +93,19 @@ def test_domain_exit_code(capsys):
     assert "regime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # one point cannot span start:stop (was a ZeroDivisionError)
+    ["rate", "--E", "5", "--amp", "0.05", "--t-grid", "0.1:1:1"],
+    # an empty grid (was an empty table with exit 0)
+    ["rate", "--E", "5", "--amp", "0.05", "--t-grid", "0.1:1:0"],
+    # two fields instead of three (was an uncaught ValueError)
+    ["action-curve", "--E-grid", "1:2", "--amp", "0.05"],
+])
+def test_bad_grid_exit_code(argv, capsys):
+    assert _run(argv) == EXIT_REGIME
+    assert "regime error" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(monkeypatch, capsys):
     def boom(config):
         raise ConvergenceError("iteration stalled")

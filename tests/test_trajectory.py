@@ -68,6 +68,19 @@ def test_velocity_and_energy_conservation(setup, re, imf):
     assert energy == pytest.approx(E, rel=1e-10)
 
 
+def test_velocity_on_arrays_matches_scalar_calls():
+    # contour integrands evaluate far-tail and near points in one array; the
+    # overflow guard must act point by point
+    traj = unperturbed_trajectory(0.5, SECH)
+    H = 2.0 * traj.tau_s
+    ts = np.array([-400.0 + 1j * H, -1.0 + 1j * H, 0.3 - 0.5j, 450.0 - 1j * H])
+    v = traj.velocity(ts)
+    assert np.all(np.isfinite(v))
+    # numpy's array and scalar complex sinh/cosh may differ in the last bits
+    np.testing.assert_allclose(v, [traj.velocity(t) for t in ts],
+                               rtol=50 * np.finfo(float).eps, atol=0.0)
+
+
 @given(setup=_setups())
 def test_free_motion_asymptote_and_turning_point(setup):
     barrier, E = setup
