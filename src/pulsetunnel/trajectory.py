@@ -47,28 +47,38 @@ class TrajectoryHandle:
     t_s: complex         # branch point in the upper half plane
     tau_s: float         # Im t_s = pi/(2*omega)
 
-    def _w(self, t):
-        return self.u0 * np.cosh(self.omega * (np.asarray(t, dtype=complex)
-                                               + self.dt_shift))
+    def _clipped(self, t):
+        """z = omega*(t + dt_shift) with Re z clipped to +/-200, and the excess.
+
+        cosh(z) overflows beyond |Re z| ~ 710, which the contour tails reach.
+        Beyond |Re z| = 200, u0*cosh(z) -> u0*exp(s*z)/2 (s = sign(Re z)) with
+        error O(exp(-2|Re z|)), so clipping scales w = u0*cosh(z) by the real
+        factor exp(-excess): the velocity is unchanged, and the principal
+        arcsinh(w) shifts by sign(Re arcsinh(w))*excess.  The excess is None
+        when no point needs clipping.
+        """
+        z = self.omega * (np.asarray(t, dtype=complex) + self.dt_shift)
+        if np.abs(z.real).max() <= 200.0:
+            return z, None
+        x = np.clip(z.real, -200.0, 200.0)
+        return x + 1j * z.imag, np.abs(z.real - x)
 
     def position(self, t):
         """x0(t + dt_shift); principal branch, cut left of the branch points."""
         self._check_cut(t)
-        out = self.barrier.a * np.arcsinh(self._w(t))
+        z, excess = self._clipped(t)
+        x = np.arcsinh(self.u0 * np.cosh(z))
+        if excess is not None:
+            x = x + np.copysign(excess, x.real)
+        out = self.barrier.a * x
         return out if out.ndim else complex(out)
 
     def velocity(self, t):
         """dx0/dt consistent with the position branch."""
         self._check_cut(t)
-        z = self.omega * (np.asarray(t, dtype=complex) + self.dt_shift)
-        # where cosh would overflow, v -> a*omega*tanh(z) with error
-        # O(exp(-2|Re z|)); the near points alone go through cosh
-        far = np.abs(z.real) > 200.0
-        near = np.where(far, 0.0, z)
-        w = self.u0 * np.cosh(near)
-        a, u0, omega = self.barrier.a, self.u0, self.omega
-        out = np.where(far, a * omega * np.tanh(z),
-                       a * u0 * omega * np.sinh(near) / np.sqrt(1.0 + w * w))
+        z, _ = self._clipped(t)
+        w = self.u0 * np.cosh(z)
+        out = self.barrier.a * self.u0 * self.omega * np.sinh(z) / np.sqrt(1.0 + w * w)
         return out if out.ndim else complex(out)
 
     def _check_cut(self, t):

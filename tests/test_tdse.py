@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pulsetunnel import tdse
 from pulsetunnel.errors import DomainError
 from pulsetunnel.model import LorentzPulse, TriangularBarrier, ZeroPulse
 from pulsetunnel.tdse import (
@@ -152,3 +153,79 @@ def test_norm_bookkeeping_with_absorbers():
     assert out.norm() + out.absorbed_left + out.absorbed_right <= 1.0 + 1e-8
     # the clipped barrier tilts both ways from the well: two-sided escape
     assert out.absorbed_left > 0.0 and out.absorbed_right > 0.0
+
+
+# --- Batched propagation, real relaxation, health block --------------------------
+
+def test_batched_evolve_matches_single_runs():
+    grid = GridSpec(-10.0, 10.0, 1024, 0.01, 4.0)
+    state = _gaussian_state(grid, 0.3)
+    pot = _well_potential(1.0, 1.0)
+    pulse = LorentzPulse(amplitude=0.3, width=1.0, exponent=2)
+    batch = evolve(state, pot, (ZeroPulse(), pulse), grid)
+    assert len(batch) == 2
+    for (out_b, rec_b), p in zip(batch, (ZeroPulse(), pulse)):
+        out_s, rec_s = evolve(state, pot, p, grid)
+        assert np.max(np.abs(out_b.psi - out_s.psi)) < 1e-12
+        np.testing.assert_allclose(rec_b.flux, rec_s.flux, rtol=1e-12, atol=0.0)
+        # absorbed fractions are parts of a unit norm; early on they are the
+        # sum of norm decrements at roundoff level, so compare them absolutely
+        for name in ("absorbed_left", "absorbed_right"):
+            assert getattr(out_b, name) > 1e-3
+            assert abs(getattr(out_b, name) - getattr(out_s, name)) < 1e-12
+            np.testing.assert_allclose(getattr(rec_b, name), getattr(rec_s, name),
+                                       rtol=0.0, atol=1e-12)
+    # the pulse acts on its own row only
+    assert np.max(np.abs(batch[0][0].psi - batch[1][0].psi)) > 1e-3
+
+
+def _complex_relax(vstat, grid, x_cut, n_steps=4000, dtau=None):
+    """Imaginary-time relaxation on complex arrays (reference implementation)."""
+    x = grid.x
+    if dtau is None:
+        dtau = 0.5 * grid.dt
+    mask = 1.0 / (1.0 + np.exp((np.abs(x) - x_cut) / (0.05 * x_cut)))
+    psi = np.exp(-(x**2)).astype(complex) * mask
+    expk = np.exp(-grid.k**2 / (2.0 * grid.m) * dtau)
+    expv = np.exp(-0.5 * vstat * dtau)
+    last_e = math.inf
+    for i in range(n_steps):
+        psi = expv * psi
+        psi = np.fft.ifft(expk * np.fft.fft(psi))
+        psi = expv * psi * mask
+        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+        if i % 200 == 199:
+            e = tdse._energy(psi, vstat, grid)
+            if abs(e - last_e) < 1e-10 * max(abs(e), 1.0):
+                break
+            last_e = e
+    return psi
+
+
+def test_real_relaxation_matches_complex_reference(monkeypatch):
+    b = _a0_barrier(8.0)
+    grid = GridSpec(-15.0, 25.0, 2048, 0.01, 150.0)
+    state, pot = prepare_metastable(b, grid)
+    assert np.iscomplexobj(state.psi) and np.all(state.psi.imag == 0.0)
+    monkeypatch.setattr(tdse, "_relax_in_well", _complex_relax)
+    state_ref, pot_ref = prepare_metastable(b, grid)
+    assert pot.well_depth == pytest.approx(pot_ref.well_depth, rel=1e-10)
+    vstat = pot(grid.x)
+    assert tdse._energy(state.psi, vstat, grid) == pytest.approx(
+        tdse._energy(state_ref.psi, pot_ref(grid.x), grid), rel=1e-10)
+
+
+def test_health_block_balances():
+    b = _a0_barrier(8.0)
+    grid = GridSpec(-15.0, 25.0, 2048, 0.01, 60.0)
+    pulse = LorentzPulse(amplitude=0.2 * b.field_static, width=2.0, exponent=3)
+    diag = enhancement_exponent(b, pulse, grid)["diagnostics"]
+    assert diag["settle_time"] == 22.5 and diag["pulse_center"] == 37.5
+    assert diag["peak_half_width"] == 8.0
+    for run in ("static", "pulsed"):
+        h = diag[run]
+        assert all(type(v) is float for k, v in h.items() if k != "steps")
+        assert type(h["steps"]) is int and h["steps"] == 6000
+        absorbed = h["absorbed_left"] + h["absorbed_right"]
+        assert h["norm"] + absorbed <= 1.0 + 1e-8 and h["balance"] >= -1e-8
+        assert h["absorbed_left"] > 0.0 and h["absorbed_right"] > 0.0

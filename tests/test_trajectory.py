@@ -81,6 +81,34 @@ def test_velocity_on_arrays_matches_scalar_calls():
                                rtol=50 * np.finfo(float).eps, atol=0.0)
 
 
+def test_far_field_forms_match_closed_forms():
+    # beyond |Re z| = 200 position and velocity switch to their far-field
+    # forms; up to |Re z| ~ 700 cosh(z) is finite, so the closed forms still
+    # evaluate there and both must agree, on the legs (Im z = +/- pi) too
+    traj = unperturbed_trajectory(0.5, SECH, dt_shift=0.2)
+    a, u0, omega = SECH.a, traj.u0, traj.omega
+    re = np.concatenate([np.linspace(150.0, 250.0, 41), np.linspace(-250.0, -150.0, 41)])
+    for im in (0.0, 0.7, -1.3, 2.0, -2.5, math.pi, -math.pi):
+        z = re + 1j * im
+        t = z / omega - traj.dt_shift
+        w = u0 * np.cosh(z)
+        x_ref = a * np.arcsinh(w)
+        v_ref = a * u0 * omega * np.sinh(z) / np.sqrt(1.0 + w * w)
+        np.testing.assert_allclose(traj.position(t), x_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.velocity(t), v_ref, rtol=1e-12, atol=0.0)
+
+
+def test_delta_action_finite_on_long_tails():
+    # omega * tail > 710 overflowed cosh in position; widths 1 and 2 raised
+    # ConvergenceError on the non-finite integrand
+    barrier = SechBarrier(V=5.0, a=0.3, m=1.0)
+    tau_s = unperturbed_trajectory(2.5, barrier).tau_s
+    for width in (0.3, 1.0, 2.0):
+        pulse = LorentzPulse(amplitude=0.01, width=width, exponent=2)
+        dA = delta_action(2.5, barrier, pulse, -0.3 * (width - tau_s))
+        assert isinstance(dA, float) and math.isfinite(dA)
+
+
 @given(setup=_setups())
 def test_free_motion_asymptote_and_turning_point(setup):
     barrier, E = setup
