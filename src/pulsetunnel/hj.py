@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,15 +104,11 @@ def _int_pulse(a: complex, b: complex, pulse) -> complex:
     along the imaginary axis; every contour used here stays in that domain,
     so this equals the deformed-path quadrature (which the tests verify).
     """
-    if isinstance(pulse, ZeroPulse):
-        return 0.0 + 0.0j
     return pulse.antiderivative(b) - pulse.antiderivative(a)
 
 
 def _int_weighted_pulse(t0: complex, t: complex, pulse) -> complex:
     """int_{t0}^{t} (t - t1) pulse(t1) dt1, from closed-form antiderivatives."""
-    if isinstance(pulse, ZeroPulse):
-        return 0.0 + 0.0j
     return t * _int_pulse(t0, t, pulse) - (
         pulse.first_moment_antiderivative(t)
         - pulse.first_moment_antiderivative(t0)
@@ -254,9 +250,8 @@ def solve_t0(
         if not active:
             return _make_state(t0, x, t, barrier, pulse, 0.0)
         for lam in np.linspace(0.0, 1.0, homotopy_steps + 1)[1:]:
-            t0, res = _newton_t0(
-                t0, x, t, barrier, _scaled_pulse(pulse, lam), tol, max_iter
-            )
+            scaled = replace(pulse, amplitude=pulse.amplitude * lam)
+            t0, res = _newton_t0(t0, x, t, barrier, scaled, tol, max_iter)
         return _make_state(t0, x, t, barrier, pulse, res)
     if branch != "exit":
         raise DomainError(f"unknown branch {branch!r}")
@@ -270,20 +265,6 @@ def solve_t0(
     else:
         t0, res = _newton_t0(t0, x, 0.0, barrier, pulse, tol, max_iter)
     return _make_state(t0, x, t, barrier, pulse, res)
-
-
-def _scaled_pulse(pulse, lam: float):
-    if isinstance(pulse, LorentzPulse):
-        return LorentzPulse(pulse.amplitude * lam, pulse.width, pulse.exponent)
-    return type(pulse)(pulse.amplitude * lam, *_extra_fields(pulse))
-
-
-def _extra_fields(pulse):
-    vals = []
-    for name in pulse.__dataclass_fields__:
-        if name != "amplitude":
-            vals.append(getattr(pulse, name))
-    return vals
 
 
 def _make_state(t0, x, t, barrier, pulse, residual) -> SaddleState:
@@ -344,30 +325,13 @@ def _log_physical(F: complex) -> complex:
 
     The cut is rotated to the negative imaginary axis (arg in (-pi/2, 3pi/2])
     so the branch is continuous across negative real F, where the saddle's F
-    lives; numerical differentiation of sigma1 relies on that continuity.
+    lives.  Only sigma1 itself reads the branch: sigma2's source holds
+    derivatives of ln F, which do not depend on it.
     """
     arg = math.atan2(F.imag, F.real)
     if arg <= -0.5 * math.pi:
         arg += 2.0 * math.pi
     return complex(math.log(abs(F)), arg)
-
-
-class _Sigma1:
-    """sigma1(t0, t) evaluator (closed form)."""
-
-    def __init__(self, barrier: TriangularBarrier, pulse):
-        self.barrier = barrier
-        self.pulse = pulse
-
-    def i_sigma1(self, t0: complex, t: complex) -> complex:
-        b = self.barrier
-        h0 = complex(self.pulse(t0)) / b.field_static
-        F = 1.0 + 1j * (t0 - t) / b.tau00 * (1.0 + h0)
-        well = t0 + _int_pulse(0.0, t0, self.pulse) / b.field_static
-        return -0.5 * _log_physical(F) + 1j * well / (2.0 * b.tau00)
-
-    def __call__(self, t0: complex, t: complex) -> complex:
-        return -1j * self.i_sigma1(t0, t)
 
 
 def sigma1(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
@@ -377,70 +341,48 @@ def sigma1(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
             "F = 0: branch point of the action (the x2 singularity)",
             location=state.t0,
         )
-    return _Sigma1(barrier, pulse)(state.t0, state.t)
+    well = state.t0 + _int_pulse(0.0, state.t0, pulse) / barrier.field_static
+    return -1j * (-0.5 * _log_physical(state.F) + 1j * well / (2.0 * barrier.tau00))
 
 
-def _richardson_diff(f, z0: complex, h: float) -> complex:
-    """Central difference with one Richardson step (O(h^4))."""
-    d1 = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
-    d2 = (f(z0 + 0.5 * h) - f(z0 - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def sigma2(
-    state: SaddleState,
-    barrier: TriangularBarrier,
-    pulse,
-    *,
-    step_frac: float = 1e-5,
-) -> complex:
+def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
     """Second correction by quadrature of its source term.
 
-    The source needs d(sigma1)/dt0 at fixed t; the closed form is withheld in
-    favour of central differences with Richardson extrapolation.
+    The source phi2(t0, t) is D^2/(4(V-E)F^2) - i dG/dt0/(4(V-E)F), with
+    D = d(sigma1)/dt0 at fixed t and G = D/F.  Both derivatives are closed
+    forms in pulse, pulse' and pulse'' (docs/decisions.md, "sigma2 source
+    term"), so the source takes arrays on both legs.
     """
     b = barrier
     VmE = b.V - b.E_bound
-    s1 = _Sigma1(b, pulse)
+    tau = b.tau00
 
-    def phi2(t0: complex, t: complex) -> complex:
-        h = step_frac * max(abs(t0), abs(t), 1.0)
-        if h < 1e-14:
-            raise SingularityError("step underflow near the branch point")
-        D = _richardson_diff(lambda z: s1(z, t), t0, h)
-        h0 = complex(pulse(t0)) / b.field_static
-        F = 1.0 + 1j * (t0 - t) / b.tau00 * (1.0 + h0)
-
-        def G(z):
-            hz = complex(pulse(z)) / b.field_static
-            Fz = 1.0 + 1j * (z - t) / b.tau00 * (1.0 + hz)
-            return _richardson_diff(lambda w: s1(w, t), z, h) / Fz
-
-        dG = _richardson_diff(G, t0, h)
+    def phi2(t0, t):
+        h, h1, h2 = (f / b.field_static for f in pulse.derivatives(t0))
+        d = t0 - t
+        F = 1.0 + 1j * d * (1.0 + h) / tau
+        F1 = 1j * ((1.0 + h) + d * h1) / tau
+        F2 = 1j * (2.0 * h1 + d * h2) / tau
+        D = -1j * (-0.5 * F1 / F + 0.5j * (1.0 + h) / tau)
+        D1 = -1j * (-0.5 * (F2 / F - (F1 / F) ** 2) + 0.5j * h1 / tau)
+        dG = D1 / F - D * F1 / (F * F)
         return D * D / (4.0 * VmE * F * F) - 1j * dG / (4.0 * VmE * F)
 
     t0, t = state.t0, state.t
     # leg 1: eta from 0 to t - t0 at fixed t0 (t runs from t0 to t); the
     # integrand has a pole where F(t0, t0 + eta) = 0 -- detour on the Re < 0
     # side, consistent with the ln F branch (negative F approached from above)
-    h00 = complex(pulse(t0)) / b.field_static
-    eta_pole = -1j * b.tau00 / (1.0 + h00)
+    eta_pole = -1j * tau / (1.0 + state.h)
     span = abs(t - t0)
     r = 0.25 * min(abs(eta_pole), abs((t - t0) - eta_pole), span)
     path = line_with_detour(0.0, t - t0, [eta_pole],
                             clearance=max(r, 1e-12), radius=max(r, 1e-12),
                             side=-1.0 + 0.0j)
-    leg1 = quad_path(_pointwise(lambda eta: phi2(t0, t0 + eta)), path,
+    leg1 = quad_path(lambda eta: phi2(t0, t0 + eta), path,
                      epsabs=1e-10, epsrel=1e-7)
     # leg 2: coincident-argument source integrated from 0 to t0
-    leg2 = quad_line(_pointwise(lambda t1: phi2(t1, t1)), 0.0, t0,
-                     epsabs=1e-10, epsrel=1e-7)
+    leg2 = quad_line(lambda t1: phi2(t1, t1), 0.0, t0, epsabs=1e-10, epsrel=1e-7)
     return leg1 + leg2
-
-
-def _pointwise(f):
-    """Array integrand from a scalar one: phi2 has no array form yet."""
-    return np.vectorize(f, otypes=[complex])
 
 
 # --- Branch structure and validity ---------------------------------------------

@@ -133,6 +133,11 @@ class ZeroPulse:
     def __call__(self, t):
         return np.zeros_like(np.asarray(t, dtype=complex))
 
+    def derivatives(self, t):
+        """(pulse, pulse', pulse'') at t: all zero."""
+        zero = self(t)
+        return zero, zero, zero
+
     def poles(self):
         return ()
 
@@ -181,17 +186,31 @@ class LorentzPulse:
                 f"Lorentzian exponent must be an integer >= 2, got {self.exponent!r}"
             )
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=complex)
+    def _denominator(self, t: np.ndarray) -> np.ndarray:
+        """1 + t^2/width^2; raises SingularityError at the poles."""
         denom = 1.0 + (t / self.width) ** 2
-        bad = np.abs(denom) < _POLE_GUARD
-        if np.any(bad):
+        if np.any(np.abs(denom) < _POLE_GUARD):
             raise SingularityError(
                 f"pulse evaluated at its pole t = +/- {self.width}i",
                 location=1j * self.width,
             )
-        out = self.amplitude / denom**self.exponent
+        return denom
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=complex)
+        out = self.amplitude / self._denominator(t) ** self.exponent
         return out if out.ndim else complex(out)
+
+    def derivatives(self, t):
+        """(pulse, pulse', pulse'') at t, in closed form."""
+        t = np.asarray(t, dtype=complex)
+        u = self._denominator(t)
+        n, w2 = self.exponent, self.width**2
+        f = self.amplitude / u**n
+        # f' = -2n t f / (w^2 u),  f'' = -2n f (u - 2(n+1) t^2/w^2) / (w^2 u^2)
+        f1 = -2.0 * n * t * f / (w2 * u)
+        f2 = -2.0 * n * f * (u - 2.0 * (n + 1) * t * t / w2) / (w2 * u * u)
+        return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
 
     def poles(self):
         return ((1j * self.width, self.exponent), (-1j * self.width, self.exponent))
@@ -248,6 +267,15 @@ class GaussianPulse:
         t = np.asarray(t, dtype=complex)
         out = self.amplitude * np.exp(-(self.rate**2) * t**2)
         return out if out.ndim else complex(out)
+
+    def derivatives(self, t):
+        """(pulse, pulse', pulse'') at t, in closed form."""
+        t = np.asarray(t, dtype=complex)
+        r2 = self.rate**2
+        f = self.amplitude * np.exp(-r2 * t**2)
+        f1 = -2.0 * r2 * t * f
+        f2 = (4.0 * r2 * r2 * t * t - 2.0 * r2) * f
+        return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
 
     def poles(self):
         return ()

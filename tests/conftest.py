@@ -1,5 +1,8 @@
 """Shared hypothesis configuration for the property suites."""
 
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,3 +13,18 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("suite")
+
+# a quadrature warning raised on behalf of a package module fails the test;
+# one from scipy.integrate.quad called by a test itself does not.  Scoped to
+# this directory: bench/test_harness.py checks benchmark outputs, not warnings,
+# and its pole-scan inputs still reach delta_action's roundoff floor.
+_PACKAGE_QUADRATURE_WARNINGS = pytest.mark.filterwarnings(
+    r"error::scipy.integrate.IntegrationWarning:pulsetunnel\."
+)
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(_PACKAGE_QUADRATURE_WARNINGS)

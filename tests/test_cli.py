@@ -132,8 +132,8 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_byte_identical_threaded_method(tmp_path):
-    # the trajectory method fans the energies out over a thread pool; the
-    # output order and bytes must not depend on completion order
+    # the trajectory method maps the energies serially; reruns must give the
+    # same row order and bytes
     out = tmp_path / "traj.csv"
     argv = [
         "action-curve", "--barrier", "sech", "--V", "1", "--a", "1",

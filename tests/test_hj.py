@@ -1,7 +1,9 @@
 """Property tests and worked examples for the Hamilton-Jacobi module."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from pulsetunnel.hj import (
     validity_report,
 )
 from pulsetunnel.model import (
+    GaussianPulse,
     LorentzPulse,
     TriangularBarrier,
     ZeroPulse,
@@ -222,6 +225,26 @@ def test_hierarchy_when_valid():
     # the closed-form hierarchy scales recorded by the validity report
     s_well, s1_well, s2_well = rep_v.hierarchy["well_scales"]
     assert s_well > 5.0 * s1_well > 25.0 * s2_well
+
+
+# mpmath values at 30 working digits, generated by tests/reference/sigma_mpmath.py
+_SIGMA_REFS = json.loads(
+    (Path(__file__).parent / "reference" / "sigma.json").read_text()
+)["points"]
+_PULSE_KINDS = {"lorentz": LorentzPulse, "gaussian": GaussianPulse, "zero": ZeroPulse}
+
+
+@pytest.mark.parametrize("ref", _SIGMA_REFS, ids=lambda ref: ref["name"])
+def test_sigma_matches_mpmath(ref):
+    b = TriangularBarrier(**ref["barrier"])
+    fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
+    pulse = _PULSE_KINDS[ref["pulse"]["kind"]](**fields)
+    state = solve_t0(float(ref["x"]), ref["t"], b, pulse, branch=ref["branch"])
+    t0, s1, s2 = (complex(float(re), float(im))
+                  for re, im in (ref["t0"], ref["sigma1"], ref["sigma2"]))
+    assert abs(state.t0 - t0) <= 1e-10 * abs(t0)
+    assert abs(sigma1(state, b, pulse) - s1) <= 1e-10 * abs(s1)
+    assert abs(sigma2(state, b, pulse) - s2) <= 1e-6 * abs(s2)
 
 
 def test_validity_rejects_oversized_width():

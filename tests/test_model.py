@@ -83,6 +83,61 @@ def test_lorentz_raises_at_pole():
     p = LorentzPulse(amplitude=1.0, width=2.0, exponent=3)
     with pytest.raises(SingularityError):
         p(2j)
+    for t in (2j, -2j, np.array([0.5, -2j])):
+        with pytest.raises(SingularityError):
+            p.derivatives(t)
+
+
+# --- Closed-form derivatives -----------------------------------------------------
+
+def _differences(pulse, t, h):
+    """Five-point central differences (f', f'') along the real direction."""
+    fm2, fm1, f0, fp1, fp2 = (complex(pulse(t + k * h)) for k in (-2, -1, 0, 1, 2))
+    d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+    return f0, d1, d2
+
+
+def _check_derivatives(pulse, t, length):
+    """derivatives(t) against differences with steps well inside `length`,
+    the distance over which the pulse changes; scalar and array forms agree."""
+    f, f1, f2 = pulse.derivatives(t)
+    f0, d1, d2 = _differences(pulse, t, 1e-3 * length)
+    size = abs(f0) + 1e-300
+    assert f == f0
+    assert abs(f1 - d1) <= 1e-9 * (abs(f1) + size / length)
+    assert abs(f2 - d2) <= 1e-7 * (abs(f2) + size / length**2)
+    arrays = pulse.derivatives(np.array([t, -t]))
+    for a, scalar in zip(arrays, (f, f1, f2), strict=True):
+        assert a[0] == pytest.approx(scalar, rel=1e-13, abs=1e-300)
+    for a, mirrored in zip(arrays, (f, -f1, f2), strict=True):
+        assert a[1] == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
+
+
+@given(
+    pulse=_pulses(),
+    re=st.floats(-4.0, 4.0, **finite),
+    im=st.floats(-0.9, 0.9, **finite),
+)
+def test_pulse_derivatives_match_differences(pulse, re, im):
+    if isinstance(pulse, LorentzPulse):
+        t = complex(re, im) * pulse.width
+        length = min(pulse.width, abs(t - 1j * pulse.width),
+                     abs(t + 1j * pulse.width))
+    elif isinstance(pulse, GaussianPulse):
+        t = complex(re, im) / pulse.rate
+        length = 1.0 / (pulse.rate * max(1.0, abs(t) * pulse.rate))
+    else:
+        t, length = complex(re, im), 1.0
+    _check_derivatives(pulse, t, length)
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 5])
+@pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("direction", [-1j, 1.0, cmath.exp(0.25j * math.pi)])
+def test_lorentz_derivatives_near_pole(exponent, gap, direction):
+    p = LorentzPulse(amplitude=0.05, width=2.0, exponent=exponent)
+    _check_derivatives(p, 2j + gap * p.width * direction, gap * p.width)
 
 
 # --- Closed-form integrals -------------------------------------------------------
