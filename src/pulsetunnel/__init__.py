@@ -29,6 +29,7 @@ from .euclidean import (
     euclidean_action,
     solve_tau0,
     threshold_energy,
+    threshold_form,
 )
 from .hj import (
     BranchReport,

@@ -28,6 +28,7 @@ from .euclidean import (
     adapt_pulse_width,
     euclidean_action,
     threshold_energy,
+    threshold_form,
 )
 from .hj import (
     action,
@@ -331,8 +332,7 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
         rep = validity_report(b, probe)
         amp_min = rep.amp_lower_bound * config.E0
         A0 = static_wkb_exponent(b, E_launch)
-        A_pred = (4.0 / 3.0) * (config.V - E_target) * theta \
-            + 2.0 * (E_target - E_launch) * theta
+        A_pred = threshold_form(E_launch, E_target, config.V, theta)
         rows.append((E_launch, theta, amp_min, A_pred, A0, A0 - A_pred))
     return ["E_launch", "theta", "amp_min", "A_pred", "A0", "enhancement"], rows
 
@@ -356,8 +356,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
             rows.append(("hj_vs_euclidean", A_hj, res.A, dev,
                          "pass" if dev < max(tol, 1e-4) else "fail"))
             ET = threshold_energy(b, pulse)
-            A51 = (4.0 / 3.0) * (b.V - ET.E_T) * pulse.width \
-                + 2.0 * (ET.E_T - config.E) * pulse.width
+            A51 = threshold_form(config.E, ET.E_T, b.V, pulse.width)
             dev51 = abs(res.A - A51) / abs(A51)
             rows.append(("euclidean_vs_threshold_form", res.A, A51, dev51,
                          "info"))

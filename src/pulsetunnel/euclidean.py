@@ -27,6 +27,7 @@ __all__ = [
     "solve_tau0",
     "euclidean_action",
     "threshold_energy",
+    "threshold_form",
     "adapt_pulse_width",
     "action_curve",
 ]
@@ -147,6 +148,12 @@ def threshold_energy(barrier: TriangularBarrier, pulse) -> ThresholdResult:
     hi = barrier.V * (1.0 - 1e-12)
     clamped = not (lo < raw < hi)
     return ThresholdResult(E_T=min(max(raw, lo), hi), clamped=clamped, raw=raw)
+
+
+def threshold_form(E: float, E_T: float, V: float, theta: float) -> float:
+    """A51 = A0(E_T) + 2(E_T - E)*theta, with A0(E_T) = (4/3)(V - E_T)*theta
+    because tau00(E_T) = theta: the exponent of a pulse matched at E_T."""
+    return (4.0 / 3.0) * (V - E_T) * theta + 2.0 * (E_T - E) * theta
 
 
 def adapt_pulse_width(barrier, E_target: float) -> float:

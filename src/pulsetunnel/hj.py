@@ -63,9 +63,6 @@ class BranchReport:
     theta: float
     tau00: float
 
-    def z_of_tau0(self, tau0: float) -> float:
-        return 1.0 - tau0 / self.theta
-
 
 @dataclass(frozen=True)
 class RateSeries:

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
+from scipy.special import lambertw
 
 from .errors import DomainError
 from .model import GaussianPulse, LorentzPulse, TriangularBarrier
@@ -72,82 +71,65 @@ def effective_action(
     return A0_lifted + 2.0 * N * log_arg
 
 
-def _gaussian_curve(omega: float, E: float, barrier: TriangularBarrier,
-                    pulse: GaussianPulse) -> float:
-    VmE = barrier.V - E
-    return effective_action(omega, VmE / omega, E, barrier, pulse)
+def _quanta_at(omega: float, E: float, barrier: TriangularBarrier, pulse) -> float:
+    """Quanta count minimizing the exponent at fixed omega.
+
+    Gaussian: pinned to (V-E)/omega.  Lorentzian: with u = V - E - omega*N and
+    ell = ln E0 + _absorption_log, A(N) = (4/3)sqrt(2m)/E0 * u^(3/2) + 2N*ell
+    is convex in N and stationary at sqrt(u) = ell*E0/(omega*sqrt(2m)); for
+    ell <= 0 it falls all the way to N_max, just short of the barrier top.
+    """
+    VmE, e0 = barrier.V - E, barrier.field_static
+    if isinstance(pulse, GaussianPulse):
+        return VmE / omega
+    N_max = VmE / omega * (1.0 - 1e-9)
+    ell = math.log(e0) + _absorption_log(pulse, omega)
+    if ell <= 0:
+        return N_max
+    u = (ell * e0 / (omega * math.sqrt(2.0 * barrier.m))) ** 2
+    return min(max((VmE - u) / omega, 0.0), N_max)
 
 
-def optimize_quanta(
-    E: float,
-    barrier: TriangularBarrier,
-    pulse,
-    *,
-    omega_points: int = 400,
-) -> QuantaPlan:
-    """Minimize the effective exponent over (omega, N).
+def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
+    """Minimize the effective exponent over (omega, N) in closed form.
 
-    Gaussian stable well: N is pinned to (V-E)/omega, a 1D minimization.
-    Lorentzian over a barrier: log-spaced omega scan with an inner bounded
-    N-minimization; the formal minimum runs off to large omega, so the scan
-    documents the plateau rather than chasing it.
+    Gaussian stable well: N is pinned to (V-E)/omega and the exponent is
+    stationary where omega^2 = 4 rate^2 (ln(omega*k) - 1),
+    k = sqrt(m(V-E))/amp, solved on the W_{-1} branch of Lambert's W.
+    Lorentzian over a barrier: N*(omega) is elementary (`_quanta_at`) and the
+    envelope condition ell = omega*ell' puts the optimum at
+    omega*theta = e*(E0/amp)^(1/(n-2)) for n >= 3.
+    Either way omega stays in a fixed range, and the smallest exponent among
+    the clipped stationary frequency and the two range ends is returned
+    (docs/decisions.md, "Quanta optimum in closed form").
     """
     V, m = barrier.V, barrier.m
     if not (0 < E < V):
         raise DomainError(f"need 0 < E < V={V}")
+    VmE = V - E
+    w_stat = None
     if isinstance(pulse, GaussianPulse):
-        L = math.log(pulse.rate * math.sqrt(m * (V - E)) / pulse.amplitude)
+        L = math.log(pulse.rate * math.sqrt(m * VmE) / pulse.amplitude)
         if L <= 0:
             raise DomainError("Gaussian optimum needs amp << rate*sqrt(m(V-E))")
         w_guess = 2.0 * pulse.rate * math.sqrt(L)
-        res = optimize.minimize_scalar(
-            lambda w: _gaussian_curve(w, E, barrier, pulse),
-            bounds=(0.05 * w_guess, 20.0 * w_guess),
-            method="bounded",
-            options={"xatol": 1e-12 * w_guess},
-        )
-        w_opt = float(res.x)
-        N_opt = (V - E) / w_opt
-        return QuantaPlan(
-            omega=w_opt, N=N_opt, N_rounded=round(N_opt),
-            A_eff=float(res.fun), deltaE=w_opt * N_opt,
-        )
-
-    if not isinstance(pulse, LorentzPulse):
+        lo, hi = 0.05 * w_guess, 20.0 * w_guess
+        # omega^2 = -2 rate^2 W(z), z = -e^2/(2 (rate*k)^2) = -exp(2 - 2L)/2
+        z = -0.5 * math.exp(2.0 - 2.0 * L)
+        if z >= -1.0 / math.e:
+            w_stat = pulse.rate * math.sqrt(-2.0 * lambertw(z, -1).real)
+    elif isinstance(pulse, LorentzPulse):
+        e0, theta, n = barrier.field_static, pulse.width, pulse.exponent
+        if e0 <= 0:
+            raise DomainError("the tunneling leg needs field_static > 0")
+        lo, hi = 1e-2 / theta, 50.0 * VmE
+        if n > 2:
+            w_stat = math.e * (e0 / pulse.amplitude) ** (1.0 / (n - 2)) / theta
+    else:
         raise DomainError("optimize_quanta needs a Lorentzian or Gaussian pulse")
-    theta = pulse.width
-    omegas = np.geomspace(1e-2 / theta, 50.0 * (V - E), omega_points)
-    best = None
-    for w in omegas:
-        N_max = (V - E) / w * (1.0 - 1e-9)
-        res = optimize.minimize_scalar(
-            lambda N: effective_action(w, N, E, barrier, pulse),
-            bounds=(0.0, N_max),
-            method="bounded",
-            options={"xatol": 1e-10 * max(N_max, 1.0)},
-        )
-        if best is None or res.fun < best[2]:
-            best = (w, float(res.x), float(res.fun))
-    w_opt, N_opt, A_opt = best
-    # local refinement in omega around the best scan point
-    res = optimize.minimize_scalar(
-        lambda w: optimize.minimize_scalar(
-            lambda N: effective_action(w, N, E, barrier, pulse),
-            bounds=(0.0, (V - E) / w * (1.0 - 1e-9)),
-            method="bounded",
-        ).fun,
-        bounds=(w_opt / 2.0, min(w_opt * 2.0, omegas[-1])),
-        method="bounded",
+    omegas = [lo, hi] if w_stat is None else [lo, hi, min(max(w_stat, lo), hi)]
+    plans = [(w, _quanta_at(w, E, barrier, pulse)) for w in omegas]
+    A, w, N = min(
+        (effective_action(w, N, E, barrier, pulse), w, N) for w, N in plans
     )
-    if res.fun < A_opt:
-        w_opt = float(res.x)
-        inner = optimize.minimize_scalar(
-            lambda N: effective_action(w_opt, N, E, barrier, pulse),
-            bounds=(0.0, (V - E) / w_opt * (1.0 - 1e-9)),
-            method="bounded",
-        )
-        N_opt, A_opt = float(inner.x), float(inner.fun)
-    return QuantaPlan(
-        omega=w_opt, N=N_opt, N_rounded=round(N_opt), A_eff=A_opt,
-        deltaE=w_opt * N_opt,
-    )
+    return QuantaPlan(omega=w, N=N, N_rounded=round(N), A_eff=A, deltaE=w * N)

@@ -116,6 +116,26 @@ def test_nonconvergence_exit_code(monkeypatch, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+def test_quanta_frequency_stays_in_scan_range(capsys):
+    # n = 2 with amp above E0: the exponent falls toward the lower frequency
+    # edge 1e-2/theta, and the optimum must stop there (it was 0.00407)
+    code = _run([
+        "action-curve", "--method", "quanta", "--V", "16.7", "--E0", "2.27",
+        "--m", "1.15", "--theta", "1.23", "--n", "2", "--amp", "2.46",
+        "--E-grid", "13:14:2",
+    ])
+    assert code == EXIT_OK
+    body = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")]
+    assert body[0] == "E,A_eff,omega_opt,N_opt,regime"
+    assert len(body) == 3
+    for row in body[1:]:
+        E, _, omega, _, _ = row.split(",")
+        # the CSV keeps 12 significant digits, so the edge may round down
+        assert 1e-2 / 1.23 * (1.0 - 1e-11) <= float(omega)
+        assert float(omega) <= 50.0 * (16.7 - float(E))
+
+
 # --- Determinism -----------------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):

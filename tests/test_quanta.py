@@ -14,6 +14,7 @@ from pulsetunnel.model import (
     static_wkb_exponent,
 )
 from pulsetunnel.quanta import effective_action, optimize_quanta
+from quanta_scan import optimize_quanta as scan_quanta
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -123,9 +124,9 @@ def test_triangular_optimum_approaches_threshold_form():
     plan = optimize_quanta(5.0, CANON, pulse)
     A51 = (4.0 / 3.0) * 2.0 * 2.0 + 2.0 * 3.0 * 2.0    # A0(E_T) + 2(E_T-E)theta
     assert A51 == pytest.approx(17.333, rel=1e-3)
-    # the scan documents the plateau: the minimum agrees with the closed
-    # form to the residual per-quantum logarithms (which can carry either
-    # sign, so the plateau may sit slightly below as well as above)
+    # the optimum sits on the plateau: it agrees with the threshold form to
+    # the residual per-quantum logarithms (which can carry either sign, so
+    # the plateau may sit slightly below as well as above)
     log_window = 2.0 * plan.N * (
         abs(math.log(1.0 / 0.05))
         + (pulse.exponent - 2) * math.log(plan.omega * pulse.width)
@@ -133,9 +134,12 @@ def test_triangular_optimum_approaches_threshold_form():
     assert abs(plan.A_eff - A51) < log_window
     # but never below the full (interference-keeping) exponent
     assert plan.A_eff > euclidean_action(5.0, CANON, pulse).A
-    # a wider scan never does worse (the formal minimum runs to large omega)
-    wide = optimize_quanta(5.0, CANON, pulse, omega_points=800)
+    # an 800-point scan agrees with the closed form and never does better
+    wide = scan_quanta(5.0, CANON, pulse, omega_points=800)
     assert wide.A_eff <= plan.A_eff + 1e-9
+    assert plan.A_eff <= wide.A_eff + 1e-12 * abs(wide.A_eff)
+    # the envelope condition: omega*theta = e*E0/amp for n = 3
+    assert plan.omega == pytest.approx(math.e * 20.0 / 2.0, rel=1e-15)
 
 
 def test_separation_bound_vs_euclidean():
@@ -152,7 +156,7 @@ def test_separation_bound_vs_euclidean():
 
 # --- Plan invariants -------------------------------------------------------------
 
-@given(
+PLAN_DOMAIN = dict(
     V=st.floats(5.0, 20.0, **finite),
     frac=st.floats(0.2, 0.7, **finite),
     ampexp=st.floats(-4.0, -1.3, **finite),
@@ -160,7 +164,9 @@ def test_separation_bound_vs_euclidean():
     thf=st.floats(0.3, 0.8, **finite),
     n=st.integers(3, 5),
 )
-def test_plan_invariants(V, frac, ampexp, kind, thf, n):
+
+
+def _plan_case(V, frac, ampexp, kind, thf, n):
     E = frac * V
     amp = 10.0 ** ampexp
     if kind == "gauss":
@@ -169,10 +175,84 @@ def test_plan_invariants(V, frac, ampexp, kind, thf, n):
     else:
         b = TriangularBarrier(V=V, E_bound=E, field_static=1.0, m=1.0)
         pulse = LorentzPulse(amplitude=amp, width=thf * b.tau00, exponent=n)
-    plan = optimize_quanta(E, b, pulse, omega_points=80) \
-        if kind == "lorentz" else optimize_quanta(E, b, pulse)
+    return E, b, pulse
+
+
+@given(**PLAN_DOMAIN)
+def test_plan_invariants(V, frac, ampexp, kind, thf, n):
+    E, b, pulse = _plan_case(V, frac, ampexp, kind, thf, n)
+    plan = optimize_quanta(E, b, pulse)
     assert plan.N >= 0.0
     assert plan.A_eff >= 0.0
     assert plan.deltaE == pytest.approx(plan.omega * plan.N, rel=1e-12)
     assert plan.deltaE <= (V - E) + 1e-9
     assert plan.N_rounded == round(plan.N)
+
+
+# --- Closed form against the brute-force scan ------------------------------------
+
+def _scan_range(E, b, pulse):
+    if isinstance(pulse, GaussianPulse):
+        L = math.log(pulse.rate * math.sqrt(b.m * (b.V - E)) / pulse.amplitude)
+        w_guess = 2.0 * pulse.rate * math.sqrt(L)
+        return 0.05 * w_guess, 20.0 * w_guess
+    return 1e-2 / pulse.width, 50.0 * (b.V - E)
+
+
+def _assert_no_worse_than_scan(E, b, pulse):
+    plan = optimize_quanta(E, b, pulse)
+    ref = scan_quanta(E, b, pulse)
+    lo, hi = _scan_range(E, b, pulse)
+    assert lo <= plan.omega <= hi
+    assert plan.A_eff <= ref.A_eff + 1e-12 * abs(ref.A_eff)
+    assert plan.A_eff == effective_action(plan.omega, plan.N, E, b, pulse)
+
+
+@given(**PLAN_DOMAIN)
+def test_closed_form_no_worse_than_scan_on_plan_domain(V, frac, ampexp, kind,
+                                                       thf, n):
+    E, b, pulse = _plan_case(V, frac, ampexp, kind, thf, n)
+    _assert_no_worse_than_scan(E, b, pulse)
+
+
+@given(
+    V=st.floats(5.0, 20.0, **finite),
+    frac=st.floats(0.05, 0.95, **finite),
+    e0=st.floats(0.5, 3.0, **finite),
+    m=st.floats(0.5, 2.0, **finite),
+    ampexp=st.floats(-5.0, math.log10(3.0), **finite),   # amp/E0, above 1 too
+    thf=st.floats(0.2, 2.0, **finite),
+    n=st.integers(2, 6),
+)
+def test_lorentz_closed_form_no_worse_than_scan(V, frac, e0, m, ampexp, thf, n):
+    E = frac * V
+    b = TriangularBarrier(V=V, E_bound=E, field_static=e0, m=m)
+    pulse = LorentzPulse(amplitude=e0 * 10.0 ** ampexp, width=thf * b.tau00,
+                         exponent=n)
+    _assert_no_worse_than_scan(E, b, pulse)
+
+
+@given(
+    V=st.floats(2.0, 20.0, **finite),
+    frac=st.floats(0.05, 0.95, **finite),
+    m=st.floats(0.5, 2.0, **finite),
+    rate=st.floats(0.2, 5.0, **finite),
+    L=st.floats(0.05, 8.0, **finite),   # includes L < 1.15, where W_{-1} is complex
+)
+def test_gaussian_closed_form_no_worse_than_scan(V, frac, m, rate, L):
+    E = frac * V
+    b = TriangularBarrier(V=V, E_bound=E, field_static=0.0, m=m)
+    pulse = GaussianPulse(amplitude=rate * math.sqrt(m * (V - E)) * math.exp(-L),
+                          rate=rate)
+    _assert_no_worse_than_scan(E, b, pulse)
+
+
+def test_gaussian_small_L_takes_the_lower_end():
+    # below L ~ 2.2 the bounded Brent search of the scan settles near w_guess,
+    # while the exponent keeps falling toward the lower end of the range
+    b = TriangularBarrier(V=6.0, E_bound=1.0, field_static=0.0, m=1.0)
+    pulse = GaussianPulse(amplitude=math.sqrt(5.0) * math.exp(-1.5), rate=1.0)
+    plan = optimize_quanta(1.0, b, pulse)
+    lo, _ = _scan_range(1.0, b, pulse)
+    assert plan.omega == lo
+    assert plan.A_eff < scan_quanta(1.0, b, pulse).A_eff - 1.0
