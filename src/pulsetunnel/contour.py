@@ -5,10 +5,11 @@ circular arc, is a map from a real parameter s in [0, 1] into the plane, and
 the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et al. 1983)
 works on panels in s.  Each pass evaluates the integrand once, on a complex
 array holding the 15 nodes of every new panel, so integrands must accept
-arrays.  The whole path converges under one global test,
-sum of panel errors <= max(epsabs, epsrel*|I|).  Reaching the panel limit or
-detecting roundoff warns with IntegrationWarning; a non-finite integrand
-value raises ConvergenceError.
+arrays.  integrate_paths runs many paths through one such loop; the
+single-path entry points are a batch of one.  Each path converges under its
+own test, sum of its panel errors <= max(epsabs, epsrel*|I|).  Reaching a
+path's panel limit or detecting roundoff warns with IntegrationWarning; a
+non-finite integrand value raises ConvergenceError.  Both name the path.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrationWarning
 
-__all__ = ["quad_line", "quad_path", "integrate_path", "line_with_detour"]
+__all__ = ["quad_line", "quad_path", "integrate_path", "integrate_paths",
+           "line_with_detour"]
 
 _EPSABS = 1e-12
 _EPSREL = 1e-10
-_LIMIT = 400            # panels over the whole path
+_LIMIT = 400            # panels per path
 _ROUNDOFF = 10          # bisections that do not reduce the error estimate
 
 # G7-K15 nodes on [-1, 1] and weights (QUADPACK qk15); the Gauss-7 nodes are
@@ -51,22 +53,24 @@ _WG = np.array([
 _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS = np.concatenate([_WG, _WG[-2::-1]])
-_EPMACH = np.finfo(float).eps
-_UFLOW = np.finfo(float).tiny
+_RULES = np.stack([_KRONROD, _KRONROD - _GAUSS], axis=1).astype(complex)
+_FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
 def quad_line(f, a: complex, b: complex, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
     """Integral of f along the straight segment from a to b."""
-    return integrate_path(f, [("line", a, b)], epsabs, epsrel)[0]
+    return complex(_integrate(_one_path(f), [[("line", a, b)]], epsabs, epsrel)[0][0])
 
 
-def quad_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
+def quad_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0) -> complex:
     """Integrate f along a path given as a list of elements.
 
     Each element is ("line", a, b) or ("arc", center, radius, phi0, phi1).
-    A bare list of complex waypoints is accepted as a polyline.
+    A bare list of complex waypoints is accepted as a polyline.  epsl1 adds
+    epsl1 * int |f| |dz| to the tolerance; the roundoff floor is 50*eps times
+    that integral, so this suits integrals meant to cancel.
     """
-    return integrate_path(f, path, epsabs, epsrel)[0]
+    return complex(_integrate(_one_path(f), [path], epsabs, epsrel, epsl1)[0][0])
 
 
 def integrate_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL):
@@ -75,54 +79,90 @@ def integrate_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL):
     `path` is as for quad_path.  abs_err is the summed G7-K15 error estimate
     over all panels and n_evals the number of points f was evaluated at.
     """
-    if path and not isinstance(path[0], tuple):
-        path = [("line", a, b) for a, b in zip(path[:-1], path[1:])]
-    elements = _Elements(path)
+    val, err, n_evals = _integrate(_one_path(f), [path], epsabs, epsrel)
+    return complex(val[0]), float(err[0]), int(n_evals[0])
+
+
+def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL):
+    """Arrays (value, abs_err, n_evals) of the integrals of f along `paths`.
+
+    All paths share one adaptive loop, so each pass makes one call
+    f(z, path_id) on the nodes of every path's new panels; path_id is an
+    integer array, like z, naming the path of each node.  Each path converges
+    on its own, with tolerance max(epsabs, epsrel*|I_p|), its own panel limit
+    and its own roundoff count, and is not bisected once it has.
+    """
+    return _integrate(f, paths, epsabs, epsrel)
+
+
+def _one_path(f):
+    return lambda z, path_id: f(z)
+
+
+def _integrate(f, paths, epsabs, epsrel, epsl1=0.0):
+    elements = _Elements(paths)
+    n = len(paths)
     if not elements.length.size:
-        return 0.0 + 0.0j, 0.0, 0
+        return np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n, dtype=int)
 
     # panels, in parameter s of their element
     owner = np.arange(elements.length.size)
     lo = np.zeros(owner.size)
     hi = np.ones(owner.size)
-    val, err, floor = _gk15(f, elements, owner, lo, hi)
-    n_evals = 15 * owner.size
-    roundoff = 0
+    val, err, absval = _gk15(f, elements, owner, lo, hi)
+    n_first = np.bincount(elements.path, minlength=n)
+    n_panels = n_first.copy()
+    roundoff = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
     while True:
-        total = complex(val.sum())
-        err_sum = float(err.sum())
-        tol = max(epsabs, epsrel * abs(total))
-        if err_sum <= tol:
+        pid = elements.path[owner]
+        total = np.bincount(pid, val.real, n) + 1j * np.bincount(pid, val.imag, n)
+        err_sum = np.bincount(pid, err, n)
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        if epsl1:
+            tol = np.maximum(tol, epsl1 * np.bincount(pid, absval, n))
+        active &= err_sum > tol
+        if not np.count_nonzero(active):
             break
-        # bisect the panels above their length share of the tolerance;
-        # a panel whose error is its roundoff floor cannot improve
+        # bisect the panels above their length share of their path's
+        # tolerance; a panel whose error is its roundoff floor cannot improve
         span = (hi - lo) * elements.length[owner]
-        split = np.flatnonzero((err > tol * span / span.sum()) & (err > floor))
-        if roundoff >= _ROUNDOFF or split.size == 0:
-            _warn("roundoff error prevents the requested tolerance", err_sum, tol)
+        share = tol[pid] * span / np.bincount(pid, span, n)[pid]
+        split = active[pid] & (err > share) & (err > _FLOOR * absval)
+        n_split = np.bincount(pid[split], minlength=n)
+        room = _LIMIT - n_panels
+        stuck = (roundoff >= _ROUNDOFF) | (n_split == 0)
+        stop = active & (stuck | (room <= 0))
+        if np.count_nonzero(stop):
+            for p in stop.nonzero()[0]:
+                reason = ("roundoff error prevents the requested tolerance"
+                          if stuck[p] else f"the panel limit ({_LIMIT}) is reached")
+                _warn(p, reason, err_sum[p], tol[p])
+            active &= ~stop
+            split &= active[pid]
+        split = split.nonzero()[0]
+        if not split.size:
             break
-        room = _LIMIT - owner.size
-        if room <= 0:
-            _warn(f"the panel limit ({_LIMIT}) is reached", err_sum, tol)
-            break
-        if split.size > room:
-            worst = np.argsort(-err[split], kind="stable")[:room]
-            split = np.sort(split[worst])
+        if np.count_nonzero(n_split > room):
+            # keep each path's `room` worst panels
+            ranked = split[np.lexsort((-err[split], pid[split]))]
+            rank = np.arange(ranked.size) - np.searchsorted(pid[ranked], pid[ranked])
+            split = np.sort(ranked[rank < room[pid[ranked]]])
         k = split.size
+        s_pid = pid[split]
         mid = 0.5 * (lo[split] + hi[split])
         c_owner = np.concatenate([owner[split], owner[split]])
         c_lo = np.concatenate([lo[split], mid])
         c_hi = np.concatenate([mid, hi[split]])
-        c_val, c_err, c_floor = _gk15(f, elements, c_owner, c_lo, c_hi)
-        n_evals += 15 * 2 * k
+        c_val, c_err, c_abs = _gk15(f, elements, c_owner, c_lo, c_hi)
+        n_panels += np.bincount(s_pid, minlength=n)
         # QUADPACK's roundoff test: bisection that neither moves the value
         # nor reduces the error estimate
         pair_val = c_val[:k] + c_val[k:]
         pair_err = c_err[:k] + c_err[k:]
-        roundoff += int(np.count_nonzero(
-            (np.abs(val[split] - pair_val) <= 1e-5 * np.abs(pair_val))
-            & (pair_err >= 0.99 * err[split])
-        ))
+        stalled = ((np.abs(val[split] - pair_val) <= 1e-5 * np.abs(pair_val))
+                   & (pair_err >= 0.99 * err[split]))
+        roundoff += np.bincount(s_pid[stalled], minlength=n)
         keep = np.ones(owner.size, dtype=bool)
         keep[split] = False
         owner = np.concatenate([owner[keep], c_owner])
@@ -130,43 +170,54 @@ def integrate_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL):
         hi = np.concatenate([hi[keep], c_hi])
         val = np.concatenate([val[keep], c_val])
         err = np.concatenate([err[keep], c_err])
-        floor = np.concatenate([floor[keep], c_floor])
-    return total, err_sum, n_evals
+        absval = np.concatenate([absval[keep], c_abs])
+    # each bisection adds one panel and evaluates two
+    return total, err_sum, 15 * (2 * n_panels - n_first)
 
 
 class _Elements:
-    """The path's elements of nonzero length, as maps of s in [0, 1].
+    """The paths' elements of nonzero length, as maps of s in [0, 1].
 
     A line a->b is z = a + s*(b - a); an arc is
-    z = center + radius*exp(i*(phi0 + s*dphi)).
+    z = center + radius*exp(i*(phi0 + s*dphi)).  `path` holds the index of
+    each element's path.
     """
 
-    def __init__(self, path):
+    def __init__(self, paths):
         rows = []
-        for el in path:
-            if el[0] == "line":
-                a, b = complex(el[1]), complex(el[2])
-                rows.append((False, a, b - a, 0.0, 0.0, abs(b - a)))
-            elif el[0] == "arc":
-                center, radius = complex(el[1]), float(el[2])
-                phi0, dphi = float(el[3]), float(el[4]) - float(el[3])
-                rows.append((True, center, radius, phi0, dphi, abs(radius * dphi)))
-            else:
-                raise ValueError(f"unknown path element {el[0]!r}")
-        cols = list(zip(*[r for r in rows if r[-1] > 0.0])) or [()] * 6
-        self.arc = np.array(cols[0], dtype=bool)
-        self.origin = np.array(cols[1], dtype=complex)    # a, or the center
-        self.scale = np.array(cols[2], dtype=complex)     # b - a, or the radius
-        self.phi0 = np.array(cols[3], dtype=float)
-        self.dphi = np.array(cols[4], dtype=float)
-        self.length = np.array(cols[5], dtype=float)
+        for p, path in enumerate(paths):
+            if path and not isinstance(path[0], tuple):
+                path = [("line", a, b) for a, b in zip(path[:-1], path[1:])]
+            for el in path:
+                if el[0] == "line":
+                    a, b = complex(el[1]), complex(el[2])
+                    rows.append((p, False, a, b - a, 0.0, 0.0, abs(b - a)))
+                elif el[0] == "arc":
+                    center, radius = complex(el[1]), float(el[2])
+                    phi0, dphi = float(el[3]), float(el[4]) - float(el[3])
+                    rows.append((p, True, center, radius, phi0, dphi,
+                                 abs(radius * dphi)))
+                else:
+                    raise ValueError(f"unknown path element {el[0]!r}")
+        cols = list(zip(*[r for r in rows if r[-1] > 0.0])) or [()] * 7
+        self.path = np.array(cols[0], dtype=int)
+        self.arc = np.array(cols[1], dtype=bool)
+        self.origin = np.array(cols[2], dtype=complex)    # a, or the center
+        self.scale = np.array(cols[3], dtype=complex)     # b - a, or the radius
+        self.phi0 = np.array(cols[4], dtype=float)
+        self.dphi = np.array(cols[5], dtype=float)
+        self.length = np.array(cols[6], dtype=float)
+        self.has_arc = bool(self.arc.any())
 
     def nodes(self, owner, s):
-        """Points z(s) and derivatives dz/ds of panels `owner` at rows of s."""
+        """Points z(s) and derivatives dz/ds of panels `owner` at rows of s.
+
+        dz/ds of a line is constant along the row and comes as one column.
+        """
         o = owner[:, None]
         z = self.origin[o] + s * self.scale[o]
-        jac = np.broadcast_to(self.scale[o], s.shape)
-        if self.arc.any():
+        jac = self.scale[o]
+        if self.has_arc:
             rot = self.scale[o] * np.exp(1j * (self.phi0[o] + s * self.dphi[o]))
             arc = self.arc[o]
             z = np.where(arc, self.origin[o] + rot, z)
@@ -175,33 +226,34 @@ class _Elements:
 
 
 def _gk15(f, elements, owner, lo, hi):
-    """G7-K15 value, QUADPACK error estimate and its roundoff floor per panel."""
+    """G7-K15 value, QUADPACK error estimate and integral of |f| per panel."""
     half = 0.5 * (hi - lo)
     z, jac = elements.nodes(owner, 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
-    fz = np.broadcast_to(np.asarray(f(z.ravel()), dtype=complex), z.size)
-    fz = fz.reshape(z.shape)
+    path_id = elements.path[owner].repeat(_NODES.size)
+    fz = np.asarray(f(z.ravel(), path_id), dtype=complex)
+    fz = (np.broadcast_to(fz, z.size) if fz.ndim == 0 else fz).reshape(z.shape)
     bad = ~np.isfinite(fz)
-    if bad.any():
+    if np.count_nonzero(bad):
+        p = int(path_id.reshape(z.shape)[bad][0])
         raise ConvergenceError(
-            "integrand is not finite on the integration path",
-            diagnostics={"z": complex(z[bad][0])},
+            f"integrand is not finite on integration path {p}",
+            diagnostics={"z": complex(z[bad][0]), "path": p},
         )
     fv = fz * jac
-    kronrod = fv @ _KRONROD
-    gauss = fv @ _GAUSS
+    kronrod, diff = (fv @ _RULES).T     # K15 and K15 - G7 per unit half-width
     resabs = half * (np.abs(fv) @ _KRONROD)
     resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
-    err = half * np.abs(kronrod - gauss)
+    err = half * np.abs(diff)
+    varies = resasc > 0
     scaled = resasc * np.minimum(
-        1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
-    err = np.where((resasc > 0) & (err > 0), scaled, err)
-    floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
-    return half * kronrod, np.maximum(err, floor), floor
+        1.0, (200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5)
+    err = np.where(varies, scaled, err)
+    return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs
 
 
-def _warn(reason: str, err: float, tol: float) -> None:
+def _warn(path: int, reason: str, err: float, tol: float) -> None:
     warnings.warn(
-        f"contour quadrature: {reason}; error estimate {err:.3g} "
+        f"contour quadrature, path {path}: {reason}; error estimate {err:.3g} "
         f"against tolerance {tol:.3g}",
         IntegrationWarning,
         stacklevel=4,

@@ -10,15 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, optimize
+from scipy import optimize
 
+from .contour import integrate_path
 from .errors import ConvergenceError, DomainError
 from .model import (
+    GaussianPulse,
     LorentzPulse,
     TriangularBarrier,
     SechBarrier,
     ZeroPulse,
-    static_wkb_exponent,
+    _lorentz_J,
 )
 
 __all__ = [
@@ -104,6 +106,24 @@ def _regime_tag(E: float, barrier: TriangularBarrier, pulse) -> tuple[str, float
     return ("above-threshold" if tau00 < theta else "below-threshold"), E_T
 
 
+def _imag_axis_moments(pulse, tau: float) -> tuple[float, float]:
+    """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact."""
+    m1 = -complex(pulse.first_moment_antiderivative(1j * tau)).real
+    if isinstance(pulse, LorentzPulse):
+        # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n)
+        x, n = tau / pulse.width, pulse.exponent
+        m2 = (pulse.amplitude * pulse.width**3
+              * float(_lorentz_J(x, n) - _lorentz_J(x, n - 1)))
+    elif isinstance(pulse, GaussianPulse):
+        # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
+        r2 = pulse.rate**2
+        m2 = ((pulse.amplitude * tau * math.exp(r2 * tau * tau)
+               - pulse.integral_imag_axis(tau)) / (2.0 * r2))
+    else:
+        m2 = 0.0
+    return m1, m2
+
+
 def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanResult:
     """Exponent A and outgoing energy shift deltaE from the forced trajectory.
 
@@ -116,11 +136,13 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
     VmE = barrier.V - E
     G = pulse.integral_imag_axis
 
-    I1, _ = integrate.quad(lambda u: u * G(u), 0.0, tau0,
-                           epsabs=1e-13, epsrel=1e-11, limit=400)
-    I2, _ = integrate.quad(lambda u: G(u) ** 2, 0.0, tau0,
-                           epsabs=1e-13, epsrel=1e-11, limit=400)
-    IG, _ = integrate.quad(G, 0.0, tau0, epsabs=1e-13, epsrel=1e-11, limit=400)
+    # int G and int u*G by parts, with G' = g, g(u) = pulse(i*u)
+    G0 = G(tau0)
+    m1, m2 = _imag_axis_moments(pulse, tau0)
+    IG = tau0 * G0 - m1
+    I1 = 0.5 * (tau0 * tau0 * G0 - m2)
+    I2 = integrate_path(lambda z: G(z.real) ** 2, [("line", 0.0, tau0)],
+                        epsabs=1e-13, epsrel=1e-11)[0].real
 
     A = (
         2.0 * VmE * tau0

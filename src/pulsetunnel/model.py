@@ -215,15 +215,17 @@ class LorentzPulse:
     def poles(self):
         return ((1j * self.width, self.exponent), (-1j * self.width, self.exponent))
 
-    def integral_imag_axis(self, tau: float) -> float:
-        """int_0^tau pulse(i*u) du, exact; diverges as tau -> width."""
+    def integral_imag_axis(self, tau):
+        """int_0^tau pulse(i*u) du for real tau (float or array), exact;
+        diverges as tau -> width."""
         x = tau / self.width
-        if abs(x) >= 1.0:
+        if np.count_nonzero(abs(x) >= 1.0):
             raise SingularityError(
                 "imaginary-axis pulse integral crosses the pole at i*width",
                 location=1j * self.width,
             )
-        return self.amplitude * self.width * float(_lorentz_J(x, self.exponent))
+        out = self.amplitude * self.width * _lorentz_J(x, self.exponent)
+        return out if out.ndim else float(out)
 
     def antiderivative(self, t):
         """int_0^t pulse(s) ds, exact; single-valued in the t-plane cut along
@@ -280,14 +282,11 @@ class GaussianPulse:
     def poles(self):
         return ()
 
-    def integral_imag_axis(self, tau: float) -> float:
+    def integral_imag_axis(self, tau):
         # pulse(i*u) = amp * exp(+rate^2 u^2)
-        return float(
-            self.amplitude
-            * math.sqrt(math.pi)
-            / (2.0 * self.rate)
-            * special.erfi(self.rate * tau)
-        )
+        out = (self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate)
+               * special.erfi(self.rate * tau))
+        return out if out.ndim else float(out)
 
     def antiderivative(self, t):
         # erf(z) = 1 - exp(-z^2) * w(iz), entire in z

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .contour import quad_path
+from .contour import integrate_paths, quad_path
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
 from .model import SechBarrier, ZeroPulse, static_wkb_exponent
 
@@ -47,7 +47,7 @@ class TrajectoryHandle:
     t_s: complex         # branch point in the upper half plane
     tau_s: float         # Im t_s = pi/(2*omega)
 
-    def _clipped(self, t):
+    def _clipped(self, t, dt_shift=None):
         """z = omega*(t + dt_shift) with Re z clipped to +/-200, and the excess.
 
         cosh(z) overflows beyond |Re z| ~ 710, which the contour tails reach.
@@ -57,16 +57,21 @@ class TrajectoryHandle:
         arcsinh(w) shifts by sign(Re arcsinh(w))*excess.  The excess is None
         when no point needs clipping.
         """
-        z = self.omega * (np.asarray(t, dtype=complex) + self.dt_shift)
+        shift = self.dt_shift if dt_shift is None else dt_shift
+        z = self.omega * (np.asarray(t, dtype=complex) + shift)
         if np.abs(z.real).max() <= 200.0:
             return z, None
         x = np.clip(z.real, -200.0, 200.0)
         return x + 1j * z.imag, np.abs(z.real - x)
 
-    def position(self, t):
-        """x0(t + dt_shift); principal branch, cut left of the branch points."""
-        self._check_cut(t)
-        z, excess = self._clipped(t)
+    def position(self, t, dt_shift=None):
+        """x0(t + dt_shift); principal branch, cut left of the branch points.
+
+        dt_shift, an array shaped like t, replaces the handle's own shift
+        point by point.
+        """
+        self._check_cut(t, dt_shift)
+        z, excess = self._clipped(t, dt_shift)
         x = np.arcsinh(self.u0 * np.cosh(z))
         if excess is not None:
             x = x + np.copysign(excess, x.real)
@@ -81,14 +86,14 @@ class TrajectoryHandle:
         out = self.barrier.a * self.u0 * self.omega * np.sinh(z) / np.sqrt(1.0 + w * w)
         return out if out.ndim else complex(out)
 
-    def _check_cut(self, t):
+    def _check_cut(self, t, dt_shift=None):
         t = np.asarray(t, dtype=complex)
+        re_ts = self.t_s.real
+        if dt_shift is not None:
+            re_ts = re_ts + (self.dt_shift - dt_shift)
         on_cut = (
-            (np.abs(t.imag - self.t_s.imag) < 1e-12 / self.omega)
-            & (t.real <= self.t_s.real + 1e-12)
-        ) | (
-            (np.abs(t.imag + self.t_s.imag) < 1e-12 / self.omega)
-            & (t.real <= self.t_s.real + 1e-12)
+            (np.abs(np.abs(t.imag) - self.t_s.imag) < 1e-12 / self.omega)
+            & (t.real <= re_ts + 1e-12)
         )
         if np.any(on_cut):
             raise SingularityError(
@@ -251,37 +256,59 @@ def delta_action(
     i*tau_s - dt_shift).  The residual imaginary part is a quadrature health
     check; exceeding `imag_tol` (relative) raises a contour diagnostic.
     """
+    return float(_delta_actions(E, barrier, pulse, [dt_shift], contour=contour,
+                                imag_tol=imag_tol, epsrel=epsrel)[0])
+
+
+def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
+                   epsrel=1e-10) -> np.ndarray:
+    """delta_action at each of `shifts`, all contours in one engine call.
+
+    `contour`, when given, serves every shift.
+    """
     if not _check_pulse(pulse):
-        return 0.0
-    traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
+        return np.zeros(len(shifts))
+    trajs = [unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, s))
+             for s in shifts]
+    traj = trajs[0]
     width = pulse.poles()[0][0].imag
     if width - traj.tau_s < 1e-9 * width:
         raise RegimeError(
             "contour pinch: pulse width -> Im t_s; the perturbative branch "
             "breaks down (near-resonance), a nonperturbative treatment is needed"
         )
-    if contour is None:
-        contour = build_contour(traj, width)
+    contours = [build_contour(tr, width) if contour is None else contour
+                for tr in trajs]
+    # the handles differ only in their shift, which f supplies point by point
+    path_shift = np.array([tr.dt_shift for tr in trajs])
 
-    def f(t):
-        return pulse(t) * traj.position(t)
+    def f(t, path_id):
+        return pulse(t) * traj.position(t, path_shift[path_id])
 
-    val = -1j * quad_path(f, list(contour.waypoints), epsabs=1e-13, epsrel=epsrel)
-    scale = max(abs(val), 1e-12)
-    if abs(val.imag) > imag_tol * scale:
+    vals = -1j * integrate_paths(f, [list(c.waypoints) for c in contours],
+                                 epsabs=1e-13, epsrel=epsrel)[0]
+    scale = np.maximum(np.abs(vals), 1e-12)
+    lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale)
+    if lost.size:
+        i = lost[0]
         raise ConvergenceError(
             "contour quadrature lost conjugation symmetry",
-            residual=abs(val.imag) / scale,
-            diagnostics={"contour": contour, "value": val},
+            residual=abs(vals[i].imag) / scale[i],
+            diagnostics={"contour": contours[i], "value": vals[i],
+                         "dt_shift": shifts[i]},
         )
-    return float(val.real)
+    return vals.real
 
 
 def energy_shift_residual(
     E: float, barrier: SechBarrier, pulse, dt_shift: float,
     contour: ContourSpec | None = None,
 ) -> float:
-    """int_C pulse * dx0/dt dt: vanishes at the true exit-time shift (real E)."""
+    """int_C pulse * dx0/dt dt: vanishes at the true exit-time shift (real E).
+
+    The integral is meant to cancel, so its tolerance is relative to
+    int_C |pulse * dx0/dt| |dt|, far enough above the engine's roundoff floor.
+    """
     if not _check_pulse(pulse):
         return 0.0
     traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
@@ -292,7 +319,8 @@ def energy_shift_residual(
     def f(t):
         return pulse(t) * traj.velocity(t)
 
-    val = quad_path(f, list(contour.waypoints), epsabs=1e-13, epsrel=1e-10)
+    val = quad_path(f, list(contour.waypoints), epsabs=1e-13, epsrel=1e-10,
+                    epsl1=1e-12)
     return abs(val)
 
 
@@ -323,10 +351,7 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
     lo, hi = -3.0 * gap, 0.0
 
     grid = np.linspace(lo, hi, 17)
-    vals = np.array(
-        [delta_action(E, barrier, pulse, s, epsrel=1e-6, imag_tol=1e-4)
-         for s in grid]
-    )
+    vals = _delta_actions(E, barrier, pulse, grid, epsrel=1e-6, imag_tol=1e-4)
     # stationary points: sign changes of the finite-difference slope
     slopes = np.diff(vals)
     stationary = []

@@ -16,8 +16,8 @@ settings.load_profile("suite")
 
 # a quadrature warning raised on behalf of a package module fails the test;
 # one from scipy.integrate.quad called by a test itself does not.  Scoped to
-# this directory: bench/test_harness.py checks benchmark outputs, not warnings,
-# and its pole-scan inputs still reach delta_action's roundoff floor.
+# this directory; CI runs bench/test_harness.py under the same filter, given
+# on its command line.
 _PACKAGE_QUADRATURE_WARNINGS = pytest.mark.filterwarnings(
     r"error::scipy.integrate.IntegrationWarning:pulsetunnel\."
 )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from pulsetunnel.contour import integrate_path, quad_line, quad_path
+from pulsetunnel.contour import integrate_path, integrate_paths, quad_line, quad_path
 from pulsetunnel.errors import ConvergenceError
 from pulsetunnel.model import LorentzPulse, SechBarrier
 from pulsetunnel.trajectory import delta_action
@@ -101,6 +101,82 @@ def test_roundoff_warns_and_stops_early():
                                      epsrel=1e-13)
     assert n < 15 * 100
     assert val == pytest.approx(math.e - 1.0, rel=1e-8)
+
+
+# --- Many paths in one call ---------------------------------------------------------
+
+def test_batch_matches_single_paths():
+    # lines and arcs, each path with its own pole; every path must get what a
+    # call of its own gives, with the same panels
+    poles = np.array([1.02 + 0.05j, 0.5 + 0.001j, 0.3 - 0.2j, 2.0 + 2.0j])
+    paths = [
+        [("arc", 0.0, 1.0, -1.0, 1.0)],
+        [0.0, 1.0, 1.0 + 1j],
+        [("arc", 0.3 - 0.2j, 0.7, 0.0, 2.0 * math.pi)],
+        [("line", -1.0, 1.0), ("arc", 0.0, 1.0, 0.0, math.pi)],
+    ]
+    val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths)
+    for p, path in enumerate(paths):
+        single = integrate_path(lambda z: 1.0 / (z - poles[p]), path)
+        assert abs(val[p] - single[0]) <= 1e-10 * abs(single[0])
+        assert n[p] == single[2]
+        assert err[p] <= max(1e-12, 1e-10 * abs(val[p]))
+    assert val[2] == pytest.approx(2j * math.pi, abs=1e-12)
+    # the closed semicircle encloses no pole
+    assert abs(val[3]) <= 1e-12
+
+
+def test_converged_path_is_not_bisected():
+    # path 0 meets epsrel 1e-4 on its first pass, although its short element
+    # holds more than its length share of the error; path 1 needs many passes
+    poles = np.array([5.05 + 1.05j, 0.5 + 0.001j])
+    paths = [[("line", 0.0, 1.0), ("line", 5.0 + 1j, 5.1 + 1j)], [0.0, 1.0]]
+    val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths,
+                                  epsabs=0.0, epsrel=1e-4)
+    assert n[0] == 2 * 15 and n[1] > 10 * 15
+    assert err[0] <= 1e-4 * abs(val[0])
+
+
+def test_paths_meet_their_own_tolerance():
+    # magnitudes 1e-8 to 1e8: each path's tolerance follows its own value
+    scale = np.array([1e-8, 1.0, 1e8])
+    p = 0.5 + 0.01j
+    exact = cmath.log((1.0 - p) / -p)
+
+    def f(z, path):
+        return scale[path] / (z - p)
+
+    for epsrel in (1e-6, 1e-12):
+        val, err, _ = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=epsrel)
+        for k in range(3):
+            assert err[k] <= epsrel * abs(val[k])
+            assert abs(val[k] - scale[k] * exact) <= epsrel * abs(val[k])
+
+
+def test_batch_warning_names_its_path():
+    def f(z, path):
+        return np.where(path == 1, _steps(z), np.where(path == 2, _noisy(z), z))
+
+    with pytest.warns(IntegrationWarning) as record:
+        val, err, n = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=1e-13)
+    messages = sorted(str(w.message) for w in record)
+    assert len(messages) == 2
+    assert messages[0].startswith("contour quadrature, path 1: the panel limit")
+    assert messages[1].startswith("contour quadrature, path 2: roundoff")
+    assert val[0] == pytest.approx(0.5, rel=1e-14)
+    # path 1 fills its own 400 panels, whatever the others use
+    assert n[0] == 15 and n[1] == 15 * (2 * 400 - 1)
+    assert abs(val[1] - 1.0 / 37.0) <= err[1]
+    assert val[2] == pytest.approx(math.e - 1.0, rel=1e-8)
+
+
+def test_non_finite_value_in_one_path_raises():
+    def f(z, path):
+        return np.where((path == 2) & (z.real > 0.5), np.nan, 1.0 + 0.0 * z)
+
+    with pytest.raises(ConvergenceError, match="path 2") as info:
+        integrate_paths(f, [[0.0, 1.0]] * 3)
+    assert info.value.diagnostics["path"] == 2
 
 
 # --- Determinism ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property tests and examples for the imaginary-time action module."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from pulsetunnel.euclidean import (
 )
 from pulsetunnel.hj import action as hj_action, solve_t0
 from pulsetunnel.model import (
+    GaussianPulse,
     LorentzPulse,
     SechBarrier,
     TriangularBarrier,
@@ -179,6 +182,24 @@ def test_below_threshold_keystone_vs_hj():
     S = hj_action(2.0, 0.0, CANON, PULSE5, state)
     assert res.A == pytest.approx(2.0 * S.imag, rel=2e-4)
     assert res.regime == "below-threshold"
+
+
+# mpmath values at 30 working digits, generated by
+# tests/reference/euclidean_mpmath.py
+_EUCLIDEAN_REFS = json.loads(
+    (Path(__file__).parent / "reference" / "euclidean.json").read_text()
+)["points"]
+_PULSE_KINDS = {"lorentz": LorentzPulse, "gaussian": GaussianPulse}
+
+
+@pytest.mark.parametrize("ref", _EUCLIDEAN_REFS, ids=lambda ref: ref["name"])
+def test_euclidean_matches_mpmath(ref):
+    fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
+    pulse = _PULSE_KINDS[ref["pulse"]["kind"]](**fields)
+    res = euclidean_action(ref["E"], TriangularBarrier(**ref["barrier"]), pulse)
+    for got, key in ((res.A, "A"), (res.exit_point, "exit_point"), (res.tau0, "tau0")):
+        want = float(ref[key])
+        assert abs(got - want) <= 1e-12 * abs(want), key
 
 
 def test_delta_E_collects_at_threshold():

@@ -18,6 +18,7 @@ from pulsetunnel.model import (
 )
 from pulsetunnel.trajectory import (
     _aligned_shift,
+    _delta_actions,
     branch_expansion,
     build_contour,
     delta_action,
@@ -212,6 +213,19 @@ def test_contour_invariance():
     longer = build_contour(traj, 2.0, tail=650.0)
     val_long = delta_action(0.5, SECH, PULSE, dt, contour=longer, epsrel=1e-11)
     assert abs(val_long - vals[0]) < specs[0].tail_bound * PULSE.amplitude
+
+
+@pytest.mark.parametrize("gap_frac", [0.3, 0.02])
+def test_batched_scan_matches_serial(gap_frac):
+    # the minimizer's 17-shift scan runs as one engine call; each shift has
+    # its own contour, far-field clip and conjugation check
+    theta = (math.pi / 2.0) / (1.0 - gap_frac)
+    pulse = LorentzPulse(amplitude=0.005, width=theta, exponent=2)
+    shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, 17)
+    batch = _delta_actions(0.5, SECH, pulse, shifts, epsrel=1e-6, imag_tol=1e-4)
+    for s, value in zip(shifts, batch):
+        serial = delta_action(0.5, SECH, pulse, s, epsrel=1e-6, imag_tol=1e-4)
+        assert abs(value - serial) <= 1e-10 * abs(serial)
 
 
 def test_minimize_canonical_example():
