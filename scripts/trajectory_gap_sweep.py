@@ -8,12 +8,15 @@ closed form.  The full integral carries an additional branch-cut contribution
 that the pole form drops, so the deviation shrinks only like sqrt(gap).
 """
 
-import math
 import pathlib
 import sys
 
 from pulsetunnel.model import LorentzPulse, SechBarrier
-from pulsetunnel.trajectory import minimize_delta_action, unperturbed_trajectory
+from pulsetunnel.trajectory import (
+    minimize_delta_action,
+    pole_form,
+    unperturbed_trajectory,
+)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -28,20 +31,15 @@ def main() -> int:
     OUT.mkdir(exist_ok=True)
     barrier = SechBarrier(V=1.0, a=1.0, m=1.0)
     E = 0.5
-    traj = unperturbed_trajectory(E, barrier)
-    tau_s, omega = traj.tau_s, traj.omega
-    amp = 0.01
+    tau_s = unperturbed_trajectory(E, barrier).tau_s
     rows = []
     for gap_frac in (0.15, 0.10, 0.05, 0.03, 0.02):
         theta = tau_s / (1.0 - gap_frac)
-        gap = theta - tau_s
-        pulse = LorentzPulse(amplitude=amp, width=theta, exponent=2)
+        pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=2)
         res = minimize_delta_action(E, barrier, pulse)
-        pole_form = -(math.pi / 4.0) * amp * barrier.a * tau_s**2 \
-            * (3.0 * barrier.V / E) ** 0.25 * math.sqrt(3.0 * omega / gap)
-        dt_form = -gap / math.sqrt(3.0)
-        rows.append((gap_frac, res.dA, pole_form,
-                     abs(res.dA - pole_form) / abs(pole_form),
+        dA_form, dt_form = pole_form(E, barrier, pulse)
+        rows.append((gap_frac, res.dA, dA_form,
+                     abs(res.dA - dA_form) / abs(dA_form),
                      res.dt_shift, dt_form,
                      abs(res.dt_shift - dt_form) / abs(dt_form)))
     path = OUT / "trajectory_gap_sweep.csv"

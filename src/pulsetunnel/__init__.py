@@ -18,7 +18,6 @@ from .model import (
     SechBarrier,
     TriangularBarrier,
     ZeroPulse,
-    pulse_eval,
     pulse_fourier_envelope,
     static_wkb_exponent,
 )
@@ -51,6 +50,7 @@ from .trajectory import (
     delta_action,
     max_flux_exponent,
     minimize_delta_action,
+    pole_form,
     singularity_time,
     unperturbed_trajectory,
 )

@@ -19,7 +19,7 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, PulseTunnelError, RegimeError
@@ -44,11 +44,10 @@ from .model import (
     SechBarrier,
     TriangularBarrier,
     ZeroPulse,
-    sech_wkb_exponent_analytic,
     static_wkb_exponent,
 )
 from .quanta import optimize_quanta
-from .trajectory import minimize_delta_action, unperturbed_trajectory
+from .trajectory import minimize_delta_action, pole_form, unperturbed_trajectory
 
 EXIT_OK = 0
 EXIT_REGIME = 2
@@ -202,7 +201,7 @@ def read_csv_config(path: str) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
-def _emit(args, command: str, config: RunConfig, columns, rows) -> None:
+def _emit(command: str, config: RunConfig, columns, rows) -> None:
     buf = io.StringIO()
     write_csv(buf, command, config, columns, rows)
     data = buf.getvalue()
@@ -315,7 +314,7 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
     theta = adapt_pulse_width(barrier, E_target)
     if config.barrier == "sech":
         traj = unperturbed_trajectory(E_target, barrier)
-        A0 = sech_wkb_exponent_analytic(barrier, E_target)
+        A0 = static_wkb_exponent(barrier, E_target)
         rows = [(E_target, theta, traj.t_s.imag, A0)]
         return ["E_target", "theta", "Im_t_s", "A0_at_target"], rows
 
@@ -365,18 +364,11 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
             raise DomainError("verify needs --E")
         b = config.make_barrier()
         pulse = config.make_pulse()
+        dA_form, dt_form = pole_form(config.E, b, pulse)
         res = minimize_delta_action(config.E, b, pulse)
-        traj = unperturbed_trajectory(config.E, b)
-        tau_s = traj.tau_s
-        theta = config.theta
-        gap = theta - tau_s
-        pole_form = -(math.pi / 4.0) * config.amp * config.a * tau_s**2 \
-            * (3.0 * config.V / config.E) ** 0.25 \
-            * math.sqrt(3.0 * traj.omega / gap)
-        dev = abs(res.dA - pole_form) / abs(pole_form)
-        rows.append(("trajectory_dA_vs_pole_form", res.dA, pole_form, dev,
+        dev = abs(res.dA - dA_form) / abs(dA_form)
+        rows.append(("trajectory_dA_vs_pole_form", res.dA, dA_form, dev,
                      "info"))
-        dt_form = -gap / math.sqrt(3.0)
         devdt = abs(res.dt_shift - dt_form) / abs(dt_form)
         rows.append(("dt_shift_vs_closed_form", res.dt_shift, dt_form, devdt,
                      "info"))
@@ -452,7 +444,7 @@ def main(argv=None) -> int:
         config = RunConfig.from_mapping(mapping)
         config.validate()
         columns, rows = _COMMANDS[args.command](config)
-        _emit(args, args.command, config, columns, rows)
+        _emit(args.command, config, columns, rows)
     except (RegimeError, DomainError) as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME

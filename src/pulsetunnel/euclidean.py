@@ -21,6 +21,7 @@ from .model import (
     SechBarrier,
     ZeroPulse,
     _lorentz_J,
+    static_wkb_exponent,
 )
 
 __all__ = [
@@ -154,7 +155,7 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
     field_at_exit = e0 + complex(pulse(0.0)).real
     deltaE = VmE - field_at_exit * x_exit
     regime, E_T = _regime_tag(E, barrier, pulse)
-    A0 = (4.0 / 3.0) * VmE * barrier.tau00_at(E)
+    A0 = static_wkb_exponent(barrier, E)
     return EuclideanResult(
         A=A, A0=A0, tau0=tau0, deltaE=deltaE, regime=regime, E_T=E_T,
         exit_point=x_exit,

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .contour import line_with_detour, quad_line, quad_path
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
@@ -78,7 +79,6 @@ class ValidityReport:
     ok: bool
     amp_ratio: float            # pulse amplitude / static field
     amp_lower_bound: float      # semiclassical lower bound on amp_ratio
-    amp_margin: float           # amp_ratio / amp_lower_bound
     action_scale: float         # (V-E)*theta, must be >> 1
     hierarchy: dict = field(default_factory=dict)
 
@@ -123,14 +123,13 @@ def _static_t0(x: float, t: float, barrier: TriangularBarrier) -> complex:
     return t - u
 
 
+_NEWTON_TOL = 1e-12       # saddle residual, relative to its scale
+_NEWTON_MAX_ITER = 60
+_HOMOTOPY_STEPS = 10      # amplitude ramp of the static branch
+
+
 def _newton_t0(
-    t0: complex,
-    x: float,
-    t: float,
-    barrier: TriangularBarrier,
-    pulse,
-    tol: float,
-    max_iter: int,
+    t0: complex, x: float, t: float, barrier: TriangularBarrier, pulse
 ) -> tuple[complex, float]:
     p0 = barrier.p0()
     e0 = barrier.field_static
@@ -138,7 +137,7 @@ def _newton_t0(
     scale = max(m * abs(x), p0 * max(abs(t), 1.0), 1.0)
     pole = pulse.poles()[0][0] if pulse.poles() else None
     last_residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = (
             1j * (t - t0) * p0
             + 0.5 * e0 * (t - t0) ** 2
@@ -146,7 +145,7 @@ def _newton_t0(
             - m * x
         )
         last_residual = abs(g) / scale
-        if last_residual < tol:
+        if last_residual < _NEWTON_TOL:
             return t0, last_residual
         dg = -1j * p0 - (t - t0) * e0 - (t - t0) * pulse(t0)
         step = -g / dg
@@ -190,16 +189,12 @@ def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
         )
         return tau * p0 - 0.5 * e0 * tau**2 - wtilde - m * x
 
-    from scipy.optimize import brentq, minimize_scalar
+    def slope(tau):
+        return p0 - e0 * tau - amp * tau * (1.0 - tau**2 / theta**2) ** (-n)
 
-    # f is concave on (0, width): seat the bracket at its maximum
-    res = minimize_scalar(
-        lambda tau: -f(tau),
-        bounds=(1e-6 * theta, theta * (1.0 - 1e-12)),
-        method="bounded",
-        options={"xatol": 1e-14 * theta},
-    )
-    tau_max = float(res.x)
+    # f is concave on (0, width): seat the bracket at its maximum, f' = 0
+    tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
+                     xtol=1e-14 * theta)
     if f(tau_max) < 0:
         raise RegimeError(
             "no exit-branch saddle: x lies beyond the branch point x2"
@@ -215,9 +210,6 @@ def solve_t0(
     pulse,
     *,
     branch: str = "auto",
-    homotopy_steps: int = 10,
-    tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> SaddleState:
     """Complex saddle time t0(x, t) of the action.
 
@@ -246,9 +238,9 @@ def solve_t0(
         t0 = _static_t0(x, t, barrier)
         if not active:
             return _make_state(t0, x, t, barrier, pulse, 0.0)
-        for lam in np.linspace(0.0, 1.0, homotopy_steps + 1)[1:]:
+        for lam in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS + 1)[1:]:
             scaled = replace(pulse, amplitude=pulse.amplitude * lam)
-            t0, res = _newton_t0(t0, x, t, barrier, scaled, tol, max_iter)
+            t0, res = _newton_t0(t0, x, t, barrier, scaled)
         return _make_state(t0, x, t, barrier, pulse, res)
     if branch != "exit":
         raise DomainError(f"unknown branch {branch!r}")
@@ -258,9 +250,9 @@ def solve_t0(
     res = 0.0
     if t > 0:
         for t_k in np.linspace(0.0, t, max(int(10 * t / pulse.width), 4) + 1)[1:]:
-            t0, res = _newton_t0(t0, x, t_k, barrier, pulse, tol, max_iter)
+            t0, res = _newton_t0(t0, x, t_k, barrier, pulse)
     else:
-        t0, res = _newton_t0(t0, x, 0.0, barrier, pulse, tol, max_iter)
+        t0, res = _newton_t0(t0, x, 0.0, barrier, pulse)
     return _make_state(t0, x, t, barrier, pulse, res)
 
 
@@ -424,8 +416,7 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
     """
     if not isinstance(pulse, LorentzPulse):
         amp_ratio = getattr(pulse, "amplitude", 0.0) / barrier.field_static
-        return ValidityReport(False, amp_ratio, math.inf, 0.0,
-                              (barrier.V - barrier.E_bound) * 0.0)
+        return ValidityReport(False, amp_ratio, math.inf, 0.0)
     theta = pulse.width
     n = pulse.exponent
     tau00 = barrier.tau00
@@ -433,7 +424,7 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
     action_scale = VmE * theta
     amp_ratio = pulse.amplitude / barrier.field_static
     if theta >= tau00:
-        return ValidityReport(False, amp_ratio, math.inf, 0.0, action_scale)
+        return ValidityReport(False, amp_ratio, math.inf, action_scale)
     lower = (theta / (tau00 - theta)) ** (n / 2.0 - 1.0) / action_scale ** (n / 2.0)
 
     hierarchy = {}
@@ -483,7 +474,6 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
         ok=ok,
         amp_ratio=amp_ratio,
         amp_lower_bound=lower,
-        amp_margin=amp_ratio / lower if lower > 0 else math.inf,
         action_scale=action_scale,
         hierarchy=hierarchy,
     )

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, SingularityError
 
@@ -21,7 +21,6 @@ __all__ = [
     "ZeroPulse",
     "LorentzPulse",
     "GaussianPulse",
-    "pulse_eval",
     "pulse_fourier_envelope",
     "static_wkb_exponent",
 ]
@@ -304,14 +303,6 @@ class GaussianPulse:
         return self.amplitude * math.exp(-(omega_query**2) / (4.0 * self.rate**2))
 
 
-Pulse = ZeroPulse | LorentzPulse | GaussianPulse
-
-
-def pulse_eval(pulse, t):
-    """Pulse field at (complex) time t; raises SingularityError at a pole."""
-    return pulse(t)
-
-
 def pulse_fourier_envelope(pulse, omega_query: float) -> float:
     """Spectral amplitude of the pulse at a positive query frequency.
 
@@ -326,31 +317,17 @@ def pulse_fourier_envelope(pulse, omega_query: float) -> float:
 # --- Static WKB exponent --------------------------------------------------------
 
 def static_wkb_exponent(barrier, E: float) -> float:
-    """Conventional static tunneling exponent A0(E) = 2*sqrt(2m)*int sqrt(V-E) dx."""
+    """Static tunneling exponent A0(E) = 2*sqrt(2m)*int sqrt(V(x) - E) dx.
+
+    Closed forms: (4/3)(V - E)*tau00(E) for the triangular barrier and
+    2*pi*a*sqrt(2m)*(sqrt(V) - sqrt(E)) for the sech^2 barrier.
+    """
     if isinstance(barrier, TriangularBarrier):
         if E >= barrier.V:
             raise DomainError(f"E={E} >= V={barrier.V}: no under-barrier region")
         return (4.0 / 3.0) * (barrier.V - E) * barrier.tau00_at(E)
     if isinstance(barrier, SechBarrier):
-        if not (0 < E < barrier.V):
-            raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
-        xt = barrier.turning_point(E)
-
-        def integrand(x):
-            return np.sqrt(np.maximum(barrier.potential(x) - E, 0.0))
-
-        val, _ = integrate.quad(integrand, -xt, xt, epsabs=1e-13, epsrel=1e-12)
-        return 2.0 * math.sqrt(2.0 * barrier.m) * val
+        barrier._check_energy(E)
+        return (2.0 * math.pi * barrier.a * math.sqrt(2.0 * barrier.m)
+                * (math.sqrt(barrier.V) - math.sqrt(E)))
     raise TypeError(f"unsupported barrier type {type(barrier).__name__}")
-
-
-def sech_wkb_exponent_analytic(barrier: SechBarrier, E: float) -> float:
-    """Closed form 2*pi*a*sqrt(2m)*(sqrt(V)-sqrt(E)) for the sech^2 barrier."""
-    barrier._check_energy(E)
-    return (
-        2.0
-        * math.pi
-        * barrier.a
-        * math.sqrt(2.0 * barrier.m)
-        * (math.sqrt(barrier.V) - math.sqrt(E))
-    )

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from scipy.special import lambertw
 
 from .errors import DomainError
-from .model import GaussianPulse, LorentzPulse, TriangularBarrier
+from .model import (
+    GaussianPulse,
+    LorentzPulse,
+    TriangularBarrier,
+    static_wkb_exponent,
+)
 
 __all__ = ["QuantaPlan", "effective_action", "optimize_quanta"]
 
@@ -66,9 +71,8 @@ def effective_action(
     e0 = barrier.field_static
     if e0 <= 0:
         raise DomainError("the tunneling leg needs field_static > 0")
-    A0_lifted = (4.0 / 3.0) * (V - lifted) * barrier.tau00_at(lifted)
     log_arg = math.log(e0) + _absorption_log(pulse, omega)
-    return A0_lifted + 2.0 * N * log_arg
+    return static_wkb_exponent(barrier, lifted) + 2.0 * N * log_arg
 
 
 def _quanta_at(omega: float, E: float, barrier: TriangularBarrier, pulse) -> float:

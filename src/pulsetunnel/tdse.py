@@ -126,15 +126,17 @@ def _energy(psi, vstat, grid: GridSpec) -> float:
     return float(num / den)
 
 
-def _relax_in_well(vstat, grid: GridSpec, x_cut: float, n_steps=4000, dtau=None):
-    """Imaginary-time relaxation confined to |x| < x_cut.
+_RELAX_STEPS = 4000     # cap on imaginary-time steps of one relaxation
+
+
+def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
+    """Imaginary-time relaxation confined to |x| < x_cut, step dt/2.
 
     The potential and the start are real, so the state stays real and runs on
     real transforms; the result is returned as a complex wavefunction.
     """
     x = grid.x
-    if dtau is None:
-        dtau = 0.5 * grid.dt
+    dtau = 0.5 * grid.dt
     mask = 1.0 / (1.0 + np.exp((np.abs(x) - x_cut) / (0.05 * x_cut)))
     psi = np.exp(-(x**2)) * mask
     k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points, d=grid.dx)
@@ -142,7 +144,7 @@ def _relax_in_well(vstat, grid: GridSpec, x_cut: float, n_steps=4000, dtau=None)
     expv = np.exp(-0.5 * vstat * dtau)
     expv_mask = expv * mask
     last_e = math.inf
-    for i in range(n_steps):
+    for i in range(_RELAX_STEPS):
         psi *= expv
         spec = sfft.rfft(psi)
         spec *= expk
@@ -157,24 +159,22 @@ def _relax_in_well(vstat, grid: GridSpec, x_cut: float, n_steps=4000, dtau=None)
     return psi.astype(complex)
 
 
+_TUNE_TOL = 0.01        # relative energy tolerance of the tuned well
+_MAX_TUNE = 12          # secant steps on the well depth
+
+
 def prepare_metastable(
-    barrier: TriangularBarrier,
-    grid: GridSpec,
-    *,
-    well_width: float | None = None,
-    tol: float = 0.01,
-    max_tune: int = 12,
+    barrier: TriangularBarrier, grid: GridSpec
 ) -> tuple[WavefunctionState, TdsePotential]:
     """Quasi-bound state of the regularized well, tuned to the target energy.
 
-    The delta well is regularized as a Gaussian of width <= exit length / 50;
+    The delta well is regularized as a Gaussian of width exit length / 50;
     its depth is adjusted (secant) until the relaxed state's energy matches
-    barrier.E_bound within `tol` relative.
+    barrier.E_bound within 1% relative.
     """
     b = barrier
     exit_len = b.exit_point
-    if well_width is None:
-        well_width = exit_len / 50.0
+    well_width = exit_len / 50.0
     x_cut = 0.45 * exit_len
     # delta-well strength reproducing the target binding below the apex
     g = math.sqrt(2.0 * (b.V - b.E_bound) / b.m)
@@ -183,14 +183,14 @@ def prepare_metastable(
 
     achieved = []
     prev = None
-    for _ in range(max_tune):
+    for _ in range(_MAX_TUNE):
         pot = TdsePotential(b, well_width, depth, floor)
         vstat = pot(grid.x)
         psi = _relax_in_well(vstat, grid, x_cut)
         e = _energy(psi, vstat, grid)
         achieved.append((depth, e))
         err = e - b.E_bound
-        if abs(err) < tol * abs(b.E_bound):
+        if abs(err) < _TUNE_TOL * abs(b.E_bound):
             state = WavefunctionState(psi=psi, time=0.0, grid=grid)
             return state, pot
         if prev is None:
@@ -210,6 +210,7 @@ def prepare_metastable(
 
 
 _PULSE_BLOCK = 1000   # steps per vectorized pulse evaluation
+_RECORD_EVERY = 10    # steps between recorded samples
 
 
 @dataclass
@@ -231,7 +232,6 @@ def evolve(
     *,
     absorbers: bool = True,
     detector_x: float | None = None,
-    record_every: int = 10,
     t_final: float | None = None,
     dt: float | None = None,
 ) -> tuple[WavefunctionState, EvolutionRecord] | list[
@@ -277,8 +277,8 @@ def evolve(
     det = detector_x if detector_x is not None else 0.8 * g.x_max
     j_det = int(np.clip(round((det - g.x_min) / g.dx), 1, g.n_points - 2))
 
-    # every record_every-th step and the last one
-    rec_steps = np.union1d(np.arange(0, n_steps, record_every),
+    # every _RECORD_EVERY-th step and the last one
+    rec_steps = np.union1d(np.arange(0, n_steps, _RECORD_EVERY),
                            np.arange(max(n_steps - 1, 0), n_steps))
     # per recorded step and row: norm, absorbed left and right, flux
     rec = np.empty((4, len(rec_steps), n_rows))

@@ -27,6 +27,7 @@ __all__ = [
     "build_contour",
     "delta_action",
     "minimize_delta_action",
+    "pole_form",
     "max_flux_exponent",
     "static_action_from_contour",
     "branch_expansion",
@@ -301,8 +302,7 @@ def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
 
 
 def energy_shift_residual(
-    E: float, barrier: SechBarrier, pulse, dt_shift: float,
-    contour: ContourSpec | None = None,
+    E: float, barrier: SechBarrier, pulse, dt_shift: float
 ) -> float:
     """int_C pulse * dx0/dt dt: vanishes at the true exit-time shift (real E).
 
@@ -312,9 +312,7 @@ def energy_shift_residual(
     if not _check_pulse(pulse):
         return 0.0
     traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
-    width = pulse.poles()[0][0].imag
-    if contour is None:
-        contour = build_contour(traj, width)
+    contour = build_contour(traj, pulse.poles()[0][0].imag)
 
     def f(t):
         return pulse(t) * traj.velocity(t)
@@ -331,18 +329,18 @@ class MinimizedAction:
     A: float
     A0: float
     energy_residual: float
-    stationary_points: tuple
 
 
 def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAction:
     """Exit-time shift from min of dA over the bracket [-3(width - tau_s), 0].
 
-    Scans for all interior stationary points, refines the minimum by bounded
-    scalar minimization, and reports the independent energy-condition residual.
+    Locates the minimum on a 17-shift grid (one engine call), refines it by
+    bounded scalar minimization, and reports the independent energy-condition
+    residual.
     """
     if not _check_pulse(pulse):
         A0 = static_wkb_exponent(barrier, E)
-        return MinimizedAction(0.0, 0.0, A0, A0, 0.0, ())
+        return MinimizedAction(0.0, 0.0, A0, A0, 0.0)
     traj0 = unperturbed_trajectory(E, barrier, 0.0)
     width = pulse.poles()[0][0].imag
     gap = width - traj0.tau_s
@@ -352,12 +350,6 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
 
     grid = np.linspace(lo, hi, 17)
     vals = _delta_actions(E, barrier, pulse, grid, epsrel=1e-6, imag_tol=1e-4)
-    # stationary points: sign changes of the finite-difference slope
-    slopes = np.diff(vals)
-    stationary = []
-    for i in range(len(slopes) - 1):
-        if slopes[i] * slopes[i + 1] < 0:
-            stationary.append(0.5 * (grid[i] + grid[i + 2]))
     i_min = int(np.argmin(vals))
     if i_min in (0, len(grid) - 1):
         raise ConvergenceError(
@@ -381,8 +373,26 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
         A=A0 + dA_opt,
         A0=A0,
         energy_residual=resid,
-        stationary_points=tuple(stationary) or (dt_opt,),
     )
+
+
+def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:
+    """Near-resonance asymptotes (dA, dt_shift) of the minimized correction.
+
+    dA -> -(pi/4)*amp*a*tau_s^2*(3V/E)^(1/4)*sqrt(3*omega/gap) and
+    dt_shift -> -gap/sqrt(3) as gap = width - tau_s -> 0: the residue of a
+    second-order pulse pole at i*width next to the branch point at i*tau_s.
+    Raises RegimeError for a pulse without a pole or with width <= tau_s.
+    """
+    if not _check_pulse(pulse):
+        raise RegimeError("the pole form needs a pulse with a pole")
+    traj = unperturbed_trajectory(E, barrier)
+    gap = pulse.poles()[0][0].imag - traj.tau_s
+    if gap <= 0:
+        raise RegimeError("Im t_s >= pulse width: unsupported ordering")
+    dA = -(math.pi / 4.0) * pulse.amplitude * barrier.a * traj.tau_s**2 \
+        * (3.0 * barrier.V / E) ** 0.25 * math.sqrt(3.0 * traj.omega / gap)
+    return dA, -gap / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)

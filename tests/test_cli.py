@@ -106,6 +106,19 @@ def test_bad_grid_exit_code(argv, capsys):
     assert "regime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pulse_args", [
+    # the amplitude divided the pole form (was a ZeroDivisionError)
+    ["--amp", "0"],
+    # compared against the pole form of a pulse it never ran (was exit 0)
+    ["--pulse", "zero", "--amp", "0.01"],
+])
+def test_verify_sech_without_pole_exit_code(pulse_args, capsys):
+    code = _run(["verify", "--barrier", "sech", "--V", "1", "--a", "1",
+                 "--E", "0.5", *pulse_args])
+    assert code == EXIT_REGIME
+    assert "regime error" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(monkeypatch, capsys):
     def boom(config):
         raise ConvergenceError("iteration stalled")

@@ -24,6 +24,7 @@ from pulsetunnel.trajectory import (
     delta_action,
     max_flux_exponent,
     minimize_delta_action,
+    pole_form,
     singularity_time,
     static_action_from_contour,
     unperturbed_trajectory,
@@ -243,11 +244,14 @@ def test_minimize_canonical_example():
     assert res.dA < 0.0
     # the near-resonance pole form; at this gap the dropped branch-cut piece
     # is of the same order, so only sign and order of magnitude are shared
-    pole_form = -(math.pi / 4.0) * 0.01 * (math.pi / 2.0) ** 2 \
+    literal = -(math.pi / 4.0) * 0.01 * (math.pi / 2.0) ** 2 \
         * (3.0 * 1.0 / 0.5) ** 0.25 * math.sqrt(3.0 * 1.0 / gap)
-    assert pole_form == pytest.approx(-0.0802, rel=1e-2)
-    assert res.dA < pole_form < 0.0
-    assert abs(res.dA) < 5.0 * abs(pole_form)
+    dA_form, dt_form = pole_form(0.5, SECH, PULSE)
+    assert dA_form == pytest.approx(literal, rel=1e-14)
+    assert dt_form == pytest.approx(-gap / math.sqrt(3.0), rel=1e-14)
+    assert literal == pytest.approx(-0.0802, rel=1e-2)
+    assert res.dA < literal < 0.0
+    assert abs(res.dA) < 5.0 * abs(literal)
 
 
 def test_enhancement_monotone_toward_resonance():
