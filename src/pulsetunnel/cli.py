@@ -22,7 +22,13 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, PulseTunnelError, RegimeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    PulseTunnelError,
+    RegimeError,
+    SingularityError,
+)
 from .euclidean import (
     action_curve,
     adapt_pulse_width,
@@ -445,7 +451,7 @@ def main(argv=None) -> int:
         config.validate()
         columns, rows = _COMMANDS[args.command](config)
         _emit(args.command, config, columns, rows)
-    except (RegimeError, DomainError) as exc:
+    except (RegimeError, DomainError, SingularityError) as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except ConvergenceError as exc:

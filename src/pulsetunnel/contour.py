@@ -5,11 +5,12 @@ circular arc, is a map from a real parameter s in [0, 1] into the plane, and
 the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et al. 1983)
 works on panels in s.  Each pass evaluates the integrand once, on a complex
 array holding the 15 nodes of every new panel, so integrands must accept
-arrays.  integrate_paths runs many paths through one such loop; the
-single-path entry points are a batch of one.  Each path converges under its
-own test, sum of its panel errors <= max(epsabs, epsrel*|I|).  Reaching a
-path's panel limit or detecting roundoff warns with IntegrationWarning; a
-non-finite integrand value raises ConvergenceError.  Both name the path.
+arrays.  integrate_paths is the one entry point: it runs any number of paths
+through one such loop, and a single integral is a batch of one.  Each path
+converges under its own test, sum of its panel errors <= max(epsabs,
+epsrel*|I|).  Reaching a path's panel limit or detecting roundoff warns with
+IntegrationWarning; a non-finite integrand value raises ConvergenceError.
+Both name the path.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrationWarning
 
-__all__ = ["quad_line", "quad_path", "integrate_path", "integrate_paths",
-           "line_with_detour"]
+__all__ = ["integrate_paths", "line_with_detour"]
 
 _EPSABS = 1e-12
 _EPSREL = 1e-10
@@ -57,49 +57,21 @@ _RULES = np.stack([_KRONROD, _KRONROD - _GAUSS], axis=1).astype(complex)
 _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
-def quad_line(f, a: complex, b: complex, epsabs=_EPSABS, epsrel=_EPSREL) -> complex:
-    """Integral of f along the straight segment from a to b."""
-    return complex(_integrate(_one_path(f), [[("line", a, b)]], epsabs, epsrel)[0][0])
-
-
-def quad_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0) -> complex:
-    """Integrate f along a path given as a list of elements.
-
-    Each element is ("line", a, b) or ("arc", center, radius, phi0, phi1).
-    A bare list of complex waypoints is accepted as a polyline.  epsl1 adds
-    epsl1 * int |f| |dz| to the tolerance; the roundoff floor is 50*eps times
-    that integral, so this suits integrals meant to cancel.
-    """
-    return complex(_integrate(_one_path(f), [path], epsabs, epsrel, epsl1)[0][0])
-
-
-def integrate_path(f, path, epsabs=_EPSABS, epsrel=_EPSREL):
-    """(value, abs_err, n_evals) of the integral of f along `path`.
-
-    `path` is as for quad_path.  abs_err is the summed G7-K15 error estimate
-    over all panels and n_evals the number of points f was evaluated at.
-    """
-    val, err, n_evals = _integrate(_one_path(f), [path], epsabs, epsrel)
-    return complex(val[0]), float(err[0]), int(n_evals[0])
-
-
-def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL):
+def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     """Arrays (value, abs_err, n_evals) of the integrals of f along `paths`.
 
-    All paths share one adaptive loop, so each pass makes one call
-    f(z, path_id) on the nodes of every path's new panels; path_id is an
+    Each path is a list of elements, ("line", a, b) or
+    ("arc", center, radius, phi0, phi1); a bare list of complex waypoints is
+    a polyline.  All paths share one adaptive loop, so each pass makes one
+    call f(z, path_id) on the nodes of every path's new panels; path_id is an
     integer array, like z, naming the path of each node.  Each path converges
     on its own, with tolerance max(epsabs, epsrel*|I_p|), its own panel limit
-    and its own roundoff count, and is not bisected once it has.
+    and its own roundoff count, and is not bisected once it has.  epsl1 adds
+    epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
+    50*eps times that integral, so this suits integrals meant to cancel.
+    abs_err is the summed G7-K15 error estimate over a path's panels and
+    n_evals the number of points f was evaluated at on it.
     """
-    return _integrate(f, paths, epsabs, epsrel)
-
-
-def _one_path(f):
-    return lambda z, path_id: f(z)
-
-
-def _integrate(f, paths, epsabs, epsrel, epsl1=0.0):
     elements = _Elements(paths)
     n = len(paths)
     if not elements.length.size:
@@ -256,17 +228,17 @@ def _warn(path: int, reason: str, err: float, tol: float) -> None:
         f"contour quadrature, path {path}: {reason}; error estimate {err:.3g} "
         f"against tolerance {tol:.3g}",
         IntegrationWarning,
-        stacklevel=4,
+        stacklevel=3,
     )
 
 
-def line_with_detour(a: complex, b: complex, poles, clearance: float,
-                     radius: float, side: complex | None = None):
+def line_with_detour(a: complex, b: complex, poles, radius: float,
+                     side: complex | None = None):
     """Path elements for the segment a->b, detouring around listed poles.
 
-    When the segment comes within `clearance` of a pole, the portion inside a
-    circle of `radius` is replaced by the arc around the pole on the side the
-    segment already favours (the pole keeps its side of the path).  `side`,
+    When the segment comes within `radius` of a pole, the portion inside the
+    circle of that radius is replaced by the arc around the pole on the side
+    the segment already favours (the pole keeps its side of the path).  `side`,
     when given, is a complex direction forcing the arc to bulge that way --
     needed when the pole sits exactly on the path and a branch convention
     dictates the side.
@@ -279,13 +251,13 @@ def line_with_detour(a: complex, b: complex, poles, clearance: float,
                 new_elements.append(el)
                 continue
             new_elements.extend(
-                _split_segment(el[1], el[2], pole, clearance, radius, side)
+                _split_segment(el[1], el[2], pole, radius, side)
             )
         elements = new_elements
     return elements
 
 
-def _split_segment(a, b, pole, clearance, radius, side=None):
+def _split_segment(a, b, pole, radius, side=None):
     dz = b - a
     length = abs(dz)
     if length == 0:
@@ -296,10 +268,7 @@ def _split_segment(a, b, pole, clearance, radius, side=None):
     s = min(max(s, 0.0), length)
     p = a + s * u
     d = abs(p - pole)
-    if d >= clearance:
-        return [("line", a, b)]
     if d >= radius:
-        # within the caution zone but outside the detour circle: keep straight
         return [("line", a, b)]
     half = math.sqrt(max(radius * radius - d * d, 0.0))
     s0, s1 = s - half, s + half

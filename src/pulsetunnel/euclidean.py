@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from scipy import optimize
 
-from .contour import integrate_path
+from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError
 from .model import (
     GaussianPulse,
@@ -142,8 +142,9 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
     m1, m2 = _imag_axis_moments(pulse, tau0)
     IG = tau0 * G0 - m1
     I1 = 0.5 * (tau0 * tau0 * G0 - m2)
-    I2 = integrate_path(lambda z: G(z.real) ** 2, [("line", 0.0, tau0)],
-                        epsabs=1e-13, epsrel=1e-11)[0].real
+    I2 = float(integrate_paths(lambda z, path_id: G(z.real) ** 2,
+                               [[("line", 0.0, tau0)]], epsabs=1e-13,
+                               epsrel=1e-11)[0][0].real)
 
     A = (
         2.0 * VmE * tau0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .contour import line_with_detour, quad_line, quad_path
+from .contour import integrate_paths, line_with_detour
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
 
@@ -91,7 +91,7 @@ def _pulse_contour(a: complex, b: complex, pulse):
     if not poles:
         return [("line", a, b)]
     w = pulse.poles()[0][0].imag
-    return line_with_detour(a, b, poles, clearance=abs(w) / 10.0, radius=abs(w) / 20.0)
+    return line_with_detour(a, b, poles, radius=abs(w) / 20.0)
 
 
 def _int_pulse(a: complex, b: complex, pulse) -> complex:
@@ -294,11 +294,12 @@ def action(
     V = barrier.V
     E = barrier.E_bound
 
-    def integrand(t1):
+    def integrand(t1, path_id):
         p = _momentum(t1, state, barrier, pulse)
         return p * p
 
-    kin = quad_path(integrand, _pulse_contour(t0, t, pulse), epsrel=1e-11)
+    kin = complex(integrate_paths(integrand, [_pulse_contour(t0, t, pulse)],
+                                  epsrel=1e-11)[0][0])
     return (
         -kin / (2.0 * m)
         + x * _momentum(t, state, barrier, pulse)
@@ -340,7 +341,8 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
     The source phi2(t0, t) is D^2/(4(V-E)F^2) - i dG/dt0/(4(V-E)F), with
     D = d(sigma1)/dt0 at fixed t and G = D/F.  Both derivatives are closed
     forms in pulse, pulse' and pulse'' (docs/decisions.md, "sigma2 source
-    term"), so the source takes arrays on both legs.
+    term"), so the source takes arrays, and both legs go to the engine as
+    one two-path call.
     """
     b = barrier
     VmE = b.V - b.E_bound
@@ -358,20 +360,27 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
         return D * D / (4.0 * VmE * F * F) - 1j * dG / (4.0 * VmE * F)
 
     t0, t = state.t0, state.t
-    # leg 1: eta from 0 to t - t0 at fixed t0 (t runs from t0 to t); the
-    # integrand has a pole where F(t0, t0 + eta) = 0 -- detour on the Re < 0
-    # side, consistent with the ln F branch (negative F approached from above)
+    # leg 1 (path 0): eta from 0 to t - t0 at fixed t0 (t runs from t0 to t);
+    # the integrand has a pole where F(t0, t0 + eta) = 0 -- detour on the
+    # Re < 0 side, consistent with the ln F branch (negative F approached
+    # from above)
     eta_pole = -1j * tau / (1.0 + state.h)
     span = abs(t - t0)
     r = 0.25 * min(abs(eta_pole), abs((t - t0) - eta_pole), span)
-    path = line_with_detour(0.0, t - t0, [eta_pole],
-                            clearance=max(r, 1e-12), radius=max(r, 1e-12),
+    path = line_with_detour(0.0, t - t0, [eta_pole], radius=max(r, 1e-12),
                             side=-1.0 + 0.0j)
-    leg1 = quad_path(lambda eta: phi2(t0, t0 + eta), path,
-                     epsabs=1e-10, epsrel=1e-7)
-    # leg 2: coincident-argument source integrated from 0 to t0
-    leg2 = quad_line(lambda t1: phi2(t1, t1), 0.0, t0, epsabs=1e-10, epsrel=1e-7)
-    return leg1 + leg2
+
+    def source(z, path_id):
+        fixed = path_id == 0
+        out = np.empty_like(z)
+        out[fixed] = phi2(t0, t0 + z[fixed])
+        out[~fixed] = phi2(z[~fixed], z[~fixed])
+        return out
+
+    # leg 2 (path 1): coincident-argument source integrated from 0 to t0
+    legs = integrate_paths(source, [path, [("line", 0.0, t0)]],
+                           epsabs=1e-10, epsrel=1e-7)[0]
+    return complex(legs[0] + legs[1])
 
 
 # --- Branch structure and validity ---------------------------------------------

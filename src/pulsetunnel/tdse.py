@@ -45,7 +45,6 @@ class GridSpec:
     dt: float
     t_final: float
     absorber_frac: float = 0.15
-    absorber_strength: float = 1.0
     m: float = 1.0
 
     def __post_init__(self):
@@ -103,12 +102,15 @@ class TdsePotential:
         return v - self.well_depth * np.exp(-(x**2) / (2.0 * self.well_width**2))
 
 
+_ABSORBER_STRENGTH = 1.0    # peak of the cubic absorbing potential
+
+
 def _absorber(grid: GridSpec) -> np.ndarray:
     x = grid.x
     w = grid.absorber_width
     left = np.clip((grid.x_min + w - x) / w, 0.0, 1.0)
     right = np.clip((x - (grid.x_max - w)) / w, 0.0, 1.0)
-    return grid.absorber_strength * (left**3 + right**3)
+    return _ABSORBER_STRENGTH * (left**3 + right**3)
 
 
 def _coupling(grid: GridSpec):
@@ -370,30 +372,27 @@ def _health(state: WavefunctionState, record: EvolutionRecord) -> dict:
     }
 
 
-def enhancement_exponent(
-    barrier: TriangularBarrier,
-    pulse,
-    grid: GridSpec,
-    *,
-    pulse_center: float | None = None,
-    settle_time: float | None = None,
-) -> dict:
+_PULSE_CENTER = 0.625   # of the run: where the pulse peaks
+_SETTLE = 0.375         # of the run: the static baseline starts here
+
+
+def enhancement_exponent(barrier: TriangularBarrier, pulse, grid: GridSpec) -> dict:
     """Measured exponent reduction ln(peak pulsed escape flux / static flux).
 
     Runs the static and pulsed evolutions from the same prepared state, as one
     batch.  The prepared state sheds a transient flux burst while it settles
-    into quasi-stationary decay, so the pulse is centered at `pulse_center`
-    (default 5/8 of the run) and the baseline flux is the static median after
-    `settle_time` (default 3/8 of the run); the pulsed peak is searched only
-    within four pulse durations of the center.  Exponent-only comparison.
+    into quasi-stationary decay, so the pulse is centered at 5/8 of the run
+    and the baseline flux is the static median after 3/8 of the run; the
+    pulsed peak is searched only within four pulse durations of the center.
+    Exponent-only comparison.
     The result's "diagnostics" hold, for each run, the final norm, the
     absorbed fractions, the balance 1 - norm - absorbed and the step count,
     plus the settle time, the pulse center and the peak-search half-width.
     """
     state, pot = prepare_metastable(barrier, grid)
     det = 1.3 * barrier.exit_point
-    t0 = 0.625 * grid.t_final if pulse_center is None else pulse_center
-    settle = 0.375 * grid.t_final if settle_time is None else settle_time
+    t0 = _PULSE_CENTER * grid.t_final
+    settle = _SETTLE * grid.t_final
     shifted = pulse if isinstance(pulse, ZeroPulse) else _ShiftedPulse(pulse, t0)
     (out_static, rec_static), (out_pulsed, rec_pulsed) = evolve(
         state, pot, (ZeroPulse(), shifted), grid, detector_x=det

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .contour import integrate_paths, quad_path
+from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
 from .model import SechBarrier, ZeroPulse, static_wkb_exponent
 
@@ -314,12 +314,12 @@ def energy_shift_residual(
     traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
     contour = build_contour(traj, pulse.poles()[0][0].imag)
 
-    def f(t):
+    def f(t, path_id):
         return pulse(t) * traj.velocity(t)
 
-    val = quad_path(f, list(contour.waypoints), epsabs=1e-13, epsrel=1e-10,
-                    epsl1=1e-12)
-    return abs(val)
+    val = integrate_paths(f, [list(contour.waypoints)], epsabs=1e-13,
+                          epsrel=1e-10, epsl1=1e-12)[0][0]
+    return abs(complex(val))
 
 
 @dataclass(frozen=True)
@@ -382,10 +382,14 @@ def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:
     dA -> -(pi/4)*amp*a*tau_s^2*(3V/E)^(1/4)*sqrt(3*omega/gap) and
     dt_shift -> -gap/sqrt(3) as gap = width - tau_s -> 0: the residue of a
     second-order pulse pole at i*width next to the branch point at i*tau_s.
-    Raises RegimeError for a pulse without a pole or with width <= tau_s.
+    Raises RegimeError for a pulse without a pole, with a pole of another
+    order (exponent != 2) or with width <= tau_s.
     """
     if not _check_pulse(pulse):
         raise RegimeError("the pole form needs a pulse with a pole")
+    if pulse.exponent != 2:
+        raise RegimeError("the pole form is the residue of a second-order "
+                          "pole: it needs pulse exponent 2")
     traj = unperturbed_trajectory(E, barrier)
     gap = pulse.poles()[0][0].imag - traj.tau_s
     if gap <= 0:
@@ -436,10 +440,10 @@ def static_action_from_contour(
     ]
     m = barrier.m
 
-    def L0(t):
+    def L0(t, path_id):
         v = traj.velocity(t)
         x = traj.position(t)
         return 0.5 * m * v * v - barrier.V / np.cosh(x / barrier.a) ** 2 + E
 
-    val = -1j * quad_path(L0, pts, epsabs=1e-13, epsrel=1e-11)
+    val = -1j * integrate_paths(L0, [pts], epsabs=1e-13, epsrel=1e-11)[0][0]
     return float(val.real)

@@ -124,12 +124,12 @@ def _splits(n_ends: int = 12):
     return sorted(ts)
 
 
-def _quad_line(f, a, b):
+def _mp_line(f, a, b):
     dz = b - a
     return mp.quad(lambda s: f(a + s * dz) * dz, _splits(), error=True, maxdegree=10)
 
 
-def _quad_arc(f, center, radius, phi0, phi1):
+def _mp_arc(f, center, radius, phi0, phi1):
     def g(phi):
         z = center + radius * mp.expj(phi)
         return f(z) * 1j * radius * mp.expj(phi)
@@ -173,7 +173,7 @@ def reference(point: dict) -> dict:
     pulse = Pulse(point["pulse"])
 
     def saddle(t0):
-        weighted, _ = _quad_line(lambda s: (t - s) * pulse(s), t0, t)
+        weighted, _ = _mp_line(lambda s: (t - s) * pulse(s), t0, t)
         return 1j * (t - t0) * p0 + e0 * (t - t0) ** 2 / 2 + weighted - m * x
 
     t0 = mp.findroot(saddle, mp.mpc(*point["t0_guess"]))
@@ -195,7 +195,7 @@ def reference(point: dict) -> dict:
         dG = mp.diff(lambda z: D(z) / F(z, tt), w)
         return D(w) ** 2 / (4 * VmE * Fw**2) - 1j * dG / (4 * VmE * Fw)
 
-    antider_check, _ = _quad_line(pulse, mp.mpc(0), t0)
+    antider_check, _ = _mp_line(pulse, mp.mpc(0), t0)
     antider_gap = abs(antider_check - pulse.antiderivative(t0))
 
     eta_pole = -1j * tau / (1 + pulse(t0) / e0)
@@ -204,12 +204,12 @@ def reference(point: dict) -> dict:
     leg1, err = mp.mpc(0), mp.mpf(0)
     for piece in _detour(mp.mpc(0), span, eta_pole, r):
         if piece[0] == "line":
-            val, e = _quad_line(lambda eta: phi2(t0, t0 + eta), *piece[1:])
+            val, e = _mp_line(lambda eta: phi2(t0, t0 + eta), *piece[1:])
         else:
-            val, e = _quad_arc(lambda eta: phi2(t0, t0 + eta), *piece[1:])
+            val, e = _mp_arc(lambda eta: phi2(t0, t0 + eta), *piece[1:])
         leg1 += val
         err += e
-    leg2, e = _quad_line(lambda s: phi2(s, s), mp.mpc(0), t0)
+    leg2, e = _mp_line(lambda s: phi2(s, s), mp.mpc(0), t0)
     err += e
 
     def c(z):

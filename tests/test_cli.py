@@ -111,12 +111,29 @@ def test_bad_grid_exit_code(argv, capsys):
     ["--amp", "0"],
     # compared against the pole form of a pulse it never ran (was exit 0)
     ["--pulse", "zero", "--amp", "0.01"],
+    # the pole form is the n = 2 residue (was exit 0, printing it for n = 3)
+    ["--amp", "0.01", "--n", "3"],
 ])
 def test_verify_sech_without_pole_exit_code(pulse_args, capsys):
     code = _run(["verify", "--barrier", "sech", "--V", "1", "--a", "1",
                  "--E", "0.5", *pulse_args])
     assert code == EXIT_REGIME
     assert "regime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,message", [
+    # the minimizer's scan reaches the trajectory's branch cut: a
+    # SingularityError, which ended in a traceback with exit 1
+    ("2", "branch cut"),
+    # stopped by the pole form before the scan (was the same traceback)
+    ("3", "second-order pole"),
+], ids=["n2", "n3"])
+def test_verify_sech_branch_cut_exit_code(n, message, capsys):
+    code = _run(["verify", "--barrier", "sech", "--V", "1", "--a", "1",
+                 "--E", "0.5", "--amp", "0.01", "--n", n, "--theta", "2.2"])
+    assert code == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("regime error:") and message in err
 
 
 def test_nonconvergence_exit_code(monkeypatch, capsys):

@@ -3,53 +3,60 @@ failure modes, determinism, and delta_action against mpmath references."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from pulsetunnel.contour import integrate_path, integrate_paths, quad_line, quad_path
+from pulsetunnel.contour import integrate_paths
 from pulsetunnel.errors import ConvergenceError
 from pulsetunnel.model import LorentzPulse, SechBarrier
 from pulsetunnel.trajectory import delta_action
 
 
-def _steps(z):
+def _steps(z, path_id):
     """37 unit jumps on [0, 1]: no finite panel budget resolves them all."""
     return np.sign(np.sin(37.0 * math.pi * z.real))
 
 
-def _noisy(z):
+def _noisy(z, path_id):
     """Smooth integrand with a 1e-9 relative noise floor."""
     return np.exp(z) * (1.0 + 1e-9 * np.sin(1e12 * z.real))
+
+
+def _one(f, path, **tolerances):
+    """(value, abs_err, n_evals) of a one-path call."""
+    val, err, n = integrate_paths(f, [path], **tolerances)
+    return val[0], err[0], n[0]
 
 
 # --- Closed forms ------------------------------------------------------------------
 
 @pytest.mark.parametrize("center", [0.0, 0.3 - 0.2j])
 def test_full_circle(center):
-    val = quad_path(lambda z: 1.0 / (z - center),
-                    [("arc", center, 0.7, 0.0, 2.0 * math.pi)])
+    val = _one(lambda z, path: 1.0 / (z - center),
+               [("arc", center, 0.7, 0.0, 2.0 * math.pi)])[0]
     assert val == pytest.approx(2j * math.pi, abs=1e-12)
 
 
 def test_polyline_power():
     pts = [-1.0, 0.5 + 2j, 3.0 - 1j, 2.0 + 0.5j]
-    val = quad_path(lambda z: z * z, pts)
+    val = _one(lambda z, path: z * z, pts)[0]
     assert val == pytest.approx((pts[-1] ** 3 - pts[0] ** 3) / 3.0, rel=1e-14)
-    assert quad_line(lambda z: z * z, 1j, 2.0) == pytest.approx(
+    assert _one(lambda z, path: z * z, [("line", 1j, 2.0)])[0] == pytest.approx(
         (8.0 - (1j) ** 3) / 3.0, rel=1e-14)
 
 
 def test_one_array_call_per_pass():
     sizes = []
 
-    def f(z):
+    def f(z, path):
         assert z.ndim == 1 and z.dtype == complex
         sizes.append(z.size)
         return 1.0 / (z - (1.02 + 0.05j))
 
-    _, _, n_evals = integrate_path(f, [0.0, 1.0, 1.0 + 1j])
+    _, _, n_evals = _one(f, [0.0, 1.0, 1.0 + 1j])
     assert len(sizes) > 1
     assert all(n % 15 == 0 for n in sizes)
     assert sum(sizes) == n_evals
@@ -70,8 +77,8 @@ def test_arc_elements_honour_tolerances():
     arc = [("arc", 0.0, 1.0, -1.0, 1.0)]
     runs = {}
     for epsrel in (1e-4, 1e-12):
-        val, err, n = integrate_path(lambda z: 1.0 / (z - p), arc,
-                                     epsabs=0.0, epsrel=epsrel)
+        val, err, n = _one(lambda z, path: 1.0 / (z - p), arc,
+                           epsabs=0.0, epsrel=epsrel)
         tol = epsrel * abs(val)
         assert err <= tol
         assert abs(val - exact) <= tol
@@ -84,23 +91,35 @@ def test_arc_elements_honour_tolerances():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_integrand_raises(bad):
     with pytest.raises(ConvergenceError):
-        quad_line(lambda z: np.where(z.real > 0.5, bad, 1.0), 0.0, 1.0)
+        _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [("line", 0.0, 1.0)])
 
 
 def test_panel_limit_warns_and_stops():
     with pytest.warns(IntegrationWarning, match="panel limit"):
-        val, err, n = integrate_path(_steps, [0.0, 1.0], epsabs=0.0,
-                                     epsrel=1e-14)
+        val, err, n = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
     assert n <= 15 * 2 * 400
     assert abs(val - 1.0 / 37.0) <= err
 
 
 def test_roundoff_warns_and_stops_early():
     with pytest.warns(IntegrationWarning, match="roundoff"):
-        val, err, n = integrate_path(_noisy, [0.0, 1.0], epsabs=0.0,
-                                     epsrel=1e-13)
+        val, err, n = _one(_noisy, [0.0, 1.0], epsabs=0.0, epsrel=1e-13)
     assert n < 15 * 100
     assert val == pytest.approx(math.e - 1.0, rel=1e-8)
+
+
+def test_epsl1_lifts_a_cancelling_integral_off_its_roundoff_floor():
+    # int |f| = 2000/pi puts the roundoff floor near 7e-12, above epsabs
+    def f(z, path):
+        return 1e3 * np.cos(2.0 * math.pi * z)
+
+    with pytest.warns(IntegrationWarning, match="roundoff"):
+        _one(f, [0.0, 1.0], epsabs=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        val, err, _ = _one(f, [0.0, 1.0], epsabs=1e-13, epsl1=1e-12)
+    assert err <= 1e-12 * 2e3 / math.pi
+    assert abs(val) <= 1e-12 * 2e3 / math.pi
 
 
 # --- Many paths in one call ---------------------------------------------------------
@@ -117,7 +136,7 @@ def test_batch_matches_single_paths():
     ]
     val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths)
     for p, path in enumerate(paths):
-        single = integrate_path(lambda z: 1.0 / (z - poles[p]), path)
+        single = _one(lambda z, path_id: 1.0 / (z - poles[p]), path)
         assert abs(val[p] - single[0]) <= 1e-10 * abs(single[0])
         assert n[p] == single[2]
         assert err[p] <= max(1e-12, 1e-10 * abs(val[p]))
@@ -155,7 +174,8 @@ def test_paths_meet_their_own_tolerance():
 
 def test_batch_warning_names_its_path():
     def f(z, path):
-        return np.where(path == 1, _steps(z), np.where(path == 2, _noisy(z), z))
+        return np.where(path == 1, _steps(z, path),
+                        np.where(path == 2, _noisy(z, path), z))
 
     with pytest.warns(IntegrationWarning) as record:
         val, err, n = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=1e-13)
@@ -170,7 +190,7 @@ def test_batch_warning_names_its_path():
     assert val[2] == pytest.approx(math.e - 1.0, rel=1e-8)
 
 
-def test_non_finite_value_in_one_path_raises():
+def test_non_finite_value_names_its_path():
     def f(z, path):
         return np.where((path == 2) & (z.real > 0.5), np.nan, 1.0 + 0.0 * z)
 
@@ -187,9 +207,9 @@ def test_reruns_bitwise_identical():
     first = delta_action(*args)
     assert delta_action(*args) == first
     with pytest.warns(IntegrationWarning):
-        a = integrate_path(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
+        a = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
     with pytest.warns(IntegrationWarning):
-        b = integrate_path(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
+        b = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
     assert a == b
 
 
