@@ -23,7 +23,6 @@ from .model import (
 )
 from .euclidean import (
     EuclideanResult,
-    action_curve,
     adapt_pulse_width,
     euclidean_action,
     solve_tau0,

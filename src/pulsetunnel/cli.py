@@ -9,8 +9,9 @@ verify       : cross-method comparison table on one configuration.
 
 CSV files open with a YAML-style commented header capturing the full run
 configuration and the package version; identical configurations produce
-byte-identical files.  Exit codes: 0 success, 2 regime/validity error,
-3 numerical non-convergence.
+byte-identical files.  Exit codes: 0 success, 2 regime/validity error (a bad
+config or an unreadable or unwritable file included), 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     SingularityError,
 )
 from .euclidean import (
-    action_curve,
     adapt_pulse_width,
     euclidean_action,
     threshold_energy,
@@ -83,7 +83,7 @@ class RunConfig:
     tol: float = 1e-6
     t_grid: str | None = None
 
-    _FLOATS = ("V", "E0", "a", "m", "amp", "theta", "omega_rate", "tol")
+    _FLOATS = ("V", "E0", "a", "m", "amp", "theta", "omega_rate", "tol", "E")
 
     def validate(self) -> None:
         if self.barrier not in ("triangular", "sech"):
@@ -130,16 +130,15 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
         kwargs = {}
-        for f in cls.__dataclass_fields__.values():
-            if f.name.startswith("_") or f.name not in mapping:
-                continue
-            raw = mapping[f.name]
-            if f.name == "n":
-                kwargs[f.name] = int(raw)
-            elif f.name in cls._FLOATS or f.name == "E":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
+        for key, raw in mapping.items():
+            if key not in cls.__dataclass_fields__:
+                raise DomainError(f"unknown config key {key!r}")
+            convert = int if key == "n" else float if key in cls._FLOATS else str
+            try:
+                kwargs[key] = convert(raw)
+            except ValueError:
+                raise DomainError(f"config key {key!r} has a bad value "
+                                  f"{raw!r}") from None
         return cls(**kwargs)
 
 
@@ -220,65 +219,67 @@ def _emit(command: str, config: RunConfig, columns, rows) -> None:
 
 # --- Subcommands ------------------------------------------------------------------
 
+def _hj_exit_exponent(barrier, pulse) -> float:
+    """2 Im S at the exit point x1 of the pulse-created saddle branch."""
+    rep = branch_report(barrier, pulse)
+    state = solve_t0(rep.x1, 0.0, barrier, pulse)
+    return 2.0 * action(rep.x1, 0.0, barrier, pulse, state).imag
+
+
+# The cells after E of one action-curve row, per method.  The solvers are
+# looked up as module globals at call time, so a wrapper installed on those
+# names sees every call.
+
+def _euclidean_row(E, barrier, pulse):
+    res = euclidean_action(E, barrier, pulse)
+    return res.A, res.A0, res.deltaE, res.regime
+
+
+def _hj_row(E, barrier, pulse):
+    return (_hj_exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
+            None, "hj")
+
+
+def _trajectory_row(E, barrier, pulse):
+    res = minimize_delta_action(E, barrier, pulse)
+    return res.A, res.A0, res.dA, "perturbative"
+
+
+def _quanta_row(E, barrier, pulse):
+    plan = optimize_quanta(E, barrier, pulse)
+    return plan.A_eff, plan.omega, plan.N, "quanta"
+
+
+# method -> (barrier it needs, CSV columns, row at one energy)
+_CURVE_METHODS = {
+    "euclidean": ("triangular", ["E", "A", "A0", "deltaE", "regime"],
+                  _euclidean_row),
+    "hj": ("triangular", ["E", "A", "A0", "deltaE", "regime"], _hj_row),
+    "trajectory": ("sech", ["E", "A", "A0", "deltaA", "regime"],
+                   _trajectory_row),
+    "quanta": ("triangular", ["E", "A_eff", "omega_opt", "N_opt", "regime"],
+               _quanta_row),
+}
+
+
 def cmd_action_curve(config: RunConfig) -> tuple[list[str], list[tuple]]:
+    """One row per energy; an energy the method cannot solve gives an
+    error:<class> row, while a barrier the method cannot use is a RegimeError."""
     energies = config.energies()
     method = config.method
     if method == "auto":
         method = "euclidean" if config.barrier == "triangular" else "trajectory"
+    needs, columns, row = _CURVE_METHODS[method]
+    if config.barrier != needs:
+        raise RegimeError(f"the {method} method needs the {needs} barrier")
     pulse = config.make_pulse()
-
-    if method == "euclidean":
-        barrier0 = config.make_barrier(E_hint=energies[0])
-        rows_src = action_curve(energies, barrier0, pulse)
-        rows = [
-            (r.E, r.A, r.A0, r.deltaE, r.regime)
-            for r in rows_src
-        ]
-        return ["E", "A", "A0", "deltaE", "regime"], rows
-
-    if method == "trajectory":
-        if config.barrier != "sech":
-            raise RegimeError("the trajectory method needs the sech barrier")
-        barrier = config.make_barrier()
-
-        def one(E):
-            try:
-                res = minimize_delta_action(E, barrier, pulse)
-                return (E, res.A, res.A0, res.dA, "perturbative")
-            except PulseTunnelError as exc:
-                return (E, None, None, None, f"error:{type(exc).__name__}")
-
-        rows = [one(E) for E in energies]
-        return ["E", "A", "A0", "deltaA", "regime"], rows
-
-    if method == "hj":
-        if config.barrier != "triangular":
-            raise RegimeError("the Hamilton-Jacobi method needs the "
-                              "triangular barrier")
-        rows = []
-        for E in energies:
-            try:
-                b = TriangularBarrier(V=config.V, E_bound=E,
-                                      field_static=config.E0, m=config.m)
-                rep = branch_report(b, pulse)
-                state = solve_t0(rep.x1, 0.0, b, pulse)
-                S = action(rep.x1, 0.0, b, pulse, state)
-                A = 2.0 * S.imag
-                rows.append((E, A, static_wkb_exponent(b, E), None, "hj"))
-            except PulseTunnelError as exc:
-                rows.append((E, None, None, None, f"error:{type(exc).__name__}"))
-        return ["E", "A", "A0", "deltaE", "regime"], rows
-
-    if method == "quanta":
-        rows = []
-        for E in energies:
-            b = TriangularBarrier(V=config.V, E_bound=E,
-                                  field_static=max(config.E0, 0.0), m=config.m)
-            plan = optimize_quanta(E, b, pulse)
-            rows.append((E, plan.A_eff, plan.omega, plan.N, "quanta"))
-        return ["E", "A_eff", "omega_opt", "N_opt", "regime"], rows
-
-    raise DomainError(f"method {method!r} not supported by action-curve")
+    rows = []
+    for E in energies:
+        try:
+            rows.append((E, *row(E, config.make_barrier(E_hint=E), pulse)))
+        except PulseTunnelError as exc:
+            rows.append((E, None, None, None, f"error:{type(exc).__name__}"))
+    return columns, rows
 
 
 def cmd_rate(config: RunConfig) -> tuple[list[str], list[tuple]]:
@@ -330,8 +331,7 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
         launches = [E_target * (0.3 + 0.1 * i) for i in range(7)]
     rows = []
     for E_launch in launches:
-        b = TriangularBarrier(V=config.V, E_bound=E_launch,
-                              field_static=config.E0, m=config.m)
+        b = config.make_barrier(E_hint=E_launch)
         probe = LorentzPulse(amplitude=max(config.amp, 1e-6), width=theta,
                              exponent=config.n)
         rep = validity_report(b, probe)
@@ -353,10 +353,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
         res = euclidean_action(config.E, b, pulse)
         rows.append(("euclidean_A", res.A, res.A, 0.0, "pass"))
         if isinstance(pulse, LorentzPulse) and pulse.width < b.tau00:
-            rep = branch_report(b, pulse)
-            state = solve_t0(rep.x1, 0.0, b, pulse)
-            S = action(rep.x1, 0.0, b, pulse, state)
-            A_hj = 2.0 * S.imag
+            A_hj = _hj_exit_exponent(b, pulse)
             dev = abs(A_hj - res.A) / abs(res.A)
             rows.append(("hj_vs_euclidean", A_hj, res.A, dev,
                          "pass" if dev < max(tol, 1e-4) else "fail"))
@@ -431,22 +428,20 @@ def _load_config_file(path: str) -> dict:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise DomainError(f"config line {line!r} is not key = value")
             mapping[key.strip()] = value.strip()
     return mapping
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    mapping = {}
-    if args.config:
-        mapping.update(_load_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        mapping[key] = value
+    args = build_parser().parse_args(argv)
     try:
+        mapping = _load_config_file(args.config) if args.config else {}
+        for key, value in vars(args).items():
+            if key not in ("command", "config") and value is not None:
+                mapping[key] = value
         config = RunConfig.from_mapping(mapping)
         config.validate()
         columns, rows = _COMMANDS[args.command](config)
@@ -457,6 +452,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_REGIME
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "threshold_energy",
     "threshold_form",
     "adapt_pulse_width",
-    "action_curve",
 ]
 
 
@@ -190,24 +189,3 @@ def adapt_pulse_width(barrier, E_target: float) -> float:
         return barrier.tau_s(E_target)
     raise TypeError(f"unsupported barrier type {type(barrier).__name__}")
 
-
-@dataclass(frozen=True)
-class ActionCurveRow:
-    E: float
-    A: float | None
-    A0: float | None
-    deltaE: float | None
-    regime: str
-    error: str | None = None
-
-
-def action_curve(E_grid, barrier: TriangularBarrier, pulse) -> list[ActionCurveRow]:
-    """A(E), A0(E), deltaE(E) over an energy grid; per-point errors collected."""
-    rows = []
-    for E in E_grid:
-        try:
-            res = euclidean_action(float(E), barrier, pulse)
-            rows.append(ActionCurveRow(float(E), res.A, res.A0, res.deltaE, res.regime))
-        except Exception as exc:  # noqa: BLE001 - per-row error capture is the contract
-            rows.append(ActionCurveRow(float(E), None, None, None, "error", str(exc)))
-    return rows

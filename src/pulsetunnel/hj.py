@@ -60,9 +60,6 @@ class BranchReport:
     x1: float
     x2: float
     iS_x1: float
-    iS_x2: float
-    theta: float
-    tau00: float
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,7 @@ class RateSeries:
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
-    amp_ratio: float            # pulse amplitude / static field
-    amp_lower_bound: float      # semiclassical lower bound on amp_ratio
-    action_scale: float         # (V-E)*theta, must be >> 1
+    amp_lower_bound: float      # semiclassical lower bound on amplitude/field
     hierarchy: dict = field(default_factory=dict)
 
 
@@ -412,8 +407,7 @@ def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
     x1 = e0 * theta**2 / (2.0 * m)
     x2 = e0 * theta * (2.0 * tau00 - theta) / (2.0 * m)
     iS_x1 = VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
-    iS_x2 = VmE * theta * (1.0 - theta / tau00) ** 2
-    return BranchReport(z1, z2, x1, x2, iS_x1, iS_x2, theta, tau00)
+    return BranchReport(z1, z2, x1, x2, iS_x1)
 
 
 def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
@@ -424,8 +418,7 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
     point and on a circle around the branch point.
     """
     if not isinstance(pulse, LorentzPulse):
-        amp_ratio = getattr(pulse, "amplitude", 0.0) / barrier.field_static
-        return ValidityReport(False, amp_ratio, math.inf, 0.0)
+        return ValidityReport(False, math.inf)
     theta = pulse.width
     n = pulse.exponent
     tau00 = barrier.tau00
@@ -433,7 +426,7 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
     action_scale = VmE * theta
     amp_ratio = pulse.amplitude / barrier.field_static
     if theta >= tau00:
-        return ValidityReport(False, amp_ratio, math.inf, action_scale)
+        return ValidityReport(False, math.inf)
     lower = (theta / (tau00 - theta)) ** (n / 2.0 - 1.0) / action_scale ** (n / 2.0)
 
     hierarchy = {}
@@ -479,23 +472,16 @@ def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
             1.0 / (VmE * tau00),
         )
     ok = action_scale > 5.0 and amp_ratio > lower and ok_chain
-    return ValidityReport(
-        ok=ok,
-        amp_ratio=amp_ratio,
-        amp_lower_bound=lower,
-        action_scale=action_scale,
-        hierarchy=hierarchy,
-    )
+    return ValidityReport(ok=ok, amp_lower_bound=lower, hierarchy=hierarchy)
 
 
 # --- Decay rate -----------------------------------------------------------------
 
 def _rate_pieces(barrier: TriangularBarrier, pulse):
-    _require_lorentz_hj(pulse)
+    # the exit action at x1, which also checks the pulse and its width
+    exp0 = 2.0 * branch_report(barrier, pulse).iS_x1
     theta, n = pulse.width, pulse.exponent
     tau00 = barrier.tau00
-    if theta >= tau00:
-        raise RegimeError("decay rate formula requires pulse width < tau00")
     VmE = barrier.V - barrier.E_bound
     amp_ratio = pulse.amplitude / barrier.field_static
     pref = (
@@ -503,7 +489,6 @@ def _rate_pieces(barrier: TriangularBarrier, pulse):
         / (math.e * (n - 1) ** (n / (n - 1)) * (tau00 - theta))
         * (amp_ratio * theta / (2.0 * (tau00 - theta))) ** (1.0 / (n - 1))
     )
-    exp0 = 2.0 * VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
     quart = 2.0 * (n - 1) * VmE / (theta * tau00**2)
     return pref, exp0, quart
 

@@ -29,7 +29,6 @@ class QuantaPlan:
     N_rounded: int
     A_eff: float
     deltaE: float           # omega * N
-    note: str = "exponent accurate to O(log) only"
 
 
 def _absorption_log(pulse: LorentzPulse, omega: float) -> float:

@@ -222,7 +222,6 @@ class EvolutionRecord:
     absorbed_left: np.ndarray
     absorbed_right: np.ndarray
     flux: np.ndarray            # probability current at the detector point
-    detector_x: float
     steps: int
 
 
@@ -332,7 +331,7 @@ def evolve(
                               absorbed_left=absorbed_l[r],
                               absorbed_right=absorbed_r[r], grid=g),
             EvolutionRecord(t_steps[rec_steps + 1], *rec[:, :, r],
-                            detector_x=x[j_det], steps=n_steps),
+                            steps=n_steps),
         )
         for r in range(n_rows)
     ]

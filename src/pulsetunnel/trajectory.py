@@ -143,16 +143,13 @@ def branch_expansion(traj: TrajectoryHandle, t) -> complex:
 class ContourSpec:
     """Conjugation-symmetric polyline between iw-pole and trajectory branch point.
 
-    Legs run at +/- i*leg_height from Re t = -tail to the left connector; the
+    Legs run at +/- i*pi/omega from Re t = -tail to the left connector; the
     connector crosses the imaginary axis at +/- i*cross_height, strictly
     between Im t_s and the pulse width, and returns to the real axis at a
     positive abscissa short of the mirrored branch point.
     """
 
     waypoints: tuple
-    cross_height: float
-    leg_height: float
-    tail: float
     tail_bound: float
 
     def conjugate_symmetric(self) -> bool:
@@ -210,10 +207,7 @@ def build_contour(
     )
     # integrand tail ~ amp*(width/t)^(2n) * a*omega*t; bound for the worst n=2
     tail_bound = traj.barrier.a * w * pulse_width ** 4 / tail ** 2
-    return ContourSpec(
-        waypoints=pts, cross_height=y, leg_height=H, tail=tail,
-        tail_bound=tail_bound,
-    )
+    return ContourSpec(waypoints=pts, tail_bound=tail_bound)
 
 
 # --- Perturbation integral ------------------------------------------------------

@@ -136,6 +136,87 @@ def test_verify_sech_branch_cut_exit_code(n, message, capsys):
     assert err.startswith("regime error:") and message in err
 
 
+def test_action_curve_rows_and_error_capture(capsys):
+    # the last grid point lies above the barrier top V = 10
+    code = _run(["action-curve", "--V", "10", "--E0", "1", "--amp", "0.05",
+                 "--theta", "2", "--n", "3", "--E-grid", "3:12:4"])
+    assert code == EXIT_OK
+    body = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")]
+    assert body[0] == "E,A,A0,deltaE,regime"
+    assert len(body) == 1 + 4
+    rows = [row.split(",") for row in body[1:4]]
+    for _, A, A0, _, regime in rows:
+        assert not regime.startswith("error")
+        assert float(A) < float(A0)
+    # exponent decreases with energy along the curve
+    As = [float(r[1]) for r in rows]
+    assert all(a > b for a, b in zip(As, As[1:]))
+    assert body[4] == "12,nan,nan,nan,error:DomainError"
+
+
+TRI = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2", "--n", "3"]
+SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
+        "--theta", "2.2", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv,code,last_row", [
+    # a barrier the method cannot use (both were exit 0)
+    (["--method", "euclidean", *SECH, "--E-grid", "0.3:0.4:2"], EXIT_REGIME, None),
+    (["--method", "quanta", *SECH, "--E-grid", "0.3:0.4:2"], EXIT_REGIME, None),
+    # an energy the method cannot solve: E above the barrier top
+    (["--method", "euclidean", *TRI, "--E-grid", "5:12:2"], EXIT_OK,
+     "12,nan,nan,nan,error:DomainError"),
+    # the pulse width reaches the static traversal time
+    (["--method", "hj", *TRI, "--E-grid", "5:9:2"], EXIT_OK,
+     "9,nan,nan,nan,error:RegimeError"),
+    # the minimizer's scan reaches the trajectory's branch cut
+    (["--method", "trajectory", *SECH, "--E-grid", "0.4:0.5:2"], EXIT_OK,
+     "0.5,nan,nan,nan,error:SingularityError"),
+    # the Gaussian optimum needs amp << rate*sqrt(m(V-E)) (was exit 2)
+    (["--method", "quanta", "--V", "10", "--E0", "0", "--pulse", "gauss",
+      "--amp", "0.01", "--omega-rate", "0.05", "--E-grid", "1:9.99:2"],
+     EXIT_OK, "9.99,nan,nan,nan,error:DomainError"),
+], ids=["sech-euclidean", "sech-quanta", "euclidean", "hj", "trajectory",
+        "quanta"])
+def test_action_curve_method_errors(argv, code, last_row, capsys):
+    assert _run(["action-curve", *argv]) == code
+    captured = capsys.readouterr()
+    if last_row is None:
+        assert "needs the triangular barrier" in captured.err
+        return
+    body = [l for l in captured.out.splitlines() if not l.startswith("#")]
+    assert len(body) == 3
+    assert ",error" not in body[1]
+    assert body[2] == last_row
+
+
+@pytest.mark.parametrize("lines,out,fragment", [
+    # values that do not parse (were a ValueError traceback)
+    ("V = abc\n", None, "'V'"),
+    ("n = 3.0\n", None, "'n'"),
+    # an unknown key and a line without '=' (were silently dropped)
+    ("colour = red\n", None, "'colour'"),
+    ("V 10\n", None, "'V 10'"),
+    # a missing config file and an --out inside a missing directory (were a
+    # FileNotFoundError traceback)
+    (None, None, "missing.cfg"),
+    ("", "no-such-dir/rate.csv", "rate.csv"),
+], ids=["bad-float", "bad-int", "unknown-key", "no-equals", "missing-config",
+        "missing-out-dir"])
+def test_config_and_output_errors_exit_code(lines, out, fragment, tmp_path,
+                                            capsys):
+    cfg_file = tmp_path / ("missing.cfg" if lines is None else "run.cfg")
+    if lines is not None:
+        cfg_file.write_text(lines)
+    out_flags = ["--out", str(tmp_path / out)] if out else []
+    code = _run(["--config", str(cfg_file), "rate", "--E", "5", "--amp",
+                 "0.05", *out_flags])
+    assert code == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and fragment in err
+
+
 def test_nonconvergence_exit_code(monkeypatch, capsys):
     def boom(config):
         raise ConvergenceError("iteration stalled")

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from pulsetunnel.errors import DomainError
 from pulsetunnel.euclidean import (
-    action_curve,
     adapt_pulse_width,
     euclidean_action,
     solve_tau0,
@@ -251,19 +250,3 @@ def test_width_threshold_round_trip(b, frac):
     theta = adapt_pulse_width(b, E)
     pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=3)
     assert threshold_energy(b, pulse).E_T == pytest.approx(E, rel=1e-12)
-
-
-# --- Action curve ----------------------------------------------------------------
-
-def test_action_curve_rows_and_error_capture():
-    grid = [3.0, 5.0, 7.0, 9.0, 12.0]   # last point is out of range
-    rows = action_curve(grid, CANON, PULSE5)
-    assert len(rows) == 5
-    for row in rows[:4]:
-        assert row.error is None
-        assert row.A < row.A0
-    assert rows[4].regime == "error"
-    assert rows[4].error is not None
-    # exponent decreases with energy along the curve
-    As = [r.A for r in rows[:4]]
-    assert all(a > b for a, b in zip(As, As[1:]))
