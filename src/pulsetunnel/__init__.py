@@ -37,6 +37,7 @@ from .hj import (
     branch_report,
     decay_rate,
     decay_rate_series,
+    exit_exponent,
     rate_peak_time,
     sigma1,
     sigma2,

@@ -37,11 +37,9 @@ from .euclidean import (
     threshold_form,
 )
 from .hj import (
-    action,
-    branch_report,
     decay_rate_series,
+    exit_exponent,
     rate_peak_time,
-    solve_t0,
     validity_report,
 )
 from .model import (
@@ -219,13 +217,6 @@ def _emit(command: str, config: RunConfig, columns, rows) -> None:
 
 # --- Subcommands ------------------------------------------------------------------
 
-def _hj_exit_exponent(barrier, pulse) -> float:
-    """2 Im S at the exit point x1 of the pulse-created saddle branch."""
-    rep = branch_report(barrier, pulse)
-    state = solve_t0(rep.x1, 0.0, barrier, pulse)
-    return 2.0 * action(rep.x1, 0.0, barrier, pulse, state).imag
-
-
 # The cells after E of one action-curve row, per method.  The solvers are
 # looked up as module globals at call time, so a wrapper installed on those
 # names sees every call.
@@ -236,7 +227,7 @@ def _euclidean_row(E, barrier, pulse):
 
 
 def _hj_row(E, barrier, pulse):
-    return (_hj_exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
+    return (exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
             None, "hj")
 
 
@@ -353,7 +344,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
         res = euclidean_action(config.E, b, pulse)
         rows.append(("euclidean_A", res.A, res.A, 0.0, "pass"))
         if isinstance(pulse, LorentzPulse) and pulse.width < b.tau00:
-            A_hj = _hj_exit_exponent(b, pulse)
+            A_hj = exit_exponent(b, pulse)
             dev = abs(A_hj - res.A) / abs(res.A)
             rows.append(("hj_vs_euclidean", A_hj, res.A, dev,
                          "pass" if dev < max(tol, 1e-4) else "fail"))

@@ -28,6 +28,7 @@ __all__ = [
     "sigma1",
     "sigma2",
     "branch_report",
+    "exit_exponent",
     "validity_report",
     "decay_rate",
     "decay_rate_series",
@@ -408,6 +409,23 @@ def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
     x2 = e0 * theta * (2.0 * tau00 - theta) / (2.0 * m)
     iS_x1 = VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
     return BranchReport(z1, z2, x1, x2, iS_x1)
+
+
+def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
+    """2 Im S at t = 0 where the exit branch's momentum turns real, Im p = 0.
+
+    Brent's method finds that point next to its estimate x1 (branch_report).
+    """
+    x1 = branch_report(barrier, pulse).x1
+    states = {}
+
+    def im_p(x):
+        states[x] = solve_t0(x, 0.0, barrier, pulse)
+        return _momentum(0.0, states[x], barrier, pulse).imag
+
+    lo, hi = (0.5 * x1, x1) if im_p(x1) > 0 else (x1, 1.2 * x1)
+    x = brentq(im_p, lo, hi)
+    return 2.0 * action(x, 0.0, barrier, pulse, states[x]).imag
 
 
 def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from scipy.special import lambertw
 
-from .errors import DomainError
+from .errors import DomainError, RegimeError
 from .model import (
     GaussianPulse,
     LorentzPulse,
@@ -56,6 +56,8 @@ def effective_action(
     V, m = barrier.V, barrier.m
     if isinstance(pulse, GaussianPulse):
         # stable-well variant: absorption only, no under-barrier leg
+        if barrier.field_static != 0:
+            raise RegimeError("a Gaussian pulse needs a stable well")
         return 2.0 * N * (
             math.log(omega * math.sqrt(m * (V - E)) / pulse.amplitude)
             + omega**2 / (4.0 * pulse.rate**2)
@@ -112,6 +114,8 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
     VmE = V - E
     w_stat = None
     if isinstance(pulse, GaussianPulse):
+        if barrier.field_static != 0:
+            raise RegimeError("a Gaussian pulse needs a stable well")
         L = math.log(pulse.rate * math.sqrt(m * VmE) / pulse.amplitude)
         if L <= 0:
             raise DomainError("Gaussian optimum needs amp << rate*sqrt(m(V-E))")

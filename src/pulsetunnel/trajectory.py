@@ -2,8 +2,10 @@
 
 The unperturbed complex-time trajectory is known in closed form; a weak pulse
 contributes a correction dA = -i * int_C pulse(t) x0(t + dt_shift) dt along a
-contour passing between the trajectory branch point and the pulse pole.  The
-exit-time shift is fixed by minimizing dA.
+contour passing between the trajectory branch point and the pulse pole, on
+one sheet of x0 for every shift.  Its slope in the shift is the same integral
+with the velocity, dA' = -i * int_C pulse(t) dx0/dt dt, and the exit-time
+shift is the root of dA' next to the minimum of dA on a coarse scan.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy.optimize import brentq
 
 from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
@@ -79,10 +81,10 @@ class TrajectoryHandle:
         out = self.barrier.a * x
         return out if out.ndim else complex(out)
 
-    def velocity(self, t):
-        """dx0/dt consistent with the position branch."""
-        self._check_cut(t)
-        z, _ = self._clipped(t)
+    def velocity(self, t, dt_shift=None):
+        """dx0/dt consistent with the position branch; dt_shift as there."""
+        self._check_cut(t, dt_shift)
+        z, _ = self._clipped(t, dt_shift)
         w = self.u0 * np.cosh(z)
         out = self.barrier.a * self.u0 * self.omega * np.sinh(z) / np.sqrt(1.0 + w * w)
         return out if out.ndim else complex(out)
@@ -143,10 +145,12 @@ def branch_expansion(traj: TrajectoryHandle, t) -> complex:
 class ContourSpec:
     """Conjugation-symmetric polyline between iw-pole and trajectory branch point.
 
-    Legs run at +/- i*pi/omega from Re t = -tail to the left connector; the
-    connector crosses the imaginary axis at +/- i*cross_height, strictly
-    between Im t_s and the pulse width, and returns to the real axis at a
-    positive abscissa short of the mirrored branch point.
+    Legs run at +/- i*pi/omega from Re t = -tail to the left connector, left
+    of both the pulse pole (Re t = 0) and the branch point; the connector
+    runs at +/- i*cross_height, strictly between Im t_s and the pulse width,
+    and returns to the real axis right of both, short of the mirrored branch
+    point.  So the contour never crosses the pole or the cut of x0, whatever
+    the shift.
     """
 
     waypoints: tuple
@@ -182,16 +186,17 @@ def build_contour(
             f"and the pulse width {pulse_width}"
         )
     re_ts = traj.t_s.real
-    c1 = re_ts - 1.0 / w
+    right = max(re_ts, 0.0)               # the pole sits at Re t = 0
+    c1 = min(re_ts, 0.0) - 1.0 / w
     # stay short of the mirrored branch point so the principal arcsinh branch
     # is the physical one along the whole descent
     # mirrored branch point sits at Re t = -re_ts - 2*dt_shift; stop short of it
     mirror = -re_ts - 2.0 * traj.dt_shift
-    c2 = connector_x if connector_x is not None else 0.5 * mirror
-    if not (0 < c2 < mirror):
+    c2 = connector_x if connector_x is not None else 0.5 * (right + mirror)
+    if not (right < c2 < mirror):
         raise RegimeError(
-            f"connector abscissa {c2} must lie in (0, {mirror}) to keep the "
-            "principal trajectory branch"
+            f"connector abscissa {c2} must lie in ({right}, {mirror}) to keep "
+            "the principal trajectory branch"
         )
     if tail is None:
         tail = max(200.0 * pulse_width, abs(c1) + 200.0 / w)
@@ -249,17 +254,22 @@ def delta_action(
 
     dt_shift is the pulse-frame exit-time shift (branch point at
     i*tau_s - dt_shift).  The residual imaginary part is a quadrature health
-    check; exceeding `imag_tol` (relative) raises a contour diagnostic.
+    check; exceeding `imag_tol` (relative) plus the engine's error estimate
+    raises a contour diagnostic.  The default contour keeps one sheet of x0
+    for every shift, so dA is one analytic function of dt_shift, with slope
+    -i int_C pulse * dx0/dt dt.
     """
     return float(_delta_actions(E, barrier, pulse, [dt_shift], contour=contour,
                                 imag_tol=imag_tol, epsrel=epsrel)[0])
 
 
 def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
-                   epsrel=1e-10) -> np.ndarray:
+                   epsrel=1e-10, slope=False) -> np.ndarray:
     """delta_action at each of `shifts`, all contours in one engine call.
 
-    `contour`, when given, serves every shift.
+    `contour`, when given, serves every shift.  slope=True integrates the
+    velocity instead of the position, giving dA'(dt_shift).  dA' is meant to
+    cancel at the exit shift, so its tolerance also admits 1e-12 * int |f|.
     """
     if not _check_pulse(pulse):
         return np.zeros(len(shifts))
@@ -276,14 +286,17 @@ def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
                 for tr in trajs]
     # the handles differ only in their shift, which f supplies point by point
     path_shift = np.array([tr.dt_shift for tr in trajs])
+    x0 = traj.velocity if slope else traj.position
 
     def f(t, path_id):
-        return pulse(t) * traj.position(t, path_shift[path_id])
+        return pulse(t) * x0(t, path_shift[path_id])
 
-    vals = -1j * integrate_paths(f, [list(c.waypoints) for c in contours],
-                                 epsabs=1e-13, epsrel=epsrel)[0]
+    vals, errs, _ = integrate_paths(f, [list(c.waypoints) for c in contours],
+                                    epsabs=1e-13, epsrel=epsrel,
+                                    epsl1=1e-12 if slope else 0.0)
+    vals = -1j * vals
     scale = np.maximum(np.abs(vals), 1e-12)
-    lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale)
+    lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale + errs)
     if lost.size:
         i = lost[0]
         raise ConvergenceError(
@@ -295,54 +308,29 @@ def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
     return vals.real
 
 
-def energy_shift_residual(
-    E: float, barrier: SechBarrier, pulse, dt_shift: float
-) -> float:
-    """int_C pulse * dx0/dt dt: vanishes at the true exit-time shift (real E).
-
-    The integral is meant to cancel, so its tolerance is relative to
-    int_C |pulse * dx0/dt| |dt|, far enough above the engine's roundoff floor.
-    """
-    if not _check_pulse(pulse):
-        return 0.0
-    traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
-    contour = build_contour(traj, pulse.poles()[0][0].imag)
-
-    def f(t, path_id):
-        return pulse(t) * traj.velocity(t)
-
-    val = integrate_paths(f, [list(contour.waypoints)], epsabs=1e-13,
-                          epsrel=1e-10, epsl1=1e-12)[0][0]
-    return abs(complex(val))
-
-
 @dataclass(frozen=True)
 class MinimizedAction:
     dt_shift: float
     dA: float
     A: float
     A0: float
-    energy_residual: float
+    energy_residual: float      # |dA'| at dt_shift
 
 
 def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAction:
-    """Exit-time shift from min of dA over the bracket [-3(width - tau_s), 0].
+    """Exit-time shift at the minimum of dA over [-3(width - tau_s), 0].
 
-    Locates the minimum on a 17-shift grid (one engine call), refines it by
-    bounded scalar minimization, and reports the independent energy-condition
-    residual.
+    Locates the minimum on a 17-shift grid (one engine call), then solves
+    dA'(dt_shift) = 0 by Brent's method between the grid neighbours of the
+    smallest value, and reports dA there and |dA'| as the energy residual.
     """
     if not _check_pulse(pulse):
         A0 = static_wkb_exponent(barrier, E)
         return MinimizedAction(0.0, 0.0, A0, A0, 0.0)
-    traj0 = unperturbed_trajectory(E, barrier, 0.0)
-    width = pulse.poles()[0][0].imag
-    gap = width - traj0.tau_s
+    gap = pulse.poles()[0][0].imag - unperturbed_trajectory(E, barrier).tau_s
     if gap <= 0:
         raise RegimeError("Im t_s >= pulse width: unsupported ordering")
-    lo, hi = -3.0 * gap, 0.0
-
-    grid = np.linspace(lo, hi, 17)
+    grid = np.linspace(-3.0 * gap, 0.0, 17)
     vals = _delta_actions(E, barrier, pulse, grid, epsrel=1e-6, imag_tol=1e-4)
     i_min = int(np.argmin(vals))
     if i_min in (0, len(grid) - 1):
@@ -350,24 +338,24 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
             "no interior minimum of dA in the scan bracket",
             diagnostics={"grid": grid, "dA": vals},
         )
-    bracket = (grid[max(i_min - 1, 0)], grid[min(i_min + 1, len(grid) - 1)])
-    res = optimize.minimize_scalar(
-        lambda s: delta_action(E, barrier, pulse, s, epsrel=1e-8),
-        bounds=bracket,
-        method="bounded",
-        options={"xatol": 1e-8 * max(gap, 1.0)},
-    )
-    dt_opt = float(res.x)
-    dA_opt = float(res.fun)
+    slopes = {}
+
+    def slope(s):
+        slopes[s] = _delta_actions(E, barrier, pulse, [s], slope=True)[0]
+        return slopes[s]
+
+    bracket = (grid[i_min - 1], grid[i_min + 1])
+    try:
+        dt_opt = brentq(slope, *bracket)
+    except ValueError:      # no sign change of dA' over the bracket
+        raise ConvergenceError(
+            "dA' keeps its sign over the scan bracket of the minimum",
+            diagnostics={"bracket": bracket, "slopes": slopes},
+        ) from None
+    dA_opt = delta_action(E, barrier, pulse, dt_opt, epsrel=1e-8)
     A0 = static_wkb_exponent(barrier, E)
-    resid = energy_shift_residual(E, barrier, pulse, dt_opt)
-    return MinimizedAction(
-        dt_shift=dt_opt,
-        dA=dA_opt,
-        A=A0 + dA_opt,
-        A0=A0,
-        energy_residual=resid,
-    )
+    return MinimizedAction(dt_shift=dt_opt, dA=dA_opt, A=A0 + dA_opt, A0=A0,
+                           energy_residual=abs(slopes[dt_opt]))
 
 
 def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:
@@ -409,29 +397,15 @@ def max_flux_exponent(E: float, barrier: SechBarrier, pulse) -> FluxExponent:
 
 # --- Static contour reduction ---------------------------------------------------
 
-def static_action_from_contour(
-    E: float, barrier: SechBarrier, *, cross_height: float | None = None,
-    connector_x: float | None = None,
-) -> float:
+def static_action_from_contour(E: float, barrier: SechBarrier) -> float:
     """A0 = -i int_C L0 dt over the pulse-free contour (legs cancel exactly).
 
     Independent route to the WKB exponent: quadrature of the unperturbed
-    Lagrangian along the complex-time contour rather than the spatial
-    integral of sqrt(V - E).
+    Lagrangian between the leg corners of build_contour's path (for a width
+    of pi/omega) rather than the spatial integral of sqrt(V - E).
     """
     traj = unperturbed_trajectory(E, barrier, 0.0)
-    H = 2.0 * traj.tau_s
-    y = cross_height if cross_height is not None else 0.5 * (traj.tau_s + H)
-    c1 = traj.t_s.real - 1.0 / traj.omega
-    c2 = connector_x if connector_x is not None else -0.5 * traj.t_s.real
-    pts = [
-        complex(c1, H),
-        complex(c1, y),
-        complex(c2, y),
-        complex(c2, -y),
-        complex(c1, -y),
-        complex(c1, -H),
-    ]
+    pts = list(build_contour(traj, 2.0 * traj.tau_s).waypoints[1:-1])
     m = barrier.m
 
     def L0(t, path_id):

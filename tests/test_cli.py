@@ -121,19 +121,47 @@ def test_verify_sech_without_pole_exit_code(pulse_args, capsys):
     assert "regime error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n,message", [
-    # the minimizer's scan reaches the trajectory's branch cut: a
-    # SingularityError, which ended in a traceback with exit 1
-    ("2", "branch cut"),
+@pytest.mark.parametrize("n,exit_code,message", [
+    # dA on one sheet has no interior minimum in the scan bracket; at
+    # theta = 2.2 the scan used to reach the trajectory's branch cut, a
+    # SingularityError that ended in a traceback with exit 1
+    ("2", EXIT_NONCONVERGENCE, "no interior minimum"),
     # stopped by the pole form before the scan (was the same traceback)
-    ("3", "second-order pole"),
+    ("3", EXIT_REGIME, "second-order pole"),
 ], ids=["n2", "n3"])
-def test_verify_sech_branch_cut_exit_code(n, message, capsys):
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_verify_sech_branch_cut_exit_code(n, exit_code, message, capsys):
     code = _run(["verify", "--barrier", "sech", "--V", "1", "--a", "1",
-                 "--E", "0.5", "--amp", "0.01", "--n", n, "--theta", "2.2"])
-    assert code == EXIT_REGIME
+                 "--E", "0.5", "--amp", "0.01", "--n", n, "--theta", "2.5"])
+    assert code == exit_code
     err = capsys.readouterr().err
-    assert err.startswith("regime error:") and message in err
+    prefix = "regime error:" if exit_code == EXIT_REGIME else "non-convergence:"
+    assert err.startswith(prefix) and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--V", "1", "--a", "1", "--E", "0.5", "--theta", "3"],
+    ["--V", "5", "--a", "0.3", "--E", "2.5", "--theta", "1"],
+], ids=["theta3", "V5"])
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_verify_sech_without_interior_minimum(flags, capsys):
+    # the old contour crossed the pulse pole or the cut of x0 here and gave
+    # a roundoff warning and exit 3, or a spurious minimum with exit 0
+    code = _run(["verify", "--barrier", "sech", "--amp", "0.01", "--n", "2",
+                 *flags])
+    assert code == EXIT_NONCONVERGENCE
+    assert "no interior minimum" in capsys.readouterr().err
+
+
+def test_verify_hj_at_the_true_exit_point(capsys):
+    # 2 Im S at the small-amplitude estimate x1 was off by 8.4e-4 and failed
+    # the 1e-4 window (exit 3)
+    assert _run(["verify", "--E", "6", "--amp", "0.05", "--theta", "2",
+                 "--n", "3"]) == EXIT_OK
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith("hj_vs_euclidean")]
+    assert len(rows) == 1 and rows[0][4] == "pass"
+    assert float(rows[0][3]) < 1e-12
 
 
 def test_action_curve_rows_and_error_capture(capsys):
@@ -157,7 +185,7 @@ def test_action_curve_rows_and_error_capture(capsys):
 
 TRI = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2", "--n", "3"]
 SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
-        "--theta", "2.2", "--n", "2"]
+        "--theta", "2.5", "--n", "2"]
 
 
 @pytest.mark.parametrize("argv,code,last_row", [
@@ -170,9 +198,9 @@ SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
     # the pulse width reaches the static traversal time
     (["--method", "hj", *TRI, "--E-grid", "5:9:2"], EXIT_OK,
      "9,nan,nan,nan,error:RegimeError"),
-    # the minimizer's scan reaches the trajectory's branch cut
+    # dA has no interior minimum in the scan bracket
     (["--method", "trajectory", *SECH, "--E-grid", "0.4:0.5:2"], EXIT_OK,
-     "0.5,nan,nan,nan,error:SingularityError"),
+     "0.5,nan,nan,nan,error:ConvergenceError"),
     # the Gaussian optimum needs amp << rate*sqrt(m(V-E)) (was exit 2)
     (["--method", "quanta", "--V", "10", "--E0", "0", "--pulse", "gauss",
       "--amp", "0.01", "--omega-rate", "0.05", "--E-grid", "1:9.99:2"],
@@ -189,6 +217,17 @@ def test_action_curve_method_errors(argv, code, last_row, capsys):
     assert len(body) == 3
     assert ",error" not in body[1]
     assert body[2] == last_row
+
+
+def test_quanta_gaussian_on_decaying_barrier_error_rows(capsys):
+    # the stable-well formula ignored the static field (A_eff = -3577 at E = 5)
+    assert _run(["action-curve", "--method", "quanta", "--V", "10", "--E0",
+                 "1", "--pulse", "gauss", "--amp", "0.05", "--omega-rate",
+                 "0.05", "--E-grid", "5:9:2"]) == EXIT_OK
+    body = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")]
+    assert body[1:] == ["5,nan,nan,nan,error:RegimeError",
+                        "9,nan,nan,nan,error:RegimeError"]
 
 
 @pytest.mark.parametrize("lines,out,fragment", [

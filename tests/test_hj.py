@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pulsetunnel.errors import RegimeError
+from pulsetunnel.euclidean import euclidean_action
 from pulsetunnel.hj import (
     action,
     branch_report,
     decay_rate,
     decay_rate_series,
+    exit_exponent,
     rate_peak_time,
     sigma1,
     sigma2,
@@ -156,6 +158,17 @@ def test_keystone_action_value():
     state = solve_t0(2.0, 0.0, CANON, PULSE5, branch="exit")
     S = action(2.0, 0.0, CANON, PULSE5, state)
     assert 2.0 * S.imag == pytest.approx(15.4752, rel=1e-4)
+
+
+@pytest.mark.parametrize("E", [5.0, 6.0, 7.0])
+@pytest.mark.parametrize("amp", [0.05, 0.025, 0.0125])
+def test_exit_exponent_matches_euclidean_action(E, amp):
+    # at the true exit point, where Im p = 0, 2 Im S is the Euclidean
+    # exponent; at the estimate x1 it was off by up to 5.8e-3 (E = 7)
+    b = TriangularBarrier(V=10.0, E_bound=E, field_static=1.0, m=1.0)
+    pulse = LorentzPulse(amplitude=amp, width=2.0, exponent=3)
+    ref = euclidean_action(E, b, pulse).A
+    assert exit_exponent(b, pulse) == pytest.approx(ref, rel=1e-12)
 
 
 # --- Semiclassical corrections ---------------------------------------------------

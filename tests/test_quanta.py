@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsetunnel.errors import DomainError
+from pulsetunnel.errors import DomainError, RegimeError
 from pulsetunnel.euclidean import euclidean_action, threshold_energy
 from pulsetunnel.model import (
     GaussianPulse,
@@ -44,6 +44,15 @@ def test_gaussian_stable_well_example():
     A = effective_action(2.0, 2.5, 1.0, WELL, pulse)
     expected = 5.0 * (math.log(2.0 * math.sqrt(5.0) / 0.01) + 1.0)
     assert A == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_needs_a_stable_well():
+    # the stable-well formula ignores the static field of a decaying barrier
+    pulse = GaussianPulse(amplitude=0.05, rate=0.05)
+    with pytest.raises(RegimeError):
+        effective_action(0.1, 50.0, 5.0, CANON, pulse)
+    with pytest.raises(RegimeError):
+        optimize_quanta(5.0, CANON, pulse)
 
 
 def test_effective_action_domain_errors():

@@ -216,6 +216,46 @@ def test_contour_invariance():
     assert abs(val_long - vals[0]) < specs[0].tail_bound * PULSE.amplitude
 
 
+def test_connector_left_of_branch_point_raises():
+    # at dt = -0.24 the branch point sits at Re t = 0.24: a connector left of
+    # it would cross the cut of x0
+    traj = unperturbed_trajectory(0.5, SECH, _aligned_shift(0.5, SECH, -0.24))
+    assert traj.t_s.real == pytest.approx(0.24, rel=1e-12)
+    with pytest.raises(RegimeError):
+        build_contour(traj, 2.0, connector_x=0.2)
+
+
+@pytest.mark.parametrize("barrier,E,pulse,dt", [
+    (SechBarrier(V=5.0, a=0.3, m=1.0), 2.5,
+     LorentzPulse(amplitude=0.01, width=1.0, exponent=2), -2.0107),
+    (SECH, 0.5, PULSE, -1.0),
+    (SechBarrier(V=2.0, a=0.7, m=1.5), 0.8,
+     LorentzPulse(amplitude=0.005, width=1.5, exponent=2), -0.2),
+], ids=["V5", "V1", "V2"])
+def test_slope_is_the_derivative_of_delta_action(barrier, E, pulse, dt):
+    # dA' = -i int pulse * dx0/dt against the five-point difference of dA;
+    # both need the contour on one sheet of x0 (at V = 5 the old connector
+    # crossed the cut and the two differed by the jump of x0 there)
+    h = 1e-3
+    v = _delta_actions(E, barrier, pulse, dt + h * np.array([-2, -1, 1, 2]),
+                       epsrel=1e-12)
+    fd = (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
+    slope = _delta_actions(E, barrier, pulse, [dt], slope=True)[0]
+    assert slope == pytest.approx(fd, rel=1e-8)
+
+
+def test_delta_action_continuous_through_the_old_pole_crossing():
+    # the old left vertical crossed the pulse pole once Re t_s > 1/omega, and
+    # dA jumped from -0.209 to -0.0036 between dt = -0.86 and -1.07; now the
+    # trapezoid rule on dA' reproduces every increment of dA
+    shifts = np.linspace(-1.2, -0.7, 26)
+    dA = _delta_actions(0.5, SECH, PULSE, shifts, epsrel=1e-12)
+    slope = _delta_actions(0.5, SECH, PULSE, shifts, slope=True)
+    h = shifts[1] - shifts[0]
+    steps = np.diff(dA) - 0.5 * h * (slope[1:] + slope[:-1])
+    assert np.abs(steps).max() < 1e-6
+
+
 @pytest.mark.parametrize("gap_frac", [0.3, 0.02])
 def test_batched_scan_matches_serial(gap_frac):
     # the minimizer's 17-shift scan runs as one engine call; each shift has
@@ -252,6 +292,16 @@ def test_minimize_canonical_example():
     assert literal == pytest.approx(-0.0802, rel=1e-2)
     assert res.dA < literal < 0.0
     assert abs(res.dA) < 5.0 * abs(literal)
+
+
+def test_minimize_where_the_old_scan_reached_the_branch_cut():
+    # theta = 2.2 raised SingularityError: the scan's connector ran left of
+    # the branch point
+    res = minimize_delta_action(0.5, SECH, LorentzPulse(amplitude=0.01,
+                                                        width=2.2, exponent=2))
+    assert res.dt_shift == pytest.approx(-0.66835, abs=1e-5)
+    assert res.dA == pytest.approx(-0.223862, abs=1e-6)
+    assert res.energy_residual < 1e-10
 
 
 def test_enhancement_monotone_toward_resonance():
