@@ -25,6 +25,7 @@ from .euclidean import (
     EuclideanResult,
     adapt_pulse_width,
     euclidean_action,
+    euclidean_actions,
     solve_tau0,
     threshold_energy,
     threshold_form,

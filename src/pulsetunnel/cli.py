@@ -17,6 +17,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -33,6 +34,7 @@ from .errors import (
 from .euclidean import (
     adapt_pulse_width,
     euclidean_action,
+    euclidean_actions,
     threshold_energy,
     threshold_form,
 )
@@ -217,39 +219,58 @@ def _emit(command: str, config: RunConfig, columns, rows) -> None:
 
 # --- Subcommands ------------------------------------------------------------------
 
-# The cells after E of one action-curve row, per method.  The solvers are
-# looked up as module globals at call time, so a wrapper installed on those
-# names sees every call.
+# The cells after E of the action-curve rows, per method: rows(energies,
+# config, pulse) gives each energy its cells or the PulseTunnelError it raised.
+# The solvers are looked up as module globals at call time, so a wrapper
+# installed on those names sees every call.
 
-def _euclidean_row(E, barrier, pulse):
-    res = euclidean_action(E, barrier, pulse)
-    return res.A, res.A0, res.deltaE, res.regime
+def _euclidean_rows(energies, config, pulse):
+    # the Euclidean route reads no E_bound, so one barrier serves the grid
+    return [res if isinstance(res, PulseTunnelError)
+            else (res.A, res.A0, res.deltaE, res.regime)
+            for res in euclidean_actions(energies, config.make_barrier(), pulse)]
 
 
-def _hj_row(E, barrier, pulse):
+def _per_energy(row):
+    """Grid rows from a row function at one energy, with that energy's barrier."""
+    def rows(energies, config, pulse):
+        out = []
+        for E in energies:
+            try:
+                out.append(row(E, config.make_barrier(E_hint=E), pulse))
+            except PulseTunnelError as exc:
+                out.append(exc)
+        return out
+    return rows
+
+
+@_per_energy
+def _hj_rows(E, barrier, pulse):
     return (exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
             None, "hj")
 
 
-def _trajectory_row(E, barrier, pulse):
+@_per_energy
+def _trajectory_rows(E, barrier, pulse):
     res = minimize_delta_action(E, barrier, pulse)
     return res.A, res.A0, res.dA, "perturbative"
 
 
-def _quanta_row(E, barrier, pulse):
+@_per_energy
+def _quanta_rows(E, barrier, pulse):
     plan = optimize_quanta(E, barrier, pulse)
     return plan.A_eff, plan.omega, plan.N, "quanta"
 
 
-# method -> (barrier it needs, CSV columns, row at one energy)
+# method -> (barrier it needs, CSV columns, rows over the energy grid)
 _CURVE_METHODS = {
     "euclidean": ("triangular", ["E", "A", "A0", "deltaE", "regime"],
-                  _euclidean_row),
-    "hj": ("triangular", ["E", "A", "A0", "deltaE", "regime"], _hj_row),
+                  _euclidean_rows),
+    "hj": ("triangular", ["E", "A", "A0", "deltaE", "regime"], _hj_rows),
     "trajectory": ("sech", ["E", "A", "A0", "deltaA", "regime"],
-                   _trajectory_row),
+                   _trajectory_rows),
     "quanta": ("triangular", ["E", "A_eff", "omega_opt", "N_opt", "regime"],
-               _quanta_row),
+               _quanta_rows),
 }
 
 
@@ -260,17 +281,15 @@ def cmd_action_curve(config: RunConfig) -> tuple[list[str], list[tuple]]:
     method = config.method
     if method == "auto":
         method = "euclidean" if config.barrier == "triangular" else "trajectory"
-    needs, columns, row = _CURVE_METHODS[method]
+    needs, columns, rows = _CURVE_METHODS[method]
     if config.barrier != needs:
         raise RegimeError(f"the {method} method needs the {needs} barrier")
-    pulse = config.make_pulse()
-    rows = []
-    for E in energies:
-        try:
-            rows.append((E, *row(E, config.make_barrier(E_hint=E), pulse)))
-        except PulseTunnelError as exc:
-            rows.append((E, None, None, None, f"error:{type(exc).__name__}"))
-    return columns, rows
+    out = []
+    for E, cells in zip(energies, rows(energies, config, config.make_pulse())):
+        if isinstance(cells, PulseTunnelError):
+            cells = (None, None, None, f"error:{type(cells).__name__}")
+        out.append((E, *cells))
+    return columns, out
 
 
 def cmd_rate(config: RunConfig) -> tuple[list[str], list[tuple]]:
@@ -374,7 +393,10 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
 
 # --- Entry point ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parse_args leaves
+    it unchanged, so one parser serves every main() in the process."""
     p = argparse.ArgumentParser(
         prog="pulsetunnel",
         description="Semiclassical tunneling exponents under soft pulses",

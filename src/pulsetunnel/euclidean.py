@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy import optimize
 
 from .contour import integrate_paths
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PulseTunnelError
 from .model import (
     GaussianPulse,
     LorentzPulse,
@@ -29,6 +29,7 @@ __all__ = [
     "ThresholdResult",
     "solve_tau0",
     "euclidean_action",
+    "euclidean_actions",
     "threshold_energy",
     "threshold_form",
     "adapt_pulse_width",
@@ -71,11 +72,18 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
         return tau00
 
     def g(tau):
-        return e0 * tau + pulse.integral_imag_axis(tau) - p0
+        try:
+            return e0 * tau + pulse.integral_imag_axis(tau) - p0
+        except OverflowError:
+            return math.inf
 
     hi = tau00
     if isinstance(pulse, LorentzPulse):
         hi = min(tau00, pulse.width * (1.0 - 1e-14))
+        # a high exponent overflows G next to the width: step back until it
+        # is finite, so brentq sees a finite g on the whole bracket
+        while not math.isfinite(g(hi)):
+            hi = pulse.width - 2.0 * (pulse.width - hi)
         # push hi toward the divergence until the bracket closes
         while g(hi) < 0:
             gap = pulse.width - hi
@@ -131,19 +139,57 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
     In the below-threshold regime the small-amplitude limit is non-uniform:
     the result is reported at the given finite amplitude, never at zero.
     """
-    tau0 = solve_tau0(E, barrier, pulse)
-    e0, m = barrier.field_static, barrier.m
-    VmE = barrier.V - E
+    res = euclidean_actions([E], barrier, pulse)[0]
+    if isinstance(res, PulseTunnelError):
+        raise res
+    return res
+
+
+def euclidean_actions(energies, barrier: TriangularBarrier,
+                      pulse) -> list[EuclideanResult | PulseTunnelError]:
+    """euclidean_action at each energy, with every int G^2 in one engine call.
+
+    Slot i holds the EuclideanResult of energies[i], or the PulseTunnelError
+    that energy raised.  The engine gives each path the panels a call of its
+    own would give, so every result is the one-energy value to the bit.  A
+    path whose integrand is not finite gets the engine's ConvergenceError in
+    its slot, and the call reruns without it.
+    """
+    slots = []
+    for E in energies:
+        try:
+            slots.append(solve_tau0(E, barrier, pulse))
+        except PulseTunnelError as exc:
+            slots.append(exc)
+    solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
 
+    def G2(z, path_id):
+        return G(z.real) ** 2
+
+    I2 = ()
+    while solved:
+        try:
+            I2 = integrate_paths(G2, [[("line", 0.0, slots[i])] for i in solved],
+                                 epsabs=1e-13, epsrel=1e-11)[0].real
+            break
+        except ConvergenceError as exc:     # the engine names the path
+            slots[solved.pop(exc.diagnostics["path"])] = exc
+    for i, I2_i in zip(solved, I2):
+        slots[i] = _closed_forms(energies[i], slots[i], float(I2_i), barrier, pulse)
+    return slots
+
+
+def _closed_forms(E, tau0, I2, barrier, pulse) -> EuclideanResult:
+    """EuclideanResult at the root tau0, given I2 = int_0^tau0 G^2 du."""
+    e0, m = barrier.field_static, barrier.m
+    VmE = barrier.V - E
+
     # int G and int u*G by parts, with G' = g, g(u) = pulse(i*u)
-    G0 = G(tau0)
+    G0 = pulse.integral_imag_axis(tau0)
     m1, m2 = _imag_axis_moments(pulse, tau0)
     IG = tau0 * G0 - m1
     I1 = 0.5 * (tau0 * tau0 * G0 - m2)
-    I2 = float(integrate_paths(lambda z, path_id: G(z.real) ** 2,
-                               [[("line", 0.0, tau0)]], epsabs=1e-13,
-                               epsrel=1e-11)[0][0].real)
 
     A = (
         2.0 * VmE * tau0

@@ -189,14 +189,20 @@ def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
         return p0 - e0 * tau - amp * tau * (1.0 - tau**2 / theta**2) ** (-n)
 
     # f is concave on (0, width): seat the bracket at its maximum, f' = 0
-    tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
-                     xtol=1e-14 * theta)
-    if f(tau_max) < 0:
-        raise RegimeError(
-            "no exit-branch saddle: x lies beyond the branch point x2"
-        )
-    hi = theta * (1.0 - 1e-14)
-    return float(brentq(f, tau_max, hi, xtol=1e-16, rtol=8.9e-16))
+    try:
+        tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
+                         xtol=1e-14 * theta)
+        if f(tau_max) < 0:
+            raise RegimeError(
+                "no exit-branch saddle: x lies beyond the branch point x2"
+            )
+        hi = theta * (1.0 - 1e-14)
+        return float(brentq(f, tau_max, hi, xtol=1e-16, rtol=8.9e-16))
+    except OverflowError:
+        raise ConvergenceError(
+            f"the exit-branch bracket overflows next to the pulse width at "
+            f"exponent {n}", diagnostics={"x": x},
+        ) from None
 
 
 def solve_t0(
@@ -424,7 +430,13 @@ def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
         return _momentum(0.0, states[x], barrier, pulse).imag
 
     lo, hi = (0.5 * x1, x1) if im_p(x1) > 0 else (x1, 1.2 * x1)
-    x = brentq(im_p, lo, hi)
+    try:
+        x = brentq(im_p, lo, hi)
+    except ValueError:      # no sign change of Im p over the bracket
+        raise ConvergenceError(
+            "Im p keeps its sign over the bracket of the exit point",
+            diagnostics={"bracket": (lo, hi), "x1": x1},
+        ) from None
     return 2.0 * action(x, 0.0, barrier, pulse, states[x]).imag
 
 

@@ -185,19 +185,10 @@ def build_contour(
             f"cross height {y} must lie strictly between Im t_s={tau_s} "
             f"and the pulse width {pulse_width}"
         )
-    re_ts = traj.t_s.real
-    right = max(re_ts, 0.0)               # the pole sits at Re t = 0
-    c1 = min(re_ts, 0.0) - 1.0 / w
-    # stay short of the mirrored branch point so the principal arcsinh branch
-    # is the physical one along the whole descent
-    # mirrored branch point sits at Re t = -re_ts - 2*dt_shift; stop short of it
-    mirror = -re_ts - 2.0 * traj.dt_shift
+    left, right, mirror = _vertical_bounds(traj)
+    c1 = left - 1.0 / w
     c2 = connector_x if connector_x is not None else 0.5 * (right + mirror)
-    if not (right < c2 < mirror):
-        raise RegimeError(
-            f"connector abscissa {c2} must lie in ({right}, {mirror}) to keep "
-            "the principal trajectory branch"
-        )
+    _check_verticals(traj, c1, c2)
     if tail is None:
         tail = max(200.0 * pulse_width, abs(c1) + 200.0 / w)
     pts = (
@@ -213,6 +204,34 @@ def build_contour(
     # integrand tail ~ amp*(width/t)^(2n) * a*omega*t; bound for the worst n=2
     tail_bound = traj.barrier.a * w * pulse_width ** 4 / tail ** 2
     return ContourSpec(waypoints=pts, tail_bound=tail_bound)
+
+
+def _vertical_bounds(traj: TrajectoryHandle) -> tuple[float, float, float]:
+    """(left, right, mirror) for the contour's verticals at this shift.
+
+    The pulse pole sits at Re t = 0 and the branch point at Re t_s: the left
+    vertical must pass left of both, min(Re t_s, 0), and the connector right
+    of both, max(Re t_s, 0), and short of the mirrored branch point at
+    -Re t_s - 2*dt_shift, so the principal arcsinh branch is the physical
+    one along the whole descent.
+    """
+    re_ts = traj.t_s.real
+    return min(re_ts, 0.0), max(re_ts, 0.0), -re_ts - 2.0 * traj.dt_shift
+
+
+def _check_verticals(traj: TrajectoryHandle, c1: float, c2: float) -> None:
+    """RegimeError unless verticals at c1 and c2 keep C on one sheet of x0."""
+    left, right, mirror = _vertical_bounds(traj)
+    if not c1 < left:
+        raise RegimeError(
+            f"left vertical abscissa {c1} must lie left of {left}, the pulse "
+            "pole and the trajectory branch point"
+        )
+    if not (right < c2 < mirror):
+        raise RegimeError(
+            f"connector abscissa {c2} must lie in ({right}, {mirror}) to keep "
+            "the principal trajectory branch"
+        )
 
 
 # --- Perturbation integral ------------------------------------------------------
@@ -257,7 +276,8 @@ def delta_action(
     check; exceeding `imag_tol` (relative) plus the engine's error estimate
     raises a contour diagnostic.  The default contour keeps one sheet of x0
     for every shift, so dA is one analytic function of dt_shift, with slope
-    -i int_C pulse * dx0/dt dt.
+    -i int_C pulse * dx0/dt dt; a given `contour` must do the same
+    (RegimeError otherwise).
     """
     return float(_delta_actions(E, barrier, pulse, [dt_shift], contour=contour,
                                 imag_tol=imag_tol, epsrel=epsrel)[0])
@@ -267,9 +287,11 @@ def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
                    epsrel=1e-10, slope=False) -> np.ndarray:
     """delta_action at each of `shifts`, all contours in one engine call.
 
-    `contour`, when given, serves every shift.  slope=True integrates the
-    velocity instead of the position, giving dA'(dt_shift).  dA' is meant to
-    cancel at the exit shift, so its tolerance also admits 1e-12 * int |f|.
+    `contour`, when given, serves every shift; its verticals must keep it on
+    one sheet of x0 at each of them, as build_contour's do (RegimeError
+    otherwise).  slope=True integrates the velocity instead of the position,
+    giving dA'(dt_shift).  dA' is meant to cancel at the exit shift, so its
+    tolerance also admits 1e-12 * int |f|.
     """
     if not _check_pulse(pulse):
         return np.zeros(len(shifts))
@@ -282,6 +304,10 @@ def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
             "contour pinch: pulse width -> Im t_s; the perturbative branch "
             "breaks down (near-resonance), a nonperturbative treatment is needed"
         )
+    if contour is not None:
+        for tr in trajs:
+            _check_verticals(tr, contour.waypoints[1].real,
+                             contour.waypoints[3].real)
     contours = [build_contour(tr, width) if contour is None else contour
                 for tr in trajs]
     # the handles differ only in their shift, which f supplies point by point

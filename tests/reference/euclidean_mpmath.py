@@ -20,8 +20,9 @@ package's integration by parts cannot simply agree with itself:
 Points: the canonical barrier (V = 10, field_static = 1, m = 1) with the
 canonical Lorentzian pulse (amplitude 0.05, width 2, exponent 3) at E = 5, 6
 and 7; a root pinned 4.3e-6 of the width below it (amplitude 1e-5,
-exponent 2); and a Gaussian pulse.  Inputs are stored as the float64 values passed to the
-package.
+exponent 2); a Gaussian pulse; and exponents 24 and 30, whose G overflows
+float64 next to the width.  Inputs are stored as the float64 values passed
+to the package.
 
 Regenerate with:
 
@@ -51,6 +52,12 @@ POINTS = [
      "E": 5.0},
     {"name": "gaussian", "barrier": CANON,
      "pulse": {"kind": "gaussian", "amplitude": 0.05, "rate": 0.5}, "E": 5.0},
+    {"name": "high_n24", "barrier": CANON,
+     "pulse": {"kind": "lorentz", "amplitude": 0.05, "width": 2.0, "exponent": 24},
+     "E": 1.0},
+    {"name": "high_n30", "barrier": CANON,
+     "pulse": {"kind": "lorentz", "amplitude": 0.05, "width": 2.0, "exponent": 30},
+     "E": 5.0},
 ]
 
 

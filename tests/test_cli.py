@@ -183,6 +183,57 @@ def test_action_curve_rows_and_error_capture(capsys):
     assert body[4] == "12,nan,nan,nan,error:DomainError"
 
 
+def _body(captured):
+    return [l for l in captured.out.splitlines() if not l.startswith("#")]
+
+
+def test_euclidean_grid_across_the_barrier_keeps_its_error_rows(capsys):
+    # the grid runs as one batch; energies outside (0, V) keep their
+    # DomainError rows, and every other row is that energy's own --E run
+    assert _run(["action-curve", "--V", "10", "--E0", "1", "--amp", "0.05",
+                 "--theta", "2", "--n", "3", "--E-grid=-2:12:8"]) == EXIT_OK
+    body = _body(capsys.readouterr())
+    assert len(body) == 1 + 8
+    errors = [row for row in body[1:] if ",error" in row]
+    assert errors == ["-2,nan,nan,nan,error:DomainError",
+                      "0,nan,nan,nan,error:DomainError",
+                      "10,nan,nan,nan,error:DomainError",
+                      "12,nan,nan,nan,error:DomainError"]
+    for row in body[3:7]:
+        assert _run(["action-curve", "--V", "10", "--E0", "1", "--amp", "0.05",
+                     "--theta", "2", "--n", "3", "--E", row.split(",")[0]]) \
+            == EXIT_OK
+        assert _body(capsys.readouterr())[1] == row
+
+
+@pytest.mark.parametrize("n", ["24", "30"])
+def test_high_pulse_exponents_without_traceback(n, capsys):
+    # both ended in an uncaught OverflowError (exit 1): the Euclidean bracket
+    # probed G where it overflows, and so does the hj exit-branch bracket
+    flags = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2",
+             "--n", n, "--E", "1"]
+    assert _run(["action-curve", "--method", "euclidean", *flags]) == EXIT_OK
+    E, A, A0, deltaE, regime = _body(capsys.readouterr())[1].split(",")
+    assert regime == "below-threshold"
+    assert 0.0 < float(A) < float(A0) and math.isfinite(float(deltaE))
+    assert _run(["action-curve", "--method", "hj", *flags]) == EXIT_OK
+    assert _body(capsys.readouterr())[1] == "1,nan,nan,nan,error:ConvergenceError"
+    assert _run(["verify", *flags]) == EXIT_NONCONVERGENCE
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_hj_exit_point_outside_its_bracket_exit_code(capsys):
+    # at n = 18 Im p keeps its sign over the bracket next to x1 (was an
+    # uncaught ValueError from brentq, exit 1)
+    assert _run(["verify", "--V", "10", "--E0", "1", "--amp", "0.05",
+                 "--theta", "2", "--n", "18", "--E", "1"]) == EXIT_NONCONVERGENCE
+    assert "keeps its sign" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 TRI = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2", "--n", "3"]
 SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
         "--theta", "2.5", "--n", "2"]

@@ -4,13 +4,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsetunnel.errors import DomainError
+from pulsetunnel import euclidean
+from pulsetunnel.errors import ConvergenceError, DomainError
 from pulsetunnel.euclidean import (
     adapt_pulse_width,
     euclidean_action,
+    euclidean_actions,
     solve_tau0,
     threshold_energy,
 )
@@ -89,6 +92,18 @@ def test_tau0_window(b, frac, thf, ampf, n):
                          exponent=n)
     tau0 = solve_tau0(E, b, pulse)
     assert 0.0 < tau0 < min(theta, b.tau00_at(E))
+
+
+@pytest.mark.parametrize("n", [24, 27, 30])
+def test_tau0_at_high_exponents(n):
+    # from n = 24 on G overflows at the first bracket probe,
+    # width*(1 - 1e-14) (it was an OverflowError); the root lies well below
+    pulse = LorentzPulse(amplitude=0.05, width=2.0, exponent=n)
+    for E in (1.0, 5.0):
+        tau0 = solve_tau0(E, CANON, pulse)
+        g = CANON.field_static * tau0 + pulse.integral_imag_axis(tau0)
+        assert 0.0 < tau0 < 2.0
+        assert g == pytest.approx(CANON.p0(E), rel=1e-14)
 
 
 # --- Action and energy shift -----------------------------------------------------
@@ -199,6 +214,53 @@ def test_euclidean_matches_mpmath(ref):
     for got, key in ((res.A, "A"), (res.exit_point, "exit_point"), (res.tau0, "tau0")):
         want = float(ref[key])
         assert abs(got - want) <= 1e-12 * abs(want), key
+
+
+# --- The energy grid in one engine call -------------------------------------------
+
+GRID = [float(E) for E in np.linspace(0.5, 9.7, 24)]
+
+
+@pytest.mark.parametrize("pulse", [
+    ZeroPulse(),
+    LorentzPulse(amplitude=0.05, width=2.0, exponent=2),
+    PULSE5,
+    GaussianPulse(amplitude=0.05, rate=0.5),
+], ids=["zero", "lorentz2", "lorentz3", "gaussian"])
+def test_grid_equals_one_energy_calls(pulse):
+    # each path gets the panels of a call of its own, so the grid is the
+    # one-energy result to the bit, on both sides of the threshold
+    batch = euclidean_actions(GRID, CANON, pulse)
+    assert batch == [euclidean_action(E, CANON, pulse) for E in GRID]
+
+
+def test_grid_keeps_domain_errors_in_their_slots():
+    energies = [-1.0, 0.0, 3.0, 10.0, 5.0, 12.0]
+    slots = euclidean_actions(energies, CANON, PULSE5)
+    assert [isinstance(s, DomainError) for s in slots] == [
+        True, True, False, True, False, True]
+    assert slots[2] == euclidean_action(3.0, CANON, PULSE5)
+    assert slots[4] == euclidean_action(5.0, CANON, PULSE5)
+
+
+def test_non_finite_path_fills_only_its_own_slot(monkeypatch):
+    # tau0 is 1.52 at E = 8.5 and at most 1.30 at E = 9 and 9.5, so
+    # poisoning Re z > 1.45 hits the first panel of E = 8.5 alone
+    energies = [9.5, 8.5, 9.0]
+    good = [euclidean_action(E, CANON, PULSE5) for E in energies]
+    integrate_paths = euclidean.integrate_paths
+
+    def poisoned(f, paths, **kw):
+        def g(z, path_id):
+            return np.where(z.real > 1.45, np.nan, f(z, path_id))
+        return integrate_paths(g, paths, **kw)
+
+    monkeypatch.setattr(euclidean, "integrate_paths", poisoned)
+    slots = euclidean_actions(energies, CANON, PULSE5)
+    assert isinstance(slots[1], ConvergenceError)
+    assert slots[0] == good[0] and slots[2] == good[2]
+    with pytest.raises(ConvergenceError):
+        euclidean_action(8.5, CANON, PULSE5)
 
 
 def test_delta_E_collects_at_threshold():

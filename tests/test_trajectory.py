@@ -17,6 +17,7 @@ from pulsetunnel.model import (
     static_wkb_exponent,
 )
 from pulsetunnel.trajectory import (
+    ContourSpec,
     _aligned_shift,
     _delta_actions,
     branch_expansion,
@@ -161,19 +162,22 @@ def test_singularity_time_shift_and_monotonicity(setup, dt):
 
 
 @given(setup=_setups())
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_imaginary_traversal_time_integral(setup):
     # sqrt(m/2) * int dx / sqrt(V(x) - E) between the turning points equals
-    # the leg height pi/omega of the contour (twice Im t_s)
+    # the leg height pi/omega of the contour (twice Im t_s); x = xt*sin(phi)
+    # cancels the inverse-square-root ends with the factor cos(phi)
     barrier, E = setup
     xt = barrier.turning_point(E)
 
-    def f(x):
-        return 1.0 / math.sqrt(
+    def f(phi):
+        x = xt * math.sin(phi)
+        return xt * math.cos(phi) / math.sqrt(
             barrier.V / math.cosh(x / barrier.a) ** 2 - E
         )
 
-    val, _ = integrate.quad(f, -xt, xt, epsabs=1e-14, epsrel=1e-12,
-                            points=[0.0], limit=200)
+    val, _ = integrate.quad(f, -0.5 * math.pi, 0.5 * math.pi, epsabs=1e-14,
+                            epsrel=1e-12, points=[0.0], limit=200)
     val *= math.sqrt(barrier.m / 2.0)
     assert val == pytest.approx(math.pi / barrier.omega(E), rel=1e-8)
 
@@ -223,6 +227,24 @@ def test_connector_left_of_branch_point_raises():
     assert traj.t_s.real == pytest.approx(0.24, rel=1e-12)
     with pytest.raises(RegimeError):
         build_contour(traj, 2.0, connector_x=0.2)
+
+
+def test_given_contour_left_vertical_right_of_the_pole_raises():
+    # at dt = -0.24 the pole sits at Re t = 0 and the branch point at 0.24; a
+    # left vertical at 0.1 leaves the pole outside the contour
+    dt = -0.24
+    traj = unperturbed_trajectory(0.5, SECH, _aligned_shift(0.5, SECH, dt))
+    pts = list(build_contour(traj, 2.0).waypoints)
+    for k in (1, 2, 5, 6):
+        pts[k] = complex(0.1, pts[k].imag)
+    bad = ContourSpec(waypoints=tuple(pts), tail_bound=0.0)
+    with pytest.raises(RegimeError, match="left vertical"):
+        delta_action(0.5, SECH, PULSE, dt, contour=bad)
+    # a contour built for one shift is checked at every shift it serves: at
+    # dt = 1.5 the branch point sits at Re t = -1.5, right of no vertical
+    good = build_contour(traj, 2.0)
+    with pytest.raises(RegimeError, match="left vertical"):
+        _delta_actions(0.5, SECH, PULSE, [dt, 1.5], contour=good)
 
 
 @pytest.mark.parametrize("barrier,E,pulse,dt", [
