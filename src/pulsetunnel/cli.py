@@ -53,7 +53,12 @@ from .model import (
     static_wkb_exponent,
 )
 from .quanta import optimize_quanta
-from .trajectory import minimize_delta_action, pole_form, unperturbed_trajectory
+from .trajectory import (
+    minimize_delta_action,
+    minimize_delta_actions,
+    pole_form,
+    unperturbed_trajectory,
+)
 
 EXIT_OK = 0
 EXIT_REGIME = 2
@@ -231,6 +236,14 @@ def _euclidean_rows(energies, config, pulse):
             for res in euclidean_actions(energies, config.make_barrier(), pulse)]
 
 
+def _trajectory_rows(energies, config, pulse):
+    # the sech^2 barrier does not depend on E, so one barrier serves the grid
+    return [res if isinstance(res, PulseTunnelError)
+            else (res.A, res.A0, res.dA, "perturbative")
+            for res in minimize_delta_actions(energies, config.make_barrier(),
+                                              pulse)]
+
+
 def _per_energy(row):
     """Grid rows from a row function at one energy, with that energy's barrier."""
     def rows(energies, config, pulse):
@@ -248,12 +261,6 @@ def _per_energy(row):
 def _hj_rows(E, barrier, pulse):
     return (exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
             None, "hj")
-
-
-@_per_energy
-def _trajectory_rows(E, barrier, pulse):
-    res = minimize_delta_action(E, barrier, pulse)
-    return res.A, res.A0, res.dA, "perturbative"
 
 
 @_per_energy

@@ -67,8 +67,9 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     integer array, like z, naming the path of each node.  Each path converges
     on its own, with tolerance max(epsabs, epsrel*|I_p|), its own panel limit
     and its own roundoff count, and is not bisected once it has.  epsl1 adds
-    epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
-    50*eps times that integral, so this suits integrals meant to cancel.
+    epsl1 * int |f| |dz| to each path's tolerance (a scalar, or one value per
+    path); the roundoff floor is 50*eps times that integral, so this suits
+    integrals meant to cancel.
     abs_err is the summed G7-K15 error estimate over a path's panels and
     n_evals the number of points f was evaluated at on it.
     """
@@ -86,12 +87,13 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     n_panels = n_first.copy()
     roundoff = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
+    use_l1 = bool(np.any(epsl1))
     while True:
         pid = elements.path[owner]
         total = np.bincount(pid, val.real, n) + 1j * np.bincount(pid, val.imag, n)
         err_sum = np.bincount(pid, err, n)
         tol = np.maximum(epsabs, epsrel * np.abs(total))
-        if epsl1:
+        if use_l1:
             tol = np.maximum(tol, epsl1 * np.bincount(pid, absval, n))
         active &= err_sum > tol
         if not np.count_nonzero(active):

@@ -6,7 +6,15 @@ from scipy.integrate import IntegrationWarning  # noqa: F401
 
 
 class PulseTunnelError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `diagnostics` is a dict of what the raiser knew; a batched solver names
+    the failing item there (for example "path"), so a caller can attribute it.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class DomainError(PulseTunnelError, ValueError):
@@ -19,8 +27,8 @@ class SingularityError(PulseTunnelError):
     Carries the offending location in the complex plane when known.
     """
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
+    def __init__(self, message, location=None, diagnostics=None):
+        super().__init__(message, diagnostics)
         self.location = location
 
 
@@ -35,6 +43,5 @@ class ConvergenceError(PulseTunnelError):
     """Iterative solver failed to converge; carries the last residual."""
 
     def __init__(self, message, residual=None, diagnostics=None):
-        super().__init__(message)
+        super().__init__(message, diagnostics)
         self.residual = residual
-        self.diagnostics = diagnostics or {}

@@ -420,16 +420,28 @@ def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
 def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
     """2 Im S at t = 0 where the exit branch's momentum turns real, Im p = 0.
 
-    Brent's method finds that point next to its estimate x1 (branch_report).
+    Brent's method finds that point next to its estimate x1 (branch_report),
+    in (x1/2, x1) or (x1, 1.2*x1) by the sign of Im p at x1.  When that
+    bracket holds no sign change (at high pulse exponents the exit point
+    falls below x1/2), the bracket steps outward, halving toward 0 or
+    growing toward the branch point x2, up to six times.
     """
-    x1 = branch_report(barrier, pulse).x1
-    states = {}
+    rep = branch_report(barrier, pulse)
+    x1 = rep.x1
+    states, im_ps = {}, {}
 
     def im_p(x):
-        states[x] = solve_t0(x, 0.0, barrier, pulse)
-        return _momentum(0.0, states[x], barrier, pulse).imag
+        if x not in im_ps:
+            states[x] = solve_t0(x, 0.0, barrier, pulse)
+            im_ps[x] = _momentum(0.0, states[x], barrier, pulse).imag
+        return im_ps[x]
 
-    lo, hi = (0.5 * x1, x1) if im_p(x1) > 0 else (x1, 1.2 * x1)
+    below = im_p(x1) > 0
+    lo, hi = (0.5 * x1, x1) if below else (x1, 1.2 * x1)
+    for _ in range(6):
+        if im_p(lo) * im_p(hi) <= 0:
+            break
+        lo, hi = (0.5 * lo, lo) if below else (hi, min(1.2 * hi, 0.5 * (hi + rep.x2)))
     try:
         x = brentq(im_p, lo, hi)
     except ValueError:      # no sign change of Im p over the bracket

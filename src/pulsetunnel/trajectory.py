@@ -3,9 +3,12 @@
 The unperturbed complex-time trajectory is known in closed form; a weak pulse
 contributes a correction dA = -i * int_C pulse(t) x0(t + dt_shift) dt along a
 contour passing between the trajectory branch point and the pulse pole, on
-one sheet of x0 for every shift.  Its slope in the shift is the same integral
-with the velocity, dA' = -i * int_C pulse(t) dx0/dt dt, and the exit-time
-shift is the root of dA' next to the minimum of dA on a coarse scan.
+one sheet of x0 for every shift.  Its slope and curvature in the shift are
+the same integral with the velocity and the acceleration of x0, and the
+exit-time shift is the root of dA' next to the minimum of dA on a coarse
+scan, found by safeguarded Newton steps.  A whole energy grid is solved in
+lockstep, one engine call per stage for every energy still in play
+(minimize_delta_actions).
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .contour import integrate_paths
-from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    PulseTunnelError,
+    RegimeError,
+    SingularityError,
+)
 from .model import SechBarrier, ZeroPulse, static_wkb_exponent
 
 __all__ = [
@@ -29,6 +37,7 @@ __all__ = [
     "build_contour",
     "delta_action",
     "minimize_delta_action",
+    "minimize_delta_actions",
     "pole_form",
     "max_flux_exponent",
     "static_action_from_contour",
@@ -50,58 +59,62 @@ class TrajectoryHandle:
     t_s: complex         # branch point in the upper half plane
     tau_s: float         # Im t_s = pi/(2*omega)
 
-    def _clipped(self, t, dt_shift=None):
-        """z = omega*(t + dt_shift) with Re z clipped to +/-200, and the excess.
+    def position(self, t):
+        """x0(t + dt_shift); principal branch, cut left of the branch points."""
+        return self._evaluate(0, t)
 
-        cosh(z) overflows beyond |Re z| ~ 710, which the contour tails reach.
-        Beyond |Re z| = 200, u0*cosh(z) -> u0*exp(s*z)/2 (s = sign(Re z)) with
-        error O(exp(-2|Re z|)), so clipping scales w = u0*cosh(z) by the real
-        factor exp(-excess): the velocity is unchanged, and the principal
-        arcsinh(w) shifts by sign(Re arcsinh(w))*excess.  The excess is None
-        when no point needs clipping.
-        """
-        shift = self.dt_shift if dt_shift is None else dt_shift
-        z = self.omega * (np.asarray(t, dtype=complex) + shift)
-        if np.abs(z.real).max() <= 200.0:
-            return z, None
-        x = np.clip(z.real, -200.0, 200.0)
-        return x + 1j * z.imag, np.abs(z.real - x)
+    def velocity(self, t):
+        """dx0/dt consistent with the position branch."""
+        return self._evaluate(1, t)
 
-    def position(self, t, dt_shift=None):
-        """x0(t + dt_shift); principal branch, cut left of the branch points.
-
-        dt_shift, an array shaped like t, replaces the handle's own shift
-        point by point.
-        """
-        self._check_cut(t, dt_shift)
-        z, excess = self._clipped(t, dt_shift)
-        x = np.arcsinh(self.u0 * np.cosh(z))
-        if excess is not None:
-            x = x + np.copysign(excess, x.real)
-        out = self.barrier.a * x
-        return out if out.ndim else complex(out)
-
-    def velocity(self, t, dt_shift=None):
-        """dx0/dt consistent with the position branch; dt_shift as there."""
-        self._check_cut(t, dt_shift)
-        z, _ = self._clipped(t, dt_shift)
-        w = self.u0 * np.cosh(z)
-        out = self.barrier.a * self.u0 * self.omega * np.sinh(z) / np.sqrt(1.0 + w * w)
-        return out if out.ndim else complex(out)
-
-    def _check_cut(self, t, dt_shift=None):
+    def _evaluate(self, order, t):
         t = np.asarray(t, dtype=complex)
-        re_ts = self.t_s.real
-        if dt_shift is not None:
-            re_ts = re_ts + (self.dt_shift - dt_shift)
-        on_cut = (
-            (np.abs(np.abs(t.imag) - self.t_s.imag) < 1e-12 / self.omega)
-            & (t.real <= re_ts + 1e-12)
-        )
-        if np.any(on_cut):
+        if np.any(_on_cut(t, self.t_s.real, self.tau_s, self.omega)):
             raise SingularityError(
                 "trajectory evaluated on its branch cut", location=self.t_s
             )
+        out = _motion(order, t, self.barrier.a, self.omega, self.u0,
+                      self.dt_shift)
+        return out if out.ndim else complex(out)
+
+
+def _motion(order, t, a, omega, u0, shift):
+    """x0, dx0/dt or d2x0/dt2 (order 0, 1 or 2) at the complex times t.
+
+    omega, u0 and shift are scalars or arrays shaped like t, so one call can
+    serve trajectories of several energies and shifts.  With
+    z = omega*(t + shift) and w = u0*cosh(z): x0 = a*arcsinh(w),
+    dx0/dt = a*u0*omega*sinh(z)/sqrt(1 + w^2) and
+    d2x0/dt2 = a*omega^2*(1 + u0^2)*w/(1 + w^2)^(3/2), all on the principal
+    branch.  cosh(z) overflows beyond |Re z| ~ 710, which the contour tails
+    reach.  Beyond |Re z| = 200, u0*cosh(z) -> u0*exp(s*z)/2
+    (s = sign(Re z)) with error O(exp(-2|Re z|)), so Re z is clipped to
+    +/-200: that scales w by the real factor exp(-excess), which leaves the
+    velocity unchanged, keeps the acceleration at its exp(-400) scale, and
+    shifts the principal arcsinh(w) by sign(Re arcsinh(w))*excess, which the
+    position adds back.
+    """
+    z = omega * (t + shift)
+    excess = None
+    if np.abs(z.real).max() > 200.0:
+        x = np.clip(z.real, -200.0, 200.0)
+        excess = np.abs(z.real - x)
+        z = x + 1j * z.imag
+    w = u0 * np.cosh(z)
+    if order == 0:
+        x = np.arcsinh(w)
+        if excess is not None:
+            x = x + np.copysign(excess, x.real)
+        return a * x
+    root = np.sqrt(1.0 + w * w)
+    if order == 1:
+        return a * u0 * omega * np.sinh(z) / root
+    return a * omega * omega * (1.0 + u0 * u0) * w / ((1.0 + w * w) * root)
+
+
+def _on_cut(t, re_ts, tau_s, omega):
+    """Mask of the times t on the cut Im t = +/-tau_s, Re t <= re_ts, of x0."""
+    return (np.abs(np.abs(t.imag) - tau_s) < 1e-12 / omega) & (t.real <= re_ts + 1e-12)
 
 
 def singularity_time(E: float, barrier: SechBarrier, dt_shift: float = 0.0) -> complex:
@@ -283,53 +296,82 @@ def delta_action(
                                 imag_tol=imag_tol, epsrel=epsrel)[0])
 
 
-def _delta_actions(E, barrier, pulse, shifts, *, contour=None, imag_tol=1e-8,
-                   epsrel=1e-10, slope=False) -> np.ndarray:
-    """delta_action at each of `shifts`, all contours in one engine call.
+def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
+                   imag_tol=1e-8, epsrel=1e-10) -> np.ndarray:
+    """-i int_C pulse * d^k x0/dt^k dt for paths (E, shift, k), in one engine call.
 
-    `contour`, when given, serves every shift; its verticals must keep it on
-    one sheet of x0 at each of them, as build_contour's do (RegimeError
-    otherwise).  slope=True integrates the velocity instead of the position,
-    giving dA'(dt_shift).  dA' is meant to cancel at the exit shift, so its
-    tolerance also admits 1e-12 * int |f|.
+    E, `shifts` and `order` broadcast to one path each.  Order 0 integrates
+    the position and gives delta_action, order 1 the velocity and gives
+    dA'(dt_shift), order 2 the acceleration and gives dA''.  `contour`, when
+    given, serves every path; its verticals must keep it on one sheet of x0
+    at each of them, as build_contour's do (RegimeError otherwise).  dA' is
+    meant to cancel at the exit shift, so the tolerance of the derivative
+    paths also admits 1e-12 * int |f|.  An error raised for one path names it
+    in diagnostics["path"].
     """
+    E, shifts, order = (np.ravel(v) for v in np.broadcast_arrays(E, shifts, order))
     if not _check_pulse(pulse):
-        return np.zeros(len(shifts))
-    trajs = [unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, s))
-             for s in shifts]
-    traj = trajs[0]
+        return np.zeros(E.size)
     width = pulse.poles()[0][0].imag
-    if width - traj.tau_s < 1e-9 * width:
-        raise RegimeError(
-            "contour pinch: pulse width -> Im t_s; the perturbative branch "
-            "breaks down (near-resonance), a nonperturbative treatment is needed"
-        )
-    if contour is not None:
-        for tr in trajs:
-            _check_verticals(tr, contour.waypoints[1].real,
-                             contour.waypoints[3].real)
-    contours = [build_contour(tr, width) if contour is None else contour
-                for tr in trajs]
-    # the handles differ only in their shift, which f supplies point by point
-    path_shift = np.array([tr.dt_shift for tr in trajs])
-    x0 = traj.velocity if slope else traj.position
+    trajs, contours = [], []
+    for p in range(E.size):
+        try:
+            E_p = float(E[p])
+            tr = unperturbed_trajectory(E_p, barrier,
+                                        _aligned_shift(E_p, barrier, shifts[p]))
+            if width - tr.tau_s < 1e-9 * width:
+                raise RegimeError(
+                    "contour pinch: pulse width -> Im t_s; the perturbative "
+                    "branch breaks down (near-resonance), a nonperturbative "
+                    "treatment is needed"
+                )
+            if contour is None:
+                contours.append(build_contour(tr, width))
+            else:
+                _check_verticals(tr, contour.waypoints[1].real,
+                                 contour.waypoints[3].real)
+                contours.append(contour)
+        except PulseTunnelError as exc:
+            exc.diagnostics["path"] = p
+            raise
+        trajs.append(tr)
+    # per-path constants, gathered point by point in the integrand
+    omega, u0, shift, tau_s, re_ts = (
+        np.array([getattr(tr, k) for tr in trajs])
+        for k in ("omega", "u0", "dt_shift", "tau_s", "t_s"))
+    re_ts = re_ts.real
+    kinds = np.unique(order)
 
     def f(t, path_id):
-        return pulse(t) * x0(t, path_shift[path_id])
+        cut = _on_cut(t, re_ts[path_id], tau_s[path_id], omega[path_id])
+        if np.count_nonzero(cut):
+            p = int(path_id[cut][0])
+            raise SingularityError(
+                f"trajectory evaluated on its branch cut on integration path {p}",
+                location=trajs[p].t_s, diagnostics={"path": p},
+            )
+        x = np.empty_like(t)
+        for k in kinds:
+            sel = order[path_id] == k
+            if np.count_nonzero(sel):
+                pid = path_id[sel]
+                x[sel] = _motion(k, t[sel], barrier.a, omega[pid], u0[pid],
+                                 shift[pid])
+        return pulse(t) * x
 
     vals, errs, _ = integrate_paths(f, [list(c.waypoints) for c in contours],
                                     epsabs=1e-13, epsrel=epsrel,
-                                    epsl1=1e-12 if slope else 0.0)
+                                    epsl1=np.where(order > 0, 1e-12, 0.0))
     vals = -1j * vals
     scale = np.maximum(np.abs(vals), 1e-12)
     lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale + errs)
     if lost.size:
-        i = lost[0]
+        p = int(lost[0])
         raise ConvergenceError(
             "contour quadrature lost conjugation symmetry",
-            residual=abs(vals[i].imag) / scale[i],
-            diagnostics={"contour": contours[i], "value": vals[i],
-                         "dt_shift": shifts[i]},
+            residual=abs(vals[p].imag) / scale[p],
+            diagnostics={"contour": contours[p], "value": vals[p],
+                         "dt_shift": shifts[p], "path": p},
         )
     return vals.real
 
@@ -346,42 +388,153 @@ class MinimizedAction:
 def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAction:
     """Exit-time shift at the minimum of dA over [-3(width - tau_s), 0].
 
-    Locates the minimum on a 17-shift grid (one engine call), then solves
-    dA'(dt_shift) = 0 by Brent's method between the grid neighbours of the
-    smallest value, and reports dA there and |dA'| as the energy residual.
+    The root of dA' next to the minimum of a 17-shift scan, with dA there and
+    |dA'| as the energy residual: minimize_delta_actions at one energy, whose
+    error is raised.
     """
-    if not _check_pulse(pulse):
-        A0 = static_wkb_exponent(barrier, E)
-        return MinimizedAction(0.0, 0.0, A0, A0, 0.0)
-    gap = pulse.poles()[0][0].imag - unperturbed_trajectory(E, barrier).tau_s
-    if gap <= 0:
-        raise RegimeError("Im t_s >= pulse width: unsupported ordering")
-    grid = np.linspace(-3.0 * gap, 0.0, 17)
-    vals = _delta_actions(E, barrier, pulse, grid, epsrel=1e-6, imag_tol=1e-4)
-    i_min = int(np.argmin(vals))
-    if i_min in (0, len(grid) - 1):
-        raise ConvergenceError(
-            "no interior minimum of dA in the scan bracket",
-            diagnostics={"grid": grid, "dA": vals},
-        )
-    slopes = {}
+    res = minimize_delta_actions([E], barrier, pulse)[0]
+    if isinstance(res, PulseTunnelError):
+        raise res
+    return res
 
-    def slope(s):
-        slopes[s] = _delta_actions(E, barrier, pulse, [s], slope=True)[0]
-        return slopes[s]
 
-    bracket = (grid[i_min - 1], grid[i_min + 1])
+_SCAN = 17              # shifts of the scan for the minimum of dA
+# brentq's defaults: step tolerance 2e-12 + 4*eps*|x|, at most 100 steps
+_XTOL, _RTOL, _MAX_STEPS = 2e-12, 4.0 * np.finfo(float).eps, 100
+
+
+def minimize_delta_actions(energies, barrier: SechBarrier,
+                           pulse) -> list[MinimizedAction | PulseTunnelError]:
+    """minimize_delta_action at each energy, the whole grid in lockstep.
+
+    Slot i holds the MinimizedAction of energies[i], or the PulseTunnelError
+    that energy raised.  Each stage is one engine call for every energy
+    still in play:
+
+    - scan: dA at 17 shifts over [-3(width - tau_s), 0] (epsrel 1e-6); a
+      minimum at either end is "no interior minimum" (ConvergenceError);
+    - root of dA' in the bracket of the scan neighbours of the minimum,
+      starting at the vertex of the parabola through the three values: each
+      step evaluates dA' and dA'' at the iterate and takes the Newton step
+      when dA'' > 0 and the step stays in the bracket, else bisects.  The
+      first call also takes dA' at both bracket ends, which must differ in
+      sign (ConvergenceError otherwise).  The solve stops when the next step
+      is at most 2e-12 + 4*eps*|dt_shift| (brentq's default tolerances) and
+      returns the last shift at which dA' was evaluated, with |dA'| there
+      as the energy residual;
+    - dA at each root, at epsrel 1e-8.
+
+    The engine gives each path the panels a call of its own would give, so
+    every slot is the one-energy result to the bit.  An error that names a
+    path goes into the slot of that path's energy, and the call reruns
+    without that energy.
+    """
+    E = [float(e) for e in energies]
     try:
-        dt_opt = brentq(slope, *bracket)
-    except ValueError:      # no sign change of dA' over the bracket
-        raise ConvergenceError(
-            "dA' keeps its sign over the scan bracket of the minimum",
-            diagnostics={"bracket": bracket, "slopes": slopes},
-        ) from None
-    dA_opt = delta_action(E, barrier, pulse, dt_opt, epsrel=1e-8)
-    A0 = static_wkb_exponent(barrier, E)
-    return MinimizedAction(dt_shift=dt_opt, dA=dA_opt, A=A0 + dA_opt, A0=A0,
-                           energy_residual=abs(slopes[dt_opt]))
+        has_pole = _check_pulse(pulse)
+    except RegimeError as exc:
+        return [exc] * len(E)
+    slots: list = [None] * len(E)
+    scans = {}
+    for i, e in enumerate(E):
+        try:
+            if not has_pole:
+                A0 = static_wkb_exponent(barrier, e)
+                slots[i] = MinimizedAction(0.0, 0.0, A0, A0, 0.0)
+                continue
+            gap = pulse.poles()[0][0].imag - unperturbed_trajectory(e, barrier).tau_s
+            if gap <= 0:
+                raise RegimeError("Im t_s >= pulse width: unsupported ordering")
+            scans[i] = np.linspace(-3.0 * gap, 0.0, _SCAN)
+        except PulseTunnelError as exc:
+            slots[i] = exc
+
+    def call(paths, **tol):
+        """Values per slot of paths (slot, shift, order), in path order."""
+        while True:
+            live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
+            if not live:
+                return {}
+            owner, shifts, order = zip(*live)
+            try:
+                vals = _delta_actions([E[i] for i in owner], barrier, pulse,
+                                      shifts, order=order, **tol)
+                break
+            except PulseTunnelError as exc:
+                if "path" not in exc.diagnostics:
+                    raise
+                slots[owner[exc.diagnostics["path"]]] = exc
+        out = {}
+        for i, v in zip(owner, vals):
+            out.setdefault(i, []).append(float(v))
+        return out
+
+    # scan
+    dA = call([(i, s, 0) for i, g in scans.items() for s in g],
+              epsrel=1e-6, imag_tol=1e-4)
+    x, lo, hi = {}, {}, {}
+    for i, v in dA.items():
+        grid, k = scans[i], int(np.argmin(v))
+        if k in (0, _SCAN - 1):
+            slots[i] = ConvergenceError(
+                "no interior minimum of dA in the scan bracket",
+                diagnostics={"grid": grid, "dA": np.array(v)},
+            )
+            continue
+        lo[i], hi[i] = grid[k - 1], grid[k + 1]
+        curv = v[k - 1] - 2.0 * v[k] + v[k + 1]
+        step = 0.5 * (v[k - 1] - v[k + 1]) / curv if curv > 0 else 0.0
+        x[i] = grid[k] + step * (grid[1] - grid[0])
+
+    # root of dA', all energies in lockstep
+    sign_lo, roots = {}, {}
+    for n in range(_MAX_STEPS):
+        paths = []
+        for i in x:
+            paths += [(i, x[i], 1), (i, x[i], 2)]
+            if n == 0:
+                paths += [(i, lo[i], 1), (i, hi[i], 1)]
+        vals = call(paths)
+        x = {i: x[i] for i in vals}
+        for i, v in vals.items():
+            d1, d2 = v[0], v[1]
+            if n == 0:
+                if v[2] * v[3] > 0:
+                    slots[i] = ConvergenceError(
+                        "dA' keeps its sign over the scan bracket of the minimum",
+                        diagnostics={"bracket": (lo[i], hi[i]),
+                                     "slopes": (v[2], v[3])},
+                    )
+                    del x[i]
+                    continue
+                sign_lo[i] = v[2]
+            if d1 * sign_lo[i] > 0:
+                lo[i] = x[i]
+            else:
+                hi[i] = x[i]
+            new = x[i] - d1 / d2 if d2 > 0 else math.nan
+            if not lo[i] <= new <= hi[i]:
+                new = 0.5 * (lo[i] + hi[i])
+            if abs(new - x[i]) <= _XTOL + _RTOL * abs(x[i]):
+                roots[i] = (float(x.pop(i)), abs(d1))
+            else:
+                x[i] = new
+        if not x:
+            break
+    for i in x:
+        slots[i] = ConvergenceError(
+            f"no root of dA' within {_MAX_STEPS} steps",
+            diagnostics={"bracket": (lo[i], hi[i]), "dt_shift": x[i]},
+        )
+
+    # dA at the roots
+    final = call([(i, r[0], 0) for i, r in roots.items()], epsrel=1e-8)
+    for i, (dA_i,) in final.items():
+        dt, residual = roots[i]
+        A0 = static_wkb_exponent(barrier, E[i])
+        slots[i] = MinimizedAction(dt_shift=dt, dA=dA_i, A=A0 + dA_i, A0=A0,
+                                   energy_residual=residual)
+    return slots
 
 
 def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:

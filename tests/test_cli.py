@@ -223,11 +223,14 @@ def test_high_pulse_exponents_without_traceback(n, capsys):
 
 
 def test_hj_exit_point_outside_its_bracket_exit_code(capsys):
-    # at n = 18 Im p keeps its sign over the bracket next to x1 (was an
-    # uncaught ValueError from brentq, exit 1)
+    # at n = 18 Im p keeps its sign over the first bracket next to x1 (an
+    # uncaught ValueError from brentq, exit 1, then exit 3); the bracket now
+    # steps outward to the exit point, and hj agrees with the Euclidean A
     assert _run(["verify", "--V", "10", "--E0", "1", "--amp", "0.05",
-                 "--theta", "2", "--n", "18", "--E", "1"]) == EXIT_NONCONVERGENCE
-    assert "keeps its sign" in capsys.readouterr().err
+                 "--theta", "2", "--n", "18", "--E", "1"]) == EXIT_OK
+    rows = {r.split(",")[0]: r.split(",") for r in _body(capsys.readouterr())}
+    assert rows["hj_vs_euclidean"][4] == "pass"
+    assert float(rows["hj_vs_euclidean"][3]) < 1e-12
 
 
 def test_parser_is_built_once():
@@ -353,7 +356,7 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_byte_identical_threaded_method(tmp_path):
-    # the trajectory method maps the energies serially; reruns must give the
+    # the trajectory method solves the grid in lockstep; reruns must give the
     # same row order and bytes
     out = tmp_path / "traj.csv"
     argv = [

@@ -171,6 +171,21 @@ def test_exit_exponent_matches_euclidean_action(E, amp):
     assert exit_exponent(b, pulse) == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("E,amp,width,n", [
+    (1.0, 0.05, 2.0, 17), (1.0, 0.05, 2.0, 18), (1.0, 0.05, 2.0, 20),
+    (1.0, 0.2, 1.0, 3), (5.0, 0.2, 1.0, 4),
+])
+def test_exit_exponent_outside_the_first_bracket(E, amp, width, n):
+    # Im p keeps its sign over the first bracket, so these were a
+    # ConvergenceError before the bracket stepped outward: at n = 17-20 the
+    # exit point (0.96, 0.93, 0.87) lies below (x1/2, x1) = (1, 2), and at
+    # width 1 it lies at 1.43 and 1.21 x1, above (x1, 1.2 x1)
+    b = TriangularBarrier(V=10.0, E_bound=E, field_static=1.0, m=1.0)
+    pulse = LorentzPulse(amplitude=amp, width=width, exponent=n)
+    ref = euclidean_action(E, b, pulse).A
+    assert exit_exponent(b, pulse) == pytest.approx(ref, rel=1e-12)
+
+
 # --- Semiclassical corrections ---------------------------------------------------
 
 def test_sigma1_exit_asymptote():
@@ -258,6 +273,20 @@ def test_sigma_matches_mpmath(ref):
     assert abs(state.t0 - t0) <= 1e-10 * abs(t0)
     assert abs(sigma1(state, b, pulse) - s1) <= 1e-10 * abs(s1)
     assert abs(sigma2(state, b, pulse) - s2) <= 1e-6 * abs(s2)
+
+
+# mpmath HJ exit action at CANON, generated by tests/reference/hj_exit_mpmath.py
+_HJ_EXIT_REFS = json.loads(
+    (Path(__file__).parent / "reference" / "hj_exit.json").read_text()
+)["points"]
+
+
+@pytest.mark.parametrize("ref", _HJ_EXIT_REFS, ids=lambda ref: ref["name"])
+def test_exit_exponent_matches_mpmath(ref):
+    b = TriangularBarrier(**ref["barrier"])
+    fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
+    want = float(ref["A"])
+    assert abs(exit_exponent(b, LorentzPulse(**fields)) - want) <= 1e-12 * want
 
 
 def test_validity_rejects_oversized_width():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
+from scipy.optimize import brentq
 
 from pulsetunnel.errors import RegimeError, SingularityError
 from pulsetunnel.model import (
@@ -25,6 +26,7 @@ from pulsetunnel.trajectory import (
     delta_action,
     max_flux_exponent,
     minimize_delta_action,
+    minimize_delta_actions,
     pole_form,
     singularity_time,
     static_action_from_contour,
@@ -247,13 +249,16 @@ def test_given_contour_left_vertical_right_of_the_pole_raises():
         _delta_actions(0.5, SECH, PULSE, [dt, 1.5], contour=good)
 
 
-@pytest.mark.parametrize("barrier,E,pulse,dt", [
+_DERIVATIVE_CASES = pytest.mark.parametrize("barrier,E,pulse,dt", [
     (SechBarrier(V=5.0, a=0.3, m=1.0), 2.5,
      LorentzPulse(amplitude=0.01, width=1.0, exponent=2), -2.0107),
     (SECH, 0.5, PULSE, -1.0),
     (SechBarrier(V=2.0, a=0.7, m=1.5), 0.8,
      LorentzPulse(amplitude=0.005, width=1.5, exponent=2), -0.2),
 ], ids=["V5", "V1", "V2"])
+
+
+@_DERIVATIVE_CASES
 def test_slope_is_the_derivative_of_delta_action(barrier, E, pulse, dt):
     # dA' = -i int pulse * dx0/dt against the five-point difference of dA;
     # both need the contour on one sheet of x0 (at V = 5 the old connector
@@ -262,8 +267,20 @@ def test_slope_is_the_derivative_of_delta_action(barrier, E, pulse, dt):
     v = _delta_actions(E, barrier, pulse, dt + h * np.array([-2, -1, 1, 2]),
                        epsrel=1e-12)
     fd = (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
-    slope = _delta_actions(E, barrier, pulse, [dt], slope=True)[0]
+    slope = _delta_actions(E, barrier, pulse, [dt], order=1)[0]
     assert slope == pytest.approx(fd, rel=1e-8)
+
+
+@_DERIVATIVE_CASES
+def test_curvature_is_the_derivative_of_the_slope(barrier, E, pulse, dt):
+    # dA'' = -i int pulse * d2x0/dt2, the Newton derivative of the exit-shift
+    # solve, against the five-point difference of dA'
+    h = 1e-3
+    v = _delta_actions(E, barrier, pulse, dt + h * np.array([-2, -1, 1, 2]),
+                       order=1, epsrel=1e-12)
+    fd = (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
+    curvature = _delta_actions(E, barrier, pulse, [dt], order=2)[0]
+    assert curvature == pytest.approx(fd, rel=1e-7)
 
 
 def test_delta_action_continuous_through_the_old_pole_crossing():
@@ -272,7 +289,7 @@ def test_delta_action_continuous_through_the_old_pole_crossing():
     # trapezoid rule on dA' reproduces every increment of dA
     shifts = np.linspace(-1.2, -0.7, 26)
     dA = _delta_actions(0.5, SECH, PULSE, shifts, epsrel=1e-12)
-    slope = _delta_actions(0.5, SECH, PULSE, shifts, slope=True)
+    slope = _delta_actions(0.5, SECH, PULSE, shifts, order=1)
     h = shifts[1] - shifts[0]
     steps = np.diff(dA) - 0.5 * h * (slope[1:] + slope[:-1])
     assert np.abs(steps).max() < 1e-6
@@ -324,6 +341,67 @@ def test_minimize_where_the_old_scan_reached_the_branch_cut():
     assert res.dt_shift == pytest.approx(-0.66835, abs=1e-5)
     assert res.dA == pytest.approx(-0.223862, abs=1e-6)
     assert res.energy_residual < 1e-10
+
+
+# a pole-scan grid: branch points 30% down to 2% of the pulse width below the
+# pole (tau_s = pi/(2*sqrt(2E)) for a = m = 1)
+GRID_BARRIER = SechBarrier(V=1.4, a=1.0, m=1.0)
+GRID_PULSE = LorentzPulse(amplitude=0.007, width=2.1, exponent=2)
+GRID_ENERGIES = [math.pi**2 / (8.0 * 2.1**2 * (1.0 - g) ** 2)
+                 for g in np.linspace(0.30, 0.02, 4)]
+
+
+def test_grid_slots_equal_one_energy_calls():
+    # the lockstep solve gives each energy the iterates and the engine panels
+    # of its own call
+    grid = minimize_delta_actions(GRID_ENERGIES, GRID_BARRIER, GRID_PULSE)
+    for E, res in zip(GRID_ENERGIES, grid):
+        one = minimize_delta_action(E, GRID_BARRIER, GRID_PULSE)
+        assert (res.dt_shift, res.dA, res.energy_residual) == (
+            one.dt_shift, one.dA, one.energy_residual)
+        assert res.A == one.A and res.A0 == one.A0
+
+
+def test_grid_slot_classes():
+    # one grid through every outcome: the pinch, the ordering, no interior
+    # minimum (E = 0.5 at theta = 2.5), solved rows and E outside (0, V);
+    # each failure stays in its own slot
+    theta = 2.5
+    pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=2)
+
+    def at_gap(g):
+        return math.pi**2 / (8.0 * theta**2 * (1.0 - g) ** 2)
+
+    energies = [at_gap(1e-11), at_gap(-0.01), 0.5, at_gap(0.2), at_gap(0.02), 1.5]
+    grid = minimize_delta_actions(energies, SECH, pulse)
+    assert [type(r).__name__ for r in grid] == [
+        "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
+        "MinimizedAction", "DomainError"]
+    assert "pinch" in str(grid[0]) and "ordering" in str(grid[1])
+    assert "no interior minimum" in str(grid[2])
+    for E, res in zip(energies[3:5], grid[3:5]):
+        assert res == minimize_delta_action(E, SECH, pulse)
+        assert res.energy_residual < 1e-12
+
+
+@pytest.mark.parametrize("barrier,E,pulse", [
+    (SECH, 0.5, PULSE),
+    (SECH, 0.5, LorentzPulse(amplitude=0.01, width=2.2, exponent=2)),
+    (GRID_BARRIER, GRID_ENERGIES[-1], GRID_PULSE),
+], ids=["theta2", "theta2.2", "gap2%"])
+def test_newton_root_matches_brent(barrier, E, pulse):
+    # the lockstep Newton root of dA' against Brent's method on the same
+    # slope integral, over one scan step either side
+    res = minimize_delta_action(E, barrier, pulse)
+
+    def slope(s):
+        return _delta_actions(E, barrier, pulse, [s], order=1)[0]
+
+    h = 3.0 * (pulse.width - unperturbed_trajectory(E, barrier).tau_s) / 16.0
+    ref = brentq(slope, res.dt_shift - h, res.dt_shift + h)
+    assert abs(res.dt_shift - ref) < 1e-11
+    assert res.energy_residual == abs(slope(res.dt_shift))
+    assert res.energy_residual < 1e-12
 
 
 def test_enhancement_monotone_toward_resonance():
