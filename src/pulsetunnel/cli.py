@@ -97,6 +97,8 @@ class RunConfig:
             raise DomainError(f"unknown pulse {self.pulse!r}")
         if self.method not in ("hj", "euclidean", "trajectory", "quanta", "auto"):
             raise DomainError(f"unknown method {self.method!r}")
+        if not math.isfinite(self.tol):
+            raise DomainError(f"tol must be finite, got {self.tol}")
         # physical invariants re-checked by constructing the model objects
         self.make_barrier(E_hint=self.E)
         self.make_pulse()

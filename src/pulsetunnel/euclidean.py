@@ -59,7 +59,9 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
 
     For a Lorentzian pulse the imaginary-axis integral diverges at the pulse
     width, pinning the root below it whenever the static traversal time
-    exceeds the width (the below-threshold regime).
+    exceeds the width (the below-threshold regime).  The same root is where
+    the HJ exit branch's momentum vanishes at t = 0, Im p = 0, so
+    hj.exit_exponent takes its exit point from it.
     """
     if not (0 < E < barrier.V):
         raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from .contour import integrate_paths, line_with_detour
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
+from .euclidean import solve_tau0
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
 
 __all__ = [
@@ -418,38 +419,17 @@ def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
 
 
 def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
-    """2 Im S at t = 0 where the exit branch's momentum turns real, Im p = 0.
-
-    Brent's method finds that point next to its estimate x1 (branch_report),
-    in (x1/2, x1) or (x1, 1.2*x1) by the sign of Im p at x1.  When that
-    bracket holds no sign change (at high pulse exponents the exit point
-    falls below x1/2), the bracket steps outward, halving toward 0 or
-    growing toward the branch point x2, up to six times.
-    """
-    rep = branch_report(barrier, pulse)
-    x1 = rep.x1
-    states, im_ps = {}, {}
-
-    def im_p(x):
-        if x not in im_ps:
-            states[x] = solve_t0(x, 0.0, barrier, pulse)
-            im_ps[x] = _momentum(0.0, states[x], barrier, pulse).imag
-        return im_ps[x]
-
-    below = im_p(x1) > 0
-    lo, hi = (0.5 * x1, x1) if below else (x1, 1.2 * x1)
-    for _ in range(6):
-        if im_p(lo) * im_p(hi) <= 0:
-            break
-        lo, hi = (0.5 * lo, lo) if below else (hi, min(1.2 * hi, 0.5 * (hi + rep.x2)))
-    try:
-        x = brentq(im_p, lo, hi)
-    except ValueError:      # no sign change of Im p over the bracket
-        raise ConvergenceError(
-            "Im p keeps its sign over the bracket of the exit point",
-            diagnostics={"bracket": (lo, hi), "x1": x1},
-        ) from None
-    return 2.0 * action(x, 0.0, barrier, pulse, states[x]).imag
+    """2 Im S at t = 0 at the exit point, where the exit branch's momentum
+    vanishes: there t0 = i*tau0 and p(0) = i(p0 - field_static*tau0 -
+    int_0^tau0 pulse(i u) du), so tau0 is euclidean.solve_tau0's root.  The
+    saddle equation at (t0, 0) gives x in closed form (residual 0)."""
+    branch_report(barrier, pulse)
+    tau0 = solve_tau0(barrier.E_bound, barrier, pulse)
+    t0 = 1j * tau0
+    x = (tau0 * barrier.p0() - 0.5 * barrier.field_static * tau0**2
+         + _int_weighted_pulse(t0, 0.0, pulse).real) / barrier.m
+    state = _make_state(t0, x, 0.0, barrier, pulse, 0.0)
+    return 2.0 * action(x, 0.0, barrier, pulse, state).imag
 
 
 def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:

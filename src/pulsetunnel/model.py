@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _require_finite(obj, *names):
+    """DomainError for NaN or infinite fields: NaN passes every < and <=."""
+    bad = [f"{n}={getattr(obj, n)}" for n in names
+           if not math.isfinite(getattr(obj, n))]
+    if bad:
+        raise DomainError(f"{type(obj).__name__} needs finite {', '.join(bad)}")
+
+
 # --- Barriers -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -47,6 +55,7 @@ class TriangularBarrier:
     m: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "V", "E_bound", "field_static", "m")
         if self.m <= 0:
             raise DomainError(f"mass must be positive, got {self.m}")
         if not (0 < self.E_bound < self.V):
@@ -90,6 +99,7 @@ class SechBarrier:
     m: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "V", "a", "m")
         if self.V <= 0 or self.a <= 0 or self.m <= 0:
             raise DomainError("SechBarrier requires V > 0, a > 0, m > 0")
 
@@ -176,6 +186,7 @@ class LorentzPulse:
     exponent: int
 
     def __post_init__(self):
+        _require_finite(self, "amplitude", "width")
         if self.amplitude < 0:
             raise DomainError("pulse amplitude must be >= 0")
         if self.width <= 0:
@@ -259,6 +270,7 @@ class GaussianPulse:
     rate: float
 
     def __post_init__(self):
+        _require_finite(self, "amplitude", "rate")
         if self.amplitude < 0:
             raise DomainError("pulse amplitude must be >= 0")
         if self.rate <= 0:

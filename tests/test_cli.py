@@ -106,6 +106,25 @@ def test_bad_grid_exit_code(argv, capsys):
     assert "regime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # the Euclidean overflow step-back spun on a NaN G (these never returned)
+    ["action-curve", "--V", "10", "--E0", "nan", "--E", "5", "--amp", "0.05"],
+    ["action-curve", "--V", "10", "--m", "nan", "--E", "5", "--amp", "0.05"],
+    ["action-curve", "--V", "10", "--theta", "inf", "--E", "5", "--amp", "0.05"],
+    # an uncaught ValueError (exit 1)
+    ["action-curve", "--method", "hj", "--V", "10", "--E", "5", "--amp", "nan"],
+    ["action-curve", "--method", "quanta", "--V", "10", "--E", "5",
+     "--amp", "0.05", "--theta", "nan"],
+    # a table of NaN cells (exit 0)
+    ["adapt", "--V", "10", "--E", "5", "--amp", "nan"],
+    # a NaN window fails every check (exit 3)
+    ["verify", "--V", "10", "--E", "5", "--amp", "0.05", "--tol", "nan"],
+])
+def test_non_finite_inputs_exit_code(argv, capsys):
+    assert _run(argv) == EXIT_REGIME
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pulse_args", [
     # the amplitude divided the pole form (was a ZeroDivisionError)
     ["--amp", "0"],
@@ -209,7 +228,8 @@ def test_euclidean_grid_across_the_barrier_keeps_its_error_rows(capsys):
 @pytest.mark.parametrize("n", ["24", "30"])
 def test_high_pulse_exponents_without_traceback(n, capsys):
     # both ended in an uncaught OverflowError (exit 1): the Euclidean bracket
-    # probed G where it overflows, and so does the hj exit-branch bracket
+    # probed G where it overflows, and so did the hj exit-branch bracket; hj
+    # now takes its exit point from the Euclidean tau0 and agrees with A
     flags = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2",
              "--n", n, "--E", "1"]
     assert _run(["action-curve", "--method", "euclidean", *flags]) == EXIT_OK
@@ -217,15 +237,16 @@ def test_high_pulse_exponents_without_traceback(n, capsys):
     assert regime == "below-threshold"
     assert 0.0 < float(A) < float(A0) and math.isfinite(float(deltaE))
     assert _run(["action-curve", "--method", "hj", *flags]) == EXIT_OK
-    assert _body(capsys.readouterr())[1] == "1,nan,nan,nan,error:ConvergenceError"
-    assert _run(["verify", *flags]) == EXIT_NONCONVERGENCE
-    assert "overflows" in capsys.readouterr().err
+    assert _body(capsys.readouterr())[1].split(",")[1] == A
+    assert _run(["verify", *flags]) == EXIT_OK
+    rows = {r.split(",")[0]: r.split(",") for r in _body(capsys.readouterr())}
+    assert rows["hj_vs_euclidean"][4] == "pass"
 
 
 def test_hj_exit_point_outside_its_bracket_exit_code(capsys):
-    # at n = 18 Im p keeps its sign over the first bracket next to x1 (an
-    # uncaught ValueError from brentq, exit 1, then exit 3); the bracket now
-    # steps outward to the exit point, and hj agrees with the Euclidean A
+    # at n = 18 the exit point lies below (x1/2, x1), outside the Brent
+    # bracket hj once searched next to x1 (exit 1, then exit 3); the exit
+    # point now comes from the Euclidean tau0, and hj agrees with A
     assert _run(["verify", "--V", "10", "--E0", "1", "--amp", "0.05",
                  "--theta", "2", "--n", "18", "--E", "1"]) == EXIT_OK
     rows = {r.split(",")[0]: r.split(",") for r in _body(capsys.readouterr())}

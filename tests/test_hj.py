@@ -174,12 +174,18 @@ def test_exit_exponent_matches_euclidean_action(E, amp):
 @pytest.mark.parametrize("E,amp,width,n", [
     (1.0, 0.05, 2.0, 17), (1.0, 0.05, 2.0, 18), (1.0, 0.05, 2.0, 20),
     (1.0, 0.2, 1.0, 3), (5.0, 0.2, 1.0, 4),
+    (5.0, 1.0, 3.0, 10),
+    (1.0, 0.05, 2.0, 24), (1.0, 0.05, 2.0, 30),
+    (5.0, 0.05, 2.0, 24), (5.0, 0.05, 2.0, 30),
 ])
 def test_exit_exponent_outside_the_first_bracket(E, amp, width, n):
-    # Im p keeps its sign over the first bracket, so these were a
-    # ConvergenceError before the bracket stepped outward: at n = 17-20 the
-    # exit point (0.96, 0.93, 0.87) lies below (x1/2, x1) = (1, 2), and at
-    # width 1 it lies at 1.43 and 1.21 x1, above (x1, 1.2 x1)
+    # the exit point lies far from its estimate x1: below x1/2 at n = 17-20
+    # (0.96, 0.93, 0.87 against x1 = 2), at 1.43 and 1.21 x1 for the width-1
+    # pulses, and at 0.33 x1 at amp 1, n = 10, where the exit branch ends
+    # long before x2.  A Brent search over saddle solves next to x1 reached
+    # the first five only by stepping its bracket outward; on the last five
+    # its saddle solves raised (beyond the branch end, or an overflow at
+    # n = 24, 30).  The exit point from tau0 lands on the Euclidean A
     b = TriangularBarrier(V=10.0, E_bound=E, field_static=1.0, m=1.0)
     pulse = LorentzPulse(amplitude=amp, width=width, exponent=n)
     ref = euclidean_action(E, b, pulse).A

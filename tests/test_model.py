@@ -311,6 +311,27 @@ def test_domain_validation():
         GaussianPulse(amplitude=-1.0, rate=1.0)
 
 
+_VALID = {
+    TriangularBarrier: dict(V=10.0, E_bound=5.0, field_static=1.0, m=1.0),
+    SechBarrier: dict(V=1.0, a=1.0, m=1.0),
+    LorentzPulse: dict(amplitude=0.05, width=2.0, exponent=3),
+    GaussianPulse: dict(amplitude=0.05, rate=1.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls,name", [
+    (cls, name) for cls, kwargs in _VALID.items() for name in kwargs
+    if name != "exponent"
+])
+def test_non_finite_fields_rejected(cls, name, value):
+    # NaN passes every < and <= check, so most of these were accepted (a
+    # NaN field later spun the Euclidean overflow step-back forever)
+    cls(**_VALID[cls])
+    with pytest.raises(DomainError, match="finite"):
+        cls(**{**_VALID[cls], name: value})
+
+
 def test_triangular_derived_quantities():
     b = TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=1.0)
     assert b.tau00 == pytest.approx(math.sqrt(10.0))
