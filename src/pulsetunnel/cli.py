@@ -10,8 +10,8 @@ verify       : cross-method comparison table on one configuration.
 CSV files open with a YAML-style commented header capturing the full run
 configuration and the package version; identical configurations produce
 byte-identical files.  Exit codes: 0 success, 2 regime/validity error (a bad
-config or an unreadable or unwritable file included), 3 numerical
-non-convergence.
+config, a file error or arithmetic beyond double precision included),
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -476,6 +476,10 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except ArithmeticError as exc:      # an overflow or a division by zero
+        print(f"regime error: {type(exc).__name__} {exc}; the inputs leave "
+              "double-precision range", file=sys.stderr)
         return EXIT_REGIME
     return EXIT_OK
 

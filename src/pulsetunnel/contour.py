@@ -8,20 +8,19 @@ array holding the 15 nodes of every new panel, so integrands must accept
 arrays.  integrate_paths is the one entry point: it runs any number of paths
 through one such loop, and a single integral is a batch of one.  Each path
 converges under its own test, sum of its panel errors <= max(epsabs,
-epsrel*|I|).  Reaching a path's panel limit or detecting roundoff warns with
-IntegrationWarning; a non-finite integrand value raises ConvergenceError.
-Both name the path.
+epsrel*|I|).  A path that reaches its panel limit or its roundoff floor
+without converging, or whose integrand is not finite, raises
+ConvergenceError naming the path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 
-from .errors import ConvergenceError, IntegrationWarning
+from .errors import ConvergenceError
 
 __all__ = ["integrate_paths", "line_with_detour"]
 
@@ -71,7 +70,9 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     path); the roundoff floor is 50*eps times that integral, so this suits
     integrals meant to cancel.
     abs_err is the summed G7-K15 error estimate over a path's panels and
-    n_evals the number of points f was evaluated at on it.
+    n_evals the number of points f was evaluated at on it.  A path that gives
+    up (panel limit or roundoff) raises ConvergenceError with its abs_err as
+    `residual` and diagnostics {"path": p, "tol": its tolerance}.
     """
     elements = _Elements(paths)
     n = len(paths)
@@ -86,7 +87,6 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     n_first = np.bincount(elements.path, minlength=n)
     n_panels = n_first.copy()
     roundoff = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
     use_l1 = bool(np.any(epsl1))
     while True:
         pid = elements.path[owner]
@@ -95,7 +95,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         tol = np.maximum(epsabs, epsrel * np.abs(total))
         if use_l1:
             tol = np.maximum(tol, epsl1 * np.bincount(pid, absval, n))
-        active &= err_sum > tol
+        active = err_sum > tol
         if not np.count_nonzero(active):
             break
         # bisect the panels above their length share of their path's
@@ -106,17 +106,16 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         n_split = np.bincount(pid[split], minlength=n)
         room = _LIMIT - n_panels
         stuck = (roundoff >= _ROUNDOFF) | (n_split == 0)
-        stop = active & (stuck | (room <= 0))
-        if np.count_nonzero(stop):
-            for p in stop.nonzero()[0]:
-                reason = ("roundoff error prevents the requested tolerance"
-                          if stuck[p] else f"the panel limit ({_LIMIT}) is reached")
-                _warn(p, reason, err_sum[p], tol[p])
-            active &= ~stop
-            split &= active[pid]
+        stop = (active & (stuck | (room <= 0))).nonzero()[0]
+        if stop.size:
+            p = int(stop[0])
+            reason = ("roundoff error prevents the requested tolerance"
+                      if stuck[p] else f"the panel limit ({_LIMIT}) is reached")
+            raise ConvergenceError(
+                f"contour quadrature, path {p}: {reason}; error estimate "
+                f"{err_sum[p]:.3g} against tolerance {tol[p]:.3g}",
+                residual=err_sum[p], diagnostics={"path": p, "tol": tol[p]})
         split = split.nonzero()[0]
-        if not split.size:
-            break
         if np.count_nonzero(n_split > room):
             # keep each path's `room` worst panels
             ranked = split[np.lexsort((-err[split], pid[split]))]
@@ -223,15 +222,6 @@ def _gk15(f, elements, owner, lo, hi):
         1.0, (200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5)
     err = np.where(varies, scaled, err)
     return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs
-
-
-def _warn(path: int, reason: str, err: float, tol: float) -> None:
-    warnings.warn(
-        f"contour quadrature, path {path}: {reason}; error estimate {err:.3g} "
-        f"against tolerance {tol:.3g}",
-        IntegrationWarning,
-        stacklevel=3,
-    )
 
 
 def line_with_detour(a: complex, b: complex, poles, radius: float,

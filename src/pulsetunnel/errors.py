@@ -1,8 +1,5 @@
-"""Exception hierarchy shared by all solvers."""
-
-# quadrature warnings are scipy's class, so filters written for scipy.integrate
-# keep matching the contour engine
-from scipy.integrate import IntegrationWarning  # noqa: F401
+"""Exception hierarchy shared by all solvers.  The package warns of nothing:
+a quadrature path that misses its tolerance raises ConvergenceError."""
 
 
 class PulseTunnelError(Exception):

@@ -70,6 +70,9 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
     if e0 <= 0:
         raise DomainError("solve_tau0 needs a decaying barrier (field_static > 0)")
     tau00 = p0 / e0
+    if not math.isfinite(tau00):
+        raise DomainError(f"the static traversal time {tau00} leaves "
+                          "double-precision range")
     if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
         return tau00
 
@@ -100,7 +103,12 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
             "tau0 bracket failed: g(hi) < 0",
             diagnostics={"E": E, "hi": hi, "g(hi)": g(hi)},
         )
-    return float(optimize.brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
+    tau0, info = optimize.brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16,
+                                 full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"no tau0 root in (0, {hi:.6g}) after "
+                               f"{info.iterations} steps", diagnostics={"E": E})
+    return float(tau0)
 
 
 def _regime_tag(E: float, barrier: TriangularBarrier, pulse) -> tuple[str, float | None]:

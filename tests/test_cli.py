@@ -294,6 +294,49 @@ def test_action_curve_method_errors(argv, code, last_row, capsys):
     assert body[2] == last_row
 
 
+def test_near_pinch_quadrature_gives_up(capsys):
+    # gap/theta = 1e-6: a scan path stops at its roundoff floor (error
+    # estimate 19.5 against 6.3e-5); the engine only warned, verify exited 0
+    # and action-curve wrote A = -79.38 as an ordinary row
+    near_pinch = [*SECH, "--E", "0.19739248280655539"]
+    assert _run(["verify", *near_pinch]) == EXIT_NONCONVERGENCE
+    assert capsys.readouterr().err.startswith("non-convergence: contour quadrature")
+    assert _run(["action-curve", "--method", "trajectory", *near_pinch]) == EXIT_OK
+    assert _body(capsys.readouterr())[1:] == [
+        "0.197392482807,nan,nan,nan,error:ConvergenceError"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # brentq's RuntimeError: G overflows over the whole tau0 bracket
+    (["verify", "--pulse", "gauss", "--m", "1e300", "--amp", "1e-300",
+      "--E", "5"], EXIT_NONCONVERGENCE, "no tau0 root"),
+    # an OverflowError in the Euclidean closed forms
+    (["action-curve", "--method", "euclidean", "--E0", "1e200", "--E", "5",
+      "--amp", "0.05"], EXIT_REGIME, "OverflowError"),
+    # a ZeroDivisionError in SechBarrier.omega
+    (["action-curve", "--barrier", "sech", "--a", "1e-300", "--E", "0.5",
+      "--amp", "0.01"], EXIT_REGIME, "ZeroDivisionError"),
+    # an OverflowError in branch_report
+    (["rate", "--V", "1", "--E0", "1e-300", "--amp", "1", "--E", "0.5"],
+     EXIT_REGIME, "OverflowError"),
+    # brentq's ValueError on an infinite static traversal time
+    (["verify", "--pulse", "gauss", "--V", "1e30", "--m", "1e300",
+      "--amp", "1e-200", "--E0", "0.5", "--E", "1e-200"], EXIT_REGIME,
+     "static traversal time inf"),
+], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
+        "tau00-overflow"])
+def test_extreme_inputs_exit_code(argv, code, message, capsys):
+    # each ended in a traceback (exit 1)
+    assert _run(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    if code == EXIT_REGIME:
+        assert err.startswith("regime error:")
+        assert "double-precision range" in err
+    else:
+        assert err.startswith("non-convergence:")
+
+
 def test_quanta_gaussian_on_decaying_barrier_error_rows(capsys):
     # the stable-well formula ignored the static field (A_eff = -3577 at E = 5)
     assert _run(["action-curve", "--method", "quanta", "--V", "10", "--E0",

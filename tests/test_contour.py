@@ -3,11 +3,9 @@ failure modes, determinism, and delta_action against mpmath references."""
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from pulsetunnel.contour import integrate_paths
 from pulsetunnel.errors import ConvergenceError
@@ -94,18 +92,40 @@ def test_non_finite_integrand_raises(bad):
         _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [("line", 0.0, 1.0)])
 
 
-def test_panel_limit_warns_and_stops():
-    with pytest.warns(IntegrationWarning, match="panel limit"):
-        val, err, n = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
-    assert n <= 15 * 2 * 400
-    assert abs(val - 1.0 / 37.0) <= err
+def _gives_up(f, paths, reason, path, **tolerances):
+    """The ConvergenceError of a call in which `path` gives up for `reason`."""
+    with pytest.raises(ConvergenceError, match=f"path {path}: {reason}") as info:
+        integrate_paths(f, paths, **tolerances)
+    exc = info.value
+    assert str(exc).startswith("contour quadrature, ")
+    assert exc.diagnostics.keys() == {"path", "tol"}
+    assert exc.diagnostics["path"] == path
+    assert exc.residual > exc.diagnostics["tol"]
+    return exc
 
 
-def test_roundoff_warns_and_stops_early():
-    with pytest.warns(IntegrationWarning, match="roundoff"):
-        val, err, n = _one(_noisy, [0.0, 1.0], epsabs=0.0, epsrel=1e-13)
-    assert n < 15 * 100
-    assert val == pytest.approx(math.e - 1.0, rel=1e-8)
+def _counted(f, counts):
+    """f, adding the number of points it is evaluated at on each path to counts."""
+    def g(z, path_id):
+        counts[:] += np.bincount(path_id, minlength=counts.size)
+        return f(z, path_id)
+    return g
+
+
+def test_panel_limit_raises():
+    counts = np.zeros(1, dtype=int)
+    exc = _gives_up(_counted(_steps, counts), [[0.0, 1.0]], "the panel limit", 0,
+                    epsabs=0.0, epsrel=1e-14)
+    assert exc.diagnostics["tol"] == pytest.approx(1e-14 / 37.0, rel=1e-3)
+    # the path gives up with exactly its 400 panels
+    assert counts[0] == 15 * (2 * 400 - 1)
+
+
+def test_roundoff_raises_early():
+    counts = np.zeros(1, dtype=int)
+    _gives_up(_counted(_noisy, counts), [[0.0, 1.0]], "roundoff", 0,
+              epsabs=0.0, epsrel=1e-13)
+    assert counts[0] < 15 * 100
 
 
 def test_epsl1_lifts_a_cancelling_integral_off_its_roundoff_floor():
@@ -113,11 +133,8 @@ def test_epsl1_lifts_a_cancelling_integral_off_its_roundoff_floor():
     def f(z, path):
         return 1e3 * np.cos(2.0 * math.pi * z)
 
-    with pytest.warns(IntegrationWarning, match="roundoff"):
-        _one(f, [0.0, 1.0], epsabs=1e-13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        val, err, _ = _one(f, [0.0, 1.0], epsabs=1e-13, epsl1=1e-12)
+    _gives_up(f, [[0.0, 1.0]], "roundoff", 0, epsabs=1e-13)
+    val, err, _ = _one(f, [0.0, 1.0], epsabs=1e-13, epsl1=1e-12)
     assert err <= 1e-12 * 2e3 / math.pi
     assert abs(val) <= 1e-12 * 2e3 / math.pi
 
@@ -172,22 +189,20 @@ def test_paths_meet_their_own_tolerance():
             assert abs(val[k] - scale[k] * exact) <= epsrel * abs(val[k])
 
 
-def test_batch_warning_names_its_path():
+def test_batch_error_names_its_path():
     def f(z, path):
         return np.where(path == 1, _steps(z, path),
                         np.where(path == 2, _noisy(z, path), z))
 
-    with pytest.warns(IntegrationWarning) as record:
-        val, err, n = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=1e-13)
-    messages = sorted(str(w.message) for w in record)
-    assert len(messages) == 2
-    assert messages[0].startswith("contour quadrature, path 1: the panel limit")
-    assert messages[1].startswith("contour quadrature, path 2: roundoff")
-    assert val[0] == pytest.approx(0.5, rel=1e-14)
-    # path 1 fills its own 400 panels, whatever the others use
-    assert n[0] == 15 and n[1] == 15 * (2 * 400 - 1)
-    assert abs(val[1] - 1.0 / 37.0) <= err[1]
-    assert val[2] == pytest.approx(math.e - 1.0, rel=1e-8)
+    # path 2 reaches its roundoff count long before path 1 fills its panels
+    _gives_up(f, [[0.0, 1.0]] * 3, "roundoff", 2, epsabs=0.0, epsrel=1e-13)
+    counts = np.zeros(2, dtype=int)
+    _gives_up(_counted(f, counts), [[0.0, 1.0]] * 2, "the panel limit", 1,
+              epsabs=0.0, epsrel=1e-13)
+    # path 1 fills its own 400 panels, whatever path 0 uses
+    assert counts.tolist() == [15, 15 * (2 * 400 - 1)]
+    val, err, n = integrate_paths(f, [[0.0, 1.0]], epsabs=0.0, epsrel=1e-13)
+    assert val[0] == pytest.approx(0.5, rel=1e-14) and n[0] == 15
 
 
 def test_non_finite_value_names_its_path():
@@ -206,11 +221,9 @@ def test_reruns_bitwise_identical():
             LorentzPulse(amplitude=0.01, width=2.0, exponent=2), -0.24)
     first = delta_action(*args)
     assert delta_action(*args) == first
-    with pytest.warns(IntegrationWarning):
-        a = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
-    with pytest.warns(IntegrationWarning):
-        b = _one(_steps, [0.0, 1.0], epsabs=0.0, epsrel=1e-14)
-    assert a == b
+    a, b = (_gives_up(_steps, [[0.0, 1.0]], "the panel limit", 0,
+                      epsabs=0.0, epsrel=1e-14) for _ in range(2))
+    assert (str(a), a.residual, a.diagnostics) == (str(b), b.residual, b.diagnostics)
 
 
 # --- High-precision references -------------------------------------------------------

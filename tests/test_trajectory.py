@@ -364,21 +364,27 @@ def test_grid_slots_equal_one_energy_calls():
 
 def test_grid_slot_classes():
     # one grid through every outcome: the pinch, the ordering, no interior
-    # minimum (E = 0.5 at theta = 2.5), solved rows and E outside (0, V);
-    # each failure stays in its own slot
+    # minimum (E = 0.5 at theta = 2.5), solved rows, E outside (0, V) and a
+    # scan path that gives up at its roundoff floor next to the pinch (it
+    # was a warning and a solved row with A = -79.4); each failure stays in
+    # its own slot
     theta = 2.5
     pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=2)
 
     def at_gap(g):
         return math.pi**2 / (8.0 * theta**2 * (1.0 - g) ** 2)
 
-    energies = [at_gap(1e-11), at_gap(-0.01), 0.5, at_gap(0.2), at_gap(0.02), 1.5]
+    energies = [at_gap(1e-11), at_gap(-0.01), 0.5, at_gap(0.2), at_gap(0.02), 1.5,
+                at_gap(1e-6)]
     grid = minimize_delta_actions(energies, SECH, pulse)
     assert [type(r).__name__ for r in grid] == [
         "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
-        "MinimizedAction", "DomainError"]
+        "MinimizedAction", "DomainError", "ConvergenceError"]
     assert "pinch" in str(grid[0]) and "ordering" in str(grid[1])
     assert "no interior minimum" in str(grid[2])
+    assert str(grid[6]).startswith("contour quadrature, path ")
+    assert "roundoff" in str(grid[6])
+    assert grid[6].residual > grid[6].diagnostics["tol"]
     for E, res in zip(energies[3:5], grid[3:5]):
         assert res == minimize_delta_action(E, SECH, pulse)
         assert res.energy_residual < 1e-12
