@@ -49,7 +49,6 @@ from .quanta import QuantaPlan, effective_action, optimize_quanta
 from .trajectory import (
     TrajectoryHandle,
     delta_action,
-    max_flux_exponent,
     minimize_delta_action,
     pole_form,
     singularity_time,

@@ -11,7 +11,8 @@ CSV files open with a YAML-style commented header capturing the full run
 configuration and the package version; identical configurations produce
 byte-identical files.  Exit codes: 0 success, 2 regime/validity error (a bad
 config, a file error or arithmetic beyond double precision included),
-3 numerical non-convergence.
+3 numerical non-convergence.  A result that is not finite is a RegimeError:
+an error row in an action curve, exit 2 for any other command.
 """
 
 from __future__ import annotations
@@ -295,10 +296,21 @@ def cmd_action_curve(config: RunConfig) -> tuple[list[str], list[tuple]]:
         raise RegimeError(f"the {method} method needs the {needs} barrier")
     out = []
     for E, cells in zip(energies, rows(energies, config, config.make_pulse())):
+        if not isinstance(cells, PulseTunnelError):
+            cells = _non_finite(columns[1:], cells) or cells
         if isinstance(cells, PulseTunnelError):
             cells = (None, None, None, f"error:{type(cells).__name__}")
         out.append((E, *cells))
     return columns, out
+
+
+def _non_finite(columns, row) -> RegimeError | None:
+    """The RegimeError of a result row with a float cell that is not finite."""
+    for name, cell in zip(columns, row):
+        if isinstance(cell, float) and not math.isfinite(cell):
+            return RegimeError(f"{name} = {cell} is not finite; the inputs "
+                               "leave double-precision range")
+    return None
 
 
 def cmd_rate(config: RunConfig) -> tuple[list[str], list[tuple]]:
@@ -467,6 +479,9 @@ def main(argv=None) -> int:
         config = RunConfig.from_mapping(mapping)
         config.validate()
         columns, rows = _COMMANDS[args.command](config)
+        for row in rows:
+            if exc := _non_finite(columns, row):
+                raise exc
         _emit(args.command, config, columns, rows)
     except (RegimeError, DomainError, SingularityError) as exc:
         print(f"regime error: {exc}", file=sys.stderr)

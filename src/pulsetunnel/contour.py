@@ -66,9 +66,9 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     integer array, like z, naming the path of each node.  Each path converges
     on its own, with tolerance max(epsabs, epsrel*|I_p|), its own panel limit
     and its own roundoff count, and is not bisected once it has.  epsl1 adds
-    epsl1 * int |f| |dz| to each path's tolerance (a scalar, or one value per
-    path); the roundoff floor is 50*eps times that integral, so this suits
-    integrals meant to cancel.
+    epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
+    50*eps times that integral, so this suits integrals meant to cancel.
+    epsrel and epsl1 are scalars or one value per path.
     abs_err is the summed G7-K15 error estimate over a path's panels and
     n_evals the number of points f was evaluated at on it.  A path that gives
     up (panel limit or roundoff) raises ConvergenceError with its abs_err as

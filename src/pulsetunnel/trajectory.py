@@ -13,7 +13,6 @@ lockstep, one engine call per stage for every energy still in play
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,9 +38,6 @@ __all__ = [
     "minimize_delta_action",
     "minimize_delta_actions",
     "pole_form",
-    "max_flux_exponent",
-    "static_action_from_contour",
-    "branch_expansion",
 ]
 
 
@@ -143,15 +139,6 @@ def unperturbed_trajectory(
     )
 
 
-def branch_expansion(traj: TrajectoryHandle, t) -> complex:
-    """Leading behaviour of x0 near the branch point t_s."""
-    a = traj.barrier.a
-    root = cmath.sqrt(
-        2.0 * traj.omega * (traj.t_s - t) * math.sqrt(traj.barrier.V / traj.E)
-    )
-    return -1j * math.pi * a / 2.0 + a * root
-
-
 # --- Contour --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -168,10 +155,6 @@ class ContourSpec:
 
     waypoints: tuple
     tail_bound: float
-
-    def conjugate_symmetric(self) -> bool:
-        pts = np.array(self.waypoints)
-        return bool(np.allclose(pts, np.conj(pts[::-1])))
 
 
 def build_contour(
@@ -297,19 +280,28 @@ def delta_action(
 
 
 def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
-                   imag_tol=1e-8, epsrel=1e-10) -> np.ndarray:
+                   imag_tol=1e-8, epsrel=1e-10, upper=False) -> np.ndarray:
     """-i int_C pulse * d^k x0/dt^k dt for paths (E, shift, k), in one engine call.
 
-    E, `shifts` and `order` broadcast to one path each.  Order 0 integrates
-    the position and gives delta_action, order 1 the velocity and gives
-    dA'(dt_shift), order 2 the acceleration and gives dA''.  `contour`, when
-    given, serves every path; its verticals must keep it on one sheet of x0
-    at each of them, as build_contour's do (RegimeError otherwise).  dA' is
-    meant to cancel at the exit shift, so the tolerance of the derivative
-    paths also admits 1e-12 * int |f|.  An error raised for one path names it
-    in diagnostics["path"].
+    E, `shifts`, `order` and `epsrel` broadcast to one path each.  Order 0
+    integrates the position and gives delta_action, order 1 the velocity and
+    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  `contour`,
+    when given, serves every path; its verticals must keep it on one sheet
+    of x0 at each of them, as build_contour's do (RegimeError otherwise).
+    dA' is meant to cancel at the exit shift, so the tolerance of the
+    derivative paths also admits 1e-12 * int |f|.  An error raised for one
+    path names it in diagnostics["path"].
+
+    C is conjugation-symmetric and the integrand takes conjugate values at
+    mirrored points, so the value is 2 Im I+, with I+ the integral over the
+    upper half C+ from -tail + i*pi/omega to the real axis.  `upper` takes
+    it from C+ alone, at half the points and with epsabs halved: errors per
+    unit of dA stay where they were, but no conjugation check is left.
+    Otherwise the engine integrates all of C, and an imaginary part beyond
+    `imag_tol` (relative) plus the error estimate raises ConvergenceError.
     """
-    E, shifts, order = (np.ravel(v) for v in np.broadcast_arrays(E, shifts, order))
+    E, shifts, order, epsrel = (
+        np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
     if not _check_pulse(pulse):
         return np.zeros(E.size)
     width = pulse.poles()[0][0].imag
@@ -359,9 +351,14 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
                                  shift[pid])
         return pulse(t) * x
 
-    vals, errs, _ = integrate_paths(f, [list(c.waypoints) for c in contours],
-                                    epsabs=1e-13, epsrel=epsrel,
+    paths = [list(c.waypoints) for c in contours]
+    if upper:
+        paths = [p[:4] + [complex(p[3].real, 0.0)] for p in paths]
+    vals, errs, _ = integrate_paths(f, paths, epsabs=5e-14 if upper else 1e-13,
+                                    epsrel=epsrel,
                                     epsl1=np.where(order > 0, 1e-12, 0.0))
+    if upper:
+        return 2.0 * vals.imag
     vals = -1j * vals
     scale = np.maximum(np.abs(vals), 1e-12)
     lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale + errs)
@@ -409,7 +406,8 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     Slot i holds the MinimizedAction of energies[i], or the PulseTunnelError
     that energy raised.  Each stage is one engine call for every energy
-    still in play:
+    still in play; the scan and the Newton steps integrate the upper half
+    of each contour only (_delta_actions, upper=True):
 
     - scan: dA at 17 shifts over [-3(width - tau_s), 0] (epsrel 1e-6); a
       minimum at either end is "no interior minimum" (ConvergenceError);
@@ -420,9 +418,9 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
       first call also takes dA' at both bracket ends, which must differ in
       sign (ConvergenceError otherwise).  The solve stops when the next step
       is at most 2e-12 + 4*eps*|dt_shift| (brentq's default tolerances) and
-      returns the last shift at which dA' was evaluated, with |dA'| there
-      as the energy residual;
-    - dA at each root, at epsrel 1e-8.
+      returns the last shift at which dA' was evaluated (epsrel 1e-10);
+    - dA (epsrel 1e-8) and dA' (epsrel 1e-10) at each root, on the whole
+      contour with its conjugation check; |dA'| is the energy residual.
 
     The engine gives each path the panels a call of its own would give, so
     every slot is the one-energy result to the bit.  An error that names a
@@ -449,16 +447,17 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         except PulseTunnelError as exc:
             slots[i] = exc
 
-    def call(paths, **tol):
-        """Values per slot of paths (slot, shift, order), in path order."""
+    def call(paths, upper=True):
+        """Values per slot of paths (slot, shift, order, epsrel), in path order."""
         while True:
             live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
             if not live:
                 return {}
-            owner, shifts, order = zip(*live)
+            owner, shifts, order, epsrel = zip(*live)
             try:
                 vals = _delta_actions([E[i] for i in owner], barrier, pulse,
-                                      shifts, order=order, **tol)
+                                      shifts, order=order, epsrel=epsrel,
+                                      upper=upper)
                 break
             except PulseTunnelError as exc:
                 if "path" not in exc.diagnostics:
@@ -470,8 +469,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         return out
 
     # scan
-    dA = call([(i, s, 0) for i, g in scans.items() for s in g],
-              epsrel=1e-6, imag_tol=1e-4)
+    dA = call([(i, s, 0, 1e-6) for i, g in scans.items() for s in g])
     x, lo, hi = {}, {}, {}
     for i, v in dA.items():
         grid, k = scans[i], int(np.argmin(v))
@@ -491,9 +489,9 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
     for n in range(_MAX_STEPS):
         paths = []
         for i in x:
-            paths += [(i, x[i], 1), (i, x[i], 2)]
+            paths += [(i, x[i], 1, 1e-10), (i, x[i], 2, 1e-10)]
             if n == 0:
-                paths += [(i, lo[i], 1), (i, hi[i], 1)]
+                paths += [(i, lo[i], 1, 1e-10), (i, hi[i], 1, 1e-10)]
         vals = call(paths)
         x = {i: x[i] for i in vals}
         for i, v in vals.items():
@@ -516,7 +514,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
             if not lo[i] <= new <= hi[i]:
                 new = 0.5 * (lo[i] + hi[i])
             if abs(new - x[i]) <= _XTOL + _RTOL * abs(x[i]):
-                roots[i] = (float(x.pop(i)), abs(d1))
+                roots[i] = float(x.pop(i))
             else:
                 x[i] = new
         if not x:
@@ -527,13 +525,13 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
             diagnostics={"bracket": (lo[i], hi[i]), "dt_shift": x[i]},
         )
 
-    # dA at the roots
-    final = call([(i, r[0], 0) for i, r in roots.items()], epsrel=1e-8)
-    for i, (dA_i,) in final.items():
-        dt, residual = roots[i]
+    # dA and dA' at the roots, on the whole contour
+    final = call([p for i, r in roots.items()
+                  for p in ((i, r, 0, 1e-8), (i, r, 1, 1e-10))], upper=False)
+    for i, (dA_i, slope) in final.items():
         A0 = static_wkb_exponent(barrier, E[i])
-        slots[i] = MinimizedAction(dt_shift=dt, dA=dA_i, A=A0 + dA_i, A0=A0,
-                                   energy_residual=residual)
+        slots[i] = MinimizedAction(dt_shift=roots[i], dA=dA_i, A=A0 + dA_i,
+                                   A0=A0, energy_residual=abs(slope))
     return slots
 
 
@@ -558,39 +556,3 @@ def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:
     dA = -(math.pi / 4.0) * pulse.amplitude * barrier.a * traj.tau_s**2 \
         * (3.0 * barrier.V / E) ** 0.25 * math.sqrt(3.0 * traj.omega / gap)
     return dA, -gap / math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class FluxExponent:
-    A: float
-    W_max: float
-    enhancement: float      # exp(-dA) relative to the static rate
-    exponent_only: bool = True
-
-
-def max_flux_exponent(E: float, barrier: SechBarrier, pulse) -> FluxExponent:
-    """Peak outgoing-flux exponent W_max ~ exp(-A); prefactor unspecified."""
-    m = minimize_delta_action(E, barrier, pulse)
-    return FluxExponent(A=m.A, W_max=math.exp(-m.A), enhancement=math.exp(-m.dA))
-
-
-# --- Static contour reduction ---------------------------------------------------
-
-def static_action_from_contour(E: float, barrier: SechBarrier) -> float:
-    """A0 = -i int_C L0 dt over the pulse-free contour (legs cancel exactly).
-
-    Independent route to the WKB exponent: quadrature of the unperturbed
-    Lagrangian between the leg corners of build_contour's path (for a width
-    of pi/omega) rather than the spatial integral of sqrt(V - E).
-    """
-    traj = unperturbed_trajectory(E, barrier, 0.0)
-    pts = list(build_contour(traj, 2.0 * traj.tau_s).waypoints[1:-1])
-    m = barrier.m
-
-    def L0(t, path_id):
-        v = traj.velocity(t)
-        x = traj.position(t)
-        return 0.5 * m * v * v - barrier.V / np.cosh(x / barrier.a) ** 2 + E
-
-    val = -1j * integrate_paths(L0, [pts], epsabs=1e-13, epsrel=1e-11)[0][0]
-    return float(val.real)

@@ -323,12 +323,25 @@ def test_near_pinch_quadrature_gives_up(capsys):
     (["verify", "--pulse", "gauss", "--V", "1e30", "--m", "1e300",
       "--amp", "1e-200", "--E0", "0.5", "--E", "1e-200"], EXIT_REGIME,
      "static traversal time inf"),
+    # non-finite result cells (these wrote inf and nan with exit 0)
+    (["adapt", "--a", "2", "--V", "1e200", "--amp", "1e30", "--theta", "1e300",
+      "--E", "5", "--n", "2"], EXIT_REGIME, "amp_min = inf is not finite"),
+    (["adapt", "--theta", "10", "--amp", "5", "--V", "1e300", "--omega-rate",
+      "1", "--E", "1", "--n", "3"], EXIT_REGIME, "amp_min = inf is not finite"),
+    # an action curve gives such an energy an error row
+    (["action-curve", "--method", "quanta", "--V", "1e300", "--amp", "5",
+      "--E", "1e-300", "--n", "2"], EXIT_OK,
+     "1e-300,nan,nan,nan,error:RegimeError"),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
-        "tau00-overflow"])
+        "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
-    # each ended in a traceback (exit 1)
+    # the first five ended in a traceback (exit 1)
     assert _run(argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert _body(captured)[1:] == [message] and not captured.err
+        return
+    err = captured.err
     assert message in err and err.count("\n") == 1
     if code == EXIT_REGIME:
         assert err.startswith("regime error:")

@@ -182,11 +182,15 @@ def test_paths_meet_their_own_tolerance():
     def f(z, path):
         return scale[path] / (z - p)
 
-    for epsrel in (1e-6, 1e-12):
-        val, err, _ = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=epsrel)
-        for k in range(3):
-            assert err[k] <= epsrel * abs(val[k])
-            assert abs(val[k] - scale[k] * exact) <= epsrel * abs(val[k])
+    # a scalar epsrel, or one per path with the panels of a path's own call
+    for epsrel in (1e-6, 1e-12, [1e-12, 1e-6, 1e-9]):
+        val, err, n = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=epsrel)
+        for k, tol in enumerate(np.broadcast_to(epsrel, 3)):
+            assert err[k] <= tol * abs(val[k])
+            assert abs(val[k] - scale[k] * exact) <= tol * abs(val[k])
+            own = integrate_paths(lambda z, path: f(z, path + k), [[0.0, 1.0]],
+                                  epsabs=0.0, epsrel=tol)
+            assert (val[k], n[k]) == (own[0][0], own[2][0])
 
 
 def test_batch_error_names_its_path():

@@ -1,7 +1,8 @@
 """Property tests and examples for the sech^2 contour-trajectory module."""
 
-import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +22,15 @@ from pulsetunnel.trajectory import (
     ContourSpec,
     _aligned_shift,
     _delta_actions,
-    branch_expansion,
     build_contour,
     delta_action,
-    max_flux_exponent,
     minimize_delta_action,
     minimize_delta_actions,
     pole_form,
     singularity_time,
-    static_action_from_contour,
     unperturbed_trajectory,
 )
+from trajectory_reference import branch_expansion, static_action_from_contour
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -212,7 +211,8 @@ def test_contour_invariance():
         for c in specs
     ]
     for c in specs:
-        assert c.conjugate_symmetric()
+        pts = np.array(c.waypoints)
+        assert np.allclose(pts, np.conj(pts[::-1]))
         assert c.tail_bound * PULSE.amplitude < 1e-5
     assert vals[1] == pytest.approx(vals[0], rel=1e-8)
     assert vals[2] == pytest.approx(vals[0], rel=1e-8)
@@ -308,6 +308,22 @@ def test_batched_scan_matches_serial(gap_frac):
         assert abs(value - serial) <= 1e-10 * abs(serial)
 
 
+@pytest.mark.parametrize("gap_frac", [0.3, 0.1, 0.02])
+def test_upper_half_matches_whole_contour(gap_frac):
+    # C is conjugation-symmetric and f(conj t) = conj f(t), so
+    # -i int_C f = 2 Im int_{C+} f: the minimizer's scan (order 0, epsrel
+    # 1e-6) and Newton steps (orders 1 and 2, epsrel 1e-10) run on C+ alone
+    theta = (math.pi / 2.0) / (1.0 - gap_frac)
+    pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=2)
+    shifts = -(theta - math.pi / 2.0) * np.array([0.3, 1.0 / math.sqrt(3.0), 1.5])
+    for order, epsrel, rel, abs_ in ((0, 1e-6, 1e-13, 0.0), (1, 1e-10, 0.0, 2e-13),
+                                     (2, 1e-10, 0.0, 2e-13)):
+        whole = _delta_actions(0.5, SECH, pulse, shifts, order=order, epsrel=epsrel)
+        upper = _delta_actions(0.5, SECH, pulse, shifts, order=order, epsrel=epsrel,
+                               upper=True)
+        np.testing.assert_allclose(upper, whole, rtol=rel, atol=abs_)
+
+
 def test_minimize_canonical_example():
     res = minimize_delta_action(0.5, SECH, PULSE)
     gap = 2.0 - math.pi / 2.0
@@ -362,6 +378,19 @@ def test_grid_slots_equal_one_energy_calls():
         assert res.A == one.A and res.A0 == one.A0
 
 
+def test_grid_slots_are_whole_contour_values_at_the_roots():
+    # the scan and the Newton steps run on the upper half of each contour;
+    # dA and the energy residual come from the whole contour, with its
+    # conjugation check, at the returned shift
+    grid = minimize_delta_actions(GRID_ENERGIES, GRID_BARRIER, GRID_PULSE)
+    for E, res in zip(GRID_ENERGIES, grid):
+        assert res.dA == delta_action(E, GRID_BARRIER, GRID_PULSE, res.dt_shift,
+                                      epsrel=1e-8)
+        slope = _delta_actions(E, GRID_BARRIER, GRID_PULSE, [res.dt_shift],
+                               order=1)[0]
+        assert res.energy_residual == abs(slope)
+
+
 def test_grid_slot_classes():
     # one grid through every outcome: the pinch, the ordering, no interior
     # minimum (E = 0.5 at theta = 2.5), solved rows, E outside (0, V) and a
@@ -410,6 +439,22 @@ def test_newton_root_matches_brent(barrier, E, pulse):
     assert res.energy_residual < 1e-12
 
 
+def test_minimized_action_matches_mpmath_reference():
+    # tests/reference/trajectory_mpmath.py: the root of dA' and dA there at
+    # 30 digits, on a contour that shares only the truncated legs with the
+    # package's.  Measured: |dt_shift| within 4.7e-15 and dA within 9.8e-16
+    # relative; the windows allow ten times that
+    ref = json.loads(
+        (Path(__file__).parent / "reference" / "trajectory.json").read_text())
+    for point in ref["points"]:
+        barrier = SechBarrier(V=point["V"], a=point["a"], m=point["m"])
+        pulse = LorentzPulse(amplitude=point["amp"], width=float(point["theta"]),
+                             exponent=point["n"])
+        res, = minimize_delta_actions([point["E"]], barrier, pulse)
+        assert abs(res.dt_shift - float(point["dt_shift"])) < 5e-14
+        assert res.dA == pytest.approx(float(point["dA"]), rel=1e-14, abs=0.0)
+
+
 def test_enhancement_monotone_toward_resonance():
     tau_s = math.pi / 2.0
     amps = []
@@ -419,15 +464,6 @@ def test_enhancement_monotone_toward_resonance():
         res = minimize_delta_action(0.5, SECH, pulse)
         amps.append(abs(res.dA))
     assert amps[1] > amps[0]
-
-
-def test_max_flux_exponent_composition():
-    flux = max_flux_exponent(0.5, SECH, ZeroPulse())
-    A0 = static_wkb_exponent(SECH, 0.5)
-    assert flux.A == pytest.approx(A0, rel=1e-12)
-    assert flux.W_max == pytest.approx(math.exp(-A0), rel=1e-12)
-    assert flux.enhancement == pytest.approx(1.0, rel=1e-12)
-    assert flux.exponent_only
 
 
 # --- Static contour reduction ----------------------------------------------------
