@@ -18,7 +18,6 @@ from .model import (
     SechBarrier,
     TriangularBarrier,
     ZeroPulse,
-    pulse_fourier_envelope,
     static_wkb_exponent,
 )
 from .euclidean import (
@@ -31,19 +30,16 @@ from .euclidean import (
     threshold_form,
 )
 from .hj import (
-    BranchReport,
     RateSeries,
     SaddleState,
     action,
-    branch_report,
-    decay_rate,
+    amp_lower_bound,
     decay_rate_series,
     exit_exponent,
     rate_peak_time,
     sigma1,
     sigma2,
     solve_t0,
-    validity_report,
 )
 from .quanta import QuantaPlan, effective_action, optimize_quanta
 from .trajectory import (

@@ -40,10 +40,10 @@ from .euclidean import (
     threshold_form,
 )
 from .hj import (
+    amp_lower_bound,
     decay_rate_series,
     exit_exponent,
     rate_peak_time,
-    validity_report,
 )
 from .model import (
     GaussianPulse,
@@ -365,8 +365,7 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
         b = config.make_barrier(E_hint=E_launch)
         probe = LorentzPulse(amplitude=max(config.amp, 1e-6), width=theta,
                              exponent=config.n)
-        rep = validity_report(b, probe)
-        amp_min = rep.amp_lower_bound * config.E0
+        amp_min = amp_lower_bound(b, probe) * config.E0
         A0 = static_wkb_exponent(b, E_launch)
         A_pred = threshold_form(E_launch, E_target, config.V, theta)
         rows.append((E_launch, theta, amp_min, A_pred, A0, A0 - A_pred))
@@ -388,8 +387,8 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
             dev = abs(A_hj - res.A) / abs(res.A)
             rows.append(("hj_vs_euclidean", A_hj, res.A, dev,
                          "pass" if dev < max(tol, 1e-4) else "fail"))
-            ET = threshold_energy(b, pulse)
-            A51 = threshold_form(config.E, ET.E_T, b.V, pulse.width)
+            A51 = threshold_form(config.E, threshold_energy(b, pulse), b.V,
+                                 pulse.width)
             dev51 = abs(res.A - A51) / abs(A51)
             rows.append(("euclidean_vs_threshold_form", res.A, A51, dev51,
                          "info"))

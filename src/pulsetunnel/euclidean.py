@@ -26,7 +26,6 @@ from .model import (
 
 __all__ = [
     "EuclideanResult",
-    "ThresholdResult",
     "solve_tau0",
     "euclidean_action",
     "euclidean_actions",
@@ -45,13 +44,6 @@ class EuclideanResult:
     regime: str
     E_T: float | None
     exit_point: float
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    E_T: float
-    clamped: bool
-    raw: float
 
 
 def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
@@ -116,7 +108,7 @@ def _regime_tag(E: float, barrier: TriangularBarrier, pulse) -> tuple[str, float
         return "static", None
     if not isinstance(pulse, LorentzPulse):
         return "no-threshold", None
-    E_T = threshold_energy(barrier, pulse).E_T
+    E_T = threshold_energy(barrier, pulse)
     tau00 = barrier.tau00_at(E)
     theta = pulse.width
     if abs(tau00 - theta) < 0.05 * theta:
@@ -218,15 +210,15 @@ def _closed_forms(E, tau0, I2, barrier, pulse) -> EuclideanResult:
     )
 
 
-def threshold_energy(barrier: TriangularBarrier, pulse) -> ThresholdResult:
-    """E_T = V - width^2*field_static^2/(2m): the energy with tau00(E) = width."""
+def threshold_energy(barrier: TriangularBarrier, pulse) -> float:
+    """E_T = V - width^2*field_static^2/(2m): the energy with tau00(E) = width,
+    clamped to [1e-12, 1 - 1e-12]*V."""
     if not isinstance(pulse, LorentzPulse):
         raise DomainError("threshold energy is defined for Lorentzian pulses")
     raw = barrier.V - pulse.width**2 * barrier.field_static**2 / (2.0 * barrier.m)
     lo = 1e-12 * barrier.V
     hi = barrier.V * (1.0 - 1e-12)
-    clamped = not (lo < raw < hi)
-    return ThresholdResult(E_T=min(max(raw, lo), hi), clamped=clamped, raw=raw)
+    return min(max(raw, lo), hi)
 
 
 def threshold_form(E: float, E_T: float, V: float, theta: float) -> float:

@@ -1,15 +1,16 @@
 """Direct Hamilton-Jacobi treatment of the pulsed triangular barrier.
 
 Solves for the complex saddle time t0(x,t), the classical action S(x,t), the
-first two semiclassical corrections sigma1 and sigma2, the small-parameter
-branch structure, validity diagnostics, and the time-resolved decay rate.
+first two semiclassical corrections sigma1 and sigma2, the exit exponent, the
+semiclassical lower bound on the pulse amplitude, and the time-resolved decay
+rate.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,17 +22,13 @@ from .model import LorentzPulse, TriangularBarrier, ZeroPulse
 
 __all__ = [
     "SaddleState",
-    "BranchReport",
     "RateSeries",
-    "ValidityReport",
     "solve_t0",
     "action",
     "sigma1",
     "sigma2",
-    "branch_report",
     "exit_exponent",
-    "validity_report",
-    "decay_rate",
+    "amp_lower_bound",
     "decay_rate_series",
     "rate_peak_time",
 ]
@@ -50,19 +47,6 @@ class SaddleState:
     h: complex          # pulse(t0)/field_static
     residual: float     # |saddle equation residual| / scale
 
-    @property
-    def causal(self) -> bool:
-        return self.t0.real <= self.t + 1e-10
-
-
-@dataclass(frozen=True)
-class BranchReport:
-    z1: float
-    z2: float
-    x1: float
-    x2: float
-    iS_x1: float
-
 
 @dataclass(frozen=True)
 class RateSeries:
@@ -70,14 +54,6 @@ class RateSeries:
     rate: np.ndarray        # escape flux |dw/dt| >= 0
     exponent: np.ndarray    # 2*Im(S+sigma) at x1, time-resolved
     prefactor: np.ndarray
-    regime: list
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    amp_lower_bound: float      # semiclassical lower bound on amplitude/field
-    hierarchy: dict = field(default_factory=dict)
 
 
 # --- Contour helpers ------------------------------------------------------------
@@ -386,18 +362,17 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
     return complex(legs[0] + legs[1])
 
 
-# --- Branch structure and validity ---------------------------------------------
+# --- Exit branch and amplitude bound -------------------------------------------
 
-def _require_lorentz_hj(pulse):
+def _exit_action_x1(barrier: TriangularBarrier, pulse) -> float:
+    """Im S at the small-amplitude exit point x1 = field_static*width^2/(2m):
+    (V-E)*width*(1 - width^2/(3 tau00^2)).  RegimeError unless the pulse is
+    Lorentzian with exponent >= 3 and narrower than tau00, which the exit
+    branch needs."""
     if not isinstance(pulse, LorentzPulse):
         raise RegimeError("branch analysis requires a Lorentzian-power pulse")
     if pulse.exponent < 3:
         raise RegimeError("branch analysis requires integer pulse exponent >= 3")
-
-
-def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
-    """Small parameters z1, z2 and the exit/branch coordinates x1, x2 at t=0."""
-    _require_lorentz_hj(pulse)
     theta = pulse.width
     tau00 = barrier.tau00
     if theta >= tau00:
@@ -405,17 +380,8 @@ def branch_report(barrier: TriangularBarrier, pulse) -> BranchReport:
             "pulse width >= static traversal time: use the euclidean "
             "high-energy branch"
         )
-    n = pulse.exponent
-    amp_ratio = pulse.amplitude / barrier.field_static
-    base = amp_ratio * theta / (2**n * (tau00 - theta))
-    z1 = (base / (n - 1)) ** (1.0 / (n - 1))
-    z2 = base ** (1.0 / n)
-    e0, m = barrier.field_static, barrier.m
     VmE = barrier.V - barrier.E_bound
-    x1 = e0 * theta**2 / (2.0 * m)
-    x2 = e0 * theta * (2.0 * tau00 - theta) / (2.0 * m)
-    iS_x1 = VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
-    return BranchReport(z1, z2, x1, x2, iS_x1)
+    return VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
 
 
 def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
@@ -423,7 +389,7 @@ def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
     vanishes: there t0 = i*tau0 and p(0) = i(p0 - field_static*tau0 -
     int_0^tau0 pulse(i u) du), so tau0 is euclidean.solve_tau0's root.  The
     saddle equation at (t0, 0) gives x in closed form (residual 0)."""
-    branch_report(barrier, pulse)
+    _exit_action_x1(barrier, pulse)
     tau0 = solve_tau0(barrier.E_bound, barrier, pulse)
     t0 = 1j * tau0
     x = (tau0 * barrier.p0() - 0.5 * barrier.field_static * tau0**2
@@ -432,76 +398,22 @@ def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
     return 2.0 * action(x, 0.0, barrier, pulse, state).imag
 
 
-def validity_report(barrier: TriangularBarrier, pulse) -> ValidityReport:
-    """Semiclassical validity margins (numerical coefficient set to 1).
-
-    Checks the amplitude window and the correction hierarchy
-    |S| >> |sigma1| >> |sigma2| using the known asymptotics at the exit
-    point and on a circle around the branch point.
-    """
-    if not isinstance(pulse, LorentzPulse):
-        return ValidityReport(False, math.inf)
-    theta = pulse.width
-    n = pulse.exponent
-    tau00 = barrier.tau00
-    VmE = barrier.V - barrier.E_bound
-    action_scale = VmE * theta
-    amp_ratio = pulse.amplitude / barrier.field_static
-    if theta >= tau00:
-        return ValidityReport(False, math.inf)
-    lower = (theta / (tau00 - theta)) ** (n / 2.0 - 1.0) / action_scale ** (n / 2.0)
-
-    hierarchy = {}
-    ok_chain = True
-    if amp_ratio > 0 and n >= 3:
-        rep = branch_report(barrier, pulse)
-        z1, z2 = rep.z1, rep.z2
-        # exit point x1 (z = z1): Eq.-level asymptotics
-        s_x1 = rep.iS_x1
-        s1_x1 = abs(
-            -0.5 * cmath.log((n - 1) * (1 - theta / tau00) / z1) - 0.5 - 0.5j * math.pi
-        )
-        s2_x1 = abs(
-            (8 * (n - 1) * (1 - theta / tau00) ** 2 + n * (2 * n - 3) / (n - 1))
-            / (48.0 * VmE * theta * z1 * (1 - theta / tau00))
-        )
-        hierarchy["x1"] = (s_x1, s1_x1, s2_x1)
-        ok_chain &= s_x1 > 5 * s1_x1 > 25 * s2_x1
-        # circle |z - z2| = z2 around the branch point: sigma1 passes through
-        # zero on the circle, so the chain is compared between the circle
-        # maxima (the characteristic scales), not pointwise
-        s1_circle, s2_circle = [], []
-        for phi in np.linspace(0.2, 2 * math.pi - 0.2, 8):
-            z = z2 * (1.0 + cmath.exp(1j * phi))
-            ratio_n = (z2 / z) ** n
-            s1_circle.append(abs(
-                -0.5 * cmath.log((1 - theta / tau00) * (1 - ratio_n))
-                - theta / (2 * tau00)
-            ))
-            s2_circle.append(abs(
-                (3 * n * (n + 1) + n * (2 * n - 3) * ratio_n)
-                / (48.0 * VmE * theta * z2**2 * (1 - theta / tau00)
-                   * (1 - ratio_n) ** 3)
-                * (z2 / z) ** (n + 2)
-            ))
-        s1_max, s2_max = max(s1_circle), max(s2_circle)
-        hierarchy["z2_circle"] = (s_x1, s1_max, s2_max)
-        ok_chain &= s_x1 > 5 * s1_max > 25 * s2_max
-        # well region: parametric scales only (S and sigma both vanish at x=0)
-        hierarchy["well_scales"] = (
-            (2.0 / 3.0) * VmE * tau00,
-            0.5 * abs(math.log(max(1.0 - theta / tau00, 1e-300))) + 0.5,
-            1.0 / (VmE * tau00),
-        )
-    ok = action_scale > 5.0 and amp_ratio > lower and ok_chain
-    return ValidityReport(ok=ok, amp_lower_bound=lower, hierarchy=hierarchy)
+def amp_lower_bound(barrier: TriangularBarrier, pulse) -> float:
+    """Semiclassical lower bound on amplitude/field_static (numerical
+    coefficient 1): (width/(tau00 - width))^(n/2 - 1) / ((V-E)*width)^(n/2).
+    inf for a pulse that is not Lorentzian or not narrower than tau00."""
+    if not isinstance(pulse, LorentzPulse) or pulse.width >= barrier.tau00:
+        return math.inf
+    theta, n, tau00 = pulse.width, pulse.exponent, barrier.tau00
+    action_scale = (barrier.V - barrier.E_bound) * theta
+    return (theta / (tau00 - theta)) ** (n / 2.0 - 1.0) / action_scale ** (n / 2.0)
 
 
 # --- Decay rate -----------------------------------------------------------------
 
 def _rate_pieces(barrier: TriangularBarrier, pulse):
     # the exit action at x1, which also checks the pulse and its width
-    exp0 = 2.0 * branch_report(barrier, pulse).iS_x1
+    exp0 = 2.0 * _exit_action_x1(barrier, pulse)
     theta, n = pulse.width, pulse.exponent
     tau00 = barrier.tau00
     VmE = barrier.V - barrier.E_bound
@@ -513,17 +425,6 @@ def _rate_pieces(barrier: TriangularBarrier, pulse):
     )
     quart = 2.0 * (n - 1) * VmE / (theta * tau00**2)
     return pref, exp0, quart
-
-
-def decay_rate(t: float, barrier: TriangularBarrier, pulse) -> float:
-    """Escape flux -dw/dt at real time t > 0 (exact near-peak closed form)."""
-    if t <= 0:
-        raise RegimeError(
-            "the time-resolved rate is defined only at t > 0; the t < 0 side "
-            "is not extrapolated"
-        )
-    pref, exp0, quart = _rate_pieces(barrier, pulse)
-    return pref * t * math.exp(-exp0 - quart * t**4)
 
 
 def rate_peak_time(barrier: TriangularBarrier, pulse) -> float:
@@ -540,11 +441,9 @@ def decay_rate_series(times, barrier: TriangularBarrier, pulse) -> RateSeries:
     pref, exp0, quart = _rate_pieces(barrier, pulse)
     exponent = exp0 + quart * times**4
     rate = pref * times * np.exp(-exponent)
-    regime = ["pulse" if t < 2.0 * pulse.width else "static-tail" for t in times]
     return RateSeries(
         times=times,
         rate=rate,
         exponent=exponent,
         prefactor=pref * times,
-        regime=regime,
     )

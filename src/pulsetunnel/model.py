@@ -21,7 +21,6 @@ __all__ = [
     "ZeroPulse",
     "LorentzPulse",
     "GaussianPulse",
-    "pulse_fourier_envelope",
     "static_wkb_exponent",
 ]
 
@@ -115,11 +114,6 @@ class SechBarrier:
         """Imaginary part pi/(2*omega) of the trajectory branch point."""
         return math.pi / (2.0 * self.omega(E))
 
-    def turning_point(self, E: float) -> float:
-        """Positive classical turning point a*arccosh(sqrt(V/E))."""
-        self._check_energy(E)
-        return self.a * math.acosh(math.sqrt(self.V / E))
-
     def _check_energy(self, E: float):
         if not (0 < E < self.V):
             raise DomainError(f"need 0 < E < V={self.V}, got E={E}")
@@ -158,9 +152,6 @@ class ZeroPulse:
 
     def first_moment_antiderivative(self, t) -> complex:
         return 0.0 + 0.0j
-
-    def fourier_envelope(self, omega_query: float) -> float:
-        return 0.0
 
 
 def _lorentz_J(x, n: int):
@@ -252,15 +243,6 @@ class LorentzPulse:
         out = self.amplitude * self.width**2 / (2.0 * (1 - n)) * (u ** (1 - n) - 1.0)
         return out if out.ndim else complex(out)
 
-    def fourier_envelope(self, omega_query: float) -> float:
-        """Spectral amplitude ~ amp*width*(w*width)^(n-1)*exp(-w*width).
-
-        Order-one prefactor left unfixed; consumers use this inside
-        logarithms only.
-        """
-        w = omega_query * self.width
-        return self.amplitude * self.width * w ** (self.exponent - 1) * math.exp(-w)
-
 
 @dataclass(frozen=True)
 class GaussianPulse:
@@ -310,20 +292,6 @@ class GaussianPulse:
         z2 = (self.rate * np.asarray(t, dtype=complex)) ** 2
         out = self.amplitude / (2.0 * self.rate**2) * (1.0 - np.exp(-z2))
         return out if out.ndim else complex(out)
-
-    def fourier_envelope(self, omega_query: float) -> float:
-        return self.amplitude * math.exp(-(omega_query**2) / (4.0 * self.rate**2))
-
-
-def pulse_fourier_envelope(pulse, omega_query: float) -> float:
-    """Spectral amplitude of the pulse at a positive query frequency.
-
-    Accurate only up to an order-one constant; meant for use inside
-    logarithms (quanta-optimizer).
-    """
-    if omega_query <= 0:
-        raise DomainError("query frequency must be positive")
-    return pulse.fourier_envelope(omega_query)
 
 
 # --- Static WKB exponent --------------------------------------------------------

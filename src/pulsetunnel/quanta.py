@@ -26,9 +26,7 @@ __all__ = ["QuantaPlan", "effective_action", "optimize_quanta"]
 class QuantaPlan:
     omega: float
     N: float                # real-valued relaxation of the quanta count
-    N_rounded: int
     A_eff: float
-    deltaE: float           # omega * N
 
 
 def _absorption_log(pulse: LorentzPulse, omega: float) -> float:
@@ -106,7 +104,9 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
     omega*theta = e*(E0/amp)^(1/(n-2)) for n >= 3.
     Either way omega stays in a fixed range, and the smallest exponent among
     the clipped stationary frequency and the two range ends is returned
-    (docs/decisions.md, "Quanta optimum in closed form").
+    (docs/decisions.md, "Quanta optimum in closed form").  A negative
+    Gaussian minimum (L below about 1.96, where ln(omega*k) < 0 at the lower
+    range end) is outside the separation picture: RegimeError.
     """
     V, m = barrier.V, barrier.m
     if not (0 < E < V):
@@ -139,4 +139,10 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
     A, w, N = min(
         (effective_action(w, N, E, barrier, pulse), w, N) for w, N in plans
     )
-    return QuantaPlan(omega=w, N=N, N_rounded=round(N), A_eff=A, deltaE=w * N)
+    if isinstance(pulse, GaussianPulse) and A < 0:
+        raise RegimeError(
+            f"the Gaussian quanta exponent is negative (A_eff = {A:.6g} at "
+            f"omega = {w:.6g}): the separation picture needs "
+            f"L = ln(rate*sqrt(m(V-E))/amp) >> 1, got L = {L:.6g}"
+        )
+    return QuantaPlan(omega=w, N=N, A_eff=A)

@@ -30,7 +30,6 @@ from .model import SechBarrier, ZeroPulse, static_wkb_exponent
 
 __all__ = [
     "TrajectoryHandle",
-    "ContourSpec",
     "unperturbed_trajectory",
     "singularity_time",
     "build_contour",
@@ -45,33 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectoryHandle:
-    """Closed-form trajectory x0(t + dt_shift) for energy E under the barrier."""
+    """Constants of the closed-form trajectory x0(t + dt_shift) at one energy
+    (_motion evaluates it on the principal branch)."""
 
-    E: float
     dt_shift: float
-    barrier: SechBarrier
     omega: float
     u0: float            # sqrt((V-E)/E): turning-point value of sinh(x/a)
     t_s: complex         # branch point in the upper half plane
     tau_s: float         # Im t_s = pi/(2*omega)
-
-    def position(self, t):
-        """x0(t + dt_shift); principal branch, cut left of the branch points."""
-        return self._evaluate(0, t)
-
-    def velocity(self, t):
-        """dx0/dt consistent with the position branch."""
-        return self._evaluate(1, t)
-
-    def _evaluate(self, order, t):
-        t = np.asarray(t, dtype=complex)
-        if np.any(_on_cut(t, self.t_s.real, self.tau_s, self.omega)):
-            raise SingularityError(
-                "trajectory evaluated on its branch cut", location=self.t_s
-            )
-        out = _motion(order, t, self.barrier.a, self.omega, self.u0,
-                      self.dt_shift)
-        return out if out.ndim else complex(out)
 
 
 def _motion(order, t, a, omega, u0, shift):
@@ -129,9 +109,7 @@ def unperturbed_trajectory(
         raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
     w = barrier.omega(E)
     return TrajectoryHandle(
-        E=E,
         dt_shift=dt_shift,
-        barrier=barrier,
         omega=w,
         u0=math.sqrt((barrier.V - E) / E),
         t_s=singularity_time(E, barrier, dt_shift),
@@ -141,31 +119,18 @@ def unperturbed_trajectory(
 
 # --- Contour --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Conjugation-symmetric polyline between iw-pole and trajectory branch point.
+def build_contour(traj: TrajectoryHandle, pulse_width: float) -> tuple:
+    """Waypoints of the contour C of the perturbation integral (Im t_s < width).
 
-    Legs run at +/- i*pi/omega from Re t = -tail to the left connector, left
-    of both the pulse pole (Re t = 0) and the branch point; the connector
-    runs at +/- i*cross_height, strictly between Im t_s and the pulse width,
-    and returns to the real axis right of both, short of the mirrored branch
-    point.  So the contour never crosses the pole or the cut of x0, whatever
-    the shift.
+    A conjugation-symmetric polyline: its legs run at +/- i*pi/omega from
+    Re t = -tail to the left vertical, left of both the pulse pole (Re t = 0)
+    and the branch point t_s; the connector runs at +/- i*y, halfway between
+    Im t_s and min(width, pi/omega), and returns to the real axis right of
+    both, short of the mirrored branch point at -Re t_s - 2*dt_shift.  So C
+    never crosses the pole or the cut of x0, and the principal arcsinh
+    branch is the physical one along the whole descent; a shift that leaves
+    the connector no room is a RegimeError.
     """
-
-    waypoints: tuple
-    tail_bound: float
-
-
-def build_contour(
-    traj: TrajectoryHandle,
-    pulse_width: float,
-    *,
-    cross_height: float | None = None,
-    connector_x: float | None = None,
-    tail: float | None = None,
-) -> ContourSpec:
-    """Contour C of the perturbation integral for the Im t_s < width case."""
     w = traj.omega
     tau_s = traj.tau_s
     H = 2.0 * tau_s                       # leg height pi/omega
@@ -175,19 +140,18 @@ def build_contour(
             "(Im t_s >= width): unsupported ordering"
         )
     top = min(pulse_width, H)
-    y = cross_height if cross_height is not None else tau_s + 0.5 * (top - tau_s)
-    if not (tau_s < y < pulse_width):
+    y = tau_s + 0.5 * (top - tau_s)
+    re_ts = traj.t_s.real
+    right, mirror = max(re_ts, 0.0), -re_ts - 2.0 * traj.dt_shift
+    c1 = min(re_ts, 0.0) - 1.0 / w
+    c2 = 0.5 * (right + mirror)
+    if not (right < c2 < mirror):
         raise RegimeError(
-            f"cross height {y} must lie strictly between Im t_s={tau_s} "
-            f"and the pulse width {pulse_width}"
+            f"connector abscissa {c2} must lie in ({right}, {mirror}) to keep "
+            "the principal trajectory branch"
         )
-    left, right, mirror = _vertical_bounds(traj)
-    c1 = left - 1.0 / w
-    c2 = connector_x if connector_x is not None else 0.5 * (right + mirror)
-    _check_verticals(traj, c1, c2)
-    if tail is None:
-        tail = max(200.0 * pulse_width, abs(c1) + 200.0 / w)
-    pts = (
+    tail = max(200.0 * pulse_width, abs(c1) + 200.0 / w)
+    return (
         complex(-tail, H),
         complex(c1, H),
         complex(c1, y),
@@ -197,37 +161,6 @@ def build_contour(
         complex(c1, -H),
         complex(-tail, -H),
     )
-    # integrand tail ~ amp*(width/t)^(2n) * a*omega*t; bound for the worst n=2
-    tail_bound = traj.barrier.a * w * pulse_width ** 4 / tail ** 2
-    return ContourSpec(waypoints=pts, tail_bound=tail_bound)
-
-
-def _vertical_bounds(traj: TrajectoryHandle) -> tuple[float, float, float]:
-    """(left, right, mirror) for the contour's verticals at this shift.
-
-    The pulse pole sits at Re t = 0 and the branch point at Re t_s: the left
-    vertical must pass left of both, min(Re t_s, 0), and the connector right
-    of both, max(Re t_s, 0), and short of the mirrored branch point at
-    -Re t_s - 2*dt_shift, so the principal arcsinh branch is the physical
-    one along the whole descent.
-    """
-    re_ts = traj.t_s.real
-    return min(re_ts, 0.0), max(re_ts, 0.0), -re_ts - 2.0 * traj.dt_shift
-
-
-def _check_verticals(traj: TrajectoryHandle, c1: float, c2: float) -> None:
-    """RegimeError unless verticals at c1 and c2 keep C on one sheet of x0."""
-    left, right, mirror = _vertical_bounds(traj)
-    if not c1 < left:
-        raise RegimeError(
-            f"left vertical abscissa {c1} must lie left of {left}, the pulse "
-            "pole and the trajectory branch point"
-        )
-    if not (right < c2 < mirror):
-        raise RegimeError(
-            f"connector abscissa {c2} must lie in ({right}, {mirror}) to keep "
-            "the principal trajectory branch"
-        )
 
 
 # --- Perturbation integral ------------------------------------------------------
@@ -261,34 +194,27 @@ def delta_action(
     pulse,
     dt_shift: float,
     *,
-    contour: ContourSpec | None = None,
-    imag_tol: float = 1e-8,
     epsrel: float = 1e-10,
 ) -> float:
     """Perturbative exponent correction dA = -i int_C pulse * x0 dt (real).
 
     dt_shift is the pulse-frame exit-time shift (branch point at
     i*tau_s - dt_shift).  The residual imaginary part is a quadrature health
-    check; exceeding `imag_tol` (relative) plus the engine's error estimate
-    raises a contour diagnostic.  The default contour keeps one sheet of x0
-    for every shift, so dA is one analytic function of dt_shift, with slope
-    -i int_C pulse * dx0/dt dt; a given `contour` must do the same
-    (RegimeError otherwise).
+    check; exceeding 1e-8 (relative) plus the engine's error estimate
+    raises a contour diagnostic.  The contour keeps one sheet of x0 for
+    every shift, so dA is one analytic function of dt_shift, with slope
+    -i int_C pulse * dx0/dt dt.
     """
-    return float(_delta_actions(E, barrier, pulse, [dt_shift], contour=contour,
-                                imag_tol=imag_tol, epsrel=epsrel)[0])
+    return float(_delta_actions(E, barrier, pulse, [dt_shift], epsrel=epsrel)[0])
 
 
-def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
-                   imag_tol=1e-8, epsrel=1e-10, upper=False) -> np.ndarray:
+def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
+                   upper=False) -> np.ndarray:
     """-i int_C pulse * d^k x0/dt^k dt for paths (E, shift, k), in one engine call.
 
     E, `shifts`, `order` and `epsrel` broadcast to one path each.  Order 0
     integrates the position and gives delta_action, order 1 the velocity and
-    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  `contour`,
-    when given, serves every path; its verticals must keep it on one sheet
-    of x0 at each of them, as build_contour's do (RegimeError otherwise).
-    dA' is meant to cancel at the exit shift, so the tolerance of the
+    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  dA' is meant to cancel at the exit shift, so the tolerance of the
     derivative paths also admits 1e-12 * int |f|.  An error raised for one
     path names it in diagnostics["path"].
 
@@ -298,14 +224,14 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
     it from C+ alone, at half the points and with epsabs halved: errors per
     unit of dA stay where they were, but no conjugation check is left.
     Otherwise the engine integrates all of C, and an imaginary part beyond
-    `imag_tol` (relative) plus the error estimate raises ConvergenceError.
+    1e-8 (relative) plus the error estimate raises ConvergenceError.
     """
     E, shifts, order, epsrel = (
         np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
     if not _check_pulse(pulse):
         return np.zeros(E.size)
     width = pulse.poles()[0][0].imag
-    trajs, contours = [], []
+    trajs, paths = [], []
     for p in range(E.size):
         try:
             E_p = float(E[p])
@@ -317,12 +243,7 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
                     "branch breaks down (near-resonance), a nonperturbative "
                     "treatment is needed"
                 )
-            if contour is None:
-                contours.append(build_contour(tr, width))
-            else:
-                _check_verticals(tr, contour.waypoints[1].real,
-                                 contour.waypoints[3].real)
-                contours.append(contour)
+            paths.append(list(build_contour(tr, width)))
         except PulseTunnelError as exc:
             exc.diagnostics["path"] = p
             raise
@@ -351,7 +272,6 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
                                  shift[pid])
         return pulse(t) * x
 
-    paths = [list(c.waypoints) for c in contours]
     if upper:
         paths = [p[:4] + [complex(p[3].real, 0.0)] for p in paths]
     vals, errs, _ = integrate_paths(f, paths, epsabs=5e-14 if upper else 1e-13,
@@ -361,13 +281,13 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, contour=None,
         return 2.0 * vals.imag
     vals = -1j * vals
     scale = np.maximum(np.abs(vals), 1e-12)
-    lost = np.flatnonzero(np.abs(vals.imag) > imag_tol * scale + errs)
+    lost = np.flatnonzero(np.abs(vals.imag) > 1e-8 * scale + errs)
     if lost.size:
         p = int(lost[0])
         raise ConvergenceError(
             "contour quadrature lost conjugation symmetry",
             residual=abs(vals[p].imag) / scale[p],
-            diagnostics={"contour": contours[p], "value": vals[p],
+            diagnostics={"contour": paths[p], "value": vals[p],
                          "dt_shift": shifts[p], "path": p},
         )
     return vals.real

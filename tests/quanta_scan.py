@@ -53,10 +53,7 @@ def optimize_quanta(
         )
         w_opt = float(res.x)
         N_opt = (V - E) / w_opt
-        return QuantaPlan(
-            omega=w_opt, N=N_opt, N_rounded=round(N_opt),
-            A_eff=float(res.fun), deltaE=w_opt * N_opt,
-        )
+        return QuantaPlan(omega=w_opt, N=N_opt, A_eff=float(res.fun))
 
     if not isinstance(pulse, LorentzPulse):
         raise DomainError("optimize_quanta needs a Lorentzian or Gaussian pulse")
@@ -92,7 +89,4 @@ def optimize_quanta(
             method="bounded",
         )
         N_opt, A_opt = float(inner.x), float(inner.fun)
-    return QuantaPlan(
-        omega=w_opt, N=N_opt, N_rounded=round(N_opt), A_eff=A_opt,
-        deltaE=w_opt * N_opt,
-    )
+    return QuantaPlan(omega=w_opt, N=N_opt, A_eff=A_opt)

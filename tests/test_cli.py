@@ -280,8 +280,13 @@ SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
     (["--method", "quanta", "--V", "10", "--E0", "0", "--pulse", "gauss",
       "--amp", "0.01", "--omega-rate", "0.05", "--E-grid", "1:9.99:2"],
      EXIT_OK, "9.99,nan,nan,nan,error:DomainError"),
+    # a negative Gaussian exponent, L = ln(rate*sqrt(m(V-E))/amp) = 1.50 at
+    # E = 15 (was A_eff = -48.67); at E = 1, L = 2.17 and A_eff > 0
+    (["--method", "quanta", "--V", "20", "--E0", "0", "--pulse", "gauss",
+      "--amp", "0.5", "--omega-rate", "1", "--E-grid", "1:15:2"],
+     EXIT_OK, "15,nan,nan,nan,error:RegimeError"),
 ], ids=["sech-euclidean", "sech-quanta", "euclidean", "hj", "trajectory",
-        "quanta"])
+        "quanta", "quanta-negative"])
 def test_action_curve_method_errors(argv, code, last_row, capsys):
     assert _run(["action-curve", *argv]) == code
     captured = capsys.readouterr()
@@ -316,7 +321,7 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # a ZeroDivisionError in SechBarrier.omega
     (["action-curve", "--barrier", "sech", "--a", "1e-300", "--E", "0.5",
       "--amp", "0.01"], EXIT_REGIME, "ZeroDivisionError"),
-    # an OverflowError in branch_report
+    # an OverflowError in the exit action at x1 (tau00^2)
     (["rate", "--V", "1", "--E0", "1e-300", "--amp", "1", "--E", "0.5"],
      EXIT_REGIME, "OverflowError"),
     # brentq's ValueError on an infinite static traversal time
@@ -332,14 +337,21 @@ def test_near_pinch_quadrature_gives_up(capsys):
     (["action-curve", "--method", "quanta", "--V", "1e300", "--amp", "5",
       "--E", "1e-300", "--n", "2"], EXIT_OK,
      "1e-300,nan,nan,nan,error:RegimeError"),
+    # a tiny field: the bound underflows to amp_min = 0 (was exit 2, from an
+    # OverflowError in the unread exit coordinate x1 = E0*theta^2/(2m))
+    (["adapt", "--V", "10", "--E0", "1e-200", "--amp", "1e-300", "--E", "5",
+      "--n", "3"], EXIT_OK,
+     "4.5,3.16227766017e+200,0,2.4244128728e+201,2.43219151293e+201,"
+     "7.77864013154e+198"),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
-        "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf"])
+        "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf", "adapt-tiny-E0"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code
     captured = capsys.readouterr()
     if code == EXIT_OK:
-        assert _body(captured)[1:] == [message] and not captured.err
+        # message is the last row of the table
+        assert _body(captured)[-1] == message and not captured.err
         return
     err = captured.err
     assert message in err and err.count("\n") == 1

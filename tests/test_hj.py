@@ -7,20 +7,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
-from pulsetunnel.errors import RegimeError
+from pulsetunnel.errors import ConvergenceError, RegimeError
 from pulsetunnel.euclidean import euclidean_action
 from pulsetunnel.hj import (
+    _exit_action_x1,
     action,
-    branch_report,
-    decay_rate,
+    amp_lower_bound,
     decay_rate_series,
     exit_exponent,
     rate_peak_time,
     sigma1,
     sigma2,
     solve_t0,
-    validity_report,
 )
 from pulsetunnel.model import (
     GaussianPulse,
@@ -34,6 +34,17 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 CANON = TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=1.0)
 PULSE5 = LorentzPulse(amplitude=0.05, width=2.0, exponent=3)
+
+
+def _branch_scales(b, pulse):
+    """Small-amplitude exit-branch scales at t = 0: the exit point x1, the
+    branch end x2 and the small parameters z1, z2 of the saddle's distance
+    1 - tau0/width below the pulse width there."""
+    theta, n, tau00 = pulse.width, pulse.exponent, b.tau00
+    base = pulse.amplitude / b.field_static * theta / (2**n * (tau00 - theta))
+    x1 = b.field_static * theta**2 / (2.0 * b.m)
+    x2 = b.field_static * theta * (2.0 * tau00 - theta) / (2.0 * b.m)
+    return x1, x2, (base / (n - 1)) ** (1.0 / (n - 1)), base ** (1.0 / n)
 
 
 def _configs():
@@ -102,6 +113,21 @@ def test_hamilton_jacobi_residual(b, xf, t, ampf):
 
 # --- Causality -------------------------------------------------------------------
 
+def _past_axis_maximum(x, b, pulse):
+    """True where no saddle of the pulse branch lies on the imaginary axis at
+    t = 0: there t0 = i*tau and the saddle equation is real,
+    f(tau) = tau*p0 - field_static*tau^2/2 - W(tau) = m*x with
+    W = amp*width^2/(2(n-1))*((1 - tau^2/width^2)^(1-n) - 1), and f is
+    concave on (0, width), so m*x above its maximum has no root there."""
+    w, n, amp = pulse.width, pulse.exponent, pulse.amplitude
+    p0, e0 = b.p0(), b.field_static
+    tau = brentq(lambda u: p0 - e0 * u - amp * u * (1.0 - u**2 / w**2) ** (-n),
+                 0.0, w * (1.0 - 1e-12))
+    f = (tau * p0 - 0.5 * e0 * tau**2
+         - amp * w**2 / (2.0 * (n - 1)) * ((1.0 - tau**2 / w**2) ** (1 - n) - 1.0))
+    return b.m * x > f
+
+
 @given(
     b=_configs(),
     xf=st.floats(0.0, 0.55, **finite),
@@ -115,9 +141,15 @@ def test_causality(b, xf, t, ampf):
         if ampf > 1e-4 else ZeroPulse()
     )
     x = xf * b.exit_point
+    if t == 0.0 and ampf > 1e-4 and _past_axis_maximum(x, b, pulse):
+        # at t = 0 the Newton iterates stay on the imaginary axis, where no
+        # saddle is left: the solve stalls (see CHANGES.md)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            solve_t0(x, t, b, pulse, branch="static")
+        return
     state = solve_t0(x, t, b, pulse, branch="static")
     if isinstance(pulse, ZeroPulse):
-        assert state.causal
+        assert state.t0.real <= t + 1e-10
     else:
         # with the pulse on, the saddle's real part can run ahead of the
         # observation time, but only by the O(field) displacement it induces
@@ -129,14 +161,14 @@ def test_causality(b, xf, t, ampf):
 # --- Branch structure examples ---------------------------------------------------
 
 def test_branch_report_canonical():
-    rep = branch_report(CANON, PULSE5)
-    assert rep.x1 == pytest.approx(2.0)
-    tau00 = math.sqrt(10.0)
-    assert rep.x2 == pytest.approx(2.0 * (2.0 * tau00 - 2.0) / 2.0 * 1.0)
-    assert rep.iS_x1 == pytest.approx(5.0 * 2.0 * (1.0 - 4.0 / 30.0))
-    base = 0.05 * 2.0 / (2**3 * (tau00 - 2.0))
-    assert rep.z1 == pytest.approx(math.sqrt(base / 2.0))
-    assert rep.z2 == pytest.approx(base ** (1.0 / 3.0))
+    # the small-amplitude exit action at x1, which the decay rate starts from
+    assert _exit_action_x1(CANON, PULSE5) == pytest.approx(
+        5.0 * 2.0 * (1.0 - 4.0 / 30.0))
+    for pulse in (GaussianPulse(amplitude=0.05, rate=1.0),
+                  LorentzPulse(amplitude=0.05, width=2.0, exponent=2),
+                  LorentzPulse(amplitude=0.05, width=5.0, exponent=3)):
+        with pytest.raises(RegimeError):
+            _exit_action_x1(CANON, pulse)
 
 
 def test_exit_branch_saddle_canonical():
@@ -148,9 +180,9 @@ def test_exit_branch_saddle_canonical():
 
 
 def test_exit_branch_beyond_x2_raises():
-    rep = branch_report(CANON, PULSE5)
+    _, x2, _, _ = _branch_scales(CANON, PULSE5)
     with pytest.raises(RegimeError):
-        solve_t0(rep.x2 * 1.05, 0.0, CANON, PULSE5, branch="exit")
+        solve_t0(x2 * 1.05, 0.0, CANON, PULSE5, branch="exit")
 
 
 def test_keystone_action_value():
@@ -195,13 +227,13 @@ def test_exit_exponent_outside_the_first_bracket(E, amp, width, n):
 # --- Semiclassical corrections ---------------------------------------------------
 
 def test_sigma1_exit_asymptote():
-    rep = branch_report(CANON, PULSE5)
-    state = solve_t0(rep.x1, 0.0, CANON, PULSE5, branch="exit")
+    x1, _, z1, _ = _branch_scales(CANON, PULSE5)
+    state = solve_t0(x1, 0.0, CANON, PULSE5, branch="exit")
     s1 = sigma1(state, CANON, PULSE5)
     tau00 = CANON.tau00
     n = PULSE5.exponent
     i_s1_ref = (
-        -0.5 * cmath.log((n - 1) * (1.0 - 2.0 / tau00) / rep.z1)
+        -0.5 * cmath.log((n - 1) * (1.0 - 2.0 / tau00) / z1)
         - 0.5
         - 0.5j * math.pi
     )
@@ -209,7 +241,7 @@ def test_sigma1_exit_asymptote():
     # the imaginary part of i*sigma1 is exact at leading order; the real part
     # carries an O(z1) defect
     assert i_s1.imag == pytest.approx(i_s1_ref.imag, abs=1e-6)
-    assert i_s1.real == pytest.approx(i_s1_ref.real, abs=5.0 * rep.z1)
+    assert i_s1.real == pytest.approx(i_s1_ref.real, abs=5.0 * z1)
 
 
 def test_sigma2_interior_asymptote_small_amplitude():
@@ -217,10 +249,10 @@ def test_sigma2_interior_asymptote_small_amplitude():
     # in the small-amplitude limit where the form becomes exact
     amp = 1e-5
     pulse = LorentzPulse(amplitude=amp, width=2.0, exponent=3)
-    rep = branch_report(CANON, pulse)
+    _, _, _, z2 = _branch_scales(CANON, pulse)
     tau00 = CANON.tau00
     n = pulse.exponent
-    z = 0.5 * rep.z2          # x between x1 and x2 (exit branch: z1 < z < z2)
+    z = 0.5 * z2              # x between x1 and x2 (exit branch: z1 < z < z2)
     tau0 = 2.0 * (1.0 - z)
     x = (
         tau0 * CANON.p0() - 0.5 * CANON.field_static * tau0**2
@@ -230,12 +262,12 @@ def test_sigma2_interior_asymptote_small_amplitude():
     state = solve_t0(x, 0.0, CANON, pulse, branch="exit")
     s2 = sigma2(state, CANON, pulse)
     VmE = 5.0
-    ratio_n = (rep.z2 / z) ** n
+    ratio_n = (z2 / z) ** n
     i_s2_ref = (
         (3 * n * (n + 1) + n * (2 * n - 3) * ratio_n)
-        / (48.0 * VmE * pulse.width * rep.z2**2 * (1.0 - 2.0 / tau00)
+        / (48.0 * VmE * pulse.width * z2**2 * (1.0 - 2.0 / tau00)
            * (1.0 - ratio_n) ** 3)
-        * (rep.z2 / z) ** (n + 2)
+        * (z2 / z) ** (n + 2)
     )
     i_s2 = complex(1j * s2)
     assert i_s2.real == pytest.approx(i_s2_ref, rel=0.15)
@@ -246,19 +278,14 @@ def test_hierarchy_when_valid():
     # the canonical V=10 case sits marginally below the coefficient-1 bound
     b = TriangularBarrier(V=30.0, E_bound=10.0, field_static=1.0, m=1.0)
     pulse = LorentzPulse(amplitude=0.05, width=3.0, exponent=3)
-    rep_v = validity_report(b, pulse)
-    assert rep_v.ok
-    rep = branch_report(b, pulse)
-    state = solve_t0(rep.x1, 0.0, b, pulse, branch="exit")
-    S = action(rep.x1, 0.0, b, pulse, state)
+    assert pulse.amplitude / b.field_static > amp_lower_bound(b, pulse)
+    x1, _, _, _ = _branch_scales(b, pulse)
+    state = solve_t0(x1, 0.0, b, pulse, branch="exit")
+    S = action(x1, 0.0, b, pulse, state)
     s1 = sigma1(state, b, pulse)
     s2 = sigma2(state, b, pulse)
     assert abs(S) > 5.0 * abs(s1)
     assert abs(s1) > 5.0 * abs(s2)
-    # the well boundary x=0 carries S(0,t)=-E*t and sigma ~ O(1) corrections;
-    # the closed-form hierarchy scales recorded by the validity report
-    s_well, s1_well, s2_well = rep_v.hierarchy["well_scales"]
-    assert s_well > 5.0 * s1_well > 25.0 * s2_well
 
 
 # mpmath values at 30 working digits, generated by tests/reference/sigma_mpmath.py
@@ -296,16 +323,21 @@ def test_exit_exponent_matches_mpmath(ref):
 
 
 def test_validity_rejects_oversized_width():
+    # no amplitude makes a pulse as wide as tau00 semiclassical, nor a pulse
+    # without a pole; below tau00 the bound is the closed form
     wide = LorentzPulse(amplitude=0.05, width=5.0, exponent=3)
-    rep = validity_report(CANON, wide)
-    assert not rep.ok
+    assert amp_lower_bound(CANON, wide) == math.inf
+    assert amp_lower_bound(CANON, GaussianPulse(amplitude=0.05, rate=1.0)) == math.inf
+    tau00 = math.sqrt(10.0)
+    assert amp_lower_bound(CANON, PULSE5) == pytest.approx(
+        (2.0 / (tau00 - 2.0)) ** 0.5 / 10.0 ** 1.5, rel=1e-14)
 
 
 # --- Decay rate ------------------------------------------------------------------
 
 def test_rate_positive_time_only():
     with pytest.raises(RegimeError):
-        decay_rate(0.0, CANON, PULSE5)
+        decay_rate_series([0.0, 1.0], CANON, PULSE5)
     with pytest.raises(RegimeError):
         decay_rate_series([-1.0, 1.0], CANON, PULSE5)
 

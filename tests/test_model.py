@@ -15,7 +15,6 @@ from pulsetunnel.model import (
     SechBarrier,
     TriangularBarrier,
     ZeroPulse,
-    pulse_fourier_envelope,
     static_wkb_exponent,
 )
 
@@ -266,36 +265,6 @@ def _sech_exponent_quadrature(V, a, m, E):
     return 2.0 * math.sqrt(2.0 * m) * num
 
 
-# --- Spectral envelope examples --------------------------------------------------
-
-def test_fourier_envelope_examples():
-    assert pulse_fourier_envelope(ZeroPulse(), 3.0) == 0.0
-    p = LorentzPulse(amplitude=1.0, width=1.0, exponent=2)
-    assert pulse_fourier_envelope(p, 3.0) == pytest.approx(3.0 * math.exp(-3.0))
-    p3 = LorentzPulse(amplitude=1.0, width=1.0, exponent=3)
-    ratio = pulse_fourier_envelope(p3, 4.0) / pulse_fourier_envelope(p3, 2.0)
-    assert ratio == pytest.approx(4.0 * math.exp(-2.0), rel=1e-12)
-
-
-def test_fourier_envelope_ratio_vs_numeric_transform():
-    # exponential regime: the envelope ratio tracks the true Fourier transform
-    p = LorentzPulse(amplitude=1.0, width=1.0, exponent=3)
-
-    def ft(w):
-        val, _ = integrate.quad(
-            lambda t: complex(p(t)).real * math.cos(w * t), 0.0, 60.0,
-            epsabs=1e-14, epsrel=1e-12, limit=400,
-        )
-        return 2.0 * val
-
-    # the envelope keeps only the leading (w*width)^(n-1)*exp(-w*width) term;
-    # the exact transform carries a subleading polynomial, so ratios agree
-    # to 20% only once w*width is comfortably large
-    ratio_model = pulse_fourier_envelope(p, 8.0) / pulse_fourier_envelope(p, 6.0)
-    ratio_true = ft(8.0) / ft(6.0)
-    assert ratio_model == pytest.approx(ratio_true, rel=0.2)
-
-
 # --- Validation ------------------------------------------------------------------
 
 def test_domain_validation():
@@ -345,4 +314,3 @@ def test_sech_derived_quantities():
     b = SechBarrier(V=1.0, a=1.0, m=1.0)
     assert b.omega(0.5) == pytest.approx(1.0)
     assert b.tau_s(0.5) == pytest.approx(math.pi / 2.0)
-    assert b.turning_point(0.5) == pytest.approx(math.acosh(math.sqrt(2.0)))

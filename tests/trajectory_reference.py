@@ -17,16 +17,17 @@ from pulsetunnel.contour import integrate_paths
 from pulsetunnel.model import SechBarrier
 from pulsetunnel.trajectory import (
     TrajectoryHandle,
+    _motion,
     build_contour,
     unperturbed_trajectory,
 )
 
 
-def branch_expansion(traj: TrajectoryHandle, t) -> complex:
-    """Leading behaviour of x0 near the branch point t_s."""
-    a = traj.barrier.a
+def branch_expansion(traj: TrajectoryHandle, a: float, t) -> complex:
+    """Leading behaviour of x0 near the branch point t_s (sqrt(V/E) is
+    sqrt(1 + u0^2))."""
     root = cmath.sqrt(
-        2.0 * traj.omega * (traj.t_s - t) * math.sqrt(traj.barrier.V / traj.E)
+        2.0 * traj.omega * (traj.t_s - t) * math.sqrt(1.0 + traj.u0**2)
     )
     return -1j * math.pi * a / 2.0 + a * root
 
@@ -39,12 +40,11 @@ def static_action_from_contour(E: float, barrier: SechBarrier) -> float:
     integral of sqrt(V - E).
     """
     traj = unperturbed_trajectory(E, barrier, 0.0)
-    pts = list(build_contour(traj, 2.0 * traj.tau_s).waypoints[1:-1])
+    pts = list(build_contour(traj, 2.0 * traj.tau_s)[1:-1])
     m = barrier.m
 
     def L0(t, path_id):
-        v = traj.velocity(t)
-        x = traj.position(t)
+        v, x = (_motion(k, t, barrier.a, traj.omega, traj.u0, 0.0) for k in (1, 0))
         return 0.5 * m * v * v - barrier.V / np.cosh(x / barrier.a) ** 2 + E
 
     val = -1j * integrate_paths(L0, [pts], epsabs=1e-13, epsrel=1e-11)[0][0]
