@@ -53,4 +53,17 @@ from .trajectory import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConvergenceError", "DomainError", "PulseTunnelError", "RegimeError",
+    "SingularityError",
+    "GaussianPulse", "LorentzPulse", "SechBarrier", "TriangularBarrier",
+    "ZeroPulse", "static_wkb_exponent",
+    "EuclideanResult", "adapt_pulse_width", "euclidean_action",
+    "euclidean_actions", "solve_tau0", "threshold_energy", "threshold_form",
+    "RateSeries", "SaddleState", "action", "amp_lower_bound",
+    "decay_rate_series", "exit_exponent", "rate_peak_time", "sigma1", "sigma2",
+    "solve_t0",
+    "QuantaPlan", "effective_action", "optimize_quanta",
+    "TrajectoryHandle", "delta_action", "minimize_delta_action", "pole_form",
+    "singularity_time", "unperturbed_trajectory",
+]

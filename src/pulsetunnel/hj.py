@@ -141,17 +141,18 @@ def _newton_t0(
     )
 
 
-def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
-    """tau0 of the pulse-created exit branch at t = 0 (purely imaginary t0).
+def _axis_saddle(barrier: TriangularBarrier, pulse):
+    """Saddle function f at t = 0 on the imaginary axis, and its maximizer.
 
-    On the imaginary axis the saddle equation is real with the closed form
-    int_0^{tau0} tau*pulse(i tau) d tau =
-        amp*width^2/(2(n-1)) * ((1 - tau0^2/width^2)^(1-n) - 1),
-    so the root below the pulse width is bracketed and solved directly.
+    For t0 = i*tau the saddle equation is real, f(tau) = m*x, with the closed
+    form int_0^{tau} u*pulse(i u) du =
+        amp*width^2/(2(n-1)) * ((1 - tau^2/width^2)^(1-n) - 1).
+    f is concave on (0, width): the static root lies left of its maximum,
+    the exit root right of it, and for m*x above the maximum the axis holds
+    neither.  OverflowError next to the width at a large exponent.
     """
     p0 = barrier.p0()
     e0 = barrier.field_static
-    m = barrier.m
     theta = pulse.width
     n = pulse.exponent
     amp = pulse.amplitude
@@ -160,25 +161,33 @@ def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
         wtilde = amp * theta**2 / (2.0 * (n - 1)) * (
             (1.0 - tau**2 / theta**2) ** (1 - n) - 1.0
         )
-        return tau * p0 - 0.5 * e0 * tau**2 - wtilde - m * x
+        return tau * p0 - 0.5 * e0 * tau**2 - wtilde
 
     def slope(tau):
         return p0 - e0 * tau - amp * tau * (1.0 - tau**2 / theta**2) ** (-n)
 
-    # f is concave on (0, width): seat the bracket at its maximum, f' = 0
+    tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
+                     xtol=1e-14 * theta)
+    return f, tau_max
+
+
+def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
+    """tau0 of the pulse-created exit branch at t = 0 (purely imaginary t0),
+    the root of the axis saddle function right of its maximum."""
+    m = barrier.m
     try:
-        tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
-                         xtol=1e-14 * theta)
-        if f(tau_max) < 0:
+        f, tau_max = _axis_saddle(barrier, pulse)
+        if f(tau_max) < m * x:
             raise RegimeError(
                 "no exit-branch saddle: x lies beyond the branch point x2"
             )
-        hi = theta * (1.0 - 1e-14)
-        return float(brentq(f, tau_max, hi, xtol=1e-16, rtol=8.9e-16))
+        hi = pulse.width * (1.0 - 1e-14)
+        return float(brentq(lambda tau: f(tau) - m * x, tau_max, hi,
+                            xtol=1e-16, rtol=8.9e-16))
     except OverflowError:
         raise ConvergenceError(
             f"the exit-branch bracket overflows next to the pulse width at "
-            f"exponent {n}", diagnostics={"x": x},
+            f"exponent {pulse.exponent}", diagnostics={"x": x},
         ) from None
 
 
@@ -217,9 +226,21 @@ def solve_t0(
         t0 = _static_t0(x, t, barrier)
         if not active:
             return _make_state(t0, x, t, barrier, pulse, 0.0)
-        for lam in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS + 1)[1:]:
-            scaled = replace(pulse, amplitude=pulse.amplitude * lam)
-            t0, res = _newton_t0(t0, x, t, barrier, scaled)
+        try:
+            for lam in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS + 1)[1:]:
+                scaled = replace(pulse, amplitude=pulse.amplitude * lam)
+                t0, res = _newton_t0(t0, x, t, barrier, scaled)
+        except ConvergenceError:
+            # next to t = 0 the iterates cannot leave the imaginary axis,
+            # which holds no saddle once m*x passes the maximum of the axis
+            # saddle function: the static and exit branches have merged into
+            # a pair mirrored in the axis, and the limit t -> 0+ takes the
+            # one right of it
+            tau_max = _merged_pair_height(x, barrier, pulse)
+            if tau_max is None:
+                raise
+            t0, res = _newton_t0(t + 1j * tau_max + 0.1 * pulse.width,
+                                 x, t, barrier, pulse)
         return _make_state(t0, x, t, barrier, pulse, res)
     if branch != "exit":
         raise DomainError(f"unknown branch {branch!r}")
@@ -233,6 +254,18 @@ def solve_t0(
     else:
         t0, res = _newton_t0(t0, x, 0.0, barrier, pulse)
     return _make_state(t0, x, t, barrier, pulse, res)
+
+
+def _merged_pair_height(x, barrier, pulse) -> float | None:
+    """Maximizer of the axis saddle function when m*x lies above its
+    maximum, else None (also for a pulse that is not Lorentzian)."""
+    if not isinstance(pulse, LorentzPulse):
+        return None
+    try:
+        f, tau_max = _axis_saddle(barrier, pulse)
+    except OverflowError:
+        return None
+    return tau_max if f(tau_max) < barrier.m * x else None
 
 
 def _make_state(t0, x, t, barrier, pulse, residual) -> SaddleState:

@@ -214,9 +214,10 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
 
     E, `shifts`, `order` and `epsrel` broadcast to one path each.  Order 0
     integrates the position and gives delta_action, order 1 the velocity and
-    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  dA' is meant to cancel at the exit shift, so the tolerance of the
-    derivative paths also admits 1e-12 * int |f|.  An error raised for one
-    path names it in diagnostics["path"].
+    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  dA' is
+    meant to cancel at the exit shift, so the tolerance of the derivative
+    paths also admits 1e-12 * int |f|.  An error raised for one path names
+    it in diagnostics["path"].
 
     C is conjugation-symmetric and the integrand takes conjugate values at
     mirrored points, so the value is 2 Im I+, with I+ the integral over the

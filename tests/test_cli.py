@@ -336,22 +336,36 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # an action curve gives such an energy an error row
     (["action-curve", "--method", "quanta", "--V", "1e300", "--amp", "5",
       "--E", "1e-300", "--n", "2"], EXIT_OK,
-     "1e-300,nan,nan,nan,error:RegimeError"),
+     ["1e-300,nan,nan,nan,error:RegimeError"]),
     # a tiny field: the bound underflows to amp_min = 0 (was exit 2, from an
     # OverflowError in the unread exit coordinate x1 = E0*theta^2/(2m))
     (["adapt", "--V", "10", "--E0", "1e-200", "--amp", "1e-300", "--E", "5",
-      "--n", "3"], EXIT_OK,
-     "4.5,3.16227766017e+200,0,2.4244128728e+201,2.43219151293e+201,"
-     "7.77864013154e+198"),
+      "--n", "3"], EXIT_OK, [
+        "1.5,3.16227766017e+200,0,4.3217794689e+201,4.67285304237e+201,"
+        "3.5107357347e+200",
+        "2,3.16227766017e+200,0,4.00555170288e+201,4.26666666667e+201,"
+        "2.61114963787e+200",
+        "2.5,3.16227766017e+200,0,3.68932393686e+201,3.87298334621e+201,"
+        "1.83659409344e+200",
+        "3,3.16227766017e+200,0,3.37309617085e+201,3.49221356099e+201,"
+        "1.19117390143e+200",
+        "3.5,3.16227766017e+200,0,3.05686840483e+201,3.1248111054e+201,"
+        "6.79427005727e+199",
+        "4,3.16227766017e+200,0,2.74064063881e+201,2.77128129211e+201,"
+        "3.06406532976e+199",
+        "4.5,3.16227766017e+200,0,2.4244128728e+201,2.43219151293e+201,"
+        "7.77864013154e+198",
+    ]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
-        "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf", "adapt-tiny-E0"])
+        "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
+        "adapt-tiny-E0"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code
     captured = capsys.readouterr()
     if code == EXIT_OK:
-        # message is the last row of the table
-        assert _body(captured)[-1] == message and not captured.err
+        # message lists the rows of the table
+        assert _body(captured)[1:] == message and not captured.err
         return
     err = captured.err
     assert message in err and err.count("\n") == 1

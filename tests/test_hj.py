@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from pulsetunnel.errors import ConvergenceError, RegimeError
+from pulsetunnel.errors import RegimeError
 from pulsetunnel.euclidean import euclidean_action
 from pulsetunnel.hj import (
     _exit_action_x1,
@@ -113,21 +113,6 @@ def test_hamilton_jacobi_residual(b, xf, t, ampf):
 
 # --- Causality -------------------------------------------------------------------
 
-def _past_axis_maximum(x, b, pulse):
-    """True where no saddle of the pulse branch lies on the imaginary axis at
-    t = 0: there t0 = i*tau and the saddle equation is real,
-    f(tau) = tau*p0 - field_static*tau^2/2 - W(tau) = m*x with
-    W = amp*width^2/(2(n-1))*((1 - tau^2/width^2)^(1-n) - 1), and f is
-    concave on (0, width), so m*x above its maximum has no root there."""
-    w, n, amp = pulse.width, pulse.exponent, pulse.amplitude
-    p0, e0 = b.p0(), b.field_static
-    tau = brentq(lambda u: p0 - e0 * u - amp * u * (1.0 - u**2 / w**2) ** (-n),
-                 0.0, w * (1.0 - 1e-12))
-    f = (tau * p0 - 0.5 * e0 * tau**2
-         - amp * w**2 / (2.0 * (n - 1)) * ((1.0 - tau**2 / w**2) ** (1 - n) - 1.0))
-    return b.m * x > f
-
-
 @given(
     b=_configs(),
     xf=st.floats(0.0, 0.55, **finite),
@@ -141,12 +126,6 @@ def test_causality(b, xf, t, ampf):
         if ampf > 1e-4 else ZeroPulse()
     )
     x = xf * b.exit_point
-    if t == 0.0 and ampf > 1e-4 and _past_axis_maximum(x, b, pulse):
-        # at t = 0 the Newton iterates stay on the imaginary axis, where no
-        # saddle is left: the solve stalls (see CHANGES.md)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            solve_t0(x, t, b, pulse, branch="static")
-        return
     state = solve_t0(x, t, b, pulse, branch="static")
     if isinstance(pulse, ZeroPulse):
         assert state.t0.real <= t + 1e-10
@@ -183,6 +162,36 @@ def test_exit_branch_beyond_x2_raises():
     _, x2, _, _ = _branch_scales(CANON, PULSE5)
     with pytest.raises(RegimeError):
         solve_t0(x2 * 1.05, 0.0, CANON, PULSE5, branch="exit")
+
+
+def _past_axis_maximum(x, b, pulse):
+    """True where no saddle lies on the imaginary axis at t = 0: there
+    t0 = i*tau and the saddle equation is real,
+    f(tau) = tau*p0 - field_static*tau^2/2 - W(tau) = m*x with
+    W = amp*width^2/(2(n-1))*((1 - tau^2/width^2)^(1-n) - 1), and f is
+    concave on (0, width), so m*x above its maximum has no root there."""
+    w, n, amp = pulse.width, pulse.exponent, pulse.amplitude
+    p0, e0 = b.p0(), b.field_static
+    tau = brentq(lambda u: p0 - e0 * u - amp * u * (1.0 - u**2 / w**2) ** (-n),
+                 0.0, w * (1.0 - 1e-12))
+    f = (tau * p0 - 0.5 * e0 * tau**2
+         - amp * w**2 / (2.0 * (n - 1)) * ((1.0 - tau**2 / w**2) ** (1 - n) - 1.0))
+    return b.m * x > f
+
+
+def test_static_branch_beyond_x2_leaves_the_axis():
+    # past the maximum of the axis saddle function the static and exit
+    # branches merge into a pair mirrored in the imaginary axis; at t = 0
+    # the solve once stalled on the axis (exit 3), and now takes the t -> 0+
+    # limit, right of the axis
+    b = TriangularBarrier(V=2.0, E_bound=1.0, field_static=1.0, m=1.0)
+    pulse = LorentzPulse(amplitude=0.0625, width=0.4 * b.tau00, exponent=3)
+    assert _past_axis_maximum(0.53125, b, pulse)
+    limit = solve_t0(0.53125, 1e-12, b, pulse, branch="static").t0
+    for t in (0.0, 1e-300):
+        state = solve_t0(0.53125, t, b, pulse, branch="static")
+        assert state.t0.real > 0.0 and state.residual < 1e-12
+        assert state.t0 == pytest.approx(limit, rel=1e-10)
 
 
 def test_keystone_action_value():
