@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, PulseTunnelError
 from .model import (
@@ -23,6 +21,7 @@ from .model import (
     _lorentz_J,
     static_wkb_exponent,
 )
+from .roots import _find_root
 
 __all__ = [
     "EuclideanResult",
@@ -68,39 +67,29 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
     if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
         return tau00
 
-    def g(tau):
-        try:
-            return e0 * tau + pulse.integral_imag_axis(tau) - p0
-        except OverflowError:
-            return math.inf
+    # G(tau) >= amp*tau, so g >= 0 at p0/(e0 + amp): start there, or nearer
+    # the root (docs/decisions.md, "One root finder")
+    amp, lorentz = pulse.amplitude, isinstance(pulse, LorentzPulse)
+    hi, x = tau00, p0 / (e0 + amp)
+    if lorentz:
+        # next to the width G -> amp*theta/(2(n-1)) * q^(1-n), q = 1 -
+        # tau^2/theta^2: q where that meets p0 - e0*theta, floored at p0/n
+        theta, n = pulse.width, pulse.exponent
+        hi = min(tau00, theta)
+        q = (amp * theta / (2.0 * (n - 1) * max(p0 - e0 * theta, p0 / n))
+             ) ** (1.0 / (n - 1))
+        if q < 1.0:
+            x = min(x, theta * math.sqrt(1.0 - q), math.nextafter(theta, 0.0))
+    else:   # G >= amp*(exp(r^2 tau^2) - 1)/(2 r^2 tau), so g >= 0 here too
+        r = pulse.rate
+        x = min(x, math.sqrt(math.log1p(2.0 * r * r * tau00 * p0 / amp)) / r)
 
-    hi = tau00
-    if isinstance(pulse, LorentzPulse):
-        hi = min(tau00, pulse.width * (1.0 - 1e-14))
-        # a high exponent overflows G next to the width: step back until it
-        # is finite, so brentq sees a finite g on the whole bracket
-        while not math.isfinite(g(hi)):
-            hi = pulse.width - 2.0 * (pulse.width - hi)
-        # push hi toward the divergence until the bracket closes
-        while g(hi) < 0:
-            gap = pulse.width - hi
-            if gap < 1e-15 * pulse.width:
-                raise ConvergenceError(
-                    "could not bracket tau0 below the pulse width",
-                    diagnostics={"E": E, "hi": hi, "g(hi)": g(hi)},
-                )
-            hi = pulse.width - 0.5 * gap
-    if g(hi) < 0:
-        raise ConvergenceError(
-            "tau0 bracket failed: g(hi) < 0",
-            diagnostics={"E": E, "hi": hi, "g(hi)": g(hi)},
-        )
-    tau0, info = optimize.brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16,
-                                 full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(f"no tau0 root in (0, {hi:.6g}) after "
-                               f"{info.iterations} steps", diagnostics={"E": E})
-    return float(tau0)
+    def g(tau):         # and g' = e0 + pulse(i*tau)
+        rise = ((1.0 - (tau / theta) ** 2) ** -n if lorentz
+                else math.exp((r * tau) ** 2))
+        return e0 * tau + pulse.integral_imag_axis(tau) - p0, e0 + amp * rise
+
+    return _find_root(g, 0.0, hi, x, 1e-15, "tau0")
 
 
 def _regime_tag(E: float, barrier: TriangularBarrier, pulse) -> tuple[str, float | None]:

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .contour import integrate_paths, line_with_detour
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
 from .euclidean import solve_tau0
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
+from .roots import _find_root
 
 __all__ = [
     "SaddleState",
@@ -149,7 +149,7 @@ def _axis_saddle(barrier: TriangularBarrier, pulse):
         amp*width^2/(2(n-1)) * ((1 - tau^2/width^2)^(1-n) - 1).
     f is concave on (0, width): the static root lies left of its maximum,
     the exit root right of it, and for m*x above the maximum the axis holds
-    neither.  OverflowError next to the width at a large exponent.
+    neither.  The third item, slope, gives (f', f'') at tau.
     """
     p0 = barrier.p0()
     e0 = barrier.field_static
@@ -164,31 +164,26 @@ def _axis_saddle(barrier: TriangularBarrier, pulse):
         return tau * p0 - 0.5 * e0 * tau**2 - wtilde
 
     def slope(tau):
-        return p0 - e0 * tau - amp * tau * (1.0 - tau**2 / theta**2) ** (-n)
+        rise = (1.0 - tau**2 / theta**2) ** -n
+        return (p0 - e0 * tau - amp * tau * rise,
+                -e0 - amp * rise * (1.0 + 2.0 * n * tau**2 / (theta**2 - tau**2)))
 
-    tau_max = brentq(slope, 1e-6 * theta, theta * (1.0 - 1e-12),
-                     xtol=1e-14 * theta)
-    return f, tau_max
+    tau_max = _find_root(lambda tau: tuple(-v for v in slope(tau)), 0.0, theta,
+                         0.0, 1e-14 * theta, "axis-maximizer")
+    return f, tau_max, slope
 
 
 def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
     """tau0 of the pulse-created exit branch at t = 0 (purely imaginary t0),
     the root of the axis saddle function right of its maximum."""
-    m = barrier.m
-    try:
-        f, tau_max = _axis_saddle(barrier, pulse)
-        if f(tau_max) < m * x:
-            raise RegimeError(
-                "no exit-branch saddle: x lies beyond the branch point x2"
-            )
-        hi = pulse.width * (1.0 - 1e-14)
-        return float(brentq(lambda tau: f(tau) - m * x, tau_max, hi,
-                            xtol=1e-16, rtol=8.9e-16))
-    except OverflowError:
-        raise ConvergenceError(
-            f"the exit-branch bracket overflows next to the pulse width at "
-            f"exponent {pulse.exponent}", diagnostics={"x": x},
-        ) from None
+    mx = barrier.m * x
+    f, tau_max, slope = _axis_saddle(barrier, pulse)
+    if f(tau_max) < mx:
+        raise RegimeError(
+            "no exit-branch saddle: x lies beyond the branch point x2"
+        )
+    return _find_root(lambda tau: (mx - f(tau), -slope(tau)[0]), tau_max,
+                      pulse.width, tau_max, 1e-16, "exit-branch")
 
 
 def solve_t0(
@@ -236,8 +231,10 @@ def solve_t0(
             # saddle function: the static and exit branches have merged into
             # a pair mirrored in the axis, and the limit t -> 0+ takes the
             # one right of it
-            tau_max = _merged_pair_height(x, barrier, pulse)
-            if tau_max is None:
+            if not isinstance(pulse, LorentzPulse):
+                raise
+            f, tau_max, _ = _axis_saddle(barrier, pulse)
+            if f(tau_max) >= barrier.m * x:
                 raise
             t0, res = _newton_t0(t + 1j * tau_max + 0.1 * pulse.width,
                                  x, t, barrier, pulse)
@@ -254,18 +251,6 @@ def solve_t0(
     else:
         t0, res = _newton_t0(t0, x, 0.0, barrier, pulse)
     return _make_state(t0, x, t, barrier, pulse, res)
-
-
-def _merged_pair_height(x, barrier, pulse) -> float | None:
-    """Maximizer of the axis saddle function when m*x lies above its
-    maximum, else None (also for a pulse that is not Lorentzian)."""
-    if not isinstance(pulse, LorentzPulse):
-        return None
-    try:
-        f, tau_max = _axis_saddle(barrier, pulse)
-    except OverflowError:
-        return None
-    return tau_max if f(tau_max) < barrier.m * x else None
 
 
 def _make_state(t0, x, t, barrier, pulse, residual) -> SaddleState:

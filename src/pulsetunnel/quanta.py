@@ -106,7 +106,8 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
     the clipped stationary frequency and the two range ends is returned
     (docs/decisions.md, "Quanta optimum in closed form").  A negative
     Gaussian minimum (L below about 1.96, where ln(omega*k) < 0 at the lower
-    range end) is outside the separation picture: RegimeError.
+    range end) or Lorentzian one (amp of order E0 and above) is outside the
+    separation picture: RegimeError.
     """
     V, m = barrier.V, barrier.m
     if not (0 < E < V):
@@ -139,10 +140,8 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
     A, w, N = min(
         (effective_action(w, N, E, barrier, pulse), w, N) for w, N in plans
     )
-    if isinstance(pulse, GaussianPulse) and A < 0:
+    if A < 0:
         raise RegimeError(
-            f"the Gaussian quanta exponent is negative (A_eff = {A:.6g} at "
-            f"omega = {w:.6g}): the separation picture needs "
-            f"L = ln(rate*sqrt(m(V-E))/amp) >> 1, got L = {L:.6g}"
-        )
+            f"the quanta exponent is negative (A_eff = {A:.6g} at omega = "
+            f"{w:.6g}): the separation picture needs a weaker pulse")
     return QuantaPlan(omega=w, N=N, A_eff=A)

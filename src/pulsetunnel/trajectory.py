@@ -27,6 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .model import SechBarrier, ZeroPulse, static_wkb_exponent
+from .roots import _MAX_STEPS, _newton_bisect
 
 __all__ = [
     "TrajectoryHandle",
@@ -317,8 +318,7 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
 
 
 _SCAN = 17              # shifts of the scan for the minimum of dA
-# brentq's defaults: step tolerance 2e-12 + 4*eps*|x|, at most 100 steps
-_XTOL, _RTOL, _MAX_STEPS = 2e-12, 4.0 * np.finfo(float).eps, 100
+_XTOL = 2e-12           # absolute part of the step tolerance of the root of dA'
 
 
 def minimize_delta_actions(energies, barrier: SechBarrier,
@@ -335,11 +335,12 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
     - root of dA' in the bracket of the scan neighbours of the minimum,
       starting at the vertex of the parabola through the three values: each
       step evaluates dA' and dA'' at the iterate and takes the Newton step
-      when dA'' > 0 and the step stays in the bracket, else bisects.  The
-      first call also takes dA' at both bracket ends, which must differ in
-      sign (ConvergenceError otherwise).  The solve stops when the next step
-      is at most 2e-12 + 4*eps*|dt_shift| (brentq's default tolerances) and
-      returns the last shift at which dA' was evaluated (epsrel 1e-10);
+      when dA'' > 0 and the step stays in the bracket, else bisects
+      (roots._newton_bisect).  The first call also takes dA' at both bracket
+      ends, which must differ in sign (ConvergenceError otherwise).  The
+      solve stops when the next step is at most 2e-12 + 4*eps*|dt_shift|,
+      within 100 steps, and returns the last shift at which dA' was
+      evaluated (epsrel 1e-10);
     - dA (epsrel 1e-8) and dA' (epsrel 1e-10) at each root, on the whole
       contour with its conjugation check; |dA'| is the energy residual.
 
@@ -427,14 +428,9 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
                     del x[i]
                     continue
                 sign_lo[i] = v[2]
-            if d1 * sign_lo[i] > 0:
-                lo[i] = x[i]
-            else:
-                hi[i] = x[i]
-            new = x[i] - d1 / d2 if d2 > 0 else math.nan
-            if not lo[i] <= new <= hi[i]:
-                new = 0.5 * (lo[i] + hi[i])
-            if abs(new - x[i]) <= _XTOL + _RTOL * abs(x[i]):
+            new, lo[i], hi[i] = _newton_bisect(x[i], d1, d2, lo[i], hi[i],
+                                               sign_lo[i], _XTOL)
+            if new is None:
                 roots[i] = float(x.pop(i))
             else:
                 x[i] = new

@@ -285,8 +285,14 @@ SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
     (["--method", "quanta", "--V", "20", "--E0", "0", "--pulse", "gauss",
       "--amp", "0.5", "--omega-rate", "1", "--E-grid", "1:15:2"],
      EXIT_OK, "15,nan,nan,nan,error:RegimeError"),
+    # a negative Lorentzian exponent: amp = 3 E0 puts the absorption log
+    # below 0 at the stationary frequency (was A_eff = -2.07 at E = 5); at
+    # E = 9.995 the range ends below that frequency and A_eff > 0
+    (["--method", "quanta", "--V", "10", "--E0", "1", "--theta", "2",
+      "--n", "3", "--amp", "3", "--E-grid", "9.995:5:2"],
+     EXIT_OK, "5,nan,nan,nan,error:RegimeError"),
 ], ids=["sech-euclidean", "sech-quanta", "euclidean", "hj", "trajectory",
-        "quanta", "quanta-negative"])
+        "quanta", "quanta-negative", "quanta-negative-lorentz"])
 def test_action_curve_method_errors(argv, code, last_row, capsys):
     assert _run(["action-curve", *argv]) == code
     captured = capsys.readouterr()
@@ -312,7 +318,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
 
 
 @pytest.mark.parametrize("argv,code,message", [
-    # brentq's RuntimeError: G overflows over the whole tau0 bracket
+    # G overflows over the whole tau0 bracket, which closes on the overflow
+    # (once a RuntimeError of scipy's brentq)
     (["verify", "--pulse", "gauss", "--m", "1e300", "--amp", "1e-300",
       "--E", "5"], EXIT_NONCONVERGENCE, "no tau0 root"),
     # an OverflowError in the Euclidean closed forms
@@ -324,7 +331,7 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # an OverflowError in the exit action at x1 (tau00^2)
     (["rate", "--V", "1", "--E0", "1e-300", "--amp", "1", "--E", "0.5"],
      EXIT_REGIME, "OverflowError"),
-    # brentq's ValueError on an infinite static traversal time
+    # an infinite static traversal time (once a ValueError of scipy's brentq)
     (["verify", "--pulse", "gauss", "--V", "1e30", "--m", "1e300",
       "--amp", "1e-200", "--E0", "0.5", "--E", "1e-200"], EXIT_REGIME,
      "static traversal time inf"),
@@ -424,11 +431,12 @@ def test_nonconvergence_exit_code(monkeypatch, capsys):
 
 
 def test_quanta_frequency_stays_in_scan_range(capsys):
-    # n = 2 with amp above E0: the exponent falls toward the lower frequency
-    # edge 1e-2/theta, and the optimum must stop there (it was 0.00407)
+    # n = 2: the exponent falls toward the lower frequency edge 1e-2/theta,
+    # and the optimum must stop there (it was 0.00407); at E = 14 it does,
+    # with A_eff = 3.95 (at amp 2.46 both minima are negative, an error row)
     code = _run([
         "action-curve", "--method", "quanta", "--V", "16.7", "--E0", "2.27",
-        "--m", "1.15", "--theta", "1.23", "--n", "2", "--amp", "2.46",
+        "--m", "1.15", "--theta", "1.23", "--n", "2", "--amp", "2.0",
         "--E-grid", "13:14:2",
     ])
     assert code == EXIT_OK
@@ -438,9 +446,10 @@ def test_quanta_frequency_stays_in_scan_range(capsys):
     assert len(body) == 3
     for row in body[1:]:
         E, _, omega, _, _ = row.split(",")
-        # the CSV keeps 12 significant digits, so the edge may round down
+        # the CSV keeps 12 significant digits, so an edge may round past
+        # itself (E = 13 sits on the upper one)
         assert 1e-2 / 1.23 * (1.0 - 1e-11) <= float(omega)
-        assert float(omega) <= 50.0 * (16.7 - float(E))
+        assert float(omega) <= 50.0 * (16.7 - float(E)) * (1.0 + 1e-11)
 
 
 # --- Determinism -----------------------------------------------------------------
