@@ -1,9 +1,11 @@
-"""Adaptive quadrature along piecewise paths in the complex plane.
+"""Adaptive quadrature along polylines in the complex plane.
 
-One engine integrates every path.  Each element, a straight segment or a
-circular arc, is a map from a real parameter s in [0, 1] into the plane, and
-the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et al. 1983)
-works on panels in s.  Each pass evaluates the integrand once, on a complex
+One engine integrates every path.  A path is a list of complex waypoints;
+each segment a->b is the map z = a + s*(b - a) of a real parameter s in
+[0, 1], and the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et
+al. 1983) works on panels in s.  A path that must pass a singularity on a
+given side goes round it through extra waypoints: only the homotopy class of
+a path enters the value.  Each pass evaluates the integrand once, on a complex
 array holding the 15 nodes of every new panel, so integrands must accept
 arrays.  integrate_paths is the one entry point: it runs any number of paths
 through one such loop, and a single integral is a batch of one.  Each path
@@ -15,14 +17,11 @@ ConvergenceError naming the path.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["integrate_paths", "line_with_detour"]
+__all__ = ["integrate_paths"]
 
 _EPSABS = 1e-12
 _EPSREL = 1e-10
@@ -59,13 +58,13 @@ _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     """Arrays (value, abs_err, n_evals) of the integrals of f along `paths`.
 
-    Each path is a list of elements, ("line", a, b) or
-    ("arc", center, radius, phi0, phi1); a bare list of complex waypoints is
-    a polyline.  All paths share one adaptive loop, so each pass makes one
-    call f(z, path_id) on the nodes of every path's new panels; path_id is an
-    integer array, like z, naming the path of each node.  Each path converges
-    on its own, with tolerance max(epsabs, epsrel*|I_p|), its own panel limit
-    and its own roundoff count, and is not bisected once it has.  epsl1 adds
+    Each path is a list of complex waypoints, integrated segment by segment
+    (segments of zero length are skipped).  All paths share one adaptive
+    loop, so each pass makes one call f(z, path_id) on the nodes of every
+    path's new panels; path_id is an integer array, like z, naming the path
+    of each node.  Each path converges on its own, with tolerance
+    max(epsabs, epsrel*|I_p|), its own panel limit and its own roundoff
+    count, and is not bisected once it has.  epsl1 adds
     epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
     50*eps times that integral, so this suits integrals meant to cancel.
     epsrel and epsl1 are scalars or one value per path.
@@ -74,22 +73,23 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     up (panel limit or roundoff) raises ConvergenceError with its abs_err as
     `residual` and diagnostics {"path": p, "tol": its tolerance}.
     """
-    elements = _Elements(paths)
+    segments = _segments(paths)
+    seg_path, length = segments[0], np.abs(segments[2])
     n = len(paths)
-    if not elements.length.size:
+    if not length.size:
         return np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n, dtype=int)
 
-    # panels, in parameter s of their element
-    owner = np.arange(elements.length.size)
+    # panels, in parameter s of their segment
+    owner = np.arange(length.size)
     lo = np.zeros(owner.size)
     hi = np.ones(owner.size)
-    val, err, absval = _gk15(f, elements, owner, lo, hi)
-    n_first = np.bincount(elements.path, minlength=n)
+    val, err, absval = _gk15(f, segments, owner, lo, hi)
+    n_first = np.bincount(seg_path, minlength=n)
     n_panels = n_first.copy()
     roundoff = np.zeros(n, dtype=int)
     use_l1 = bool(np.any(epsl1))
     while True:
-        pid = elements.path[owner]
+        pid = seg_path[owner]
         total = np.bincount(pid, val.real, n) + 1j * np.bincount(pid, val.imag, n)
         err_sum = np.bincount(pid, err, n)
         tol = np.maximum(epsabs, epsrel * np.abs(total))
@@ -100,7 +100,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
             break
         # bisect the panels above their length share of their path's
         # tolerance; a panel whose error is its roundoff floor cannot improve
-        span = (hi - lo) * elements.length[owner]
+        span = (hi - lo) * length[owner]
         share = tol[pid] * span / np.bincount(pid, span, n)[pid]
         split = active[pid] & (err > share) & (err > _FLOOR * absval)
         n_split = np.bincount(pid[split], minlength=n)
@@ -127,7 +127,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         c_owner = np.concatenate([owner[split], owner[split]])
         c_lo = np.concatenate([lo[split], mid])
         c_hi = np.concatenate([mid, hi[split]])
-        c_val, c_err, c_abs = _gk15(f, elements, c_owner, c_lo, c_hi)
+        c_val, c_err, c_abs = _gk15(f, segments, c_owner, c_lo, c_hi)
         n_panels += np.bincount(s_pid, minlength=n)
         # QUADPACK's roundoff test: bisection that neither moves the value
         # nor reduces the error estimate
@@ -148,61 +148,23 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     return total, err_sum, 15 * (2 * n_panels - n_first)
 
 
-class _Elements:
-    """The paths' elements of nonzero length, as maps of s in [0, 1].
-
-    A line a->b is z = a + s*(b - a); an arc is
-    z = center + radius*exp(i*(phi0 + s*dphi)).  `path` holds the index of
-    each element's path.
-    """
-
-    def __init__(self, paths):
-        rows = []
-        for p, path in enumerate(paths):
-            if path and not isinstance(path[0], tuple):
-                path = [("line", a, b) for a, b in zip(path[:-1], path[1:])]
-            for el in path:
-                if el[0] == "line":
-                    a, b = complex(el[1]), complex(el[2])
-                    rows.append((p, False, a, b - a, 0.0, 0.0, abs(b - a)))
-                elif el[0] == "arc":
-                    center, radius = complex(el[1]), float(el[2])
-                    phi0, dphi = float(el[3]), float(el[4]) - float(el[3])
-                    rows.append((p, True, center, radius, phi0, dphi,
-                                 abs(radius * dphi)))
-                else:
-                    raise ValueError(f"unknown path element {el[0]!r}")
-        cols = list(zip(*[r for r in rows if r[-1] > 0.0])) or [()] * 7
-        self.path = np.array(cols[0], dtype=int)
-        self.arc = np.array(cols[1], dtype=bool)
-        self.origin = np.array(cols[2], dtype=complex)    # a, or the center
-        self.scale = np.array(cols[3], dtype=complex)     # b - a, or the radius
-        self.phi0 = np.array(cols[4], dtype=float)
-        self.dphi = np.array(cols[5], dtype=float)
-        self.length = np.array(cols[6], dtype=float)
-        self.has_arc = bool(self.arc.any())
-
-    def nodes(self, owner, s):
-        """Points z(s) and derivatives dz/ds of panels `owner` at rows of s.
-
-        dz/ds of a line is constant along the row and comes as one column.
-        """
-        o = owner[:, None]
-        z = self.origin[o] + s * self.scale[o]
-        jac = self.scale[o]
-        if self.has_arc:
-            rot = self.scale[o] * np.exp(1j * (self.phi0[o] + s * self.dphi[o]))
-            arc = self.arc[o]
-            z = np.where(arc, self.origin[o] + rot, z)
-            jac = np.where(arc, 1j * self.dphi[o] * rot, jac)
-        return z, jac
+def _segments(paths):
+    """(path, a, b - a) arrays of the paths' segments of nonzero length:
+    segment k is z = a[k] + s*(b - a)[k], s in [0, 1], on path path[k]."""
+    rows = [(p, complex(a), complex(b) - complex(a))
+            for p, path in enumerate(paths) for a, b in zip(path[:-1], path[1:])]
+    cols = list(zip(*[r for r in rows if abs(r[2]) > 0.0])) or [()] * 3
+    return (np.array(cols[0], dtype=int), np.array(cols[1], dtype=complex),
+            np.array(cols[2], dtype=complex))
 
 
-def _gk15(f, elements, owner, lo, hi):
+def _gk15(f, segments, owner, lo, hi):
     """G7-K15 value, QUADPACK error estimate and integral of |f| per panel."""
+    seg_path, origin, jac = (v[owner] for v in segments)
     half = 0.5 * (hi - lo)
-    z, jac = elements.nodes(owner, 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES)
-    path_id = elements.path[owner].repeat(_NODES.size)
+    jac = jac[:, None]
+    z = origin[:, None] + (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES) * jac
+    path_id = seg_path.repeat(_NODES.size)
     fz = np.asarray(f(z.ravel(), path_id), dtype=complex)
     fz = (np.broadcast_to(fz, z.size) if fz.ndim == 0 else fz).reshape(z.shape)
     bad = ~np.isfinite(fz)
@@ -222,91 +184,3 @@ def _gk15(f, elements, owner, lo, hi):
         1.0, (200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5)
     err = np.where(varies, scaled, err)
     return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs
-
-
-def line_with_detour(a: complex, b: complex, poles, radius: float,
-                     side: complex | None = None):
-    """Path elements for the segment a->b, detouring around listed poles.
-
-    When the segment comes within `radius` of a pole, the portion inside the
-    circle of that radius is replaced by the arc around the pole on the side
-    the segment already favours (the pole keeps its side of the path).  `side`,
-    when given, is a complex direction forcing the arc to bulge that way --
-    needed when the pole sits exactly on the path and a branch convention
-    dictates the side.
-    """
-    elements = [("line", a, b)]
-    for pole in poles:
-        new_elements = []
-        for el in elements:
-            if el[0] != "line":
-                new_elements.append(el)
-                continue
-            new_elements.extend(
-                _split_segment(el[1], el[2], pole, radius, side)
-            )
-        elements = new_elements
-    return elements
-
-
-def _split_segment(a, b, pole, radius, side=None):
-    dz = b - a
-    length = abs(dz)
-    if length == 0:
-        return [("line", a, b)]
-    u = dz / length
-    # closest approach of the segment to the pole
-    s = ((pole - a) / u).real
-    s = min(max(s, 0.0), length)
-    p = a + s * u
-    d = abs(p - pole)
-    if d >= radius:
-        return [("line", a, b)]
-    half = math.sqrt(max(radius * radius - d * d, 0.0))
-    s0, s1 = s - half, s + half
-    if s1 <= 0 or s0 >= length:
-        return [("line", a, b)]
-    s0 = max(s0, 0.0)
-    s1 = min(s1, length)
-    za = a + s0 * u
-    zb = a + s1 * u
-    # push intersection points out to the circle radius
-    za = pole + radius * (za - pole) / abs(za - pole)
-    zb = pole + radius * (zb - pole) / abs(zb - pole)
-    phi0 = cmath.phase(za - pole)
-    phi1 = cmath.phase(zb - pole)
-    # go around on the side the chord already is: sweep through the direction
-    # pole -> closest point (or an arbitrary perpendicular if d == 0)
-    if side is not None:
-        phi_mid = cmath.phase(side)
-    elif d > 1e-15:
-        phi_mid = cmath.phase(p - pole)
-    else:
-        phi_mid = cmath.phase(1j * u)
-    phi1 = _unwrap_through(phi0, phi1, phi_mid)
-    parts = []
-    if abs(za - a) > 1e-15:
-        parts.append(("line", a, za))
-    parts.append(("arc", pole, radius, phi0, phi1))
-    if abs(b - zb) > 1e-15:
-        parts.append(("line", zb, b))
-    return parts
-
-
-def _unwrap_through(phi0, phi1, phi_mid):
-    """Adjust phi1 by 2*pi so the sweep phi0->phi1 passes through phi_mid."""
-    two_pi = 2.0 * math.pi
-
-    def norm(x):
-        return (x + math.pi) % two_pi - math.pi
-
-    for shift in (0.0, two_pi, -two_pi):
-        cand = phi1 + shift
-        lo, hi = min(phi0, cand), max(phi0, cand)
-        mid = phi_mid
-        # test both representatives of phi_mid
-        if lo - 1e-12 <= mid <= hi + 1e-12 or lo - 1e-12 <= mid + two_pi <= hi + 1e-12 \
-                or lo - 1e-12 <= mid - two_pi <= hi + 1e-12:
-            if hi - lo <= two_pi:
-                return cand
-    return phi1

@@ -161,7 +161,7 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     I2 = ()
     while solved:
         try:
-            I2 = integrate_paths(G2, [[("line", 0.0, slots[i])] for i in solved],
+            I2 = integrate_paths(G2, [[0.0, slots[i]] for i in solved],
                                  epsabs=1e-13, epsrel=1e-11)[0].real
             break
         except ConvergenceError as exc:     # the engine names the path

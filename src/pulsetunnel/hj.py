@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contour import integrate_paths, line_with_detour
+from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
 from .euclidean import solve_tau0
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
@@ -56,23 +56,15 @@ class RateSeries:
     prefactor: np.ndarray
 
 
-# --- Contour helpers ------------------------------------------------------------
-
-def _pulse_contour(a: complex, b: complex, pulse):
-    """Integration path a->b avoiding pulse poles (semicircle of radius w/20)."""
-    poles = [loc for loc, _ in pulse.poles()]
-    if not poles:
-        return [("line", a, b)]
-    w = pulse.poles()[0][0].imag
-    return line_with_detour(a, b, poles, radius=abs(w) / 20.0)
-
+# --- Pulse integrals ------------------------------------------------------------
 
 def _int_pulse(a: complex, b: complex, pulse) -> complex:
     """int_a^b pulse(t') dt', from the closed-form antiderivative.
 
     Single-valued away from the cuts running outward from the pulse poles
-    along the imaginary axis; every contour used here stays in that domain,
-    so this equals the deformed-path quadrature (which the tests verify).
+    along the imaginary axis; every segment integrated here stays in that
+    domain, so this equals the quadrature along the segment (which the
+    tests verify).
     """
     return pulse.antiderivative(b) - pulse.antiderivative(a)
 
@@ -108,7 +100,7 @@ def _newton_t0(
     e0 = barrier.field_static
     m = barrier.m
     scale = max(m * abs(x), p0 * max(abs(t), 1.0), 1.0)
-    pole = pulse.poles()[0][0] if pulse.poles() else None
+    pole = 1j * pulse.width if isinstance(pulse, LorentzPulse) else None
     last_residual = math.inf
     for _ in range(_NEWTON_MAX_ITER):
         g = (
@@ -169,7 +161,7 @@ def _axis_saddle(barrier: TriangularBarrier, pulse):
                 -e0 - amp * rise * (1.0 + 2.0 * n * tau**2 / (theta**2 - tau**2)))
 
     tau_max = _find_root(lambda tau: tuple(-v for v in slope(tau)), 0.0, theta,
-                         0.0, 1e-14 * theta, "axis-maximizer")
+                         0.0, 1e-14, "axis-maximizer")
     return f, tau_max, slope
 
 
@@ -280,9 +272,10 @@ def action(
 ) -> complex:
     """Classical action S(x,t); Im S > 0 under the barrier (decaying branch).
 
-    All time integrals run along contours kept left of Re t, deformed around
-    pulse poles.  S(0, t) = -E*t and, with the pulse off, 2*Im S at the static
-    exit reproduces the WKB exponent.
+    The kinetic term integrates p^2 along the straight segment t0 -> t, which
+    keeps t0's side of the pulse poles (docs/decisions.md, "Lines-only
+    contour engine").  S(0, t) = -E*t and, with the pulse off, 2*Im S at the
+    static exit reproduces the WKB exponent.
     """
     if state is None:
         state = solve_t0(x, t, barrier, pulse)
@@ -295,8 +288,7 @@ def action(
         p = _momentum(t1, state, barrier, pulse)
         return p * p
 
-    kin = complex(integrate_paths(integrand, [_pulse_contour(t0, t, pulse)],
-                                  epsrel=1e-11)[0][0])
+    kin = complex(integrate_paths(integrand, [[t0, t]], epsrel=1e-11)[0][0])
     return (
         -kin / (2.0 * m)
         + x * _momentum(t, state, barrier, pulse)
@@ -358,14 +350,20 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
 
     t0, t = state.t0, state.t
     # leg 1 (path 0): eta from 0 to t - t0 at fixed t0 (t runs from t0 to t);
-    # the integrand has a pole where F(t0, t0 + eta) = 0 -- detour on the
-    # Re < 0 side, consistent with the ln F branch (negative F approached
-    # from above)
+    # the integrand has a pole where F(t0, t0 + eta) = 0.  Where the segment
+    # passes within r of it, the path goes round it on the Re < 0 side,
+    # consistent with the ln F branch (negative F approached from above),
+    # through the apex of a right triangle on the segment, at least
+    # sqrt(2)*r from the pole (docs/decisions.md, "Lines-only contour engine")
     eta_pole = -1j * tau / (1.0 + state.h)
-    span = abs(t - t0)
-    r = 0.25 * min(abs(eta_pole), abs((t - t0) - eta_pole), span)
-    path = line_with_detour(0.0, t - t0, [eta_pole], radius=max(r, 1e-12),
-                            side=-1.0 + 0.0j)
+    end = t - t0
+    u = end / abs(end) if end else 1.0
+    r = max(0.25 * min(abs(eta_pole), abs(end - eta_pole), abs(end)), 1e-12)
+    c = min(max((eta_pole / u).real, 0.0), abs(end)) * u    # nearest point
+    path = [0.0, end]
+    if abs(c - eta_pole) < r:
+        n = 1j * u if (1j * u).real < 0 else -1j * u
+        path[1:1] = [c - 3.0 * r * u, c + 3.0 * r * n, c + 3.0 * r * u]
 
     def source(z, path_id):
         fixed = path_id == 0
@@ -375,7 +373,7 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
         return out
 
     # leg 2 (path 1): coincident-argument source integrated from 0 to t0
-    legs = integrate_paths(source, [path, [("line", 0.0, t0)]],
+    legs = integrate_paths(source, [path, [0.0, t0]],
                            epsabs=1e-10, epsrel=1e-7)[0]
     return complex(legs[0] + legs[1])
 

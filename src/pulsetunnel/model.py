@@ -121,8 +121,9 @@ class SechBarrier:
 
 # --- Pulses ---------------------------------------------------------------------
 #
-# Every pulse evaluates at complex time, is even in t, and knows the location
-# and order of its own singularities so contour code never re-derives them.
+# Every pulse evaluates at complex time, is even in t, and gives its first two
+# derivatives and its antiderivatives in closed form.  A LorentzPulse's poles
+# sit at +/- i*width; the other pulses are entire.
 
 _POLE_GUARD = 1e-12
 
@@ -140,9 +141,6 @@ class ZeroPulse:
         """(pulse, pulse', pulse'') at t: all zero."""
         zero = self(t)
         return zero, zero, zero
-
-    def poles(self):
-        return ()
 
     def integral_imag_axis(self, tau: float) -> float:
         return 0.0
@@ -213,9 +211,6 @@ class LorentzPulse:
         f2 = -2.0 * n * f * (u - 2.0 * (n + 1) * t * t / w2) / (w2 * u * u)
         return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
 
-    def poles(self):
-        return ((1j * self.width, self.exponent), (-1j * self.width, self.exponent))
-
     def integral_imag_axis(self, tau):
         """int_0^tau pulse(i*u) du for real tau (float or array), exact;
         diverges as tau -> width."""
@@ -225,8 +220,12 @@ class LorentzPulse:
                 "imaginary-axis pulse integral crosses the pole at i*width",
                 location=1j * self.width,
             )
-        out = self.amplitude * self.width * _lorentz_J(x, self.exponent)
-        return out if out.ndim else float(out)
+        J = _lorentz_J(x, self.exponent)
+        if J.ndim:
+            return self.amplitude * self.width * J
+        # in Python floats, where amplitude*width overflows and x underflows,
+        # inf*0 is a silent nan, which the tau0 solve turns into an error
+        return self.amplitude * self.width * float(J)
 
     def antiderivative(self, t):
         """int_0^t pulse(s) ds, exact; single-valued in the t-plane cut along
@@ -271,9 +270,6 @@ class GaussianPulse:
         f1 = -2.0 * r2 * t * f
         f2 = (4.0 * r2 * r2 * t * t - 2.0 * r2) * f
         return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
-
-    def poles(self):
-        return ()
 
     def integral_imag_axis(self, tau):
         # pulse(i*u) = amp * exp(+rate^2 u^2)

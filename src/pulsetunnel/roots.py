@@ -25,12 +25,15 @@ def _newton_bisect(x, fx, dfx, lo, hi, f_lo, xtol):
     return (None if abs(new - x) <= xtol + _RTOL * abs(x) else new), lo, hi
 
 
-def _find_root(fdf, lo, hi, x, xtol, name):
+def _find_root(fdf, lo, hi, x, rtol, name):
     """Root of f, rising on (lo, hi) from f(lo) < 0, from x; fdf(x) returns
-    (f(x), f'(x)).  An OverflowError or a non-finite f is beyond the root,
-    as is hi until it is evaluated: a bracket that closes on one of them by
-    bisection, or no root in 100 steps, is a ConvergenceError."""
-    bracket, f_hi = (lo, hi), math.inf
+    (f(x), f'(x)).  The step tolerance, xtol in _newton_bisect, is
+    rtol*(hi - lo): relative to the bracket, so a bracket far below 1 is
+    solved too.  An OverflowError or a non-finite f is beyond the root, as is
+    hi until it is evaluated: a bracket that closes on one of them, unless
+    the Newton step from its last point ends within that tolerance of it, or
+    no root in 100 steps, is a ConvergenceError."""
+    bracket, f_hi, xtol = (lo, hi), math.inf, rtol * (hi - lo)
     for step in range(1, _MAX_STEPS + 1):
         try:
             fx, dfx = fdf(x)
@@ -40,7 +43,8 @@ def _find_root(fdf, lo, hi, x, xtol, name):
             f_hi = fx
         new, lo, hi = _newton_bisect(x, fx, dfx, lo, hi, -1.0, xtol)
         if new is None:
-            if math.isfinite(f_hi) or 0.0 < dfx < math.inf and x - fx / dfx <= hi:
+            if (math.isfinite(f_hi) or 0.0 < dfx < math.inf
+                    and x - fx / dfx <= hi + xtol + _RTOL * abs(x)):
                 return x
             break
         x = new

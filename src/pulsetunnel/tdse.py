@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ConvergenceError, DomainError
-from .model import TriangularBarrier, ZeroPulse
+from .model import LorentzPulse, TriangularBarrier, ZeroPulse
 
 __all__ = [
     "GridSpec",
@@ -349,9 +349,8 @@ def _static_rate(record: EvolutionRecord) -> float:
 
 
 def _pulse_duration(pulse) -> float:
-    poles = pulse.poles()
-    if poles:
-        return float(poles[0][0].imag)
+    if isinstance(pulse, LorentzPulse):
+        return float(pulse.width)
     rate = getattr(pulse, "rate", None)
     if rate:
         return 1.0 / rate

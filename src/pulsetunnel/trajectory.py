@@ -26,7 +26,7 @@ from .errors import (
     RegimeError,
     SingularityError,
 )
-from .model import SechBarrier, ZeroPulse, static_wkb_exponent
+from .model import LorentzPulse, SechBarrier, ZeroPulse, static_wkb_exponent
 from .roots import _MAX_STEPS, _newton_bisect
 
 __all__ = [
@@ -169,7 +169,7 @@ def build_contour(traj: TrajectoryHandle, pulse_width: float) -> tuple:
 def _check_pulse(pulse):
     if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
         return False
-    if not pulse.poles():
+    if not isinstance(pulse, LorentzPulse):
         raise RegimeError(
             "the trajectory perturbation needs a pulse with a finite-time "
             "singularity (Lorentzian family)"
@@ -232,7 +232,7 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
         np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
     if not _check_pulse(pulse):
         return np.zeros(E.size)
-    width = pulse.poles()[0][0].imag
+    width = pulse.width
     trajs, paths = [], []
     for p in range(E.size):
         try:
@@ -362,7 +362,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
                 A0 = static_wkb_exponent(barrier, e)
                 slots[i] = MinimizedAction(0.0, 0.0, A0, A0, 0.0)
                 continue
-            gap = pulse.poles()[0][0].imag - unperturbed_trajectory(e, barrier).tau_s
+            gap = pulse.width - unperturbed_trajectory(e, barrier).tau_s
             if gap <= 0:
                 raise RegimeError("Im t_s >= pulse width: unsupported ordering")
             scans[i] = np.linspace(-3.0 * gap, 0.0, _SCAN)
@@ -467,7 +467,7 @@ def pole_form(E: float, barrier: SechBarrier, pulse) -> tuple[float, float]:
         raise RegimeError("the pole form is the residue of a second-order "
                           "pole: it needs pulse exponent 2")
     traj = unperturbed_trajectory(E, barrier)
-    gap = pulse.poles()[0][0].imag - traj.tau_s
+    gap = pulse.width - traj.tau_s
     if gap <= 0:
         raise RegimeError("Im t_s >= pulse width: unsupported ordering")
     dA = -(math.pi / 4.0) * pulse.amplitude * barrier.a * traj.tau_s**2 \

@@ -17,9 +17,11 @@ package's closed-form sigma2 source cannot simply agree with itself:
 - the sigma2 source D^2/(4(V-E)F^2) - i dG/dt0/(4(V-E)F) takes
   D = d(sigma1)/dt0 and dG/dt0, G = D/F, from mp.diff of that sigma1;
 - sigma2 is the source integrated by mp.quad along the package's two legs:
-  eta from 0 to t - t0 at fixed t0, with a semicircle of radius r on the
-  Re < 0 side around the source's pole where F(t0, t0 + eta) = 0, and the
-  coincident-argument source from 0 to t0.
+  eta from 0 to t - t0 at fixed t0, passing the source's pole where
+  F(t0, t0 + eta) = 0 on its Re < 0 side, and the coincident-argument
+  source from 0 to t0.  Here leg 1 goes round the pole on a semicircle of
+  radius r; the package's polyline goes through the apex of a triangle on
+  the same side, which gives the same integral.
 
 Points: the three exit-branch points of the benchmark's hj_corrections
 workload (x1 of the canonical case, the small-amplitude point between x1 and

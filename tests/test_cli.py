@@ -363,9 +363,23 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "4.5,3.16227766017e+200,0,2.4244128728e+201,2.43219151293e+201,"
         "7.77864013154e+198",
     ]),
+    # a tau0 bracket of 7.3e-89: an absolute step tolerance of 1e-15 stopped
+    # the solve at its start, where rounding leaves g < 0 ("no tau0 root");
+    # the root is tau00 to rounding, so A = A0
+    (["verify", "--E0", "3.979508451902636e+125", "--m", "4.23785572404942e+73",
+      "--theta", "2.943177261788327e-30", "--amp", "3.85577264811186e-26",
+      "--n", "24", "--E", "8.320930153007496e-255"], EXIT_OK,
+     ["euclidean_A,9.75432870799e-88,9.75432870799e-88,0,pass"]),
+    # amp*theta overflows and tau0/theta underflows: G = inf*0 is nan, an
+    # error row (this printed a RuntimeWarning, which the suite's warning
+    # filter turns into an error)
+    (["action-curve", "--method", "euclidean", "--V", "4.2719604035728106e+195",
+      "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
+      "--n", "30", "--E", "2.3536092068914477e+187"], EXIT_OK,
+     ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
-        "adapt-tiny-E0"])
+        "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

@@ -31,10 +31,14 @@ def _one(f, path, **tolerances):
 
 # --- Closed forms ------------------------------------------------------------------
 
+def _square(center, half):
+    """Closed anticlockwise square of half-width `half` round `center`."""
+    return [center + half * c for c in (1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)]
+
+
 @pytest.mark.parametrize("center", [0.0, 0.3 - 0.2j])
-def test_full_circle(center):
-    val = _one(lambda z, path: 1.0 / (z - center),
-               [("arc", center, 0.7, 0.0, 2.0 * math.pi)])[0]
+def test_closed_square_round_a_pole(center):
+    val = _one(lambda z, path: 1.0 / (z - center), _square(center, 0.7))[0]
     assert val == pytest.approx(2j * math.pi, abs=1e-12)
 
 
@@ -42,7 +46,7 @@ def test_polyline_power():
     pts = [-1.0, 0.5 + 2j, 3.0 - 1j, 2.0 + 0.5j]
     val = _one(lambda z, path: z * z, pts)[0]
     assert val == pytest.approx((pts[-1] ** 3 - pts[0] ** 3) / 3.0, rel=1e-14)
-    assert _one(lambda z, path: z * z, [("line", 1j, 2.0)])[0] == pytest.approx(
+    assert _one(lambda z, path: z * z, [1j, 2.0])[0] == pytest.approx(
         (8.0 - (1j) ** 3) / 3.0, rel=1e-14)
 
 
@@ -62,20 +66,20 @@ def test_one_array_call_per_pass():
 
 # --- Tolerances ----------------------------------------------------------------------
 
-def test_arc_elements_honour_tolerances():
-    # an arc passing 0.02 from a pole; exact value from a logarithm whose cut
-    # runs from the pole away from the origin, clear of the arc
+def test_polyline_near_a_pole_honours_tolerances():
+    # a polyline passing 0.02 from a pole; exact value from a logarithm whose
+    # cut runs from the pole away from the origin, clear of the polyline
     p = 1.02 + 0.05j
     rot = -p.conjugate() / abs(p)
 
     def log_w(z):
         return cmath.log((z - p) * rot)
 
-    exact = log_w(cmath.exp(1j)) - log_w(cmath.exp(-1j))
-    arc = [("arc", 0.0, 1.0, -1.0, 1.0)]
+    polyline = [0.0, 1.0 - 0.5j, 1.0 + 0.5j]
+    exact = log_w(polyline[-1]) - log_w(polyline[0])
     runs = {}
     for epsrel in (1e-4, 1e-12):
-        val, err, n = _one(lambda z, path: 1.0 / (z - p), arc,
+        val, err, n = _one(lambda z, path: 1.0 / (z - p), polyline,
                            epsabs=0.0, epsrel=epsrel)
         tol = epsrel * abs(val)
         assert err <= tol
@@ -89,7 +93,7 @@ def test_arc_elements_honour_tolerances():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_integrand_raises(bad):
     with pytest.raises(ConvergenceError):
-        _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [("line", 0.0, 1.0)])
+        _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [0.0, 1.0])
 
 
 def _gives_up(f, paths, reason, path, **tolerances):
@@ -142,14 +146,14 @@ def test_epsl1_lifts_a_cancelling_integral_off_its_roundoff_floor():
 # --- Many paths in one call ---------------------------------------------------------
 
 def test_batch_matches_single_paths():
-    # lines and arcs, each path with its own pole; every path must get what a
-    # call of its own gives, with the same panels
+    # open and closed polylines, each path with its own pole; every path must
+    # get what a call of its own gives, with the same panels
     poles = np.array([1.02 + 0.05j, 0.5 + 0.001j, 0.3 - 0.2j, 2.0 + 2.0j])
     paths = [
-        [("arc", 0.0, 1.0, -1.0, 1.0)],
+        [0.0, 1.0 - 0.5j, 1.0 + 0.5j],
         [0.0, 1.0, 1.0 + 1j],
-        [("arc", 0.3 - 0.2j, 0.7, 0.0, 2.0 * math.pi)],
-        [("line", -1.0, 1.0), ("arc", 0.0, 1.0, 0.0, math.pi)],
+        _square(0.3 - 0.2j, 0.7),
+        [-1.0, 1.0, 1.0 + 1j, -1.0 + 1j, -1.0],
     ]
     val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths)
     for p, path in enumerate(paths):
@@ -158,19 +162,24 @@ def test_batch_matches_single_paths():
         assert n[p] == single[2]
         assert err[p] <= max(1e-12, 1e-10 * abs(val[p]))
     assert val[2] == pytest.approx(2j * math.pi, abs=1e-12)
-    # the closed semicircle encloses no pole
+    # the closed rectangle encloses no pole
     assert abs(val[3]) <= 1e-12
 
 
 def test_converged_path_is_not_bisected():
-    # path 0 meets epsrel 1e-4 on its first pass, although its short element
+    # path 0 meets epsrel 1e-4 on its first pass, although its short segment
     # holds more than its length share of the error; path 1 needs many passes
-    poles = np.array([5.05 + 1.05j, 0.5 + 0.001j])
-    paths = [[("line", 0.0, 1.0), ("line", 5.0 + 1j, 5.1 + 1j)], [0.0, 1.0]]
-    val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths,
-                                  epsabs=0.0, epsrel=1e-4)
+    poles = np.array([0.25 + 0.049j, 0.5 + 0.001j])
+    paths = [[0.0, 0.2, 0.3], [0.0, 1.0]]
+
+    def f(z, path):
+        return 1.0 / (z - poles[path])
+
+    val, err, n = integrate_paths(f, paths, epsabs=0.0, epsrel=1e-4)
     assert n[0] == 2 * 15 and n[1] > 10 * 15
     assert err[0] <= 1e-4 * abs(val[0])
+    short = integrate_paths(f, [[0.2, 0.3]], epsabs=0.0, epsrel=1.0)[1][0]
+    assert short > 1e-4 * abs(val[0]) * 0.1 / 0.3
 
 
 def test_paths_meet_their_own_tolerance():

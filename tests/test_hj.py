@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
+from pulsetunnel.contour import integrate_paths
 from pulsetunnel.errors import RegimeError
 from pulsetunnel.euclidean import euclidean_action
 from pulsetunnel.hj import (
+    _axis_saddle,
     _exit_action_x1,
+    _int_pulse,
     action,
     amp_lower_bound,
     decay_rate_series,
@@ -192,6 +195,23 @@ def test_static_branch_beyond_x2_leaves_the_axis():
         state = solve_t0(0.53125, t, b, pulse, branch="static")
         assert state.t0.real > 0.0 and state.residual < 1e-12
         assert state.t0 == pytest.approx(limit, rel=1e-10)
+
+
+@pytest.mark.parametrize("amp,tau_frac", [(0.05, None), (1e-5, 0.99),
+                                           (1e-5, 0.997)])
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.2, 1.0])
+def test_pulse_integral_along_the_segment_is_the_closed_form(amp, tau_frac, t):
+    # action integrates along the straight segment t0 -> t, which passes the
+    # pole at i*width on t0's side; at t = 0 the saddle sits on the axis
+    # below the pole, at tau0/width = 0.92 (x = x1) and 0.99 or 0.997
+    pulse = LorentzPulse(amplitude=amp, width=2.0, exponent=3)
+    x = 2.0 if tau_frac is None else _axis_saddle(CANON, pulse)[0](2.0 * tau_frac)
+    t0 = solve_t0(x, t, CANON, pulse, branch="exit").t0
+    if t == 0.0 and tau_frac is not None:
+        assert t0.imag == pytest.approx(2.0 * tau_frac, rel=1e-12)
+    val = integrate_paths(lambda z, path: pulse(z), [[t0, t]], epsabs=0.0,
+                          epsrel=1e-13)[0][0]
+    assert abs(val - _int_pulse(t0, t, pulse)) <= 1e-12 * abs(val)
 
 
 def test_keystone_action_value():
