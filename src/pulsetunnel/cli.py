@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .errors import (
@@ -68,36 +67,42 @@ EXIT_NONCONVERGENCE = 3
 
 # --- Run configuration ------------------------------------------------------------
 
+# the values a string field accepts, checked by RunConfig.validate and listed
+# by --help
+_CHOICES = {
+    "barrier": ("triangular", "sech"),
+    "pulse": ("lorentz", "gauss", "zero"),
+    "method": ("hj", "euclidean", "trajectory", "quanta", "auto"),
+}
+
+
 @dataclass
 class RunConfig:
-    """Validated run parameters; mirrors the command-line flags one-to-one."""
+    """Run parameters.  Each field is a command-line flag (--name, with - for
+    _) and a --config key of the same name; both reach from_mapping as text,
+    which is their one conversion, and validate is their one check."""
 
-    barrier: str = "triangular"         # triangular | sech
+    barrier: str = "triangular"
     V: float = 10.0
     E0: float = 1.0                     # static field of the triangular barrier
     a: float = 1.0                      # sech barrier width
     m: float = 1.0
-    pulse: str = "lorentz"              # lorentz | gauss | zero
+    pulse: str = "lorentz"
     amp: float = 0.0
     theta: float = 2.0                  # Lorentzian width
     n: int = 3                          # Lorentzian exponent
     omega_rate: float = 1.0             # Gaussian rate
     E: float | None = None
     E_grid: str | None = None           # "start:stop:num"
-    method: str = "auto"                # hj | euclidean | trajectory | quanta | auto
+    method: str = "auto"
     out: str | None = None
     tol: float = 1e-6
     t_grid: str | None = None
 
-    _FLOATS = ("V", "E0", "a", "m", "amp", "theta", "omega_rate", "tol", "E")
-
     def validate(self) -> None:
-        if self.barrier not in ("triangular", "sech"):
-            raise DomainError(f"unknown barrier {self.barrier!r}")
-        if self.pulse not in ("lorentz", "gauss", "zero"):
-            raise DomainError(f"unknown pulse {self.pulse!r}")
-        if self.method not in ("hj", "euclidean", "trajectory", "quanta", "auto"):
-            raise DomainError(f"unknown method {self.method!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise DomainError(f"unknown {key} {getattr(self, key)!r}")
         if not math.isfinite(self.tol):
             raise DomainError(f"tol must be finite, got {self.tol}")
         # physical invariants re-checked by constructing the model objects
@@ -127,26 +132,19 @@ class RunConfig:
             return [self.E]
         raise DomainError("provide --E or --E-grid")
 
-    def to_items(self) -> list[tuple[str, str]]:
-        items = []
-        for key, value in asdict(self).items():
-            if value is None:
-                continue
-            items.append((key, _format_value(value)))
-        return items
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
         kwargs = {}
         for key, raw in mapping.items():
-            if key not in cls.__dataclass_fields__:
+            field = cls.__dataclass_fields__.get(key)
+            if field is None:
                 raise DomainError(f"unknown config key {key!r}")
-            convert = int if key == "n" else float if key in cls._FLOATS else str
+            # the annotation names the type: "float", "int", "str | None", ...
+            convert = {"float": float, "int": int}.get(field.type.split()[0], str)
             try:
                 kwargs[key] = convert(raw)
             except ValueError:
-                raise DomainError(f"config key {key!r} has a bad value "
-                                  f"{raw!r}") from None
+                raise DomainError(f"{key!r} has a bad value {raw!r}") from None
         return cls(**kwargs)
 
 
@@ -169,7 +167,10 @@ def _grid(start: float, stop: float, num: int) -> list[float]:
     return [start + (stop - start) * i / (num - 1) for i in range(num)]
 
 
-def _format_value(v) -> str:
+def _format(v) -> str:
+    """A config value or CSV cell: floats to 12 significant digits, None as nan."""
+    if v is None:
+        return "nan"
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)
@@ -181,19 +182,12 @@ def write_csv(stream, command: str, config: RunConfig, columns, rows) -> None:
     stream.write(f"# pulsetunnel: {__version__}\n")
     stream.write(f"# command: {command}\n")
     stream.write("# config:\n")
-    for key, value in config.to_items():
-        stream.write(f"#   {key}: {value}\n")
+    for key, value in asdict(config).items():
+        if value is not None:
+            stream.write(f"#   {key}: {_format(value)}\n")
     stream.write(",".join(columns) + "\n")
     for row in rows:
-        stream.write(",".join(_format_cell(c) for c in row) + "\n")
-
-
-def _format_cell(c) -> str:
-    if c is None:
-        return "nan"
-    if isinstance(c, float):
-        return format(c, ".12g")
-    return str(c)
+        stream.write(",".join(_format(c) for c in row) + "\n")
 
 
 def read_csv_config(path: str) -> RunConfig:
@@ -215,14 +209,11 @@ def read_csv_config(path: str) -> RunConfig:
 
 
 def _emit(command: str, config: RunConfig, columns, rows) -> None:
-    buf = io.StringIO()
-    write_csv(buf, command, config, columns, rows)
-    data = buf.getvalue()
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            write_csv(fh, command, config, columns, rows)
     else:
-        sys.stdout.write(data)
+        write_csv(sys.stdout, command, config, columns, rows)
 
 
 # --- Subcommands ------------------------------------------------------------------
@@ -316,23 +307,16 @@ def _non_finite(columns, row) -> RegimeError | None:
 def cmd_rate(config: RunConfig) -> tuple[list[str], list[tuple]]:
     if config.barrier != "triangular":
         raise RegimeError("the time-resolved rate needs the triangular barrier")
-    if config.E is None:
-        raise DomainError("rate needs --E")
     barrier = config.make_barrier(E_hint=config.E)
     pulse = config.make_pulse()
-    if not isinstance(pulse, LorentzPulse):
-        raise RegimeError("the rate formula needs a Lorentzian pulse")
     t_peak = rate_peak_time(barrier, pulse)
     if config.t_grid:
         times = _parse_grid(config.t_grid, "--t-grid")
     else:
         times = _grid(0.05 * t_peak, 4.0 * t_peak, 60)
     series = decay_rate_series(times, barrier, pulse)
-    rows = [
-        (t, r, e, p)
-        for t, r, e, p in zip(series.times, series.rate, series.exponent,
-                              series.prefactor)
-    ]
+    rows = list(zip(series.times, series.rate, series.exponent,
+                    series.prefactor))
     return ["t", "rate", "exponent", "prefactor"], rows
 
 
@@ -345,8 +329,6 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
     launch-energy dependent, so they are tabulated over launch energies
     below the target (--E-grid, default 0.3..0.9 of the target).
     """
-    if config.E is None:
-        raise DomainError("adapt needs --E (the target energy)")
     E_target = config.E
     barrier = config.make_barrier(E_hint=E_target)
     theta = adapt_pulse_width(barrier, E_target)
@@ -356,10 +338,8 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
         rows = [(E_target, theta, traj.t_s.imag, A0)]
         return ["E_target", "theta", "Im_t_s", "A0_at_target"], rows
 
-    if config.E_grid:
-        launches = config.energies()
-    else:
-        launches = [E_target * (0.3 + 0.1 * i) for i in range(7)]
+    launches = (config.energies() if config.E_grid
+                else [E_target * (0.3 + 0.1 * i) for i in range(7)])
     rows = []
     for E_launch in launches:
         b = config.make_barrier(E_hint=E_launch)
@@ -374,29 +354,22 @@ def cmd_adapt(config: RunConfig) -> tuple[list[str], list[tuple]]:
 
 def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
     rows = []
-    tol = config.tol
+    b = config.make_barrier(E_hint=config.E)
+    pulse = config.make_pulse()
     if config.barrier == "triangular":
-        if config.E is None:
-            raise DomainError("verify needs --E")
-        b = config.make_barrier(E_hint=config.E)
-        pulse = config.make_pulse()
         res = euclidean_action(config.E, b, pulse)
         rows.append(("euclidean_A", res.A, res.A, 0.0, "pass"))
         if isinstance(pulse, LorentzPulse) and pulse.width < b.tau00:
             A_hj = exit_exponent(b, pulse)
             dev = abs(A_hj - res.A) / abs(res.A)
             rows.append(("hj_vs_euclidean", A_hj, res.A, dev,
-                         "pass" if dev < max(tol, 1e-4) else "fail"))
+                         "pass" if dev < max(config.tol, 1e-4) else "fail"))
             A51 = threshold_form(config.E, threshold_energy(b, pulse), b.V,
                                  pulse.width)
             dev51 = abs(res.A - A51) / abs(A51)
             rows.append(("euclidean_vs_threshold_form", res.A, A51, dev51,
                          "info"))
     else:
-        if config.E is None:
-            raise DomainError("verify needs --E")
-        b = config.make_barrier()
-        pulse = config.make_pulse()
         dA_form, dt_form = pole_form(config.E, b, pulse)
         res = minimize_delta_action(config.E, b, pulse)
         dev = abs(res.dA - dA_form) / abs(dA_form)
@@ -405,46 +378,12 @@ def cmd_verify(config: RunConfig) -> tuple[list[str], list[tuple]]:
         devdt = abs(res.dt_shift - dt_form) / abs(dt_form)
         rows.append(("dt_shift_vs_closed_form", res.dt_shift, dt_form, devdt,
                      "info"))
-    failed = any(r[4] == "fail" for r in rows)
-    if failed:
+    if any(r[4] == "fail" for r in rows):
         raise ConvergenceError("verification failed", diagnostics={"rows": rows})
     return ["check", "value", "reference", "rel_deviation", "status"], rows
 
 
 # --- Entry point ------------------------------------------------------------------
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call; parse_args leaves
-    it unchanged, so one parser serves every main() in the process."""
-    p = argparse.ArgumentParser(
-        prog="pulsetunnel",
-        description="Semiclassical tunneling exponents under soft pulses",
-    )
-    p.add_argument("--config", help="key=value file mirroring the flags")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("action-curve", "rate", "adapt", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--barrier", choices=("triangular", "sech"))
-        sp.add_argument("--V", type=float)
-        sp.add_argument("--E0", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--m", type=float)
-        sp.add_argument("--pulse", choices=("lorentz", "gauss", "zero"))
-        sp.add_argument("--amp", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--omega-rate", dest="omega_rate", type=float)
-        sp.add_argument("--E", type=float)
-        sp.add_argument("--E-grid", dest="E_grid")
-        sp.add_argument("--t-grid", dest="t_grid")
-        sp.add_argument("--method",
-                        choices=("hj", "euclidean", "trajectory", "quanta",
-                                 "auto"))
-        sp.add_argument("--out")
-        sp.add_argument("--tol", type=float)
-    return p
-
 
 _COMMANDS = {
     "action-curve": cmd_action_curve,
@@ -452,6 +391,29 @@ _COMMANDS = {
     "adapt": cmd_adapt,
     "verify": cmd_verify,
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call: a subcommand per
+    _COMMANDS entry, each with a flag per RunConfig field.  The flags keep
+    their values as text for RunConfig.from_mapping, and list the _CHOICES
+    in --help.  parse_args leaves the parser unchanged, so one parser serves
+    every main() in the process."""
+    p = argparse.ArgumentParser(
+        prog="pulsetunnel",
+        description="Semiclassical tunneling exponents under soft pulses",
+    )
+    p.add_argument("--config", help="key=value file mirroring the flags")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        sp = sub.add_parser(name)
+        for field in fields(RunConfig):
+            choices = _CHOICES.get(field.name)
+            metavar = "{" + ",".join(choices) + "}" if choices else None
+            sp.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                            metavar=metavar)
+    return p
 
 
 def _load_config_file(path: str) -> dict:
@@ -477,6 +439,8 @@ def main(argv=None) -> int:
                 mapping[key] = value
         config = RunConfig.from_mapping(mapping)
         config.validate()
+        if config.E is None and args.command != "action-curve":
+            raise DomainError(f"{args.command} needs --E")
         columns, rows = _COMMANDS[args.command](config)
         for row in rows:
             if exc := _non_finite(columns, row):

@@ -180,7 +180,8 @@ def _gk15(f, segments, owner, lo, hi):
     resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
     err = half * np.abs(diff)
     varies = resasc > 0
+    # capped before the power, which overflows past a ratio of ~1e205
     scaled = resasc * np.minimum(
-        1.0, (200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5)
+        1.0, 200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5
     err = np.where(varies, scaled, err)
     return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs

@@ -406,6 +406,13 @@ def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
     int_0^tau0 pulse(i u) du), so tau0 is euclidean.solve_tau0's root.  The
     saddle equation at (t0, 0) gives x in closed form (residual 0)."""
     _exit_action_x1(barrier, pulse)
+    # lengths rescaled by 2^k (m by 4^k, field and amplitude by 2^k; S stays)
+    # with m*4^k nearest 1, so k = 0 for 0.5 <= m <= 2: p near sqrt(2(V-E))
+    # keeps amp*width and the integral of p^2 from underflowing
+    scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
+    barrier = replace(barrier, m=barrier.m * scale * scale,
+                      field_static=barrier.field_static * scale)
+    pulse = replace(pulse, amplitude=pulse.amplitude * scale)
     tau0 = solve_tau0(barrier.E_bound, barrier, pulse)
     t0 = 1j * tau0
     x = (tau0 * barrier.p0() - 0.5 * barrier.field_static * tau0**2

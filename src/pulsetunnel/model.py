@@ -272,10 +272,11 @@ class GaussianPulse:
         return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
 
     def integral_imag_axis(self, tau):
-        # pulse(i*u) = amp * exp(+rate^2 u^2)
-        out = (self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate)
-               * special.erfi(self.rate * tau))
-        return out if out.ndim else float(out)
+        # pulse(i*u) = amp * exp(+rate^2 u^2); a scalar stays a Python float,
+        # where an overflowing amp/rate times erfi = 0 is a silent nan
+        scale = self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate)
+        erfi = special.erfi(self.rate * tau)
+        return scale * erfi if erfi.ndim else scale * float(erfi)
 
     def antiderivative(self, t):
         # erf(z) = 1 - exp(-z^2) * w(iz), entire in z
@@ -286,8 +287,10 @@ class GaussianPulse:
 
     def first_moment_antiderivative(self, t):
         z2 = (self.rate * np.asarray(t, dtype=complex)) ** 2
-        out = self.amplitude / (2.0 * self.rate**2) * (1.0 - np.exp(-z2))
-        return out if out.ndim else complex(out)
+        rise = 1.0 - np.exp(-z2)
+        # a scalar in Python numbers, as in integral_imag_axis
+        scale = self.amplitude / (2.0 * self.rate**2)
+        return scale * rise if rise.ndim else scale * complex(rise)
 
 
 # --- Static WKB exponent --------------------------------------------------------

@@ -172,9 +172,11 @@ def prepare_metastable(
 
     The delta well is regularized as a Gaussian of width exit length / 50;
     its depth is adjusted (secant) until the relaxed state's energy matches
-    barrier.E_bound within 1% relative.
+    barrier.E_bound within 1% relative; the grid's mass must be the barrier's.
     """
     b = barrier
+    if grid.m != b.m:
+        raise DomainError(f"grid mass {grid.m} differs from barrier mass {b.m}")
     exit_len = b.exit_point
     well_width = exit_len / 50.0
     x_cut = 0.45 * exit_len

@@ -194,8 +194,6 @@ def delta_action(
     barrier: SechBarrier,
     pulse,
     dt_shift: float,
-    *,
-    epsrel: float = 1e-10,
 ) -> float:
     """Perturbative exponent correction dA = -i int_C pulse * x0 dt (real).
 
@@ -206,7 +204,7 @@ def delta_action(
     every shift, so dA is one analytic function of dt_shift, with slope
     -i int_C pulse * dx0/dt dt.
     """
-    return float(_delta_actions(E, barrier, pulse, [dt_shift], epsrel=epsrel)[0])
+    return float(_delta_actions(E, barrier, pulse, [dt_shift])[0])
 
 
 def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver: exit codes, CSV format,
 byte-level determinism, and config round-trips."""
 
+import dataclasses
 import math
 
 import pytest
@@ -258,6 +259,32 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--V", "abc"], ["--n", "2.5"], ["--barrier", "foo"], ["--pulse", "square"],
+    ["--method", "magic"],
+], ids=["float", "int", "barrier", "pulse", "method"])
+def test_bad_flag_value_exit_code(flags, capsys):
+    # argparse rejected these itself, with a SystemExit out of main
+    assert _run(["action-curve", "--E", "5", "--amp", "0.05", *flags]) \
+        == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("regime error:") and err.count("\n") == 1
+    assert repr(flags[1]) in err
+
+
+@pytest.mark.parametrize("command", ["action-curve", "rate", "adapt", "verify"])
+def test_help_lists_every_field_and_choice(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for field in dataclasses.fields(RunConfig):
+        assert f"--{field.name.replace('_', '-')} " in out
+    for choices in ("{triangular,sech}", "{lorentz,gauss,zero}",
+                    "{hj,euclidean,trajectory,quanta,auto}"):
+        assert choices in out
+
+
 TRI = ["--V", "10", "--E0", "1", "--amp", "0.05", "--theta", "2", "--n", "3"]
 SECH = ["--barrier", "sech", "--V", "1", "--a", "1", "--amp", "0.01",
         "--theta", "2.5", "--n", "2"]
@@ -377,9 +404,40 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
       "--n", "30", "--E", "2.3536092068914477e+187"], EXIT_OK,
      ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError"]),
+    # m = 1.75e-191: the kinetic integral of p^2 (~1e-370) and amp*theta
+    # underflowed, and hj wrote A = 1.71132219761e-179; the Euclidean A is
+    # 5.70440732536e-180, 1.5e-5 from this row
+    (["action-curve", "--method", "hj", "--V", "25.1017060772112",
+      "--E0", "1.895994390930278", "--m", "1.7503228605816456e-191",
+      "--theta", "2.692682741860235e-181", "--amp", "2.010261273250176e-186",
+      "--n", "30", "--E", "14.509282325711807"], EXIT_OK,
+     ["14.5092823257,5.70449230688e-180,1.43439508508e-94,nan,hj"]),
+    # amp/rate overflows and erfi underflows in the Gaussian's imaginary-axis
+    # integral, and amp/rate^2 in its first moment: inf*0 printed a
+    # RuntimeWarning on the way to the error row
+    (["action-curve", "--method", "euclidean", "--V", "11.853754663842217",
+      "--m", "1.4348040068819126e+17", "--theta", "7.183446065548428e+155",
+      "--amp", "4.565792734705011e+70", "--n", "24", "--pulse", "gauss",
+      "--omega-rate", "1.0066222702909754e-269",
+      "--E", "2.082438085624027e-169"], EXIT_OK,
+     ["2.08243808562e-169,nan,nan,nan,error:ConvergenceError"]),
+    (["action-curve", "--method", "euclidean", "--V", "3.4185784495693756",
+      "--E0", "2.720749521432889", "--m", "0.5122895244086876",
+      "--theta", "9.969942636296925e+242", "--amp", "1.4387818620763562e+206",
+      "--n", "24", "--pulse", "gauss", "--omega-rate", "3.0183264190468845e-72",
+      "--E", "2.4620992883079778"], EXIT_OK,
+     ["2.46209928831,nan,nan,nan,error:RegimeError"]),
+    # the quadrature's error scaling overflowed in a power (a RuntimeWarning)
+    # before the pulse pole stopped the run
+    (["verify", "--V", "24.502744408282176", "--m", "2.673074693225846e+261",
+      "--theta", "2.677582420919926", "--amp", "0.4538842800786306",
+      "--n", "10", "--E", "13.58577512339775"], EXIT_REGIME,
+     "pulse evaluated at its pole"),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
-        "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral"])
+        "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
+        "hj-underflow", "gauss-integral-nan", "gauss-moment-nan",
+        "gk15-error-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code
@@ -392,7 +450,8 @@ def test_extreme_inputs_exit_code(argv, code, message, capsys):
     assert message in err and err.count("\n") == 1
     if code == EXIT_REGIME:
         assert err.startswith("regime error:")
-        assert "double-precision range" in err
+        # every regime row leaves double precision, but the pole hit
+        assert "double-precision range" in err or "pole" in message
     else:
         assert err.startswith("non-convergence:")
 
@@ -564,6 +623,7 @@ def test_run_config_mapping_types():
 
 
 def test_float_formatting_stable():
-    assert cli._format_value(1.0 / 3.0) == "0.333333333333"
-    assert cli._format_value(2.0) == "2"
-    assert cli._format_value("auto") == "auto"
+    assert cli._format(1.0 / 3.0) == "0.333333333333"
+    assert cli._format(2.0) == "2"
+    assert cli._format("auto") == "auto"
+    assert cli._format(None) == "nan"

@@ -47,6 +47,13 @@ def test_grid_validation():
         GridSpec(-10.0, 10.0, 1024, -0.01, 10.0)
 
 
+def test_grid_mass_must_match_barrier():
+    # the kinetic steps read the grid's mass and the well the barrier's
+    b = TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=2.0)
+    with pytest.raises(DomainError, match="mass"):
+        prepare_metastable(b, GridSpec(-10.0, 10.0, 1024, 0.01, 10.0))
+
+
 # --- Unitarity -------------------------------------------------------------------
 
 @settings(deadline=None)

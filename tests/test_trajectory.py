@@ -240,7 +240,7 @@ def test_contour_invariance():
     traj = unperturbed_trajectory(0.5, SECH, _aligned_shift(0.5, SECH, dt))
     pts = build_contour(traj, 2.0)
     assert np.allclose(pts, np.conj(pts[::-1]))
-    val = delta_action(0.5, SECH, PULSE, dt, epsrel=1e-11)
+    val = _delta_actions(0.5, SECH, PULSE, [dt], epsrel=1e-11)[0]
     assert _contour_value(traj, pts) == pytest.approx(val, rel=1e-13)
     mirror = -traj.t_s.real - 2.0 * traj.dt_shift
     for alt in (_variant(pts, y=1.62, c2=0.3), _variant(pts, y=1.95, c2=0.8 * mirror)):
@@ -322,7 +322,7 @@ def test_batched_scan_matches_serial(gap_frac):
     shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, 17)
     batch = _delta_actions(0.5, SECH, pulse, shifts, epsrel=1e-6)
     for s, value in zip(shifts, batch):
-        serial = delta_action(0.5, SECH, pulse, s, epsrel=1e-6)
+        serial = _delta_actions(0.5, SECH, pulse, [s], epsrel=1e-6)[0]
         assert abs(value - serial) <= 1e-10 * abs(serial)
 
 
@@ -402,8 +402,8 @@ def test_grid_slots_are_whole_contour_values_at_the_roots():
     # conjugation check, at the returned shift
     grid = minimize_delta_actions(GRID_ENERGIES, GRID_BARRIER, GRID_PULSE)
     for E, res in zip(GRID_ENERGIES, grid):
-        assert res.dA == delta_action(E, GRID_BARRIER, GRID_PULSE, res.dt_shift,
-                                      epsrel=1e-8)
+        assert res.dA == _delta_actions(E, GRID_BARRIER, GRID_PULSE,
+                                        [res.dt_shift], epsrel=1e-8)[0]
         slope = _delta_actions(E, GRID_BARRIER, GRID_PULSE, [res.dt_shift],
                                order=1)[0]
         assert res.energy_residual == abs(slope)
