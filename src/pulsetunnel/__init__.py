@@ -36,6 +36,7 @@ from .hj import (
     amp_lower_bound,
     decay_rate_series,
     exit_exponent,
+    exit_exponents,
     rate_peak_time,
     sigma1,
     sigma2,
@@ -61,8 +62,8 @@ __all__ = [
     "EuclideanResult", "adapt_pulse_width", "euclidean_action",
     "euclidean_actions", "solve_tau0", "threshold_energy", "threshold_form",
     "RateSeries", "SaddleState", "action", "amp_lower_bound",
-    "decay_rate_series", "exit_exponent", "rate_peak_time", "sigma1", "sigma2",
-    "solve_t0",
+    "decay_rate_series", "exit_exponent", "exit_exponents", "rate_peak_time",
+    "sigma1", "sigma2", "solve_t0",
     "QuantaPlan", "effective_action", "optimize_quanta",
     "TrajectoryHandle", "delta_action", "minimize_delta_action", "pole_form",
     "singularity_time", "unperturbed_trajectory",

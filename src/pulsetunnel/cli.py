@@ -42,6 +42,7 @@ from .hj import (
     amp_lower_bound,
     decay_rate_series,
     exit_exponent,
+    exit_exponents,
     rate_peak_time,
 )
 from .model import (
@@ -238,29 +239,23 @@ def _trajectory_rows(energies, config, pulse):
                                               pulse)]
 
 
-def _per_energy(row):
-    """Grid rows from a row function at one energy, with that energy's barrier."""
-    def rows(energies, config, pulse):
-        out = []
-        for E in energies:
-            try:
-                out.append(row(E, config.make_barrier(E_hint=E), pulse))
-            except PulseTunnelError as exc:
-                out.append(exc)
-        return out
-    return rows
+def _hj_rows(energies, config, pulse):
+    # exit_exponents sets each energy's E_bound, and A0 reads none
+    barrier = config.make_barrier()
+    return [A if isinstance(A, PulseTunnelError)
+            else (A, static_wkb_exponent(barrier, E), None, "hj")
+            for E, A in zip(energies, exit_exponents(energies, barrier, pulse))]
 
 
-@_per_energy
-def _hj_rows(E, barrier, pulse):
-    return (exit_exponent(barrier, pulse), static_wkb_exponent(barrier, E),
-            None, "hj")
-
-
-@_per_energy
-def _quanta_rows(E, barrier, pulse):
-    plan = optimize_quanta(E, barrier, pulse)
-    return plan.A_eff, plan.omega, plan.N, "quanta"
+def _quanta_rows(energies, config, pulse):
+    out = []
+    for E in energies:
+        try:
+            plan = optimize_quanta(E, config.make_barrier(E_hint=E), pulse)
+            out.append((plan.A_eff, plan.omega, plan.N, "quanta"))
+        except PulseTunnelError as exc:
+            out.append(exc)
+    return out
 
 
 # method -> (barrier it needs, CSV columns, rows over the energy grid)
@@ -393,6 +388,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (its subcommands' too) that raises its errors, an
+    unknown flag or a flag without its value, as DomainError: main's one
+    "regime error:" line and exit 2, not argparse's usage text."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call: a subcommand per
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     their values as text for RunConfig.from_mapping, and list the _CHOICES
     in --help.  parse_args leaves the parser unchanged, so one parser serves
     every main() in the process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pulsetunnel",
         description="Semiclassical tunneling exponents under soft pulses",
     )
@@ -431,8 +435,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         mapping = _load_config_file(args.config) if args.config else {}
         for key, value in vars(args).items():
             if key not in ("command", "config") and value is not None:

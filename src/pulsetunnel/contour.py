@@ -148,6 +148,25 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     return total, err_sum, 15 * (2 * n_panels - n_first)
 
 
+def _integrate_each(f, paths, **kw):
+    """integrate_paths(f, paths, **kw)'s values as a list, but for a path
+    whose integral raises ConvergenceError (the engine names the path): that
+    error goes into its slot, and the call reruns without it.  f sees each
+    node's index into `paths` as its path_id."""
+    out, live = [None] * len(paths), list(range(len(paths)))
+    while live:
+        index = np.array(live)
+        try:
+            vals = integrate_paths(lambda z, path_id: f(z, index[path_id]),
+                                   [paths[i] for i in live], **kw)[0]
+            break
+        except ConvergenceError as exc:
+            out[live.pop(exc.diagnostics["path"])] = exc
+    for i, v in zip(live, vals.tolist() if live else ()):
+        out[i] = v
+    return out
+
+
 def _segments(paths):
     """(path, a, b - a) arrays of the paths' segments of nonzero length:
     segment k is z = a[k] + s*(b - a)[k], s in [0, 1], on path path[k]."""

@@ -42,3 +42,11 @@ class ConvergenceError(PulseTunnelError):
     def __init__(self, message, residual=None, diagnostics=None):
         super().__init__(message, diagnostics)
         self.residual = residual
+
+
+def _one(slots):
+    """The value in the one slot of a grid of one, or its error raised."""
+    slot, = slots
+    if isinstance(slot, PulseTunnelError):
+        raise slot
+    return slot

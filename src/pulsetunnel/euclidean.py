@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contour import integrate_paths
-from .errors import ConvergenceError, DomainError, PulseTunnelError
+import numpy as np
+
+from .contour import _integrate_each
+from .errors import ConvergenceError, DomainError, PulseTunnelError, _one
 from .model import (
     GaussianPulse,
     LorentzPulse,
@@ -19,7 +21,6 @@ from .model import (
     SechBarrier,
     ZeroPulse,
     _lorentz_J,
-    static_wkb_exponent,
 )
 from .roots import _find_root
 
@@ -52,74 +53,93 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
     width, pinning the root below it whenever the static traversal time
     exceeds the width (the below-threshold regime).  The same root is where
     the HJ exit branch's momentum vanishes at t = 0, Im p = 0, so
-    hj.exit_exponent takes its exit point from it.
+    hj.exit_exponent takes its exit point from it.  The grid of one of
+    _solve_tau0s.
     """
-    if not (0 < E < barrier.V):
-        raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
-    p0 = barrier.p0(E)
-    e0 = barrier.field_static
-    if e0 <= 0:
-        raise DomainError("solve_tau0 needs a decaying barrier (field_static > 0)")
-    tau00 = p0 / e0
-    if not math.isfinite(tau00):
-        raise DomainError(f"the static traversal time {tau00} leaves "
-                          "double-precision range")
-    if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
-        return tau00
-
-    # G(tau) >= amp*tau, so g >= 0 at p0/(e0 + amp): start there, or nearer
-    # the root (docs/decisions.md, "One root finder")
-    amp, lorentz = pulse.amplitude, isinstance(pulse, LorentzPulse)
-    hi, x = tau00, p0 / (e0 + amp)
-    if lorentz:
-        # next to the width G -> amp*theta/(2(n-1)) * q^(1-n), q = 1 -
-        # tau^2/theta^2: q where that meets p0 - e0*theta, floored at p0/n
-        theta, n = pulse.width, pulse.exponent
-        hi = min(tau00, theta)
-        q = (amp * theta / (2.0 * (n - 1) * max(p0 - e0 * theta, p0 / n))
-             ) ** (1.0 / (n - 1))
-        if q < 1.0:
-            x = min(x, theta * math.sqrt(1.0 - q), math.nextafter(theta, 0.0))
-    else:   # G >= amp*(exp(r^2 tau^2) - 1)/(2 r^2 tau), so g >= 0 here too
-        r = pulse.rate
-        x = min(x, math.sqrt(math.log1p(2.0 * r * r * tau00 * p0 / amp)) / r)
-
-    def g(tau):         # and g' = e0 + pulse(i*tau)
-        rise = ((1.0 - (tau / theta) ** 2) ** -n if lorentz
-                else math.exp((r * tau) ** 2))
-        return e0 * tau + pulse.integral_imag_axis(tau) - p0, e0 + amp * rise
-
-    return _find_root(g, 0.0, hi, x, 1e-15, "tau0")
+    return _one(_solve_tau0s([E], barrier, pulse))
 
 
-def _regime_tag(E: float, barrier: TriangularBarrier, pulse) -> tuple[str, float | None]:
-    if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
-        return "static", None
-    if not isinstance(pulse, LorentzPulse):
-        return "no-threshold", None
-    E_T = threshold_energy(barrier, pulse)
-    tau00 = barrier.tau00_at(E)
-    theta = pulse.width
-    if abs(tau00 - theta) < 0.05 * theta:
-        return "near-threshold", E_T
-    return ("above-threshold" if tau00 < theta else "below-threshold"), E_T
+def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
+    """solve_tau0 at each energy, all roots in lockstep (roots._find_root):
+    slot i holds the root at energies[i] or the PulseTunnelError it raised."""
+    e0, amp = barrier.field_static, pulse.amplitude
+    lorentz = isinstance(pulse, LorentzPulse)
+    slots, live, brackets = [], [], []
+    for E in energies:
+        try:
+            if not (0 < E < barrier.V):
+                raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
+            p0 = barrier.p0(E)
+            if e0 <= 0:
+                raise DomainError("solve_tau0 needs a decaying barrier "
+                                  "(field_static > 0)")
+            tau00 = p0 / e0
+            if not math.isfinite(tau00):
+                raise DomainError(f"the static traversal time {tau00} leaves "
+                                  "double-precision range")
+        except DomainError as exc:
+            slots.append(exc)
+            continue
+        slots.append(tau00)
+        if isinstance(pulse, ZeroPulse) or amp == 0.0:
+            continue
+        # G(tau) >= amp*tau, so g >= 0 at p0/(e0 + amp): start there, or
+        # nearer the root (docs/decisions.md, "One root finder")
+        hi, x = tau00, p0 / (e0 + amp)
+        if lorentz:
+            # next to the width G -> amp*theta/(2(n-1)) * q^(1-n), q = 1 -
+            # tau^2/theta^2: q where that meets p0 - e0*theta, floored at p0/n
+            theta, n = pulse.width, pulse.exponent
+            hi = min(tau00, theta)
+            q = (amp * theta / (2.0 * (n - 1) * max(p0 - e0 * theta, p0 / n))
+                 ) ** (1.0 / (n - 1))
+            if q < 1.0:
+                x = min(x, theta * math.sqrt(1.0 - q), math.nextafter(theta, 0.0))
+        else:   # G >= amp*(exp(r^2 tau^2) - 1)/(2 r^2 tau), so g >= 0 here too
+            r = pulse.rate
+            x = min(x, math.sqrt(math.log1p(2.0 * r * r * tau00 * p0 / amp)) / r)
+        live.append(len(slots) - 1)
+        brackets.append((p0, hi, x))
+    if not live:
+        return slots
+    p0, hi, x = zip(*brackets)
+    p0 = np.array(p0)
+
+    def g(tau, k):      # and g' = e0 + pulse(i*tau), at the slots live[k]
+        # a rise that overflows is beyond the root, as its OverflowError was
+        # in Python floats, where an inf elsewhere is silent too
+        tau = np.array(tau)
+        with np.errstate(over="ignore", divide="ignore"):
+            rise = ((1.0 - (tau / theta) ** 2) ** -n if lorentz
+                    else np.exp((r * tau) ** 2))
+            beyond = rise == math.inf
+            f = e0 * tau + pulse.integral_imag_axis(np.where(beyond, 0.0, tau)) - p0[k]
+            df = e0 + amp * rise
+        f[beyond], df[beyond] = math.inf, math.nan
+        return f.tolist(), df.tolist()
+
+    for i, root in zip(live, _find_root(g, [0.0] * len(live), hi, x, 1e-15, "tau0")):
+        slots[i] = root
+    return slots
 
 
-def _imag_axis_moments(pulse, tau: float) -> tuple[float, float]:
-    """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact."""
-    m1 = -complex(pulse.first_moment_antiderivative(1j * tau)).real
-    if isinstance(pulse, LorentzPulse):
-        # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n)
-        x, n = tau / pulse.width, pulse.exponent
-        m2 = (pulse.amplitude * pulse.width**3
-              * float(_lorentz_J(x, n) - _lorentz_J(x, n - 1)))
-    elif isinstance(pulse, GaussianPulse):
-        # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
-        r2 = pulse.rate**2
-        m2 = ((pulse.amplitude * tau * math.exp(r2 * tau * tau)
-               - pulse.integral_imag_axis(tau)) / (2.0 * r2))
-    else:
-        m2 = 0.0
+def _imag_axis_moments(pulse, tau):
+    """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact,
+    at each tau of an array; an inf or a nan is silent, as in Python floats."""
+    m1 = -pulse.first_moment_antiderivative(1j * tau).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(pulse, LorentzPulse):
+            # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n)
+            x, n = tau / pulse.width, pulse.exponent
+            m2 = (pulse.amplitude * pulse.width**3
+                  * (_lorentz_J(x, n) - _lorentz_J(x, n - 1)))
+        elif isinstance(pulse, GaussianPulse):
+            # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
+            r2 = pulse.rate**2
+            m2 = ((pulse.amplitude * tau * np.exp(r2 * tau * tau)
+                   - pulse.integral_imag_axis(tau)) / (2.0 * r2))
+        else:
+            m2 = 0.0
     return m1, m2
 
 
@@ -130,15 +150,13 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
     In the below-threshold regime the small-amplitude limit is non-uniform:
     the result is reported at the given finite amplitude, never at zero.
     """
-    res = euclidean_actions([E], barrier, pulse)[0]
-    if isinstance(res, PulseTunnelError):
-        raise res
-    return res
+    return _one(euclidean_actions([E], barrier, pulse))
 
 
 def euclidean_actions(energies, barrier: TriangularBarrier,
                       pulse) -> list[EuclideanResult | PulseTunnelError]:
-    """euclidean_action at each energy, with every int G^2 in one engine call.
+    """euclidean_action at each energy: the tau0 in lockstep, every int G^2
+    in one engine call, and the closed forms on arrays.
 
     Slot i holds the EuclideanResult of energies[i], or the PulseTunnelError
     that energy raised.  The engine gives each path the panels a call of its
@@ -146,57 +164,64 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     path whose integrand is not finite gets the engine's ConvergenceError in
     its slot, and the call reruns without it.
     """
-    slots = []
-    for E in energies:
-        try:
-            slots.append(solve_tau0(E, barrier, pulse))
-        except PulseTunnelError as exc:
-            slots.append(exc)
+    slots = _solve_tau0s(energies, barrier, pulse)
     solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
 
     def G2(z, path_id):
         return G(z.real) ** 2
 
-    I2 = ()
-    while solved:
-        try:
-            I2 = integrate_paths(G2, [[0.0, slots[i]] for i in solved],
-                                 epsabs=1e-13, epsrel=1e-11)[0].real
-            break
-        except ConvergenceError as exc:     # the engine names the path
-            slots[solved.pop(exc.diagnostics["path"])] = exc
-    for i, I2_i in zip(solved, I2):
-        slots[i] = _closed_forms(energies[i], slots[i], float(I2_i), barrier, pulse)
+    for i, I2 in zip(solved, _integrate_each(G2, [[0.0, slots[i]] for i in solved],
+                                             epsabs=1e-13, epsrel=1e-11)):
+        slots[i] = I2 if isinstance(I2, ConvergenceError) else (slots[i], I2.real)
+    solved = [i for i, s in enumerate(slots) if isinstance(s, tuple)]
+    if solved:
+        tau0, I2 = (np.array(v) for v in zip(*(slots[i] for i in solved)))
+        E = np.array([energies[i] for i in solved], dtype=float)
+        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse)):
+            slots[i] = res
     return slots
 
 
-def _closed_forms(E, tau0, I2, barrier, pulse) -> EuclideanResult:
-    """EuclideanResult at the root tau0, given I2 = int_0^tau0 G^2 du."""
+def _closed_forms(E, tau0, I2, barrier, pulse) -> list[EuclideanResult]:
+    """EuclideanResults at the roots tau0 of the energies E, given
+    I2 = int_0^tau0 G^2 du, all three arrays."""
     e0, m = barrier.field_static, barrier.m
     VmE = barrier.V - E
 
     # int G and int u*G by parts, with G' = g, g(u) = pulse(i*u)
     G0 = pulse.integral_imag_axis(tau0)
     m1, m2 = _imag_axis_moments(pulse, tau0)
-    IG = tau0 * G0 - m1
-    I1 = 0.5 * (tau0 * tau0 * G0 - m2)
-
-    A = (
-        2.0 * VmE * tau0
-        - e0**2 * tau0**3 / (3.0 * m)
-        - 2.0 * e0 * I1 / m
-        - I2 / m
-    )
-    x_exit = e0 * tau0**2 / (2.0 * m) + IG / m
-    field_at_exit = e0 + complex(pulse(0.0)).real
-    deltaE = VmE - field_at_exit * x_exit
-    regime, E_T = _regime_tag(E, barrier, pulse)
-    A0 = static_wkb_exponent(barrier, E)
-    return EuclideanResult(
-        A=A, A0=A0, tau0=tau0, deltaE=deltaE, regime=regime, E_T=E_T,
-        exit_point=x_exit,
-    )
+    with np.errstate(over="raise"):     # as a power of Python floats did
+        tau0_3 = tau0**3
+    with np.errstate(over="ignore", invalid="ignore"):     # as in Python floats
+        IG = tau0 * G0 - m1
+        I1 = 0.5 * (tau0 * tau0 * G0 - m2)
+        A = (
+            2.0 * VmE * tau0
+            - e0**2 * tau0_3 / (3.0 * m)
+            - 2.0 * e0 * I1 / m
+            - I2 / m
+        )
+        x_exit = e0 * tau0**2 / (2.0 * m) + IG / m
+        field_at_exit = e0 + complex(pulse(0.0)).real
+        deltaE = VmE - field_at_exit * x_exit
+        tau00 = np.sqrt(2.0 * m * VmE) / e0     # A0 is static_wkb_exponent
+        A0 = (4.0 / 3.0) * VmE * tau00
+    E_T = None
+    if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
+        regimes = ["static"] * len(E)
+    elif not isinstance(pulse, LorentzPulse):
+        regimes = ["no-threshold"] * len(E)
+    else:
+        E_T, theta = threshold_energy(barrier, pulse), pulse.width
+        regimes = ["near-threshold" if abs(t - theta) < 0.05 * theta
+                   else "above-threshold" if t < theta else "below-threshold"
+                   for t in tau00.tolist()]
+    return [EuclideanResult(A=a, A0=a0, tau0=t, deltaE=d, regime=reg, E_T=E_T,
+                            exit_point=x)
+            for a, a0, t, d, reg, x in zip(A.tolist(), A0.tolist(), tau0.tolist(),
+                                           deltaE.tolist(), regimes, x_exit.tolist())]
 
 
 def threshold_energy(barrier: TriangularBarrier, pulse) -> float:

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contour import integrate_paths
-from .errors import ConvergenceError, DomainError, RegimeError, SingularityError
-from .euclidean import solve_tau0
+from .contour import _integrate_each, integrate_paths
+from .errors import (ConvergenceError, DomainError, PulseTunnelError, RegimeError,
+                     SingularityError, _one)
+from .euclidean import _solve_tau0s
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
 from .roots import _find_root
 
@@ -28,6 +29,7 @@ __all__ = [
     "sigma1",
     "sigma2",
     "exit_exponent",
+    "exit_exponents",
     "amp_lower_bound",
     "decay_rate_series",
     "rate_peak_time",
@@ -404,21 +406,74 @@ def exit_exponent(barrier: TriangularBarrier, pulse) -> float:
     """2 Im S at t = 0 at the exit point, where the exit branch's momentum
     vanishes: there t0 = i*tau0 and p(0) = i(p0 - field_static*tau0 -
     int_0^tau0 pulse(i u) du), so tau0 is euclidean.solve_tau0's root.  The
-    saddle equation at (t0, 0) gives x in closed form (residual 0)."""
-    _exit_action_x1(barrier, pulse)
-    # lengths rescaled by 2^k (m by 4^k, field and amplitude by 2^k; S stays)
-    # with m*4^k nearest 1, so k = 0 for 0.5 <= m <= 2: p near sqrt(2(V-E))
-    # keeps amp*width and the integral of p^2 from underflowing
-    scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
-    barrier = replace(barrier, m=barrier.m * scale * scale,
-                      field_static=barrier.field_static * scale)
-    pulse = replace(pulse, amplitude=pulse.amplitude * scale)
-    tau0 = solve_tau0(barrier.E_bound, barrier, pulse)
+    saddle equation at (t0, 0) gives x in closed form (residual 0), and S
+    is action(x, 0) there.  The grid of one of exit_exponents."""
+    return _one(exit_exponents([barrier.E_bound], barrier, pulse))
+
+
+def exit_exponents(energies, barrier: TriangularBarrier,
+                   pulse) -> list[float | PulseTunnelError]:
+    """exit_exponent at each energy (the barrier's E_bound set to it), the
+    tau0 in lockstep and every integral of p^2 in one engine call.
+
+    Slot i holds the exponent of energies[i], or the PulseTunnelError that
+    energy raised.  The engine gives each path the panels a call of its own
+    would give, so every slot is the one-energy value to the bit.
+    """
+    slots = []
+    for E in energies:
+        try:
+            slots.append(_exit_action_x1(replace(barrier, E_bound=E), pulse))
+        except PulseTunnelError as exc:
+            slots.append(exc)
+    live = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
+    try:
+        # lengths rescaled by 2^k (m by 4^k, field and amplitude by 2^k; S
+        # stays) with m*4^k nearest 1, so k = 0 for 0.5 <= m <= 2: p near
+        # sqrt(2(V-E)) keeps amp*width and the integral of p^2 from
+        # underflowing
+        scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
+        barrier = replace(barrier, m=barrier.m * scale * scale,
+                          field_static=barrier.field_static * scale)
+        pulse = replace(pulse, amplitude=pulse.amplitude * scale)
+        tau0 = _solve_tau0s([energies[i] for i in live], barrier, pulse)
+    except PulseTunnelError as exc:     # the scaled field or amplitude overflows
+        tau0 = [exc] * len(live)
+    e0, m, V = barrier.field_static, barrier.m, barrier.V
+    exits = {}      # slot: tau0, p0, and m*x at the exit but for its pulse term
+    for i, tau in zip(live, tau0):
+        slots[i] = tau
+        if isinstance(tau, PulseTunnelError):
+            continue
+        p0 = barrier.p0(energies[i])
+        mx = tau * p0 - 0.5 * e0 * tau**2
+        try:    # as in the saddle state, which reads pulse(t0)
+            pulse(1j * tau)
+            exits[i] = tau, p0, mx
+        except SingularityError as exc:
+            slots[i] = exc
+    if not exits:
+        return slots
+    tau0, p0, mx = (np.array(v) for v in zip(*exits.values()))
     t0 = 1j * tau0
-    x = (tau0 * barrier.p0() - 0.5 * barrier.field_static * tau0**2
-         + _int_weighted_pulse(t0, 0.0, pulse).real) / barrier.m
-    state = _make_state(t0, x, 0.0, barrier, pulse, 0.0)
-    return 2.0 * action(x, 0.0, barrier, pulse, state).imag
+    # the exit point, from the saddle equation at (t0, 0)
+    x = (mx + _int_weighted_pulse(t0, 0.0, pulse).real) / m
+    at_t0 = pulse.antiderivative(t0)
+
+    def p_squared(t1, path_id):     # p = dS/dx along the characteristic
+        p = (1j * p0[path_id] + (t1 - t0[path_id]) * e0
+             + (pulse.antiderivative(t1) - at_t0[path_id]))
+        return p * p
+
+    kin = _integrate_each(p_squared, [[t, 0.0] for t in t0.tolist()], epsrel=1e-11)
+    at_exit = complex(pulse.antiderivative(0.0))
+    for i, tau, p, x_i, a, k in zip(exits, *(v.tolist() for v in (tau0, p0, x, at_t0)),
+                                    kin):
+        # 2 Im S, with S = action(x, 0) at the exit point
+        p_exit = 1j * p + (0.0 - 1j * tau) * e0 + (at_exit - a)
+        slots[i] = k if isinstance(k, ConvergenceError) else 2.0 * (
+            -k / (2.0 * m) + x_i * p_exit + (V - energies[i]) * (1j * tau)).imag
+    return slots
 
 
 def amp_lower_bound(barrier: TriangularBarrier, pulse) -> float:

@@ -154,11 +154,9 @@ class ZeroPulse:
 
 def _lorentz_J(x, n: int):
     """J_n(x) = int_0^x (1-u^2)^(-n) du by the standard reduction formula."""
-    J = np.arctanh(x)
+    J, q = np.arctanh(x), 1.0 - x * x
     for k in range(2, n + 1):
-        J = x * (1.0 - x * x) ** (1 - k) / (2 * (k - 1)) + (2 * k - 3) / (
-            2 * (k - 1)
-        ) * J
+        J = x * q ** (1 - k) / (2 * (k - 1)) + (2 * k - 3) / (2 * (k - 1)) * J
     return J
 
 
@@ -220,12 +218,11 @@ class LorentzPulse:
                 "imaginary-axis pulse integral crosses the pole at i*width",
                 location=1j * self.width,
             )
-        J = _lorentz_J(x, self.exponent)
-        if J.ndim:
-            return self.amplitude * self.width * J
-        # in Python floats, where amplitude*width overflows and x underflows,
-        # inf*0 is a silent nan, which the tau0 solve turns into an error
-        return self.amplitude * self.width * float(J)
+        # where amplitude*width overflows and x underflows, inf*0 is a silent
+        # nan, as in Python floats, which the tau0 solve turns into an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = self.amplitude * self.width * _lorentz_J(x, self.exponent)
+        return G if G.ndim else float(G)
 
     def antiderivative(self, t):
         """int_0^t pulse(s) ds, exact; single-valued in the t-plane cut along
@@ -272,11 +269,12 @@ class GaussianPulse:
         return (f, f1, f2) if f.ndim else (complex(f), complex(f1), complex(f2))
 
     def integral_imag_axis(self, tau):
-        # pulse(i*u) = amp * exp(+rate^2 u^2); a scalar stays a Python float,
-        # where an overflowing amp/rate times erfi = 0 is a silent nan
+        # pulse(i*u) = amp * exp(+rate^2 u^2); an overflowing amp/rate times
+        # erfi = 0 is a silent nan, as in Python floats
         scale = self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate)
-        erfi = special.erfi(self.rate * tau)
-        return scale * erfi if erfi.ndim else scale * float(erfi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = scale * special.erfi(self.rate * tau)
+        return G if G.ndim else float(G)
 
     def antiderivative(self, t):
         # erf(z) = 1 - exp(-z^2) * w(iz), entire in z
@@ -288,9 +286,12 @@ class GaussianPulse:
     def first_moment_antiderivative(self, t):
         z2 = (self.rate * np.asarray(t, dtype=complex)) ** 2
         rise = 1.0 - np.exp(-z2)
-        # a scalar in Python numbers, as in integral_imag_axis
+        # an overflowing scale times rise = 0 is a silent nan, as in
+        # integral_imag_axis
         scale = self.amplitude / (2.0 * self.rate**2)
-        return scale * rise if rise.ndim else scale * complex(rise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = scale * rise
+        return out if out.ndim else complex(out)
 
 
 # --- Static WKB exponent --------------------------------------------------------

@@ -11,7 +11,8 @@ def test_public_names():
         "TrajectoryHandle", "TriangularBarrier", "ZeroPulse", "action",
         "adapt_pulse_width", "amp_lower_bound", "decay_rate_series",
         "delta_action", "effective_action", "euclidean_action",
-        "euclidean_actions", "exit_exponent", "minimize_delta_action",
+        "euclidean_actions", "exit_exponent", "exit_exponents",
+        "minimize_delta_action",
         "optimize_quanta", "pole_form", "rate_peak_time", "sigma1", "sigma2",
         "singularity_time", "solve_t0", "solve_tau0", "static_wkb_exponent",
         "threshold_energy", "threshold_form", "unperturbed_trajectory",

@@ -259,17 +259,24 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--V", "abc"], ["--n", "2.5"], ["--barrier", "foo"], ["--pulse", "square"],
-    ["--method", "magic"],
-], ids=["float", "int", "barrier", "pulse", "method"])
-def test_bad_flag_value_exit_code(flags, capsys):
-    # argparse rejected these itself, with a SystemExit out of main
+@pytest.mark.parametrize("flags,fragment", [
+    (["--V", "abc"], "'abc'"), (["--n", "2.5"], "'2.5'"),
+    (["--barrier", "foo"], "'foo'"), (["--pulse", "square"], "'square'"),
+    (["--method", "magic"], "'magic'"),
+    # argparse's own errors: an unknown flag, and a negative number in
+    # exponent form, which it reads as a flag (--E0=-1e-3 gets through)
+    (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["--E-grid", "1:2:2", "--E0", "-1e-3"], "--E0: expected one argument"),
+], ids=["float", "int", "barrier", "pulse", "method", "unknown-flag",
+        "negative-exponent-value"])
+def test_bad_flag_value_exit_code(flags, fragment, capsys):
+    # argparse rejected these itself, with a SystemExit and its usage text
+    # out of main
     assert _run(["action-curve", "--E", "5", "--amp", "0.05", *flags]) \
         == EXIT_REGIME
     err = capsys.readouterr().err
     assert err.startswith("regime error:") and err.count("\n") == 1
-    assert repr(flags[1]) in err
+    assert fragment in err
 
 
 @pytest.mark.parametrize("command", ["action-curve", "rate", "adapt", "verify"])
@@ -404,6 +411,17 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
       "--n", "30", "--E", "2.3536092068914477e+187"], EXIT_OK,
      ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError"]),
+    # the same inputs over an energy grid: each energy's G is inf*0 or inf
+    # (amp*theta overflows, so no energy of these inputs solves), in one
+    # lockstep array call, and the last energy is V
+    (["action-curve", "--method", "euclidean", "--V", "4.2719604035728106e+195",
+      "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
+      "--n", "30", "--E-grid",
+      "2.3536092068914477e+187:4.2719604035728106e+195:4"], EXIT_OK,
+     ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError",
+      "1.42398681688e+195,nan,nan,nan,error:ConvergenceError",
+      "2.84797361023e+195,nan,nan,nan,error:ConvergenceError",
+      "4.27196040357e+195,nan,nan,nan,error:DomainError"]),
     # m = 1.75e-191: the kinetic integral of p^2 (~1e-370) and amp*theta
     # underflowed, and hj wrote A = 1.71132219761e-179; the Euclidean A is
     # 5.70440732536e-180, 1.5e-5 from this row
@@ -436,7 +454,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
-        "hj-underflow", "gauss-integral-nan", "gauss-moment-nan",
+        "nan-pulse-integral-grid", "hj-underflow", "gauss-integral-nan",
+        "gauss-moment-nan",
         "gk15-error-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)

@@ -6,12 +6,12 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from pulsetunnel.contour import integrate_paths
-from pulsetunnel.errors import RegimeError
-from pulsetunnel.euclidean import euclidean_action
+from pulsetunnel.errors import PulseTunnelError, RegimeError
+from pulsetunnel.euclidean import euclidean_action, euclidean_actions
 from pulsetunnel.hj import (
     _axis_saddle,
     _exit_action_x1,
@@ -20,6 +20,7 @@ from pulsetunnel.hj import (
     amp_lower_bound,
     decay_rate_series,
     exit_exponent,
+    exit_exponents,
     rate_peak_time,
     sigma1,
     sigma2,
@@ -349,6 +350,68 @@ def test_exit_exponent_matches_mpmath(ref):
     fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
     want = float(ref["A"])
     assert abs(exit_exponent(b, LorentzPulse(**fields)) - want) <= 1e-12 * want
+
+
+def test_exit_exponents_match_mpmath():
+    # one grid, the reference energy among others
+    for ref in _HJ_EXIT_REFS:
+        b = TriangularBarrier(**ref["barrier"])
+        fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
+        energies = [0.5 * b.E_bound, b.E_bound, 1.4 * b.E_bound]
+        A = exit_exponents(energies, b, LorentzPulse(**fields))[1]
+        want = float(ref["A"])
+        assert abs(A - want) <= 1e-12 * want
+
+
+# --- Energy grids -----------------------------------------------------------------
+
+def _outcome(slot):
+    """A grid slot as a comparable value: the result, or the class and the
+    message of the error it holds."""
+    if isinstance(slot, PulseTunnelError):
+        return type(slot), str(slot)
+    return slot
+
+
+@pytest.mark.parametrize("pulse", [
+    ZeroPulse(),
+    LorentzPulse(amplitude=0.05, width=2.0, exponent=2),
+    PULSE5,
+    LorentzPulse(amplitude=0.05, width=2.0, exponent=4),
+    LorentzPulse(amplitude=0.05, width=2.0, exponent=26),
+    GaussianPulse(amplitude=0.05, rate=0.5),
+], ids=["zero", "lorentz2", "lorentz3", "lorentz4", "lorentz26", "gaussian"])
+@settings(max_examples=20)
+@given(energies=st.lists(st.floats(-1.0, 12.0, **finite), min_size=1,
+                         max_size=6))
+def test_grid_slot_is_its_grid_of_one(pulse, energies):
+    # on CANON the width 2 reaches tau00 above E = 8 (RegimeError on the HJ
+    # route), and energies outside (0, 10) are DomainErrors
+    for grid in (euclidean_actions, exit_exponents):
+        slots = grid(energies, CANON, pulse)
+        assert [_outcome(s) for s in slots] == [
+            _outcome(grid([E], CANON, pulse)[0]) for E in energies]
+
+
+def test_grid_slots_keep_their_own_step_counts():
+    # amp*width underflows to 0, so G = 0 and g < 0 across each Euclidean
+    # bracket: every tau0 solve ends in "no tau0 root", each after its own
+    # number of steps.  The HJ route rescales the mass to 1, which keeps
+    # amp*width, and solves
+    b = TriangularBarrier(V=0.5130646078276279, E_bound=0.25,
+                          field_static=0.20517156515853233,
+                          m=1.6381026198579793e-125)
+    pulse = LorentzPulse(amplitude=7.341420578647063e-179,
+                         width=5.336853902104038e-180, exponent=30)
+    energies = [b.V * f for f in (0.01, 0.3, 0.7, 0.9, 0.99)]
+    slots = euclidean_actions(energies, b, pulse)
+    assert [str(s).split(" after ")[1] for s in slots] == [
+        "54 steps", "56 steps", "66 steps", "84 steps", "100 steps"]
+    for grid in (euclidean_actions, exit_exponents):
+        slots = grid(energies, b, pulse)
+        assert [_outcome(s) for s in slots] == [
+            _outcome(grid([E], b, pulse)[0]) for E in energies]
+    assert all(isinstance(A, float) for A in exit_exponents(energies, b, pulse))
 
 
 def test_validity_rejects_oversized_width():
