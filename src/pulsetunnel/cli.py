@@ -280,6 +280,8 @@ def cmd_action_curve(config: RunConfig) -> tuple[list[str], list[tuple]]:
     needs, columns, rows = _CURVE_METHODS[method]
     if config.barrier != needs:
         raise RegimeError(f"the {method} method needs the {needs} barrier")
+    if exc := _non_finite(columns[:1] * len(energies), energies):
+        raise exc       # a grid point overflowed, or --E with the sech barrier
     out = []
     for E, cells in zip(energies, rows(energies, config, config.make_pulse())):
         if not isinstance(cells, PulseTunnelError):
@@ -446,7 +448,8 @@ def main(argv=None) -> int:
         if config.E is None and args.command != "action-curve":
             raise DomainError(f"{args.command} needs --E")
         columns, rows = _COMMANDS[args.command](config)
-        for row in rows:
+        # action-curve checks its rows itself, into error rows
+        for row in rows if args.command != "action-curve" else ():
             if exc := _non_finite(columns, row):
                 raise exc
         _emit(args.command, config, columns, rows)

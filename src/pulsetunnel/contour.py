@@ -193,14 +193,17 @@ def _gk15(f, segments, owner, lo, hi):
             f"integrand is not finite on integration path {p}",
             diagnostics={"z": complex(z[bad][0]), "path": p},
         )
-    fv = fz * jac
-    kronrod, diff = (fv @ _RULES).T     # K15 and K15 - G7 per unit half-width
-    resabs = half * (np.abs(fv) @ _KRONROD)
-    resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
-    err = half * np.abs(diff)
-    varies = resasc > 0
-    # capped before the power, which overflows past a ratio of ~1e205
-    scaled = resasc * np.minimum(
-        1.0, 200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5
-    err = np.where(varies, scaled, err)
+    # a finite f times a long segment may overflow: the inf or nan it leaves
+    # in the panel's value and error is silent, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = fz * jac
+        kronrod, diff = (fv @ _RULES).T     # K15 and K15 - G7 per unit half-width
+        resabs = half * (np.abs(fv) @ _KRONROD)
+        resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
+        err = half * np.abs(diff)
+        varies = resasc > 0
+        # capped before the power, which overflows past a ratio of ~1e205
+        scaled = resasc * np.minimum(
+            1.0, 200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5
+        err = np.where(varies, scaled, err)
     return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs

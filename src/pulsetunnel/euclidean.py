@@ -99,10 +99,10 @@ def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
             r = pulse.rate
             x = min(x, math.sqrt(math.log1p(2.0 * r * r * tau00 * p0 / amp)) / r)
         live.append(len(slots) - 1)
-        brackets.append((p0, hi, x))
+        brackets.append((p0, hi, x, 1e-15 * hi))
     if not live:
         return slots
-    p0, hi, x = zip(*brackets)
+    p0, hi, x, xtol = zip(*brackets)
     p0 = np.array(p0)
 
     def g(tau, k):      # and g' = e0 + pulse(i*tau), at the slots live[k]
@@ -118,7 +118,7 @@ def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
         f[beyond], df[beyond] = math.inf, math.nan
         return f.tolist(), df.tolist()
 
-    for i, root in zip(live, _find_root(g, [0.0] * len(live), hi, x, 1e-15, "tau0")):
+    for i, root in zip(live, _find_root(g, [0.0] * len(live), hi, x, xtol, "tau0")):
         slots[i] = root
     return slots
 

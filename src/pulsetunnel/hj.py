@@ -163,7 +163,7 @@ def _axis_saddle(barrier: TriangularBarrier, pulse):
                 -e0 - amp * rise * (1.0 + 2.0 * n * tau**2 / (theta**2 - tau**2)))
 
     tau_max = _find_root(lambda tau: tuple(-v for v in slope(tau)), 0.0, theta,
-                         0.0, 1e-14, "axis-maximizer")
+                         0.0, 1e-14 * theta, "axis-maximizer")
     return f, tau_max, slope
 
 
@@ -177,7 +177,8 @@ def _exit_root_t0(x: float, barrier: TriangularBarrier, pulse) -> float:
             "no exit-branch saddle: x lies beyond the branch point x2"
         )
     return _find_root(lambda tau: (mx - f(tau), -slope(tau)[0]), tau_max,
-                      pulse.width, tau_max, 1e-16, "exit-branch")
+                      pulse.width, tau_max, 1e-16 * (pulse.width - tau_max),
+                      "exit-branch")
 
 
 def solve_t0(
@@ -256,15 +257,6 @@ def _make_state(t0, x, t, barrier, pulse, residual) -> SaddleState:
 
 # --- Classical action -----------------------------------------------------------
 
-def _momentum(t1: complex, state: SaddleState, barrier, pulse) -> complex:
-    """dS/dx along the characteristic: i*p0 + (t1-t0)*E0 + int_{t0}^{t1} pulse."""
-    return (
-        1j * barrier.p0()
-        + (t1 - state.t0) * barrier.field_static
-        + _int_pulse(state.t0, t1, pulse)
-    )
-
-
 def action(
     x: float,
     t: float,
@@ -277,26 +269,38 @@ def action(
     The kinetic term integrates p^2 along the straight segment t0 -> t, which
     keeps t0's side of the pulse poles (docs/decisions.md, "Lines-only
     contour engine").  S(0, t) = -E*t and, with the pulse off, 2*Im S at the
-    static exit reproduces the WKB exponent.
+    static exit reproduces the WKB exponent.  The grid of one of _actions.
     """
     if state is None:
         state = solve_t0(x, t, barrier, pulse)
-    t0 = state.t0
-    m = barrier.m
-    V = barrier.V
-    E = barrier.E_bound
+    return _one(_actions([(state.t0, x, t)], [barrier.E_bound], barrier, pulse))
 
-    def integrand(t1, path_id):
-        p = _momentum(t1, state, barrier, pulse)
+
+def _actions(saddles, energies, barrier: TriangularBarrier, pulse) -> list:
+    """S(x, t) at each saddle (t0, x, t), the barrier's E_bound set to
+    energies[k], every integral of p^2 in one engine call: slot k holds the
+    action of saddles[k] or the ConvergenceError of its integral.  The
+    engine gives each path the panels a call of its own would give."""
+    t0, _, t = (np.array(v) for v in zip(*saddles))
+    p0 = np.array([barrier.p0(E) for E in energies])
+    e0, m, V = barrier.field_static, barrier.m, barrier.V
+    # one saddle at a time: the array form of a complex t0 may differ by an ulp
+    at_t0 = np.array([pulse.antiderivative(s[0]) for s in saddles])
+
+    def momentum(t1, k):    # dS/dx along the characteristic from t0[k]
+        return (1j * p0[k] + (t1 - t0[k]) * e0
+                + (pulse.antiderivative(t1) - at_t0[k]))
+
+    def p_squared(t1, k):
+        p = momentum(t1, k)
         return p * p
 
-    kin = complex(integrate_paths(integrand, [[t0, t]], epsrel=1e-11)[0][0])
-    return (
-        -kin / (2.0 * m)
-        + x * _momentum(t, state, barrier, pulse)
-        + (V - E) * t0
-        - V * t
-    )
+    kin = _integrate_each(p_squared, [[s[0], s[2]] for s in saddles],
+                          epsrel=1e-11)
+    p_end = momentum(t, np.arange(t.size)).tolist()
+    return [k if isinstance(k, ConvergenceError) else
+            -k / (2.0 * m) + x_k * p + (V - E) * s - V * t_k
+            for k, p, (s, x_k, t_k), E in zip(kin, p_end, saddles, energies)]
 
 
 # --- Semiclassical corrections --------------------------------------------------
@@ -439,40 +443,28 @@ def exit_exponents(energies, barrier: TriangularBarrier,
         tau0 = _solve_tau0s([energies[i] for i in live], barrier, pulse)
     except PulseTunnelError as exc:     # the scaled field or amplitude overflows
         tau0 = [exc] * len(live)
-    e0, m, V = barrier.field_static, barrier.m, barrier.V
-    exits = {}      # slot: tau0, p0, and m*x at the exit but for its pulse term
+    exits = {}      # slot: tau0, and m*x at the exit but for its pulse term
     for i, tau in zip(live, tau0):
         slots[i] = tau
         if isinstance(tau, PulseTunnelError):
             continue
-        p0 = barrier.p0(energies[i])
-        mx = tau * p0 - 0.5 * e0 * tau**2
-        try:    # as in the saddle state, which reads pulse(t0)
-            pulse(1j * tau)
-            exits[i] = tau, p0, mx
+        try:    # the saddle state's pole check; its value may overflow, unread
+            with np.errstate(over="ignore"):
+                pulse(1j * tau)
+            exits[i] = tau, (tau * barrier.p0(energies[i])
+                             - 0.5 * barrier.field_static * tau**2)
         except SingularityError as exc:
             slots[i] = exc
     if not exits:
         return slots
-    tau0, p0, mx = (np.array(v) for v in zip(*exits.values()))
+    tau0, mx = (np.array(v) for v in zip(*exits.values()))
     t0 = 1j * tau0
     # the exit point, from the saddle equation at (t0, 0)
-    x = (mx + _int_weighted_pulse(t0, 0.0, pulse).real) / m
-    at_t0 = pulse.antiderivative(t0)
-
-    def p_squared(t1, path_id):     # p = dS/dx along the characteristic
-        p = (1j * p0[path_id] + (t1 - t0[path_id]) * e0
-             + (pulse.antiderivative(t1) - at_t0[path_id]))
-        return p * p
-
-    kin = _integrate_each(p_squared, [[t, 0.0] for t in t0.tolist()], epsrel=1e-11)
-    at_exit = complex(pulse.antiderivative(0.0))
-    for i, tau, p, x_i, a, k in zip(exits, *(v.tolist() for v in (tau0, p0, x, at_t0)),
-                                    kin):
-        # 2 Im S, with S = action(x, 0) at the exit point
-        p_exit = 1j * p + (0.0 - 1j * tau) * e0 + (at_exit - a)
-        slots[i] = k if isinstance(k, ConvergenceError) else 2.0 * (
-            -k / (2.0 * m) + x_i * p_exit + (V - energies[i]) * (1j * tau)).imag
+    x = (mx + _int_weighted_pulse(t0, 0.0, pulse).real) / barrier.m
+    S = _actions([(s, x_i, 0.0) for s, x_i in zip(t0.tolist(), x.tolist())],
+                 [energies[i] for i in exits], barrier, pulse)
+    for i, S_i in zip(exits, S):
+        slots[i] = S_i if isinstance(S_i, ConvergenceError) else 2.0 * S_i.imag
     return slots
 
 

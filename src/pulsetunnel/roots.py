@@ -4,7 +4,7 @@ its bracket (docs/decisions.md, "One root finder")."""
 
 import math
 
-from .errors import ConvergenceError, _one
+from .errors import ConvergenceError, PulseTunnelError, _one
 
 _RTOL, _MAX_STEPS = 4.0 * 2.0**-52, 100
 
@@ -25,49 +25,48 @@ def _newton_bisect(x, fx, dfx, lo, hi, f_lo, xtol):
     return (None if abs(new - x) <= xtol + _RTOL * abs(x) else new), lo, hi
 
 
-def _find_root(fdf, lo, hi, x, rtol, name):
+def _find_root(fdf, lo, hi, x, xtol, name, f_hi=None):
     """Roots of functions f_i, each rising on (lo[i], hi[i]) from
     f_i(lo[i]) < 0, from x[i], in lockstep: each step makes one call
     fdf(x, live) for lists (f, f') at the iterates x of the slots `live`,
-    then takes _newton_bisect slot by slot.  Slot i of the list returned
-    holds f_i's root or its ConvergenceError.  Given floats and a scalar
+    then takes _newton_bisect slot by slot, with step tolerance xtol[i].
+    Slot i of the list returned holds f_i's root or its PulseTunnelError;
+    an f entry that is one ends its slot with it.  Given floats and a scalar
     fdf(x), it solves that grid of one: the root, or its error raised.
-    The step tolerance, xtol in _newton_bisect, is rtol*(hi - lo): relative
-    to the bracket, so a bracket far below 1 is solved too.  An
-    OverflowError or a non-finite f is beyond the root, as is hi until it is
-    evaluated: a bracket that closes on one of them, unless the Newton step
-    from its last point ends within that tolerance of it, or no root in 100
-    steps, is a ConvergenceError."""
+    An OverflowError or a non-finite f is beyond the root, as is hi until it
+    is evaluated, unless f_hi[i] gives a finite f_i(hi[i]): a bracket that
+    closes on one of them, unless the Newton step from its last point ends
+    within that tolerance of it, or no root in 100 steps, is a
+    ConvergenceError."""
     if isinstance(x, float):    # zip((f, f')) gives the lists ((f,), (f',))
         return _one(_find_root(lambda x, live: zip(fdf(x[0])), [lo], [hi], [x],
-                               rtol, name))
+                               [xtol], name))
     bracket, lo, hi, x = list(zip(lo, hi)), list(lo), list(hi), list(x)
-    xtol = [rtol * (b - a) for a, b in bracket]
-    f_hi, out, live = [math.inf] * len(x), [None] * len(x), list(range(len(x)))
-    for step in range(1, _MAX_STEPS + 1):
+    f_hi = [math.inf] * len(x) if f_hi is None else list(f_hi)
+    out, live, step = [None] * len(x), list(range(len(x))), 0
+    while live:
+        step += 1
         try:
             f, df = fdf([x[i] for i in live], live)
         except OverflowError:       # of a scalar fdf, in Python floats
             f, df = [math.inf], [math.nan]
-        done = False
         for i, fx, dfx in zip(live, f, df):
+            if isinstance(fx, PulseTunnelError):
+                out[i] = fx
+                continue
             if not fx < 0:
                 f_hi[i] = fx
             new, lo[i], hi[i] = _newton_bisect(x[i], fx, dfx, lo[i], hi[i],
                                                -1.0, xtol[i])
             if new is not None and step < _MAX_STEPS:
                 x[i] = new
-                continue
-            done = True
-            if new is None and (math.isfinite(f_hi[i]) or 0.0 < dfx < math.inf
-                                and x[i] - fx / dfx
-                                <= hi[i] + xtol[i] + _RTOL * abs(x[i])):
+            elif new is None and (math.isfinite(f_hi[i]) or 0.0 < dfx < math.inf
+                                  and x[i] - fx / dfx
+                                  <= hi[i] + xtol[i] + _RTOL * abs(x[i])):
                 out[i] = x[i]
             else:
                 out[i] = ConvergenceError(
                     f"no {name} root in ({bracket[i][0]:.6g}, "
                     f"{bracket[i][1]:.6g}) after {step} steps")
-        if done:
-            live = [i for i in live if out[i] is None]
-            if not live:
-                return out
+        live = [i for i in live if out[i] is None]
+    return out

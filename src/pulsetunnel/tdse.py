@@ -18,7 +18,6 @@ imaginary time on real arrays, since a real potential keeps a real start real.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,27 +229,22 @@ class EvolutionRecord:
 def evolve(
     state: WavefunctionState,
     potential,
-    pulse,
+    pulses,
     grid: GridSpec,
     *,
     absorbers: bool = True,
     detector_x: float | None = None,
     t_final: float | None = None,
     dt: float | None = None,
-) -> tuple[WavefunctionState, EvolutionRecord] | list[
-    tuple[WavefunctionState, EvolutionRecord]
-]:
-    """Second-order split-operator propagation with a time-dependent pulse.
+) -> list[tuple[WavefunctionState, EvolutionRecord]]:
+    """Second-order split-operator propagation with time-dependent pulses.
 
-    `potential` is a callable V_static(x).  The pulse couples in length gauge,
-    -x*pulse(t), with the coordinate saturated inside the absorbing layers.
-    `pulse` may also be a sequence of pulses: the runs start from the same
-    state and advance together as one (B, N) array, and the call returns a
-    list of (state, record) pairs, one per pulse.  A single pulse returns its
-    pair.
+    `potential` is a callable V_static(x).  Each pulse couples in length
+    gauge, -x*pulse(t), with the coordinate saturated inside the absorbing
+    layers.  The runs, one per pulse of the sequence `pulses`, start from the
+    same state and advance together as one (B, N) array; the call returns
+    their (state, record) pairs in that order.
     """
-    batched = isinstance(pulse, Sequence)
-    pulses = list(pulse) if batched else [pulse]
     g = grid
     dt = g.dt if dt is None else dt
     t_final = g.t_final if t_final is None else t_final
@@ -337,7 +331,7 @@ def evolve(
         )
         for r in range(n_rows)
     ]
-    return out if batched else out[0]
+    return out
 
 
 def _static_rate(record: EvolutionRecord) -> float:

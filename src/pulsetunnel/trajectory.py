@@ -25,9 +25,10 @@ from .errors import (
     PulseTunnelError,
     RegimeError,
     SingularityError,
+    _one,
 )
 from .model import LorentzPulse, SechBarrier, ZeroPulse, static_wkb_exponent
-from .roots import _MAX_STEPS, _newton_bisect
+from .roots import _find_root
 
 __all__ = [
     "TrajectoryHandle",
@@ -309,10 +310,7 @@ def minimize_delta_action(E: float, barrier: SechBarrier, pulse) -> MinimizedAct
     |dA'| as the energy residual: minimize_delta_actions at one energy, whose
     error is raised.
     """
-    res = minimize_delta_actions([E], barrier, pulse)[0]
-    if isinstance(res, PulseTunnelError):
-        raise res
-    return res
+    return _one(minimize_delta_actions([E], barrier, pulse))
 
 
 _SCAN = 17              # shifts of the scan for the minimum of dA
@@ -330,15 +328,14 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     - scan: dA at 17 shifts over [-3(width - tau_s), 0] (epsrel 1e-6); a
       minimum at either end is "no interior minimum" (ConvergenceError);
-    - root of dA' in the bracket of the scan neighbours of the minimum,
-      starting at the vertex of the parabola through the three values: each
-      step evaluates dA' and dA'' at the iterate and takes the Newton step
-      when dA'' > 0 and the step stays in the bracket, else bisects
-      (roots._newton_bisect).  The first call also takes dA' at both bracket
-      ends, which must differ in sign (ConvergenceError otherwise).  The
-      solve stops when the next step is at most 2e-12 + 4*eps*|dt_shift|,
-      within 100 steps, and returns the last shift at which dA' was
-      evaluated (epsrel 1e-10);
+    - dA' at the scan neighbours lo, hi of the minimum, where it must rise,
+      dA'(lo) <= 0 <= dA'(hi) (ConvergenceError otherwise), then its root
+      there by roots._find_root from the vertex of the parabola through the
+      three values: each step evaluates dA' and dA'' at the iterate and
+      takes the Newton step when dA'' > 0 and the step stays in the
+      bracket, else bisects.  The solve stops when the next step is at most
+      2e-12 + 4*eps*|dt_shift|, within 100 steps, and returns the last shift
+      at which dA' was evaluated (epsrel 1e-10);
     - dA (epsrel 1e-8) and dA' (epsrel 1e-10) at each root, on the whole
       contour with its conjugation check; |dA'| is the energy residual.
 
@@ -363,7 +360,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
             gap = pulse.width - unperturbed_trajectory(e, barrier).tau_s
             if gap <= 0:
                 raise RegimeError("Im t_s >= pulse width: unsupported ordering")
-            scans[i] = np.linspace(-3.0 * gap, 0.0, _SCAN)
+            scans[i] = np.linspace(-3.0 * gap, 0.0, _SCAN).tolist()
         except PulseTunnelError as exc:
             slots[i] = exc
 
@@ -396,7 +393,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         if k in (0, _SCAN - 1):
             slots[i] = ConvergenceError(
                 "no interior minimum of dA in the scan bracket",
-                diagnostics={"grid": grid, "dA": np.array(v)},
+                diagnostics={"grid": grid, "dA": v},
             )
             continue
         lo[i], hi[i] = grid[k - 1], grid[k + 1]
@@ -405,47 +402,33 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         x[i] = grid[k] + step * (grid[1] - grid[0])
 
     # root of dA', all energies in lockstep
-    sign_lo, roots = {}, {}
-    for n in range(_MAX_STEPS):
-        paths = []
-        for i in x:
-            paths += [(i, x[i], 1, 1e-10), (i, x[i], 2, 1e-10)]
-            if n == 0:
-                paths += [(i, lo[i], 1, 1e-10), (i, hi[i], 1, 1e-10)]
-        vals = call(paths)
-        x = {i: x[i] for i in vals}
-        for i, v in vals.items():
-            d1, d2 = v[0], v[1]
-            if n == 0:
-                if v[2] * v[3] > 0:
-                    slots[i] = ConvergenceError(
-                        "dA' keeps its sign over the scan bracket of the minimum",
-                        diagnostics={"bracket": (lo[i], hi[i]),
-                                     "slopes": (v[2], v[3])},
-                    )
-                    del x[i]
-                    continue
-                sign_lo[i] = v[2]
-            new, lo[i], hi[i] = _newton_bisect(x[i], d1, d2, lo[i], hi[i],
-                                               sign_lo[i], _XTOL)
-            if new is None:
-                roots[i] = float(x.pop(i))
-            else:
-                x[i] = new
-        if not x:
-            break
-    for i in x:
-        slots[i] = ConvergenceError(
-            f"no root of dA' within {_MAX_STEPS} steps",
-            diagnostics={"bracket": (lo[i], hi[i]), "dt_shift": x[i]},
-        )
+    ends = call([(i, s, 1, 1e-10) for i in x for s in (lo[i], hi[i])])
+    for i, (v_lo, v_hi) in ends.items():
+        if v_lo > 0 or v_hi < 0:
+            slots[i] = ConvergenceError(
+                "dA' does not rise across the scan bracket of the minimum",
+                diagnostics={"bracket": (lo[i], hi[i]), "slopes": (v_lo, v_hi)})
+    rising = [i for i in ends if not isinstance(slots[i], PulseTunnelError)]
+
+    def fdf(shifts, live):      # (dA', dA'') per slot, or the slot's error
+        vals = call([(rising[k], s, order, 1e-10)
+                     for k, s in zip(live, shifts) for order in (1, 2)])
+        return zip(*(vals.get(rising[k]) or (slots[rising[k]], None)
+                     for k in live))
+
+    # a slot holds its root, or its error, until the last stage
+    for i, r in zip(rising, _find_root(
+            fdf, [lo[i] for i in rising], [hi[i] for i in rising],
+            [x[i] for i in rising], [_XTOL] * len(rising), "dA'",
+            f_hi=[ends[i][1] for i in rising])):
+        slots[i] = r
 
     # dA and dA' at the roots, on the whole contour
-    final = call([p for i, r in roots.items()
-                  for p in ((i, r, 0, 1e-8), (i, r, 1, 1e-10))], upper=False)
+    final = call([(i, slots[i], k, tol) for i in rising
+                  for k, tol in ((0, 1e-8), (1, 1e-10))], upper=False)
     for i, (dA_i, slope) in final.items():
         A0 = static_wkb_exponent(barrier, E[i])
-        slots[i] = MinimizedAction(dt_shift=roots[i], dA=dA_i, A=A0 + dA_i,
+        slots[i] = MinimizedAction(dt_shift=slots[i], dA=dA_i, A=A0 + dA_i,
                                    A0=A0, energy_residual=abs(slope))
     return slots
 

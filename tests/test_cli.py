@@ -451,12 +451,26 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "2.677582420919926", "--amp", "0.4538842800786306",
       "--n", "10", "--E", "13.58577512339775"], EXIT_REGIME,
      "pulse evaluated at its pole"),
+    # the exit route's pole check overflowed in the pulse value (a
+    # RuntimeWarning), which it does not read
+    (["verify", "--V", "5.2569779349795334e+163", "--E0", "2.935139527615123",
+      "--m", "1.8086290114314587e-148", "--theta", "9.651060300667626e-239",
+      "--amp", "1.642205317491207e-05", "--n", "26",
+      "--E", "2.1837817529984827e+163"], EXIT_NONCONVERGENCE,
+     "verification failed"),
+    # a finite integrand times a segment of length ~1e270 overflowed in the
+    # quadrature panel (RuntimeWarnings) before the closed forms overflowed
+    (["verify", "--V", "1.0783617325190618", "--E0", "2.2214735342680316",
+      "--m", "8.740976176192478e+239", "--theta", "1.8867665778916902e+270",
+      "--amp", "0.0007234993853730605", "--n", "30",
+      "--E", "0.39546703932249494"], EXIT_REGIME, "OverflowError"),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
         "nan-pulse-integral-grid", "hj-underflow", "gauss-integral-nan",
         "gauss-moment-nan",
-        "gk15-error-overflow"])
+        "gk15-error-overflow", "exit-pole-check-overflow",
+        "gk15-panel-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

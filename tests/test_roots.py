@@ -1,4 +1,5 @@
-"""The safeguarded Newton-bisect of pulsetunnel.roots against scipy's brentq.
+"""The safeguarded Newton-bisect of pulsetunnel.roots against scipy's brentq,
+and the branches of its lockstep driver _find_root.
 
 Every root the package solves sits next to a pole.  scipy.optimize.brentq,
 which the package no longer imports, stays the independent reference here;
@@ -17,8 +18,10 @@ from scipy.optimize import brentq
 
 import pulsetunnel
 from pulsetunnel import hj
+from pulsetunnel.errors import ConvergenceError
 from pulsetunnel.euclidean import solve_tau0
 from pulsetunnel.model import GaussianPulse, LorentzPulse, TriangularBarrier
+from pulsetunnel.roots import _find_root
 
 EPS = 2.0**-52
 
@@ -124,6 +127,52 @@ def test_exit_branch_at_t0_is_the_euclidean_root(n, E):
     x_exit = _axis(b, p)[0](tau0) / b.m
     t0 = hj.solve_t0(x_exit, 0.0, b, p, branch="exit").t0
     assert abs(t0 - 1j * tau0) <= 1e-14 * tau0
+
+
+FAILED = ConvergenceError("slot failed")
+
+
+def _bisect_grid(roots, slots, error_from=None):
+    """_find_root on (0, 1) from 0.5 for f_i(x) = x - roots[i], i in slots,
+    with f' reported as 0, so every step bisects; slot error_from's f is an
+    error from its third evaluation on.  (out, evaluations per slot)."""
+    calls = {i: 0 for i in slots}
+
+    def fdf(x, live):
+        f = []
+        for k, xk in zip(live, x):
+            i = slots[k]
+            calls[i] += 1
+            f.append(FAILED if i == error_from and calls[i] >= 3 else xk - roots[i])
+        return f, [0.0] * len(live)
+
+    n = len(slots)
+    return _find_root(fdf, [0.0] * n, [1.0] * n, [0.5] * n, [1e-12] * n,
+                      "test"), calls
+
+
+def test_a_slot_error_ends_that_slot_only():
+    roots = [0.3, 0.6, 0.9]
+    out, calls = _bisect_grid(roots, [0, 1, 2], error_from=1)
+    assert out[1] is FAILED and calls[1] == 3
+    for i in (0, 2):
+        [alone], calls_alone = _bisect_grid(roots, [i])
+        assert out[i] == alone == pytest.approx(roots[i], abs=1e-11)
+        assert calls[i] == calls_alone[i] > 30
+    assert _bisect_grid(roots, [])[0] == []
+
+
+def test_f_hi_marks_the_upper_end_as_evaluated():
+    # f(x) = x - 1 has its root at hi = 1; with f' reported as 0 every step
+    # bisects, so no iterate has f >= 0: hi is beyond the root, unless f_hi
+    # gives f(1)
+    def fdf(x, live):
+        return [v - 1.0 for v in x], [0.0] * len(x)
+
+    [out] = _find_root(fdf, [0.0], [1.0], [0.5], [1e-15], "test")
+    assert isinstance(out, ConvergenceError)
+    [root] = _find_root(fdf, [0.0], [1.0], [0.5], [1e-15], "test", f_hi=[0.0])
+    assert root == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cli_imports_neither_scipy_optimize_nor_integrate():

@@ -66,8 +66,8 @@ def test_grid_mass_must_match_barrier():
 def test_unitarity_without_absorbers(depth, width, sigma, dt):
     grid = GridSpec(-20.0, 20.0, 1024, dt, 300.0 * dt)
     state = _gaussian_state(grid, sigma)
-    out, rec = evolve(state, _well_potential(depth, width), ZeroPulse(), grid,
-                      absorbers=False)
+    [(out, rec)] = evolve(state, _well_potential(depth, width), [ZeroPulse()],
+                          grid, absorbers=False)
     assert abs(out.norm() - 1.0) < 1e-10
     assert np.all(np.abs(rec.norm - 1.0) < 1e-10)
 
@@ -88,9 +88,9 @@ def test_time_reversal(depth, sigma, amp):
         if amp > 1e-6 else ZeroPulse()
     )
     state = _gaussian_state(grid, sigma)
-    fwd, _ = evolve(state, pot, pulse, grid, absorbers=False)
-    back, _ = evolve(fwd, pot, pulse, grid, absorbers=False,
-                     t_final=0.0, dt=-grid.dt)
+    [(fwd, _)] = evolve(state, pot, [pulse], grid, absorbers=False)
+    [(back, _)] = evolve(fwd, pot, [pulse], grid, absorbers=False,
+                         t_final=0.0, dt=-grid.dt)
     overlap = abs(np.sum(np.conj(state.psi) * back.psi) * grid.dx)
     assert overlap > 1.0 - 1e-6
 
@@ -101,8 +101,8 @@ def test_free_gaussian_dispersion():
     grid = GridSpec(-40.0, 40.0, 2048, 0.005, 4.0)
     sigma = 1.0
     state = _gaussian_state(grid, sigma, k0=2.0)
-    out, _ = evolve(state, lambda x: np.zeros_like(x), ZeroPulse(), grid,
-                    absorbers=False)
+    [(out, _)] = evolve(state, lambda x: np.zeros_like(x), [ZeroPulse()], grid,
+                        absorbers=False)
     t = 4.0
     x = grid.x
     # analytic spreading Gaussian (m = 1)
@@ -132,7 +132,7 @@ def test_nearly_stable_well_keeps_norm():
     b = _a0_barrier(40.0)     # decay exponent far beyond double precision
     grid = GridSpec(-15.0, 25.0, 2048, 0.01, 10.0)
     state, pot = prepare_metastable(b, grid)
-    out, _ = evolve(state, pot, ZeroPulse(), grid)
+    [(out, _)] = evolve(state, pot, [ZeroPulse()], grid)
     assert out.norm() > 1.0 - 1e-6
 
 
@@ -156,7 +156,7 @@ def test_norm_bookkeeping_with_absorbers():
     b = _a0_barrier(8.0)
     grid = GridSpec(-15.0, 25.0, 2048, 0.01, 150.0)
     state, pot = prepare_metastable(b, grid)
-    out, _ = evolve(state, pot, ZeroPulse(), grid)
+    [(out, _)] = evolve(state, pot, [ZeroPulse()], grid)
     assert out.norm() + out.absorbed_left + out.absorbed_right <= 1.0 + 1e-8
     # the clipped barrier tilts both ways from the well: two-sided escape
     assert out.absorbed_left > 0.0 and out.absorbed_right > 0.0
@@ -172,7 +172,7 @@ def test_batched_evolve_matches_single_runs():
     batch = evolve(state, pot, (ZeroPulse(), pulse), grid)
     assert len(batch) == 2
     for (out_b, rec_b), p in zip(batch, (ZeroPulse(), pulse)):
-        out_s, rec_s = evolve(state, pot, p, grid)
+        [(out_s, rec_s)] = evolve(state, pot, [p], grid)
         assert np.max(np.abs(out_b.psi - out_s.psi)) < 1e-12
         np.testing.assert_allclose(rec_b.flux, rec_s.flux, rtol=1e-12, atol=0.0)
         # absorbed fractions are parts of a unit norm; early on they are the
