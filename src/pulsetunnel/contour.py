@@ -11,8 +11,8 @@ arrays.  integrate_paths is the one entry point: it runs any number of paths
 through one such loop, and a single integral is a batch of one.  Each path
 converges under its own test, sum of its panel errors <= max(epsabs,
 epsrel*|I|).  A path that reaches its panel limit or its roundoff floor
-without converging, or whose integrand is not finite, raises
-ConvergenceError naming the path.
+without converging, or whose integrand is not finite, gets ConvergenceError
+naming the path in its own slot; the others go on, as in QUADPACK.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
 def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
-    """Arrays (value, abs_err, n_evals) of the integrals of f along `paths`.
+    """(values, abs_err, n_evals) of the integrals of f along `paths`.
 
     Each path is a list of complex waypoints, integrated segment by segment
     (segments of zero length are skipped).  All paths share one adaptive
@@ -69,21 +69,24 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     50*eps times that integral, so this suits integrals meant to cancel.
     epsrel and epsl1 are scalars or one value per path.
     abs_err is the summed G7-K15 error estimate over a path's panels and
-    n_evals the number of points f was evaluated at on it.  A path that gives
-    up (panel limit or roundoff) raises ConvergenceError with its abs_err as
-    `residual` and diagnostics {"path": p, "tol": its tolerance}.
+    n_evals the number of points f was evaluated at on it.  values is a
+    list: slot p holds path p's integral, or the ConvergenceError it gave
+    up with, and then it is bisected no more: at its panel limit or roundoff
+    count (abs_err as `residual`, diagnostics {"path": p, "tol": its
+    tolerance}), or at a non-finite f (diagnostics {"z": that node, "path": p}).
     """
     segments = _segments(paths)
     seg_path, length = segments[0], np.abs(segments[2])
     n = len(paths)
     if not length.size:
-        return np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n, dtype=int)
+        return [0j] * n, np.zeros(n), np.zeros(n, dtype=int)
 
     # panels, in parameter s of their segment
     owner = np.arange(length.size)
     lo = np.zeros(owner.size)
     hi = np.ones(owner.size)
-    val, err, absval = _gk15(f, segments, owner, lo, hi)
+    failed = {}             # path: the ConvergenceError it gave up with
+    val, err, absval = _gk15(f, segments, owner, lo, hi, failed)
     n_first = np.bincount(seg_path, minlength=n)
     n_panels = n_first.copy()
     roundoff = np.zeros(n, dtype=int)
@@ -96,25 +99,29 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         if use_l1:
             tol = np.maximum(tol, epsl1 * np.bincount(pid, absval, n))
         active = err_sum > tol
+        if failed:
+            active[list(failed)] = False
         if not np.count_nonzero(active):
             break
         # bisect the panels above their length share of their path's
         # tolerance; a panel whose error is its roundoff floor cannot improve
         span = (hi - lo) * length[owner]
-        share = tol[pid] * span / np.bincount(pid, span, n)[pid]
+        with np.errstate(over="ignore"):    # an inf share splits nothing
+            share = tol[pid] * span / np.bincount(pid, span, n)[pid]
         split = active[pid] & (err > share) & (err > _FLOOR * absval)
         n_split = np.bincount(pid[split], minlength=n)
         room = _LIMIT - n_panels
         stuck = (roundoff >= _ROUNDOFF) | (n_split == 0)
         stop = (active & (stuck | (room <= 0))).nonzero()[0]
-        if stop.size:
-            p = int(stop[0])
+        for p in stop.tolist():
             reason = ("roundoff error prevents the requested tolerance"
                       if stuck[p] else f"the panel limit ({_LIMIT}) is reached")
-            raise ConvergenceError(
+            failed[p] = ConvergenceError(
                 f"contour quadrature, path {p}: {reason}; error estimate "
                 f"{err_sum[p]:.3g} against tolerance {tol[p]:.3g}",
                 residual=err_sum[p], diagnostics={"path": p, "tol": tol[p]})
+        if stop.size:
+            continue        # decide again without the paths that gave up
         split = split.nonzero()[0]
         if np.count_nonzero(n_split > room):
             # keep each path's `room` worst panels
@@ -127,7 +134,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         c_owner = np.concatenate([owner[split], owner[split]])
         c_lo = np.concatenate([lo[split], mid])
         c_hi = np.concatenate([mid, hi[split]])
-        c_val, c_err, c_abs = _gk15(f, segments, c_owner, c_lo, c_hi)
+        c_val, c_err, c_abs = _gk15(f, segments, c_owner, c_lo, c_hi, failed)
         n_panels += np.bincount(s_pid, minlength=n)
         # QUADPACK's roundoff test: bisection that neither moves the value
         # nor reduces the error estimate
@@ -145,26 +152,8 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
         err = np.concatenate([err[keep], c_err])
         absval = np.concatenate([absval[keep], c_abs])
     # each bisection adds one panel and evaluates two
-    return total, err_sum, 15 * (2 * n_panels - n_first)
-
-
-def _integrate_each(f, paths, **kw):
-    """integrate_paths(f, paths, **kw)'s values as a list, but for a path
-    whose integral raises ConvergenceError (the engine names the path): that
-    error goes into its slot, and the call reruns without it.  f sees each
-    node's index into `paths` as its path_id."""
-    out, live = [None] * len(paths), list(range(len(paths)))
-    while live:
-        index = np.array(live)
-        try:
-            vals = integrate_paths(lambda z, path_id: f(z, index[path_id]),
-                                   [paths[i] for i in live], **kw)[0]
-            break
-        except ConvergenceError as exc:
-            out[live.pop(exc.diagnostics["path"])] = exc
-    for i, v in zip(live, vals.tolist() if live else ()):
-        out[i] = v
-    return out
+    return ([failed.get(p, v) for p, v in enumerate(total.tolist())], err_sum,
+            15 * (2 * n_panels - n_first))
 
 
 def _segments(paths):
@@ -177,8 +166,10 @@ def _segments(paths):
             np.array(cols[2], dtype=complex))
 
 
-def _gk15(f, segments, owner, lo, hi):
-    """G7-K15 value, QUADPACK error estimate and integral of |f| per panel."""
+def _gk15(f, segments, owner, lo, hi, failed):
+    """G7-K15 value, QUADPACK error estimate and integral of |f| per panel.
+    A path with a node where f is not finite gets its ConvergenceError in
+    `failed`, and f counts as 0 there."""
     seg_path, origin, jac = (v[owner] for v in segments)
     half = 0.5 * (hi - lo)
     jac = jac[:, None]
@@ -188,11 +179,12 @@ def _gk15(f, segments, owner, lo, hi):
     fz = (np.broadcast_to(fz, z.size) if fz.ndim == 0 else fz).reshape(z.shape)
     bad = ~np.isfinite(fz)
     if np.count_nonzero(bad):
-        p = int(path_id.reshape(z.shape)[bad][0])
-        raise ConvergenceError(
-            f"integrand is not finite on integration path {p}",
-            diagnostics={"z": complex(z[bad][0]), "path": p},
-        )
+        ids, first = np.unique(path_id.reshape(z.shape)[bad], return_index=True)
+        for p, z_bad in zip(ids.tolist(), z[bad][first].tolist()):
+            failed[p] = ConvergenceError(
+                f"integrand is not finite on integration path {p}",
+                diagnostics={"z": z_bad, "path": p})
+        fz = np.where(bad, 0.0, fz)
     # a finite f times a long segment may overflow: the inf or nan it leaves
     # in the panel's value and error is silent, as in Python floats
     with np.errstate(over="ignore", invalid="ignore"):

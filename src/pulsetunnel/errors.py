@@ -1,12 +1,13 @@
 """Exception hierarchy shared by all solvers.  The package warns of nothing:
-a quadrature path that misses its tolerance raises ConvergenceError."""
+a quadrature path that misses its tolerance gives a ConvergenceError."""
 
 
 class PulseTunnelError(Exception):
     """Base class for every error raised by this package.
 
-    `diagnostics` is a dict of what the raiser knew; a batched solver names
-    the failing item there (for example "path"), so a caller can attribute it.
+    `diagnostics` is a dict of what the raiser knew.  A batched solver does
+    not raise for one item: it returns one slot per item, holding the
+    item's value or its error.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import _integrate_each
+from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, PulseTunnelError, _one
 from .model import (
     GaussianPulse,
@@ -126,8 +126,8 @@ def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
 def _imag_axis_moments(pulse, tau):
     """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact,
     at each tau of an array; an inf or a nan is silent, as in Python floats."""
-    m1 = -pulse.first_moment_antiderivative(1j * tau).real
     with np.errstate(over="ignore", invalid="ignore"):
+        m1 = -pulse.first_moment_antiderivative(1j * tau).real
         if isinstance(pulse, LorentzPulse):
             # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n)
             x, n = tau / pulse.width, pulse.exponent
@@ -160,19 +160,20 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
 
     Slot i holds the EuclideanResult of energies[i], or the PulseTunnelError
     that energy raised.  The engine gives each path the panels a call of its
-    own would give, so every result is the one-energy value to the bit.  A
-    path whose integrand is not finite gets the engine's ConvergenceError in
-    its slot, and the call reruns without it.
+    own would give, so every result is the one-energy value to the bit, and
+    a path whose integral gives up leaves its ConvergenceError in its own
+    slot.
     """
     slots = _solve_tau0s(energies, barrier, pulse)
     solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
 
     def G2(z, path_id):
-        return G(z.real) ** 2
+        with np.errstate(over="ignore"):    # an inf gives the path up
+            return G(z.real) ** 2
 
-    for i, I2 in zip(solved, _integrate_each(G2, [[0.0, slots[i]] for i in solved],
-                                             epsabs=1e-13, epsrel=1e-11)):
+    for i, I2 in zip(solved, integrate_paths(G2, [[0.0, slots[i]] for i in solved],
+                                             epsabs=1e-13, epsrel=1e-11)[0]):
         slots[i] = I2 if isinstance(I2, ConvergenceError) else (slots[i], I2.real)
     solved = [i for i, s in enumerate(slots) if isinstance(s, tuple)]
     if solved:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contour import _integrate_each, integrate_paths
+from .contour import integrate_paths
 from .errors import (ConvergenceError, DomainError, PulseTunnelError, RegimeError,
                      SingularityError, _one)
 from .euclidean import _solve_tau0s
@@ -295,8 +295,8 @@ def _actions(saddles, energies, barrier: TriangularBarrier, pulse) -> list:
         p = momentum(t1, k)
         return p * p
 
-    kin = _integrate_each(p_squared, [[s[0], s[2]] for s in saddles],
-                          epsrel=1e-11)
+    kin = integrate_paths(p_squared, [[s[0], s[2]] for s in saddles],
+                          epsrel=1e-11)[0]
     p_end = momentum(t, np.arange(t.size)).tolist()
     return [k if isinstance(k, ConvergenceError) else
             -k / (2.0 * m) + x_k * p + (V - E) * s - V * t_k
@@ -381,7 +381,8 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
     # leg 2 (path 1): coincident-argument source integrated from 0 to t0
     legs = integrate_paths(source, [path, [0.0, t0]],
                            epsabs=1e-10, epsrel=1e-7)[0]
-    return complex(legs[0] + legs[1])
+    first, second = (_one([leg]) for leg in legs)   # a leg's error is raised
+    return first + second
 
 
 # --- Exit branch and amplitude bound -------------------------------------------

@@ -9,27 +9,14 @@ from .errors import ConvergenceError, PulseTunnelError, _one
 _RTOL, _MAX_STEPS = 4.0 * 2.0**-52, 100
 
 
-def _newton_bisect(x, fx, dfx, lo, hi, f_lo, xtol):
-    """(next iterate, lo, hi) after f(x) = fx and f'(x) = dfx.  x replaces
-    the bracket end where f has its sign (f_lo has f's sign at lo).  The
-    next iterate is the Newton step if 0 < f' < inf and it stays in the
-    bracket, else the midpoint; it is None, and x the root, once that step
-    is at most xtol + 4*eps*|x|."""
-    if fx * f_lo > 0:
-        lo = x
-    else:
-        hi = x
-    new = x - fx / dfx if 0.0 < dfx < math.inf else math.nan
-    if not lo <= new <= hi:
-        new = 0.5 * (lo + hi)
-    return (None if abs(new - x) <= xtol + _RTOL * abs(x) else new), lo, hi
-
-
 def _find_root(fdf, lo, hi, x, xtol, name, f_hi=None):
     """Roots of functions f_i, each rising on (lo[i], hi[i]) from
     f_i(lo[i]) < 0, from x[i], in lockstep: each step makes one call
     fdf(x, live) for lists (f, f') at the iterates x of the slots `live`,
-    then takes _newton_bisect slot by slot, with step tolerance xtol[i].
+    then steps slot by slot: x replaces the bracket end where f has its
+    sign, and the next iterate is the Newton step if 0 < f' < inf and it
+    stays in the bracket, else the midpoint.  x is the root once that step
+    is at most xtol[i] + 4*eps*|x|.
     Slot i of the list returned holds f_i's root or its PulseTunnelError;
     an f entry that is one ends its slot with it.  Given floats and a scalar
     fdf(x), it solves that grid of one: the root, or its error raised.
@@ -54,15 +41,19 @@ def _find_root(fdf, lo, hi, x, xtol, name, f_hi=None):
             if isinstance(fx, PulseTunnelError):
                 out[i] = fx
                 continue
-            if not fx < 0:
-                f_hi[i] = fx
-            new, lo[i], hi[i] = _newton_bisect(x[i], fx, dfx, lo[i], hi[i],
-                                               -1.0, xtol[i])
-            if new is not None and step < _MAX_STEPS:
+            if fx < 0:
+                lo[i] = x[i]
+            else:
+                hi[i], f_hi[i] = x[i], fx
+            new = x[i] - fx / dfx if 0.0 < dfx < math.inf else math.nan
+            if not lo[i] <= new <= hi[i]:
+                new = 0.5 * (lo[i] + hi[i])
+            done = abs(new - x[i]) <= xtol[i] + _RTOL * abs(x[i])
+            if not done and step < _MAX_STEPS:
                 x[i] = new
-            elif new is None and (math.isfinite(f_hi[i]) or 0.0 < dfx < math.inf
-                                  and x[i] - fx / dfx
-                                  <= hi[i] + xtol[i] + _RTOL * abs(x[i])):
+            elif done and (math.isfinite(f_hi[i]) or 0.0 < dfx < math.inf
+                           and x[i] - fx / dfx
+                           <= hi[i] + xtol[i] + _RTOL * abs(x[i])):
                 out[i] = x[i]
             else:
                 out[i] = ConvergenceError(

@@ -205,19 +205,19 @@ def delta_action(
     every shift, so dA is one analytic function of dt_shift, with slope
     -i int_C pulse * dx0/dt dt.
     """
-    return float(_delta_actions(E, barrier, pulse, [dt_shift])[0])
+    return _one(_delta_actions(E, barrier, pulse, [dt_shift]))
 
 
 def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
-                   upper=False) -> np.ndarray:
+                   upper=False) -> list:
     """-i int_C pulse * d^k x0/dt^k dt for paths (E, shift, k), in one engine call.
 
-    E, `shifts`, `order` and `epsrel` broadcast to one path each.  Order 0
+    E, `shifts`, `order` and `epsrel` broadcast to one path each; slot p of
+    the list returned holds path p's value or its PulseTunnelError.  Order 0
     integrates the position and gives delta_action, order 1 the velocity and
     gives dA'(dt_shift), order 2 the acceleration and gives dA''.  dA' is
     meant to cancel at the exit shift, so the tolerance of the derivative
-    paths also admits 1e-12 * int |f|.  An error raised for one path names
-    it in diagnostics["path"].
+    paths also admits 1e-12 * int |f|.
 
     C is conjugation-symmetric and the integrand takes conjugate values at
     mirrored points, so the value is 2 Im I+, with I+ the integral over the
@@ -225,14 +225,14 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     it from C+ alone, at half the points and with epsabs halved: errors per
     unit of dA stay where they were, but no conjugation check is left.
     Otherwise the engine integrates all of C, and an imaginary part beyond
-    1e-8 (relative) plus the error estimate raises ConvergenceError.
+    1e-8 (relative) plus the error estimate is a ConvergenceError.
     """
     E, shifts, order, epsrel = (
         np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
     if not _check_pulse(pulse):
-        return np.zeros(E.size)
+        return [0.0] * E.size
     width = pulse.width
-    trajs, paths = [], []
+    out, live, trajs, paths = [None] * E.size, [], [], []
     for p in range(E.size):
         try:
             E_p = float(E[p])
@@ -246,24 +246,27 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
                 )
             paths.append(list(build_contour(tr, width)))
         except PulseTunnelError as exc:
-            exc.diagnostics["path"] = p
-            raise
+            out[p] = exc
+            continue
+        live.append(p)
         trajs.append(tr)
     # per-path constants, gathered point by point in the integrand
     omega, u0, shift, tau_s, re_ts = (
         np.array([getattr(tr, k) for tr in trajs])
         for k in ("omega", "u0", "dt_shift", "tau_s", "t_s"))
     re_ts = re_ts.real
+    order, epsrel = order[live], epsrel[live]
     kinds = np.unique(order)
+    on_cut = {}     # path: its SingularityError, in place of the engine's
 
     def f(t, path_id):
         cut = _on_cut(t, re_ts[path_id], tau_s[path_id], omega[path_id])
-        if np.count_nonzero(cut):
-            p = int(path_id[cut][0])
-            raise SingularityError(
-                f"trajectory evaluated on its branch cut on integration path {p}",
-                location=trajs[p].t_s, diagnostics={"path": p},
-            )
+        hit = np.count_nonzero(cut)
+        if hit:     # nan there: the engine gives these paths up
+            for p in np.unique(path_id[cut]).tolist():
+                on_cut[p] = SingularityError(
+                    f"trajectory evaluated on its branch cut on integration path {p}",
+                    location=trajs[p].t_s)
         x = np.empty_like(t)
         for k in kinds:
             sel = order[path_id] == k
@@ -271,27 +274,32 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
                 pid = path_id[sel]
                 x[sel] = _motion(k, t[sel], barrier.a, omega[pid], u0[pid],
                                  shift[pid])
-        return pulse(t) * x
+        return np.where(cut, np.nan, pulse(t) * x) if hit else pulse(t) * x
 
     if upper:
         paths = [p[:4] + [complex(p[3].real, 0.0)] for p in paths]
-    vals, errs, _ = integrate_paths(f, paths, epsabs=5e-14 if upper else 1e-13,
-                                    epsrel=epsrel,
-                                    epsl1=np.where(order > 0, 1e-12, 0.0))
-    if upper:
-        return 2.0 * vals.imag
-    vals = -1j * vals
-    scale = np.maximum(np.abs(vals), 1e-12)
-    lost = np.flatnonzero(np.abs(vals.imag) > 1e-8 * scale + errs)
-    if lost.size:
-        p = int(lost[0])
-        raise ConvergenceError(
-            "contour quadrature lost conjugation symmetry",
-            residual=abs(vals[p].imag) / scale[p],
-            diagnostics={"contour": paths[p], "value": vals[p],
-                         "dt_shift": shifts[p], "path": p},
-        )
-    return vals.real
+    with np.errstate(all="ignore"):     # an inf or a nan gives its path up
+        vals, errs, _ = integrate_paths(f, paths, epsabs=5e-14 if upper else 1e-13,
+                                        epsrel=epsrel,
+                                        epsl1=np.where(order > 0, 1e-12, 0.0))
+    for k, (p, v) in enumerate(zip(live, vals)):
+        if isinstance(v, ConvergenceError):
+            v = on_cut.get(k, v)
+        elif upper:
+            v = 2.0 * v.imag
+        else:
+            v = -1j * v
+            scale = max(abs(v), 1e-12)
+            if abs(v.imag) > 1e-8 * scale + errs[k]:
+                v = ConvergenceError(
+                    "contour quadrature lost conjugation symmetry",
+                    residual=abs(v.imag) / scale,
+                    diagnostics={"contour": paths[k], "value": v,
+                                 "dt_shift": shifts[p]})
+            else:
+                v = v.real
+        out[p] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,9 +348,9 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
       contour with its conjugation check; |dA'| is the energy residual.
 
     The engine gives each path the panels a call of its own would give, so
-    every slot is the one-energy result to the bit.  An error that names a
-    path goes into the slot of that path's energy, and the call reruns
-    without that energy.
+    every slot is the one-energy result to the bit.  A path that fails
+    leaves its error in its slot of _delta_actions, and an energy takes the
+    error of its first failing path in a stage; nothing reruns.
     """
     E = [float(e) for e in energies]
     try:
@@ -365,24 +373,23 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
             slots[i] = exc
 
     def call(paths, upper=True):
-        """Values per slot of paths (slot, shift, order, epsrel), in path order."""
-        while True:
-            live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
-            if not live:
-                return {}
-            owner, shifts, order, epsrel = zip(*live)
-            try:
-                vals = _delta_actions([E[i] for i in owner], barrier, pulse,
-                                      shifts, order=order, epsrel=epsrel,
-                                      upper=upper)
-                break
-            except PulseTunnelError as exc:
-                if "path" not in exc.diagnostics:
-                    raise
-                slots[owner[exc.diagnostics["path"]]] = exc
+        """Values per slot of paths (slot, shift, order, epsrel), in path
+        order; a slot one of whose paths fails takes the first such error."""
+        live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
+        if not live:
+            return {}
+        owner, shifts, order, epsrel = zip(*live)
         out = {}
-        for i, v in zip(owner, vals):
-            out.setdefault(i, []).append(float(v))
+        for i, v in zip(owner, _delta_actions([E[i] for i in owner], barrier, pulse,
+                                              shifts, order=order, epsrel=epsrel,
+                                              upper=upper)):
+            if isinstance(slots[i], PulseTunnelError):
+                continue        # an earlier path of this slot failed
+            if isinstance(v, PulseTunnelError):
+                slots[i] = v
+                out.pop(i, None)
+            else:
+                out.setdefault(i, []).append(v)
         return out
 
     # scan

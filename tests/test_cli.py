@@ -464,13 +464,42 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--m", "8.740976176192478e+239", "--theta", "1.8867665778916902e+270",
       "--amp", "0.0007234993853730605", "--n", "30",
       "--E", "0.39546703932249494"], EXIT_REGIME, "OverflowError"),
+    # the square of a finite Gaussian imaginary-axis integral above 1e154
+    # overflowed in the integrand of int G^2 (a RuntimeWarning)
+    (["verify", "--V", "2.5354499579356537e+297", "--E0", "1.257705865496538",
+      "--m", "0.6642800639294909", "--theta", "102403199726.50885",
+      "--amp", "0.0628266026920231", "--n", "24", "--pulse", "gauss",
+      "--omega-rate", "2.144034800303098e-109", "--E", "6.531701011187358"],
+     EXIT_NONCONVERGENCE, "integrand is not finite on integration path 0"),
+    # a panel's share of a path tolerance of ~4e269 overflowed (a
+    # RuntimeWarning); an inf share splits nothing
+    (["verify", "--V", "2.538855376756939e+276", "--E0", "2.4697804813007256e+82",
+      "--m", "0.577371919643182", "--theta", "3.433312337572352e+43",
+      "--amp", "0.05239418693783107", "--n", "26", "--E", "4.038681709829438"],
+     EXIT_NONCONVERGENCE, "roundoff error prevents"),
+    # amp*width^2 overflows in the Lorentzian's first moment, and inf*0 was
+    # an invalid-value RuntimeWarning on the way to the nan
+    (["verify", "--V", "10.326278829258557", "--E0", "2.706848838031653e+137",
+      "--m", "1.444785265319069", "--theta", "1.845603364847251e+50",
+      "--amp", "3.8017239705924795e+212", "--n", "26", "--E", "6.17877234232731"],
+     EXIT_REGIME, "value = nan is not finite"),
+    # the connector check fails at some scan shifts only (its interval
+    # collapses in rounding at theta = 1e288); the shifts that pass
+    # overflow in the trajectory (RuntimeWarnings) and give their paths up
+    (["action-curve", "--barrier", "sech", "--method", "trajectory",
+      "--V", "7.953406848788617e-75", "--a", "0.01528123819948645",
+      "--m", "8.643298478744994e-137", "--theta", "1.0391227352093567e+288",
+      "--amp", "5.1956938887074585e-67", "--n", "9",
+      "--E", "1.1836144869153911e-84"], EXIT_OK,
+     ["1.18361448692e-84,nan,nan,nan,error:RegimeError"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
         "nan-pulse-integral-grid", "hj-underflow", "gauss-integral-nan",
         "gauss-moment-nan",
         "gk15-error-overflow", "exit-pole-check-overflow",
-        "gk15-panel-overflow"])
+        "gk15-panel-overflow", "gauss-square-overflow", "tolerance-share-overflow",
+        "lorentz-moment-nan", "sech-connector-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

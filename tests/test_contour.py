@@ -92,15 +92,17 @@ def test_polyline_near_a_pole_honours_tolerances():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_integrand_raises(bad):
-    with pytest.raises(ConvergenceError):
-        _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [0.0, 1.0])
+    # the error fills the path's slot; the call itself returns
+    val = _one(lambda z, path: np.where(z.real > 0.5, bad, 1.0), [0.0, 1.0])[0]
+    assert isinstance(val, ConvergenceError)
 
 
 def _gives_up(f, paths, reason, path, **tolerances):
-    """The ConvergenceError of a call in which `path` gives up for `reason`."""
-    with pytest.raises(ConvergenceError, match=f"path {path}: {reason}") as info:
-        integrate_paths(f, paths, **tolerances)
-    exc = info.value
+    """The ConvergenceError in `path`'s slot of a call on `paths`, where it
+    gives up for `reason`."""
+    exc = integrate_paths(f, paths, **tolerances)[0][path]
+    assert isinstance(exc, ConvergenceError)
+    assert f"path {path}: {reason}" in str(exc)
     assert str(exc).startswith("contour quadrature, ")
     assert exc.diagnostics.keys() == {"path", "tol"}
     assert exc.diagnostics["path"] == path
@@ -207,8 +209,10 @@ def test_batch_error_names_its_path():
         return np.where(path == 1, _steps(z, path),
                         np.where(path == 2, _noisy(z, path), z))
 
-    # path 2 reaches its roundoff count long before path 1 fills its panels
+    # path 2 reaches its roundoff count long before path 1 fills its panels,
+    # and each keeps its own error
     _gives_up(f, [[0.0, 1.0]] * 3, "roundoff", 2, epsabs=0.0, epsrel=1e-13)
+    _gives_up(f, [[0.0, 1.0]] * 3, "the panel limit", 1, epsabs=0.0, epsrel=1e-13)
     counts = np.zeros(2, dtype=int)
     _gives_up(_counted(f, counts), [[0.0, 1.0]] * 2, "the panel limit", 1,
               epsabs=0.0, epsrel=1e-13)
@@ -218,13 +222,44 @@ def test_batch_error_names_its_path():
     assert val[0] == pytest.approx(0.5, rel=1e-14) and n[0] == 15
 
 
+def test_failed_paths_stop_and_the_others_keep_their_own_results():
+    # in one call path 1 fills its 400 panels and path 2 meets a nan on the
+    # third pass: each keeps its error in its slot and is evaluated no more,
+    # while paths 0 and 3 get what calls of their own give, and path 3 goes
+    # on after both have failed
+    poles = np.array([0.3 + 0.01j, 5.0, 0.5 + 0.001j, 0.7 + 1e-7j])
+
+    def g(z, path):
+        return np.where(path == 1, _steps(z, path), 1.0 / (z - poles[path]))
+
+    passes = []
+
+    def f(z, path):
+        passes.append(np.bincount(path, minlength=4))
+        return np.where((path == 2) & (len(passes) >= 3), np.nan, g(z, path))
+
+    val, err, n = integrate_paths(f, [[0.0, 1.0]] * 4)
+    assert "path 1: the panel limit" in str(val[1])
+    assert str(val[2]) == "integrand is not finite on integration path 2"
+    counts = np.array(passes)
+    assert counts.sum(axis=0).tolist() == n.tolist()
+    assert n[1] == 15 * (2 * 400 - 1)
+    assert counts[:3, 2].all() and not counts[3:, 2].any()
+    last = [int(np.flatnonzero(counts[:, p])[-1]) for p in range(4)]
+    assert last[3] > max(last[:3])
+    for p in (0, 3):
+        own = integrate_paths(lambda z, path: g(z, path + p), [[0.0, 1.0]])
+        assert (val[p], err[p], n[p]) == (own[0][0], own[1][0], own[2][0])
+
+
 def test_non_finite_value_names_its_path():
     def f(z, path):
         return np.where((path == 2) & (z.real > 0.5), np.nan, 1.0 + 0.0 * z)
 
-    with pytest.raises(ConvergenceError, match="path 2") as info:
-        integrate_paths(f, [[0.0, 1.0]] * 3)
-    assert info.value.diagnostics["path"] == 2
+    val = integrate_paths(f, [[0.0, 1.0]] * 3)[0]
+    assert isinstance(val[2], ConvergenceError) and "path 2" in str(val[2])
+    assert val[2].diagnostics["path"] == 2
+    assert val[:2] == [1.0, 1.0]
 
 
 # --- Determinism ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pulsetunnel import contour
+from pulsetunnel import euclidean
 from pulsetunnel.errors import ConvergenceError, DomainError
 from pulsetunnel.euclidean import (
     adapt_pulse_width,
@@ -248,14 +248,14 @@ def test_non_finite_path_fills_only_its_own_slot(monkeypatch):
     # poisoning Re z > 1.45 hits the first panel of E = 8.5 alone
     energies = [9.5, 8.5, 9.0]
     good = [euclidean_action(E, CANON, PULSE5) for E in energies]
-    integrate_paths = contour.integrate_paths
+    integrate_paths = euclidean.integrate_paths
 
     def poisoned(f, paths, **kw):
         def g(z, path_id):
             return np.where(z.real > 1.45, np.nan, f(z, path_id))
         return integrate_paths(g, paths, **kw)
 
-    monkeypatch.setattr(contour, "integrate_paths", poisoned)
+    monkeypatch.setattr(euclidean, "integrate_paths", poisoned)
     slots = euclidean_actions(energies, CANON, PULSE5)
     assert isinstance(slots[1], ConvergenceError)
     assert slots[0] == good[0] and slots[2] == good[2]

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 
+from pulsetunnel import trajectory
 from pulsetunnel.contour import integrate_paths
-from pulsetunnel.errors import RegimeError
+from pulsetunnel.errors import RegimeError, SingularityError
 from pulsetunnel.model import (
     GaussianPulse,
     LorentzPulse,
@@ -20,6 +21,7 @@ from pulsetunnel.model import (
     static_wkb_exponent,
 )
 from pulsetunnel.trajectory import (
+    _SCAN,
     _aligned_shift,
     _delta_actions,
     _motion,
@@ -145,7 +147,7 @@ def test_branch_expansion_near_singularity():
 
 
 def test_cut_evaluation_raises():
-    # the integrand raises SingularityError at the points this mask flags:
+    # a path with a node this mask flags gets a SingularityError in its slot:
     # the cut runs left from each branch point, and the branch point itself
     # is on it
     traj = unperturbed_trajectory(0.5, SECH)
@@ -153,6 +155,20 @@ def test_cut_evaluation_raises():
     t = np.array([t_s - 1.0, t_s, np.conj(t_s) - 1.0, t_s + 1e-3, t_s - 1e-3j])
     np.testing.assert_array_equal(_on_cut(t, t_s.real, traj.tau_s, traj.omega),
                                   [True, True, True, False, False])
+
+
+def test_cut_hit_fills_only_its_own_slot(monkeypatch):
+    # flag the nodes of the middle path as on the cut: its slot holds the
+    # SingularityError at its branch point, and the others keep their values
+    shifts = [-0.3, -0.2, -0.1]
+    good = _delta_actions(0.5, SECH, PULSE, shifts)
+    t_s = unperturbed_trajectory(0.5, SECH, _aligned_shift(0.5, SECH, -0.2)).t_s
+    monkeypatch.setattr(trajectory, "_on_cut",
+                        lambda t, re_ts, tau_s, omega: re_ts == t_s.real)
+    slots = _delta_actions(0.5, SECH, PULSE, shifts)
+    assert isinstance(slots[1], SingularityError)
+    assert slots[1].location == t_s and "branch cut" in str(slots[1])
+    assert [slots[0], slots[2]] == [good[0], good[2]]
 
 
 # --- Branch point ----------------------------------------------------------------
@@ -306,8 +322,8 @@ def test_delta_action_continuous_through_the_old_pole_crossing():
     # dA jumped from -0.209 to -0.0036 between dt = -0.86 and -1.07; now the
     # trapezoid rule on dA' reproduces every increment of dA
     shifts = np.linspace(-1.2, -0.7, 26)
-    dA = _delta_actions(0.5, SECH, PULSE, shifts, epsrel=1e-12)
-    slope = _delta_actions(0.5, SECH, PULSE, shifts, order=1)
+    dA = np.array(_delta_actions(0.5, SECH, PULSE, shifts, epsrel=1e-12))
+    slope = np.array(_delta_actions(0.5, SECH, PULSE, shifts, order=1))
     h = shifts[1] - shifts[0]
     steps = np.diff(dA) - 0.5 * h * (slope[1:] + slope[:-1])
     assert np.abs(steps).max() < 1e-6
@@ -409,20 +425,25 @@ def test_grid_slots_are_whole_contour_values_at_the_roots():
         assert res.energy_residual == abs(slope)
 
 
-def test_grid_slot_classes():
-    # one grid through every outcome: the pinch, the ordering, no interior
-    # minimum (E = 0.5 at theta = 2.5), solved rows, E outside (0, V) and a
-    # scan path that gives up at its roundoff floor next to the pinch (it
-    # was a warning and a solved row with A = -79.4); each failure stays in
-    # its own slot
+def _slot_classes_grid():
+    """(energies, pulse) of a grid through every outcome of the minimizer."""
     theta = 2.5
     pulse = LorentzPulse(amplitude=0.01, width=theta, exponent=2)
 
     def at_gap(g):
         return math.pi**2 / (8.0 * theta**2 * (1.0 - g) ** 2)
 
-    energies = [at_gap(1e-11), at_gap(-0.01), 0.5, at_gap(0.2), at_gap(0.02), 1.5,
-                at_gap(1e-6)]
+    return [at_gap(1e-11), at_gap(-0.01), 0.5, at_gap(0.2), at_gap(0.02), 1.5,
+            at_gap(1e-6)], pulse
+
+
+def test_grid_slot_classes():
+    # one grid through every outcome: the pinch, the ordering, no interior
+    # minimum (E = 0.5 at theta = 2.5), solved rows, E outside (0, V) and a
+    # scan path that gives up at its roundoff floor next to the pinch (it
+    # was a warning and a solved row with A = -79.4); each failure stays in
+    # its own slot
+    energies, pulse = _slot_classes_grid()
     grid = minimize_delta_actions(energies, SECH, pulse)
     assert [type(r).__name__ for r in grid] == [
         "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
@@ -435,6 +456,35 @@ def test_grid_slot_classes():
     for E, res in zip(energies[3:5], grid[3:5]):
         assert res == minimize_delta_action(E, SECH, pulse)
         assert res.energy_residual < 1e-12
+
+
+def test_grid_slot_failures_rerun_nothing(monkeypatch):
+    # on that grid the pinch fails a scan path before the engine and the
+    # roundoff one inside it, yet the scan, the bracket ends and the final
+    # stage are one engine call each, and each root step one more
+    energies, pulse = _slot_classes_grid()
+    engine, find_root = trajectory.integrate_paths, trajectory._find_root
+    calls, steps = [], []
+
+    def counted_engine(f, paths, **kw):
+        calls.append(len(paths))
+        return engine(f, paths, **kw)
+
+    def counted_root(fdf, *args, **kw):
+        def step(x, live):
+            steps.append(len(live))
+            return fdf(x, live)
+        return find_root(step, *args, **kw)
+
+    monkeypatch.setattr(trajectory, "integrate_paths", counted_engine)
+    monkeypatch.setattr(trajectory, "_find_root", counted_root)
+    grid = minimize_delta_actions(energies, SECH, pulse)
+    assert [type(r).__name__ for r in grid] == [
+        "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
+        "MinimizedAction", "DomainError", "ConvergenceError"]
+    assert len(calls) == 3 + len(steps)
+    # the scan: 17 shifts at each energy that reaches the engine
+    assert calls[0] == 4 * _SCAN
 
 
 @pytest.mark.parametrize("barrier,E,pulse", [
