@@ -284,8 +284,6 @@ def _actions(saddles, energies, barrier: TriangularBarrier, pulse) -> list:
     t0, _, t = (np.array(v) for v in zip(*saddles))
     p0 = np.array([barrier.p0(E) for E in energies])
     e0, m, V = barrier.field_static, barrier.m, barrier.V
-    # one saddle at a time: the array form of a complex t0 may differ by an ulp
-    at_t0 = np.array([pulse.antiderivative(s[0]) for s in saddles])
 
     def momentum(t1, k):    # dS/dx along the characteristic from t0[k]
         return (1j * p0[k] + (t1 - t0[k]) * e0
@@ -295,9 +293,14 @@ def _actions(saddles, energies, barrier: TriangularBarrier, pulse) -> list:
         p = momentum(t1, k)
         return p * p
 
-    kin = integrate_paths(p_squared, [[s[0], s[2]] for s in saddles],
-                          epsrel=1e-11)[0]
-    p_end = momentum(t, np.arange(t.size)).tolist()
+    # an inf or a nan in the closed forms gives its path up
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one saddle at a time: the array form of a complex t0 may differ by
+        # an ulp
+        at_t0 = np.array([pulse.antiderivative(s[0]) for s in saddles])
+        kin = integrate_paths(p_squared, [[s[0], s[2]] for s in saddles],
+                              epsrel=1e-11)[0]
+        p_end = momentum(t, np.arange(t.size)).tolist()
     return [k if isinstance(k, ConvergenceError) else
             -k / (2.0 * m) + x_k * p + (V - E) * s - V * t_k
             for k, p, (s, x_k, t_k), E in zip(kin, p_end, saddles, energies)]
@@ -450,7 +453,7 @@ def exit_exponents(energies, barrier: TriangularBarrier,
         if isinstance(tau, PulseTunnelError):
             continue
         try:    # the saddle state's pole check; its value may overflow, unread
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 pulse(1j * tau)
             exits[i] = tau, (tau * barrier.p0(energies[i])
                              - 0.5 * barrier.field_static * tau**2)
@@ -460,8 +463,10 @@ def exit_exponents(energies, barrier: TriangularBarrier,
         return slots
     tau0, mx = (np.array(v) for v in zip(*exits.values()))
     t0 = 1j * tau0
-    # the exit point, from the saddle equation at (t0, 0)
-    x = (mx + _int_weighted_pulse(t0, 0.0, pulse).real) / barrier.m
+    # the exit point, from the saddle equation at (t0, 0); an inf or a nan
+    # in the closed forms gives the action's path up
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (mx + _int_weighted_pulse(t0, 0.0, pulse).real) / barrier.m
     S = _actions([(s, x_i, 0.0) for s, x_i in zip(t0.tolist(), x.tolist())],
                  [energies[i] for i in exits], barrier, pulse)
     for i, S_i in zip(exits, S):
@@ -511,7 +516,10 @@ def decay_rate_series(times, barrier: TriangularBarrier, pulse) -> RateSeries:
         raise RegimeError("all grid times must be > 0")
     pref, exp0, quart = _rate_pieces(barrier, pulse)
     exponent = exp0 + quart * times**4
-    rate = pref * times * np.exp(-exponent)
+    # an inf prefactor times an underflowed exponential is a silent nan, as
+    # in Python floats, which the CLI reports as leaving double precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = pref * times * np.exp(-exponent)
     return RateSeries(
         times=times,
         rate=rate,

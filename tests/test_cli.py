@@ -492,6 +492,19 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--amp", "5.1956938887074585e-67", "--n", "9",
       "--E", "1.1836144869153911e-84"], EXIT_OK,
      ["1.18361448692e-84,nan,nan,nan,error:RegimeError"]),
+    # an inf rate prefactor times an underflowed exponential was an
+    # invalid-value RuntimeWarning on the way to the nan
+    (["rate", "--V", "1.9649361811573217e+18", "--E0", "8.272538265360801e-171",
+      "--m", "4.990016735409436e-166", "--theta", "20.057977368566753",
+      "--amp", "1.6057648494324502e+191", "--n", "28",
+      "--E", "6.610292655321379e-205"], EXIT_REGIME, "rate = nan is not finite"),
+    # at a huge mass the HJ route's pulse closed forms overflowed
+    # (RuntimeWarnings) before the action's path gave up
+    (["action-curve", "--method", "hj", "--V", "16.669541926155848",
+      "--E0", "20.4886926937551", "--m", "3.440470987465432e+163",
+      "--theta", "24.454348188254006", "--amp", "3.238570241318718e-266",
+      "--n", "22", "--E", "6.457202094625802"], EXIT_OK,
+     ["6.45720209463,nan,nan,nan,error:ConvergenceError"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
@@ -499,7 +512,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "gauss-moment-nan",
         "gk15-error-overflow", "exit-pole-check-overflow",
         "gk15-panel-overflow", "gauss-square-overflow", "tolerance-share-overflow",
-        "lorentz-moment-nan", "sech-connector-overflow"])
+        "lorentz-moment-nan", "sech-connector-overflow", "rate-nan",
+        "hj-huge-mass-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

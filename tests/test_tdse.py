@@ -47,6 +47,13 @@ def test_grid_validation():
         GridSpec(-10.0, 10.0, 1024, -0.01, 10.0)
 
 
+def test_absorbers_must_not_overlap():
+    # overlapping layers leave no interior, where the coupling coordinate runs
+    with pytest.raises(DomainError, match="overlap"):
+        GridSpec(-10.0, 10.0, 1024, 0.01, 10.0, absorber_frac=0.6)
+    GridSpec(-10.0, 10.0, 1024, 0.01, 10.0, absorber_frac=0.5)
+
+
 def test_grid_mass_must_match_barrier():
     # the kinetic steps read the grid's mass and the well the barrier's
     b = TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=2.0)
@@ -236,3 +243,90 @@ def test_health_block_balances():
         absorbed = h["absorbed_left"] + h["absorbed_right"]
         assert h["norm"] + absorbed <= 1.0 + 1e-8 and h["balance"] >= -1e-8
         assert h["absorbed_left"] > 0.0 and h["absorbed_right"] > 0.0
+
+
+# --- Merged Strang step and the coupling phase -----------------------------------
+
+@pytest.mark.parametrize("c", [1.5e-4, 1.23e-2, 0.3])
+@pytest.mark.parametrize("bounds", [
+    (-30.0, 50.0, 2048, 0.15),      # the oracle grid: 1,433 points between the
+                                    # absorbers, edges between grid points
+    (-16.0, 16.0, 1024, 0.125),     # edges on grid points, 767 points between
+    (-10.3, 13.7, 2048, 0.13),      # a spacing with no short binary form
+])
+def test_coupling_phase_matches_exp(bounds, c):
+    x_min, x_max, n, frac = bounds
+    grid = GridSpec(x_min, x_max, n, 0.01, 1.0, absorber_frac=frac)
+    out = tdse._coupling_phase(grid)(c)
+    ref = np.exp(1j * tdse._coupling(grid) * c)
+    # measured up to 5.6e-16, at c = 0.3
+    assert np.max(np.abs(out - ref)) < 2e-15
+
+
+def _strang_reference(state, potential, pulse, grid, detector_x, t_final, dt):
+    """Two potential half-steps per step, as the scheme is written; returns the
+    final psi, the absorbed fractions and the recorded (times, norm,
+    absorbed_left, absorbed_right, flux) (reference implementation)."""
+    x, dx = grid.x, grid.dx
+    cap = tdse._absorber(grid)
+    xc = tdse._coupling(grid)
+    expk = np.exp(-1j * grid.k**2 / (2.0 * grid.m) * dt)
+    half_v = np.exp(-1j * (potential(x) - 1j * cap) * 0.5 * dt)
+    n_steps = int(round(abs(t_final - state.time) / abs(dt)))
+    j = int(np.clip(round((detector_x - grid.x_min) / dx), 1, grid.n_points - 2))
+    psi, t = state.psi.copy(), state.time
+    norm_prev = state.norm()
+    absorbed = np.array([state.absorbed_left, state.absorbed_right])
+    rec = []
+    for i in range(n_steps):
+        c = np.real(pulse(t + 0.5 * dt)) * 0.5 * dt
+        half = half_v * np.exp(1j * xc * c)
+        psi = half * np.fft.ifft(expk * np.fft.fft(half * psi))
+        t += dt
+        dens = np.abs(psi) ** 2
+        norm = np.sum(dens) * dx
+        weights = np.array([np.sum(dens * cap * (x < 0)),
+                            np.sum(dens * cap * (x >= 0))])
+        if np.sum(weights) > 0.0 and norm_prev > norm:
+            absorbed += (norm_prev - norm) * weights / np.sum(weights)
+        norm_prev = norm
+        if i % tdse._RECORD_EVERY == 0 or i == n_steps - 1:
+            flux = (np.conj(psi[j]) * (psi[j + 1] - psi[j - 1]) / (2.0 * dx)).imag
+            rec.append((t, norm, *absorbed, flux / grid.m))
+    return psi, absorbed, np.array(rec).reshape(-1, 5).T
+
+
+@pytest.mark.parametrize("t_start, t_final, dt, block, x0", [
+    (0.0, 2.185, 0.005, 1000, 2.0),     # 437 steps, not a multiple of 10
+    (0.0, 2.185, 0.005, 64, 2.0),       # the same across pulse-block edges
+    (0.0, 0.005, 0.005, 1000, 2.0),     # one step
+    (0.5, 0.5, 0.005, 1000, 2.0),       # no step
+    # backwards, from a packet in the right absorber, whose norm then grows
+    # step by step (a norm that stays at 1 collects roundoff decrements)
+    (1.0, 0.0, -0.005, 64, 5.0),
+])
+def test_merged_step_matches_two_half_steps(t_start, t_final, dt, block, x0,
+                                            monkeypatch):
+    monkeypatch.setattr(tdse, "_PULSE_BLOCK", block)
+    grid = GridSpec(-10.0, 10.0, 1024, 0.005, 10.0)
+    start = _gaussian_state(grid, 0.7, k0=2.0, x0=x0)
+    state = WavefunctionState(psi=start.psi, time=t_start, absorbed_left=0.01,
+                              absorbed_right=0.02, grid=grid)
+    pot = _well_potential(1.0, 1.0)
+    pulses = (ZeroPulse(), LorentzPulse(amplitude=0.3, width=1.0, exponent=2))
+    batch = evolve(state, pot, pulses, grid, detector_x=4.0, t_final=t_final,
+                   dt=dt)
+    for (out, rec), pulse in zip(batch, pulses):
+        psi, absorbed, (times, norm, rec_l, rec_r, flux) = _strang_reference(
+            state, pot, pulse, grid, 4.0, t_final, dt)
+        assert rec.steps == round(abs(t_final - t_start) / abs(dt))
+        assert out.time == (times[-1] if rec.steps else t_start)
+        # measured up to 5.3e-15 (psi), 1.4e-13 (flux, relative), 9.2e-15
+        # (norm) and 2.1e-14 (absorbed fractions)
+        assert np.max(np.abs(out.psi - psi)) <= 1e-12
+        np.testing.assert_array_equal(rec.times, times)
+        np.testing.assert_allclose(rec.flux, flux, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(rec.norm, norm, rtol=0.0, atol=1e-13)
+        for got, want in ((rec.absorbed_left, rec_l), (rec.absorbed_right, rec_r),
+                          ([out.absorbed_left, out.absorbed_right], absorbed)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
