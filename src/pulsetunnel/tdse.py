@@ -9,13 +9,16 @@ The scheme is second-order Strang splitting (Feit, Fleck & Steiger, J. Comput.
 Phys. 47, 412, 1982), in its "first same as last" form: the closing potential
 half-step of one step and the opening one of the next are one multiply, so a
 step makes one potential multiply and two FFTs.  `evolve` advances a batch of
-runs that share a start state as one (B, N) array: the static factors are
-built once per call, the coupling phase of each live pulse is built without
-trig at every point (`_coupling_phase`), the FFTs run in place, and |psi|^2 is
-formed once per step for the norm and the absorber bookkeeping.  Results agree
-with the two-half-step form to roundoff.  `enhancement_exponent` runs its
-static and pulsed evolutions as one such batch.  The well state is relaxed in
-imaginary time on real arrays, since a real potential keeps a real start real.
+runs that share a start state as one C-ordered (B, N) array, each row stored
+whole: the static factors are built once per call, the coupling phase of each
+live pulse is built without trig at every point (`_coupling_phase`), the FFTs
+run in place, and the squares of psi's real and imaginary parts go through
+one matrix product per step for the norm and the absorber bookkeeping.
+Results agree with the two-half-step form to roundoff.  `enhancement_exponent`
+runs its static and pulsed evolutions as one such batch.  The well state is
+relaxed in imaginary time on real arrays, since a real potential keeps a real
+start real, with one multiply between two transforms; it is normalised only
+where its energy is checked and at the end.
 """
 
 from __future__ import annotations
@@ -139,7 +142,11 @@ def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
     """Imaginary-time relaxation confined to |x| < x_cut, step dt/2.
 
     The potential and the start are real, so the state stays real and runs on
-    real transforms; the result is returned as a complex wavefunction.
+    real transforms; the result is returned as a complex wavefunction.  The
+    steps are linear, so the norm only sets the scale: the state is normalised
+    at the energy checks and after the last step only, and between them the
+    closing half-step, the mask and the next opening half-step are one
+    multiply.
     """
     x = grid.x
     dtau = 0.5 * grid.dt
@@ -149,19 +156,27 @@ def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
     expk = np.exp(-k**2 / (2.0 * grid.m) * dtau)
     expv = np.exp(-0.5 * vstat * dtau)
     expv_mask = expv * mask
+    merged = expv_mask * expv
+    last = _RELAX_STEPS - 1
     last_e = math.inf
+    psi *= expv
     for i in range(_RELAX_STEPS):
-        psi *= expv
         spec = sfft.rfft(psi)
         spec *= expk
         psi = sfft.irfft(spec, n=grid.n_points, overwrite_x=True)
+        check = i % 200 == 199
+        if not (check or i == last):
+            psi *= merged
+            continue
         psi *= expv_mask
         psi /= math.sqrt(np.dot(psi, psi) * grid.dx)
-        if i % 200 == 199:
+        if check:
             e = _energy(psi, vstat, grid)
             if abs(e - last_e) < 1e-10 * max(abs(e), 1.0):
                 break
             last_e = e
+        if i < last:
+            psi *= expv
     return psi.astype(complex)
 
 
@@ -316,17 +331,21 @@ def evolve(
     live = [(r, p) for r, p in enumerate(pulses) if not isinstance(p, ZeroPulse)]
 
     n_rows = len(pulses)
-    psi = np.array(np.broadcast_to(state.psi, (n_rows, g.n_points)), dtype=complex)
+    # one C-ordered row per run (a copy of a broadcast keeps its axis order:
+    # rows interleaved, and every pass would walk runs of n_rows)
+    psi = np.repeat(np.asarray(state.psi, dtype=complex)[None], n_rows, axis=0)
     # merged potential step per row; a ZeroPulse row keeps half_v^2
     half_v2 = half_v * half_v
-    merged = np.array(np.broadcast_to(half_v2, psi.shape))
+    merged = np.repeat(half_v2[None], n_rows, axis=0)
     # columns: post-kinetic |psi|^2 -> post-step norm/dx, left and right
-    # absorber weights; the transpose of a (3, N) array, which BLAS takes
-    # faster than an (N, 3) one
+    # absorber weights, each entry twice, for the re and im parts of
+    # psi.view(float); the transpose of a (3, 2N) array, which BLAS takes
+    # faster than a (2N, 3) one
     left = x < 0
     moments = np.stack([np.ones_like(x), cap * left, cap * ~left])
     moments *= half_v.real**2 + half_v.imag**2
-    moments = moments.T
+    moments = np.repeat(moments, 2, axis=1).T
+    sq = np.empty((n_rows, 2 * g.n_points))
     det = detector_x if detector_x is not None else 0.8 * g.x_max
     j_det = int(np.clip(round((det - g.x_min) / dx), 1, g.n_points - 2))
     near = slice(j_det - 1, j_det + 2)
@@ -358,9 +377,8 @@ def evolve(
         psi = sfft.ifft(psi, axis=-1, overwrite_x=True)
         record = k_rec < len(rec_steps) and i == rec_steps[k_rec]
         if absorbers or record:
-            dens = psi.real**2
-            dens += psi.imag**2
-            m = (dens @ moments).tolist()
+            np.square(psi.view(float), out=sq)
+            m = (sq @ moments).tolist()
             norm_now = [row[0] * dx for row in m]
         if absorbers:
             # apportion the exact norm decrement by the local absorber weight

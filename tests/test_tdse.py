@@ -1,5 +1,6 @@
 """Property tests and examples for the split-operator quantum oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -193,6 +194,30 @@ def test_batched_evolve_matches_single_runs():
     assert np.max(np.abs(batch[0][0].psi - batch[1][0].psi)) > 1e-3
 
 
+def test_evolve_start_layout():
+    # a start state that is a strided view gives the same runs as a C-ordered
+    # one, and every returned row is C-ordered
+    grid = GridSpec(-10.0, 10.0, 1024, 0.01, 1.0)
+    state = _gaussian_state(grid, 0.7, k0=2.0)
+    pot = _well_potential(1.0, 1.0)
+    pulses = (ZeroPulse(), LorentzPulse(amplitude=0.3, width=1.0, exponent=2))
+    ref = evolve(state, pot, pulses, grid, detector_x=4.0)
+    views = (
+        np.asfortranarray(np.stack([state.psi, -state.psi]))[0],
+        np.repeat(state.psi, 3)[::3],
+        state.psi[::-1].copy()[::-1],
+    )
+    for psi in views:
+        assert not psi.flags.c_contiguous
+        start = WavefunctionState(psi=psi, time=0.0, grid=grid)
+        for (out, rec), (out_ref, rec_ref) in zip(
+                evolve(start, pot, pulses, grid, detector_x=4.0), ref):
+            np.testing.assert_array_equal(out.psi, out_ref.psi)
+            np.testing.assert_array_equal(rec.flux, rec_ref.flux)
+            assert out.psi.flags.c_contiguous
+    assert all(out.psi.flags.c_contiguous for out, _ in ref)
+
+
 def _complex_relax(vstat, grid, x_cut, n_steps=4000, dtau=None):
     """Imaginary-time relaxation on complex arrays (reference implementation)."""
     x = grid.x
@@ -227,6 +252,23 @@ def test_real_relaxation_matches_complex_reference(monkeypatch):
     vstat = pot(grid.x)
     assert tdse._energy(state.psi, vstat, grid) == pytest.approx(
         tdse._energy(state_ref.psi, pot_ref(grid.x), grid), rel=1e-10)
+
+
+def test_relaxation_cap_off_the_check_period(monkeypatch):
+    # 390 steps: one energy check at step 200, then 190 merged steps; the
+    # state must still be normalised after the last step's mask
+    b = _a0_barrier(8.0)
+    grid = GridSpec(-15.0, 25.0, 2048, 0.01, 150.0)
+    monkeypatch.setattr(tdse, "_RELAX_STEPS", 390)
+    state, pot = prepare_metastable(b, grid)
+    assert abs(state.norm() - 1.0) < 1e-12
+    monkeypatch.setattr(tdse, "_relax_in_well",
+                        functools.partial(_complex_relax, n_steps=390))
+    state_ref, pot_ref = prepare_metastable(b, grid)
+    assert pot.well_depth == pytest.approx(pot_ref.well_depth, rel=1e-10)
+    assert tdse._energy(state.psi, pot(grid.x), grid) == pytest.approx(
+        tdse._energy(state_ref.psi, pot_ref(grid.x), grid), rel=1e-10)
+    assert np.max(np.abs(state.psi - state_ref.psi)) < 1e-10
 
 
 def test_health_block_balances():
