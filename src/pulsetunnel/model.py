@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, SingularityError
 
@@ -271,15 +270,17 @@ class GaussianPulse:
     def integral_imag_axis(self, tau):
         # pulse(i*u) = amp * exp(+rate^2 u^2); an overflowing amp/rate times
         # erfi = 0 is a silent nan, as in Python floats
+        from scipy.special import erfi     # only Gaussian pulses load scipy
         scale = self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate)
         with np.errstate(over="ignore", invalid="ignore"):
-            G = scale * special.erfi(self.rate * tau)
+            G = scale * erfi(self.rate * tau)
         return G if G.ndim else float(G)
 
     def antiderivative(self, t):
         # erf(z) = 1 - exp(-z^2) * w(iz), entire in z
+        from scipy.special import wofz
         z = self.rate * np.asarray(t, dtype=complex)
-        erf = 1.0 - np.exp(-z * z) * special.wofz(1j * z)
+        erf = 1.0 - np.exp(-z * z) * wofz(1j * z)
         out = self.amplitude * math.sqrt(math.pi) / (2.0 * self.rate) * erf
         return out if out.ndim else complex(out)
 

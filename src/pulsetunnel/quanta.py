@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import lambertw
-
 from .errors import DomainError, RegimeError
 from .model import (
     GaussianPulse,
@@ -125,6 +123,7 @@ def optimize_quanta(E: float, barrier: TriangularBarrier, pulse) -> QuantaPlan:
         # omega^2 = -2 rate^2 W(z), z = -e^2/(2 (rate*k)^2) = -exp(2 - 2L)/2
         z = -0.5 * math.exp(2.0 - 2.0 * L)
         if z >= -1.0 / math.e:
+            from scipy.special import lambertw
             w_stat = pulse.rate * math.sqrt(-2.0 * lambertw(z, -1).real)
     elif isinstance(pulse, LorentzPulse):
         e0, theta, n = barrier.field_static, pulse.width, pulse.exponent

@@ -18,7 +18,9 @@ Results agree with the two-half-step form to roundoff.  `enhancement_exponent`
 runs its static and pulsed evolutions as one such batch.  The well state is
 relaxed in imaginary time on real arrays, since a real potential keeps a real
 start real, with one multiply between two transforms; it is normalised only
-where its energy is checked and at the end.
+where its energy is checked and at the end.  The functions that transform
+import scipy.fft themselves and call through the module, so importing this
+module loads no scipy (docs/decisions.md, "What a CLI call imports").
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConvergenceError, DomainError
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse
@@ -128,6 +129,7 @@ def _coupling(grid: GridSpec):
 
 
 def _energy(psi, vstat, grid: GridSpec) -> float:
+    import scipy.fft as sfft
     dx = grid.dx
     kin = sfft.ifft(grid.k**2 / (2.0 * grid.m) * sfft.fft(psi))
     num = np.sum(np.conj(psi) * (kin + vstat * psi)).real * dx
@@ -148,6 +150,7 @@ def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
     closing half-step, the mask and the next opening half-step are one
     multiply.
     """
+    import scipy.fft as sfft
     x = grid.x
     dtau = 0.5 * grid.dt
     mask = 1.0 / (1.0 + np.exp((np.abs(x) - x_cut) / (0.05 * x_cut)))
@@ -311,6 +314,7 @@ def evolve(
     |half_v|^2 is the post-step density, and the detector flux takes the
     closing factor at its three points only.
     """
+    import scipy.fft as sfft
     g = grid
     dx = g.dx
     dt = g.dt if dt is None else dt

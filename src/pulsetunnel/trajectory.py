@@ -336,14 +336,15 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     - scan: dA at 17 shifts over [-3(width - tau_s), 0] (epsrel 1e-6); a
       minimum at either end is "no interior minimum" (ConvergenceError);
-    - dA' at the scan neighbours lo, hi of the minimum, where it must rise,
-      dA'(lo) <= 0 <= dA'(hi) (ConvergenceError otherwise), then its root
-      there by roots._find_root from the vertex of the parabola through the
-      three values: each step evaluates dA' and dA'' at the iterate and
-      takes the Newton step when dA'' > 0 and the step stays in the
-      bracket, else bisects.  The solve stops when the next step is at most
-      2e-12 + 4*eps*|dt_shift|, within 100 steps, and returns the last shift
-      at which dA' was evaluated (epsrel 1e-10);
+    - the root of dA' between the scan neighbours lo, hi of the minimum by
+      roots._find_root, from the vertex of the parabola through the three
+      values.  Each step evaluates dA' and dA'' at the iterate and takes the
+      Newton step when dA'' > 0 and the step stays in the bracket, else
+      bisects; the first step also evaluates dA' at lo and hi, where it
+      must rise, dA'(lo) <= 0 <= dA'(hi) (ConvergenceError otherwise, ahead
+      of any error of the iterate's paths).  The solve stops when the next
+      step is at most 2e-12 + 4*eps*|dt_shift|, within 100 steps, and
+      returns the last shift at which dA' was evaluated (epsrel 1e-10);
     - dA (epsrel 1e-8) and dA' (epsrel 1e-10) at each root, on the whole
       contour with its conjugation check; |dA'| is the energy residual.
 
@@ -374,26 +375,27 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     def call(paths, upper=True):
         """Values per slot of paths (slot, shift, order, epsrel), in path
-        order; a slot one of whose paths fails takes the first such error."""
+        order, a failing path's error in its place."""
         live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
-        if not live:
-            return {}
-        owner, shifts, order, epsrel = zip(*live)
         out = {}
-        for i, v in zip(owner, _delta_actions([E[i] for i in owner], barrier, pulse,
-                                              shifts, order=order, epsrel=epsrel,
-                                              upper=upper)):
-            if isinstance(slots[i], PulseTunnelError):
-                continue        # an earlier path of this slot failed
-            if isinstance(v, PulseTunnelError):
-                slots[i] = v
-                out.pop(i, None)
-            else:
+        if live:
+            owner, shifts, order, epsrel = zip(*live)
+            for i, v in zip(owner, _delta_actions([E[i] for i in owner], barrier,
+                                                  pulse, shifts, order=order,
+                                                  epsrel=epsrel, upper=upper)):
                 out.setdefault(i, []).append(v)
         return out
 
+    def settle(vals):
+        """vals less its slots with an error; each takes its first one."""
+        for i, v in list(vals.items()):
+            if err := [e for e in v if isinstance(e, PulseTunnelError)]:
+                slots[i] = err[0]
+                del vals[i]
+        return vals
+
     # scan
-    dA = call([(i, s, 0, 1e-6) for i, g in scans.items() for s in g])
+    dA = settle(call([(i, s, 0, 1e-6) for i, g in scans.items() for s in g]))
     x, lo, hi = {}, {}, {}
     for i, v in dA.items():
         grid, k = scans[i], int(np.argmin(v))
@@ -408,31 +410,41 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         step = 0.5 * (v[k - 1] - v[k + 1]) / curv if curv > 0 else 0.0
         x[i] = grid[k] + step * (grid[1] - grid[0])
 
-    # root of dA', all energies in lockstep
-    ends = call([(i, s, 1, 1e-10) for i in x for s in (lo[i], hi[i])])
-    for i, (v_lo, v_hi) in ends.items():
-        if v_lo > 0 or v_hi < 0:
-            slots[i] = ConvergenceError(
-                "dA' does not rise across the scan bracket of the minimum",
-                diagnostics={"bracket": (lo[i], hi[i]), "slopes": (v_lo, v_hi)})
-    rising = [i for i in ends if not isinstance(slots[i], PulseTunnelError)]
+    # root of dA', all energies in lockstep; the first step also takes dA'
+    # at lo and hi, ahead of the iterate's paths
+    bracketed, f_hi, ends = list(x), [math.inf] * len(x), True
 
     def fdf(shifts, live):      # (dA', dA'') per slot, or the slot's error
-        vals = call([(rising[k], s, order, 1e-10)
-                     for k, s in zip(live, shifts) for order in (1, 2)])
-        return zip(*(vals.get(rising[k]) or (slots[rising[k]], None)
-                     for k in live))
+        nonlocal ends
+        paths = []
+        for k, s in zip(live, shifts):
+            i = bracketed[k]
+            paths += [(i, lo[i], 1, 1e-10), (i, hi[i], 1, 1e-10)] if ends else []
+            paths += [(i, s, 1, 1e-10), (i, s, 2, 1e-10)]
+        vals = call(paths)
+        for k in live if ends else ():
+            i, v = bracketed[k], vals[bracketed[k]]
+            if not any(isinstance(e, PulseTunnelError) for e in v[:2]):
+                f_hi[k] = v[1]
+                if v[0] > 0 or v[1] < 0:    # ahead of the iterate's errors
+                    v.insert(2, ConvergenceError(
+                        "dA' does not rise across the scan bracket of the minimum",
+                        diagnostics={"bracket": (lo[i], hi[i]),
+                                     "slopes": tuple(v[:2])}))
+        ends = False
+        vals = settle(vals)
+        return zip(*(vals[bracketed[k]][-2:] if bracketed[k] in vals
+                     else (slots[bracketed[k]], None) for k in live))
 
     # a slot holds its root, or its error, until the last stage
-    for i, r in zip(rising, _find_root(
-            fdf, [lo[i] for i in rising], [hi[i] for i in rising],
-            [x[i] for i in rising], [_XTOL] * len(rising), "dA'",
-            f_hi=[ends[i][1] for i in rising])):
+    for i, r in zip(bracketed, _find_root(
+            fdf, [lo[i] for i in bracketed], [hi[i] for i in bracketed],
+            [x[i] for i in bracketed], [_XTOL] * len(bracketed), "dA'", f_hi=f_hi)):
         slots[i] = r
 
     # dA and dA' at the roots, on the whole contour
-    final = call([(i, slots[i], k, tol) for i in rising
-                  for k, tol in ((0, 1e-8), (1, 1e-10))], upper=False)
+    final = settle(call([(i, slots[i], k, tol) for i in bracketed
+                         for k, tol in ((0, 1e-8), (1, 1e-10))], upper=False))
     for i, (dA_i, slope) in final.items():
         A0 = static_wkb_exponent(barrier, E[i])
         slots[i] = MinimizedAction(dt_shift=slots[i], dA=dA_i, A=A0 + dA_i,

@@ -185,3 +185,53 @@ def test_cli_imports_neither_scipy_optimize_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+_SCIPY_FREE_RUNS = '''
+import contextlib, io, sys
+import numpy as np
+import pulsetunnel, pulsetunnel.cli, pulsetunnel.tdse
+from pulsetunnel import tdse
+from pulsetunnel.cli import main
+from pulsetunnel.model import ZeroPulse
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+def scipy():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+
+lorentz = ["--amp", "0.05", "--pulse", "lorentz"]
+for command in ("verify", "rate", "adapt"):
+    run(command, "--E", "5", *lorentz)
+for method in ("hj", "euclidean", "quanta", "auto"):
+    run("action-curve", "--method", method, "--E-grid", "4:6:3", *lorentz)
+run("action-curve", "--method", "trajectory", "--barrier", "sech", "--V", "1",
+    "--a", "1", "--amp", "0.005", "--n", "2", "--theta", "3",
+    "--E-grid", "0.4:0.6:3")
+print(scipy())
+run("action-curve", "--pulse", "gauss", "--V", "10", "--E0", "1",
+    "--amp", "0.05", "--E-grid", "4:6:3")
+grid = tdse.GridSpec(x_min=-20.0, x_max=20.0, n_points=1024, dt=0.01,
+                     t_final=0.05)
+start = tdse.WavefunctionState(np.exp(-grid.x**2).astype(complex), 0.0,
+                               grid=grid)
+tdse.evolve(start, np.zeros_like(grid.x), [ZeroPulse()], grid)
+print([m for m in ("scipy.special", "scipy.fft") if m in sys.modules])
+'''
+
+
+def test_cli_runs_load_no_scipy_until_a_gaussian_or_the_oracle():
+    # loading scipy.special and scipy.fft took about 0.4 s of a 0.75 s
+    # verify process, and a Lorentz or zero pulse never calls them
+    # (docs/decisions.md, "What a CLI call imports").  pytest itself imports
+    # scipy, so this runs in a fresh interpreter
+    src = str(Path(pulsetunnel.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUNS],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["[]", "['scipy.special', 'scipy.fft']"]

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from pulsetunnel import trajectory
 from pulsetunnel.contour import integrate_paths
-from pulsetunnel.errors import RegimeError, SingularityError
+from pulsetunnel.errors import ConvergenceError, RegimeError, SingularityError
 from pulsetunnel.model import (
     GaussianPulse,
     LorentzPulse,
@@ -460,8 +460,9 @@ def test_grid_slot_classes():
 
 def test_grid_slot_failures_rerun_nothing(monkeypatch):
     # on that grid the pinch fails a scan path before the engine and the
-    # roundoff one inside it, yet the scan, the bracket ends and the final
-    # stage are one engine call each, and each root step one more
+    # roundoff one inside it, yet the scan and the final stage are one
+    # engine call each, and each root step one more: the bracket ends ride
+    # in the first
     energies, pulse = _slot_classes_grid()
     engine, find_root = trajectory.integrate_paths, trajectory._find_root
     calls, steps = [], []
@@ -482,9 +483,64 @@ def test_grid_slot_failures_rerun_nothing(monkeypatch):
     assert [type(r).__name__ for r in grid] == [
         "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
         "MinimizedAction", "DomainError", "ConvergenceError"]
-    assert len(calls) == 3 + len(steps)
+    assert len(calls) == 2 + len(steps)
     # the scan: 17 shifts at each energy that reaches the engine
     assert calls[0] == 4 * _SCAN
+
+
+@pytest.mark.parametrize("rig,expected", [
+    ((1e-3, 2e-3, "fail", None), "dA' does not rise"),
+    ((-1e-3, -2e-3, None, "fail"), "dA' does not rise"),
+    ((-1e-3, 2e-3, "fail", None), "iterate"),
+    (("fail", 2e-3, None, None), "end"),
+    ((-1e-3, "fail", "fail", None), "end"),
+], ids=["lo-up", "hi-down", "rising", "lo-fails", "hi-fails"])
+def test_first_root_step_error_precedence(monkeypatch, rig, expected):
+    # the first root step evaluates dA' at the bracket ends lo, hi and
+    # dA', dA'' at the iterate in one engine call, in that order per slot.
+    # An end's error comes first; then ends that do not rise, even where
+    # the iterate's path fails in the same call; then the iterate's error.
+    # rig replaces those four values (None keeps the engine's)
+    engine, seen = trajectory._delta_actions, []
+
+    def rigged(E, barrier, pulse, shifts, **kw):
+        out = engine(E, barrier, pulse, shifts, **kw)
+        seen.append(len(out))
+        if len(seen) == 2:
+            for k, v in enumerate(rig):
+                if v == "fail":
+                    out[k] = ConvergenceError("end" if k < 2 else "iterate")
+                elif v is not None:
+                    out[k] = v
+        return out
+
+    monkeypatch.setattr(trajectory, "_delta_actions", rigged)
+    [res] = minimize_delta_actions([0.5], SECH, PULSE)
+    assert seen[:2] == [_SCAN, 4]
+    assert isinstance(res, ConvergenceError)
+    assert str(res).startswith(expected)
+
+
+def test_pole_scan_grid_engine_calls(monkeypatch):
+    # the seed-1 grid of the benchmark's pole_scan workload: the scan, four
+    # lockstep root steps (the first with dA' at the bracket ends) and the
+    # final stage, 93,270 integrand points in all
+    barrier = SechBarrier(V=1.5634864789386136, a=1.0, m=1.0)
+    pulse = LorentzPulse(amplitude=0.009602560125665217,
+                         width=1.9934850717737465, exponent=2)
+    energies = np.linspace(0.32325997052977423, 0.6419678192518726, 4)
+    engine, points = trajectory.integrate_paths, []
+
+    def counted(f, paths, **kw):
+        vals, errs, n_evals = engine(f, paths, **kw)
+        points.append(int(np.sum(n_evals)))
+        return vals, errs, n_evals
+
+    monkeypatch.setattr(trajectory, "integrate_paths", counted)
+    grid = minimize_delta_actions(energies, barrier, pulse)
+    assert all(isinstance(r, trajectory.MinimizedAction) for r in grid)
+    assert len(points) == 6
+    assert sum(points) == 93_270
 
 
 @pytest.mark.parametrize("barrier,E,pulse", [
