@@ -16,11 +16,13 @@ run in place, and the squares of psi's real and imaginary parts go through
 one matrix product per step for the norm and the absorber bookkeeping.
 Results agree with the two-half-step form to roundoff.  `enhancement_exponent`
 runs its static and pulsed evolutions as one such batch.  The well state is
-relaxed in imaginary time on real arrays, since a real potential keeps a real
-start real, with one multiply between two transforms; it is normalised only
-where its energy is checked and at the end.  The functions that transform
-import scipy.fft themselves and call through the module, so importing this
-module loads no scipy (docs/decisions.md, "What a CLI call imports").
+the capped imaginary-time relaxation of a real start in a real potential,
+evaluated without stepping: a Lanczos basis of the symmetric relaxation step
+(Park & Light, J. Chem. Phys. 85, 5870, 1986) gives each checked power of the
+step from a few dozen real transform pairs, where stepping takes up to
+4,000.  The functions that transform import scipy.fft themselves and call
+through the module, so importing this module loads no scipy
+(docs/decisions.md, "What a CLI call imports").
 """
 
 from __future__ import annotations
@@ -140,46 +142,88 @@ def _energy(psi, vstat, grid: GridSpec) -> float:
 _RELAX_STEPS = 4000     # cap on imaginary-time steps of one relaxation
 
 
-def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
-    """Imaginary-time relaxation confined to |x| < x_cut, step dt/2.
+def _lanczos(apply, start, powers):
+    """Lanczos basis for the powers B^p start, p in `powers`, of the real
+    symmetric positive semi-definite operator B = `apply`.
 
-    The potential and the start are real, so the state stays real and runs on
-    real transforms; the result is returned as a complex wavefunction.  The
-    steps are linear, so the norm only sets the scale: the state is normalised
-    at the energy checks and after the last step only, and between them the
-    closing half-step, the mask and the next opening half-step are one
-    multiply.
+    Returns the orthonormal basis as rows Q, and the eigenvalues lam, divided
+    by the largest, and eigenvectors W of the tridiagonal T = Q B Q^T, so that
+    B^p start is proportional to (W (lam**p * W[0])) @ Q.  Each new row is
+    orthogonalised against all earlier ones, twice.  The basis grows until
+    beta_M |[f(T) e1]_M| <= 1e-15 ||f(T) e1||, with f(T) = (T / lam_max)^p,
+    at the smallest and the largest power, or until it holds max(powers) + 1
+    rows, whose span holds every B^p start exactly.
+    """
+    ends = (min(powers), max(powers))
+    q = start / math.sqrt(np.dot(start, start))
+    rows = np.empty((8, len(q)))
+    alpha, beta = [], []
+    while True:
+        m = len(alpha)
+        if m == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        rows[m] = q
+        basis = rows[:m + 1]
+        w = apply(q)
+        a = 0.0
+        for _ in range(2):
+            h = basis @ w
+            w -= h @ basis
+            a += h[m]
+        alpha.append(a)
+        b = math.sqrt(np.dot(w, w))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        lam, vec = np.linalg.eigh(t)
+        lam /= lam[-1]
+        if m >= ends[1] or all(
+                b * abs(vec[-1] @ f) <= 1e-15 * math.sqrt(np.dot(f, f))
+                for f in (lam**p * vec[0] for p in ends)):
+            return basis, lam, vec
+        beta.append(b)
+        q = w / b
+
+
+def _relax_in_well(vstat, grid: GridSpec, x_cut: float):
+    """Imaginary-time relaxation confined to |x| < x_cut, step dt/2: the state
+    after up to _RELAX_STEPS steps, stopped by the energy check every 200.
+
+    A step is a potential half-step exp(-V dt/4), a kinetic step, the other
+    half-step and the mask.  After n steps from exp(-x^2) mask the state is
+    sqrt(mask) B^n y0, with B = D S D, D = exp(-V dt/4) sqrt(mask), S the
+    kinetic step and y0 = exp(-x^2) sqrt(mask).  B is real symmetric, so each
+    check state is evaluated in a Lanczos basis of B from y0 (`_lanczos`)
+    instead of by stepping; the energies are checked on those states in
+    order, as the steps would reach them.  The state is real and is returned
+    normalised, as a complex wavefunction.
     """
     import scipy.fft as sfft
     x = grid.x
     dtau = 0.5 * grid.dt
     mask = 1.0 / (1.0 + np.exp((np.abs(x) - x_cut) / (0.05 * x_cut)))
-    psi = np.exp(-(x**2)) * mask
+    root = np.sqrt(mask)
     k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points, d=grid.dx)
     expk = np.exp(-k**2 / (2.0 * grid.m) * dtau)
-    expv = np.exp(-0.5 * vstat * dtau)
-    expv_mask = expv * mask
-    merged = expv_mask * expv
-    last = _RELAX_STEPS - 1
-    last_e = math.inf
-    psi *= expv
-    for i in range(_RELAX_STEPS):
-        spec = sfft.rfft(psi)
+    half = np.exp(-0.5 * vstat * dtau) * root
+
+    def step(q):
+        spec = sfft.rfft(half * q)
         spec *= expk
-        psi = sfft.irfft(spec, n=grid.n_points, overwrite_x=True)
-        check = i % 200 == 199
-        if not (check or i == last):
-            psi *= merged
-            continue
-        psi *= expv_mask
+        out = sfft.irfft(spec, n=grid.n_points, overwrite_x=True)
+        out *= half
+        return out
+
+    # the energy checks, then the cap
+    powers = [*range(200, _RELAX_STEPS, 200), _RELAX_STEPS]
+    basis, lam, vec = _lanczos(step, np.exp(-(x**2)) * root, powers)
+    last_e = math.inf
+    for p in powers:
+        psi = root * (vec @ (lam**p * vec[0]) @ basis)
         psi /= math.sqrt(np.dot(psi, psi) * grid.dx)
-        if check:
+        if p % 200 == 0:
             e = _energy(psi, vstat, grid)
             if abs(e - last_e) < 1e-10 * max(abs(e), 1.0):
                 break
             last_e = e
-        if i < last:
-            psi *= expv
     return psi.astype(complex)
 
 

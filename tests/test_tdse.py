@@ -271,6 +271,104 @@ def test_relaxation_cap_off_the_check_period(monkeypatch):
     assert np.max(np.abs(state.psi - state_ref.psi)) < 1e-10
 
 
+def _step_loop_relax(vstat, grid, x_cut):
+    """Imaginary-time relaxation by stepping on real arrays, normalised at the
+    energy checks and after the last step (reference implementation)."""
+    import scipy.fft as sfft
+    x = grid.x
+    dtau = 0.5 * grid.dt
+    mask = 1.0 / (1.0 + np.exp((np.abs(x) - x_cut) / (0.05 * x_cut)))
+    psi = np.exp(-(x**2)) * mask
+    k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points, d=grid.dx)
+    expk = np.exp(-k**2 / (2.0 * grid.m) * dtau)
+    expv = np.exp(-0.5 * vstat * dtau)
+    expv_mask = expv * mask
+    merged = expv_mask * expv
+    last = tdse._RELAX_STEPS - 1
+    last_e = math.inf
+    psi *= expv
+    for i in range(tdse._RELAX_STEPS):
+        spec = sfft.rfft(psi)
+        spec *= expk
+        psi = sfft.irfft(spec, n=grid.n_points, overwrite_x=True)
+        check = i % 200 == 199
+        if not (check or i == last):
+            psi *= merged
+            continue
+        psi *= expv_mask
+        psi /= math.sqrt(np.dot(psi, psi) * grid.dx)
+        if check:
+            e = tdse._energy(psi, vstat, grid)
+            if abs(e - last_e) < 1e-10 * max(abs(e), 1.0):
+                break
+            last_e = e
+        if i < last:
+            psi *= expv
+    return psi.astype(complex)
+
+
+_ORACLE_GRID = (-30.0, 50.0, 2048, 0.005, 100.0)
+
+
+@pytest.mark.parametrize("barrier, bounds, cap, stops", [
+    # the oracle grid: all three relaxations run to the cap
+    (_a0_barrier(16.0), _ORACLE_GRID, 4000, [4000] * 3),
+    (_a0_barrier(8.0), (-15.0, 25.0, 2048, 0.01, 150.0), 4000, [1200] * 3),
+    (TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=1.0),
+     (-10.0, 10.0, 1024, 0.02, 10.0), 4000, [800, 600, 600, 600]),
+    # a cap off the check period: one check at step 200
+    (_a0_barrier(8.0), (-15.0, 25.0, 2048, 0.01, 150.0), 390, [390] * 3),
+])
+def test_krylov_relaxation_matches_step_loop(barrier, bounds, cap, stops,
+                                             monkeypatch):
+    grid = GridSpec(*bounds)
+    monkeypatch.setattr(tdse, "_RELAX_STEPS", cap)
+    energy, krylov = tdse._energy, tdse._relax_in_well
+
+    def prepare(relax):
+        # the state, the potential, and the energy checks of each relaxation
+        calls, checks = [], []
+
+        def counted_energy(*args):
+            calls.append(1)
+            return energy(*args)
+
+        def counted_relax(*args):
+            n0 = len(calls)
+            psi = relax(*args)
+            checks.append(len(calls) - n0)
+            return psi
+
+        monkeypatch.setattr(tdse, "_energy", counted_energy)
+        monkeypatch.setattr(tdse, "_relax_in_well", counted_relax)
+        return (*prepare_metastable(barrier, grid), checks)
+
+    state, pot, checks = prepare(krylov)
+    state_ref, pot_ref, checks_ref = prepare(_step_loop_relax)
+    # a relaxation that stops at step s has made s // 200 checks
+    assert checks == checks_ref == [s // 200 for s in stops]
+    assert abs(state.norm() - 1.0) < 1e-12
+    # measured up to 3.8e-15 (psi) and 4.4e-16 (depth, relative)
+    assert np.max(np.abs(state.psi - state_ref.psi)) <= 1e-13
+    assert pot.well_depth == pytest.approx(pot_ref.well_depth, rel=1e-13)
+
+
+def test_krylov_relaxation_transform_counts(monkeypatch):
+    # the energy checks keep their complex FFT pairs; the 12,000 real
+    # transform pairs of the step loop become one pair per basis vector
+    import scipy.fft
+    counts = {"rfft": 0, "fft": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    prepare_metastable(_a0_barrier(16.0), GridSpec(*_ORACLE_GRID))
+    # 20 energy checks in each of three relaxations, then one per tuning step
+    assert counts["fft"] == 63
+    assert counts["rfft"] <= 300
+
+
 def test_health_block_balances():
     b = _a0_barrier(8.0)
     grid = GridSpec(-15.0, 25.0, 2048, 0.01, 60.0)
