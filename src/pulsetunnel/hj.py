@@ -1,9 +1,9 @@
 """Direct Hamilton-Jacobi treatment of the pulsed triangular barrier.
 
 Solves for the complex saddle time t0(x,t), the classical action S(x,t), the
-first two semiclassical corrections sigma1 and sigma2, the exit exponent, the
-semiclassical lower bound on the pulse amplitude, and the time-resolved decay
-rate.
+first two semiclassical corrections sigma1 and sigma2 (both closed forms), the
+exit exponent, the semiclassical lower bound on the pulse amplitude, and the
+time-resolved decay rate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .contour import integrate_paths
 from .errors import (ConvergenceError, DomainError, PulseTunnelError, RegimeError,
                      SingularityError, _one)
 from .euclidean import _solve_tau0s
-from .model import LorentzPulse, TriangularBarrier, ZeroPulse
+from .model import LorentzPulse, TriangularBarrier, ZeroPulse, _int_square
 from .roots import _find_root
 
 __all__ = [
@@ -105,17 +105,20 @@ def _newton_t0(
     pole = 1j * pulse.width if isinstance(pulse, LorentzPulse) else None
     last_residual = math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        g = (
-            1j * (t - t0) * p0
-            + 0.5 * e0 * (t - t0) ** 2
-            + _int_weighted_pulse(t0, t, pulse)
-            - m * x
-        )
-        last_residual = abs(g) / scale
-        if last_residual < _NEWTON_TOL:
-            return t0, last_residual
-        dg = -1j * p0 - (t - t0) * e0 - (t - t0) * pulse(t0)
-        step = -g / dg
+        # an iterate far up the imaginary axis overflows a Gaussian pulse;
+        # its nan residual runs out the iterations, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (
+                1j * (t - t0) * p0
+                + 0.5 * e0 * (t - t0) ** 2
+                + _int_weighted_pulse(t0, t, pulse)
+                - m * x
+            )
+            last_residual = abs(g) / scale
+            if last_residual < _NEWTON_TOL:
+                return t0, last_residual
+            dg = -1j * p0 - (t - t0) * e0 - (t - t0) * pulse(t0)
+            step = -g / dg
         # damp steps that would jump past the pulse pole
         if pole is not None:
             gap = abs(t0 - pole)
@@ -313,8 +316,7 @@ def _log_physical(F: complex) -> complex:
 
     The cut is rotated to the negative imaginary axis (arg in (-pi/2, 3pi/2])
     so the branch is continuous across negative real F, where the saddle's F
-    lives.  Only sigma1 itself reads the branch: sigma2's source holds
-    derivatives of ln F, which do not depend on it.
+    lives.  Only sigma1 reads the branch: sigma2 holds no ln F.
     """
     arg = math.atan2(F.imag, F.real)
     if arg <= -0.5 * math.pi:
@@ -322,70 +324,54 @@ def _log_physical(F: complex) -> complex:
     return complex(math.log(abs(F)), arg)
 
 
-def sigma1(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
-    """First correction; i*sigma1 = -ln(F)/2 + (i/2 tau00) int_0^{t0} (1+h)."""
+def _require_regular(state: SaddleState) -> None:
+    """SingularityError at F = 0, where sigma1 and sigma2 diverge."""
     if abs(state.F) < 1e-12:
         raise SingularityError(
             "F = 0: branch point of the action (the x2 singularity)",
             location=state.t0,
         )
+
+
+def sigma1(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
+    """First correction; i*sigma1 = -ln(F)/2 + (i/2 tau00) int_0^{t0} (1+h)."""
+    _require_regular(state)
     well = state.t0 + _int_pulse(0.0, state.t0, pulse) / barrier.field_static
     return -1j * (-0.5 * _log_physical(state.F) + 1j * well / (2.0 * barrier.tau00))
 
 
 def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
-    """Second correction by quadrature of its source term.
-
-    The source phi2(t0, t) is D^2/(4(V-E)F^2) - i dG/dt0/(4(V-E)F), with
-    D = d(sigma1)/dt0 at fixed t and G = D/F.  Both derivatives are closed
-    forms in pulse, pulse' and pulse'' (docs/decisions.md, "sigma2 source
-    term"), so the source takes arrays, and both legs go to the engine as
-    one two-path call.
+    """Second correction: its source integrated in closed form along two legs
+    (docs/decisions.md, "sigma2 source term").  Leg 1 runs eta = t - t0 from
+    0 at fixed t0, where the source is Q(eta)/(16(V-E)F^4) with Q quadratic
+    and F linear in eta, and no residue at F = 0; leg 2 runs both times
+    together from 0 to t0, where it is ((1+h)^2/tau00^2 + i h'/tau00)/(8(V-E)).
+    SingularityError at F = 0, as for sigma1; ConvergenceError where the value
+    is not finite.
     """
-    b = barrier
-    VmE = b.V - b.E_bound
-    tau = b.tau00
-
-    def phi2(t0, t):
-        h, h1, h2 = (f / b.field_static for f in pulse.derivatives(t0))
-        d = t0 - t
-        F = 1.0 + 1j * d * (1.0 + h) / tau
-        F1 = 1j * ((1.0 + h) + d * h1) / tau
-        F2 = 1j * (2.0 * h1 + d * h2) / tau
-        D = -1j * (-0.5 * F1 / F + 0.5j * (1.0 + h) / tau)
-        D1 = -1j * (-0.5 * (F2 / F - (F1 / F) ** 2) + 0.5j * h1 / tau)
-        dG = D1 / F - D * F1 / (F * F)
-        return D * D / (4.0 * VmE * F * F) - 1j * dG / (4.0 * VmE * F)
-
-    t0, t = state.t0, state.t
-    # leg 1 (path 0): eta from 0 to t - t0 at fixed t0 (t runs from t0 to t);
-    # the integrand has a pole where F(t0, t0 + eta) = 0.  Where the segment
-    # passes within r of it, the path goes round it on the Re < 0 side,
-    # consistent with the ln F branch (negative F approached from above),
-    # through the apex of a right triangle on the segment, at least
-    # sqrt(2)*r from the pole (docs/decisions.md, "Lines-only contour engine")
-    eta_pole = -1j * tau / (1.0 + state.h)
-    end = t - t0
-    u = end / abs(end) if end else 1.0
-    r = max(0.25 * min(abs(eta_pole), abs(end - eta_pole), abs(end)), 1e-12)
-    c = min(max((eta_pole / u).real, 0.0), abs(end)) * u    # nearest point
-    path = [0.0, end]
-    if abs(c - eta_pole) < r:
-        n = 1j * u if (1j * u).real < 0 else -1j * u
-        path[1:1] = [c - 3.0 * r * u, c + 3.0 * r * n, c + 3.0 * r * u]
-
-    def source(z, path_id):
-        fixed = path_id == 0
-        out = np.empty_like(z)
-        out[fixed] = phi2(t0, t0 + z[fixed])
-        out[~fixed] = phi2(z[~fixed], z[~fixed])
-        return out
-
-    # leg 2 (path 1): coincident-argument source integrated from 0 to t0
-    legs = integrate_paths(source, [path, [0.0, t0]],
-                           epsabs=1e-10, epsrel=1e-7)[0]
-    first, second = (_one([leg]) for leg in legs)   # a leg's error is raised
-    return first + second
+    _require_regular(state)
+    e0, tau, VmE = barrier.field_static, barrier.tau00, barrier.V - barrier.E_bound
+    t0, E, F = state.t0, state.t - state.t0, state.F
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan is caught below
+        h, h1, h2 = (complex(f) / e0 for f in pulse.derivatives(t0))
+        a, b1, b2 = (1.0 + h) / tau, h1 / tau, h2 / tau
+        c = b1 - 1j * a * a
+        # Q's coefficients; no term of leg 1 divides by a, which loses digits
+        # as a -> 0
+        q0, q1 = 2j * c, 2j * a * a * a - 6.0 * a * b1 - 2j * b2
+        q2 = c * c + 4.0 * b1 * b1 - 2.0 * a * b2
+        leg1 = (q0 * E * (1.0 + F + F * F) / 3.0
+                + q1 * E * E * (3.0 - 1j * a * E) / 6.0
+                + q2 * E * E * E / 3.0) / (16.0 * F * F * F) / VmE
+        # leg 2 integrates h and h^2 from their antiderivatives
+        amp = pulse.amplitude / e0
+        H, H2 = _int_pulse(0.0, t0, pulse) / e0, amp * amp * _int_square(pulse, t0)
+        rise = h - complex(pulse(0.0)) / e0
+        leg2 = ((t0 + 2.0 * H + H2) / tau + 1j * rise) / (8.0 * VmE * tau)
+    if not cmath.isfinite(leg1 + leg2):
+        raise ConvergenceError("sigma2 is not finite",
+                               diagnostics={"leg1": leg1, "leg2": leg2})
+    return leg1 + leg2
 
 
 # --- Exit branch and amplitude bound -------------------------------------------

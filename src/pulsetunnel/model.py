@@ -295,6 +295,16 @@ class GaussianPulse:
         return out if out.ndim else complex(out)
 
 
+def _int_square(pulse, t) -> complex:
+    """int_0^t (pulse/amplitude)^2: a pulse of the same family (exponent
+    doubled, or rate times sqrt 2), whose own antiderivative gives it."""
+    if isinstance(pulse, LorentzPulse):
+        return LorentzPulse(1.0, pulse.width, 2 * pulse.exponent).antiderivative(t)
+    if isinstance(pulse, GaussianPulse):
+        return GaussianPulse(1.0, math.sqrt(2.0) * pulse.rate).antiderivative(t)
+    return 0.0j
+
+
 # --- Static WKB exponent --------------------------------------------------------
 
 def static_wkb_exponent(barrier, E: float) -> float:

@@ -3,7 +3,7 @@
 
 Everything here is computed in mpmath at 30 working digits and stored with 25
 significant digits, without scipy and without importing pulsetunnel, so the
-package's closed-form sigma2 source cannot simply agree with itself:
+package's closed-form sigma2 cannot simply agree with itself:
 
 - the saddle t0 solves the saddle equation
   i(t - t0) p0 + E0 (t - t0)^2 / 2 + int_{t0}^{t} (t - s) pulse(s) ds = m x
@@ -20,8 +20,8 @@ package's closed-form sigma2 source cannot simply agree with itself:
   eta from 0 to t - t0 at fixed t0, passing the source's pole where
   F(t0, t0 + eta) = 0 on its Re < 0 side, and the coincident-argument
   source from 0 to t0.  Here leg 1 goes round the pole on a semicircle of
-  radius r; the package's polyline goes through the apex of a triangle on
-  the same side, which gives the same integral.
+  radius r; the source has no residue there, so the side does not matter,
+  and the package takes both legs in closed form.
 
 Points: the three exit-branch points of the benchmark's hj_corrections
 workload (x1 of the canonical case, the small-amplitude point between x1 and

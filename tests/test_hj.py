@@ -1,21 +1,25 @@
 """Property tests and worked examples for the Hamilton-Jacobi module."""
 
 import cmath
+import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from pulsetunnel.contour import integrate_paths
-from pulsetunnel.errors import PulseTunnelError, RegimeError
+from pulsetunnel.errors import (ConvergenceError, PulseTunnelError, RegimeError,
+                                SingularityError, _one)
 from pulsetunnel.euclidean import euclidean_action, euclidean_actions
 from pulsetunnel.hj import (
     _axis_saddle,
     _exit_action_x1,
     _int_pulse,
+    _make_state,
     action,
     amp_lower_bound,
     decay_rate_series,
@@ -139,6 +143,18 @@ def test_causality(b, xf, t, ampf):
         t0_static = solve_t0(x, t, b, ZeroPulse()).t0
         shift = abs(state.t0 - t0_static)
         assert state.t0.real <= t + max(shift, 1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_saddle_stall_warns_of_nothing():
+    # the Newton iterates climb the imaginary axis, where the Gaussian pulse
+    # and its antiderivatives overflow: six RuntimeWarnings once came before
+    # the error, and under warnings-as-errors the first escaped in its place
+    b = TriangularBarrier(V=6.534048363404706, E_bound=1.562004970806186,
+                          field_static=1.303645776966932, m=1.0)
+    pulse = GaussianPulse(amplitude=0.09517340506886171, rate=2.792945187597757)
+    with pytest.raises(ConvergenceError, match="saddle Newton stalled"):
+        solve_t0(1.9570525793507085, 0.0, b, pulse)
 
 
 # --- Branch structure examples ---------------------------------------------------
@@ -336,6 +352,146 @@ def test_sigma_matches_mpmath(ref):
     assert abs(state.t0 - t0) <= 1e-10 * abs(t0)
     assert abs(sigma1(state, b, pulse) - s1) <= 1e-10 * abs(s1)
     assert abs(sigma2(state, b, pulse) - s2) <= 1e-6 * abs(s2)
+
+
+@pytest.mark.parametrize("ref", _SIGMA_REFS, ids=lambda ref: ref["name"])
+def test_sigma2_closed_form_matches_mpmath_closely(ref):
+    # the quadrature it replaced was 3.0e-14, 2.6e-14 and 1.4e-13 off at
+    # the three exit-branch points
+    b = TriangularBarrier(**ref["barrier"])
+    fields = {k: v for k, v in ref["pulse"].items() if k != "kind"}
+    pulse = _PULSE_KINDS[ref["pulse"]["kind"]](**fields)
+    state = solve_t0(float(ref["x"]), ref["t"], b, pulse, branch=ref["branch"])
+    s2 = complex(float(ref["sigma2"][0]), float(ref["sigma2"][1]))
+    assert abs(sigma2(state, b, pulse) - s2) <= 1e-13 * abs(s2)
+
+
+# --- sigma2: the closed form against the quadrature it replaced ------------------
+
+def _phi2(t0, t, b, pulse):
+    """sigma2's source phi2(t0, t) on arrays, from sigma1's closed-form
+    derivatives."""
+    VmE = b.V - b.E_bound
+    tau = b.tau00
+    h, h1, h2 = (f / b.field_static for f in pulse.derivatives(t0))
+    d = t0 - t
+    F = 1.0 + 1j * d * (1.0 + h) / tau
+    F1 = 1j * ((1.0 + h) + d * h1) / tau
+    F2 = 1j * (2.0 * h1 + d * h2) / tau
+    D = -1j * (-0.5 * F1 / F + 0.5j * (1.0 + h) / tau)
+    D1 = -1j * (-0.5 * (F2 / F - (F1 / F) ** 2) + 0.5j * h1 / tau)
+    dG = D1 / F - D * F1 / (F * F)
+    return D * D / (4.0 * VmE * F * F) - 1j * dG / (4.0 * VmE * F)
+
+
+def _leg1_path(state, b, side=1.0):
+    """Leg 1's polyline, eta from 0 to t - t0: where the segment passes
+    within r of eta_p (F = 0) it goes through the apex of a right triangle
+    on the Re < 0 side of eta_p (side = 1) or on the other (side = -1)."""
+    eta_pole = -1j * b.tau00 / (1.0 + state.h)
+    end = state.t - state.t0
+    u = end / abs(end) if end else 1.0
+    r = max(0.25 * min(abs(eta_pole), abs(end - eta_pole), abs(end)), 1e-12)
+    c = min(max((eta_pole / u).real, 0.0), abs(end)) * u    # nearest point
+    path = [0.0, end]
+    if abs(c - eta_pole) < r:
+        n = side * (1j * u if (1j * u).real < 0 else -1j * u)
+        path[1:1] = [c - 3.0 * r * u, c + 3.0 * r * n, c + 3.0 * r * u]
+    return path
+
+
+def _quadrature_sigma2(state, b, pulse):
+    """sigma2 as the package took it before its closed form: both legs of
+    the source through the contour engine as one two-path call, at epsabs
+    1e-10 and epsrel 1e-7."""
+    t0 = state.t0
+
+    def source(z, path_id):
+        fixed = path_id == 0
+        out = np.empty_like(z)
+        out[fixed] = _phi2(t0, t0 + z[fixed], b, pulse)
+        out[~fixed] = _phi2(z[~fixed], z[~fixed], b, pulse)
+        return out
+
+    # leg 2 (path 1): coincident-argument source integrated from 0 to t0
+    legs = integrate_paths(source, [_leg1_path(state, b), [0.0, t0]],
+                           epsabs=1e-10, epsrel=1e-7)[0]
+    first, second = (_one([leg]) for leg in legs)   # a leg's error is raised
+    return first + second
+
+
+def _sigma2_grid():
+    """(barrier, pulse, x, t, branch): Lorentzian pulses with n = 3 and 5 on
+    both branches, x up to 1.2 x1 and t from 0 to 1, then Gaussian pulses
+    and no pulse on the static branch."""
+    grid = []
+    for b in (CANON, TriangularBarrier(V=30.0, E_bound=10.0, field_static=1.0)):
+        for n, amp in itertools.product((3, 5), (1e-3, 0.05)):
+            pulse = LorentzPulse(amplitude=amp, width=0.6 * b.tau00, exponent=n)
+            x1 = b.field_static * pulse.width**2 / (2.0 * b.m)
+            grid += [(b, pulse, xf * x1, t, branch) for branch, xf, t in
+                     itertools.product(("exit", "static"), (0.3, 0.7, 1.0, 1.2),
+                                       (0.0, 0.3, 1.0))]
+        for pulse in (GaussianPulse(amplitude=0.05, rate=0.5),
+                      GaussianPulse(amplitude=0.2, rate=1.5), ZeroPulse()):
+            grid += [(b, pulse, x, t, "static")
+                     for x, t in itertools.product((0.0, 0.5, 2.0), (0.0, 0.3, 1.0))]
+    return grid
+
+
+def test_sigma2_closed_form_matches_quadrature():
+    # 1e-9 against a quadrature at epsrel 1e-7; measured at most 3.8e-12.
+    # Every state of the grid solves, and neither form raises on it
+    for b, pulse, x, t, branch in _sigma2_grid():
+        state = solve_t0(x, t, b, pulse, branch=branch)
+        want = _quadrature_sigma2(state, b, pulse)
+        assert abs(sigma2(state, b, pulse) - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("b,pulse,x", [
+    (CANON, PULSE5, 2.0),
+    (CANON, LorentzPulse(amplitude=0.05, width=2.0, exponent=5), 1.5),
+    (TriangularBarrier(V=30.0, E_bound=10.0, field_static=1.0),
+     LorentzPulse(amplitude=0.05, width=3.0, exponent=3), 4.5),
+], ids=["canon_x1", "canon_n5", "deep_x1"])
+def test_sigma2_leg1_has_no_residue_at_F_zero(b, pulse, x):
+    # leg 1 passes eta_p, where F = 0, on either side to the same value: the
+    # source has only F^-4, F^-3 and F^-2 terms there.  A simple-pole part
+    # would move it by 2 pi i times its residue
+    state = solve_t0(x, 0.0, b, pulse, branch="exit")
+    paths = [_leg1_path(state, b, side) for side in (1.0, -1.0)]
+    assert len(paths[0]) == 5     # the segment passes within r of eta_p
+    legs = integrate_paths(lambda z, path: _phi2(state.t0, state.t0 + z, b, pulse),
+                           paths, epsabs=0.0, epsrel=1e-11)[0]
+    assert abs(legs[0] - legs[1]) <= 1e-11 * abs(legs[0])
+
+
+def test_sigma2_at_F_zero_raises_the_sigma1_error():
+    # with the pulse off F = 1 + i(t0 - t)/tau00 vanishes at t0 = t + i*tau00,
+    # where the closed form divides by F^3; the quadrature's leg 1 ends on
+    # that point and its source is not finite there
+    state = _make_state(0.3 + 1j * CANON.tau00, 1.0, 0.3, CANON, ZeroPulse(), 0.0)
+    assert state.F == 0.0
+    for correction in (sigma1, sigma2):
+        with pytest.raises(SingularityError, match="F = 0"):
+            correction(state, CANON, ZeroPulse())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError):
+            _quadrature_sigma2(state, CANON, ZeroPulse())
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigma2_not_finite_raises_convergence_error():
+    # up the imaginary axis a Gaussian pulse grows to 1e200 times the static
+    # field, and the cube of (1 + h)/tau00 overflows; the quadrature met the
+    # same non-finite source
+    pulse = GaussianPulse(amplitude=0.05, rate=3.0)
+    state = _make_state(7.2j, 1.0, 0.0, CANON, pulse, 0.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        sigma2(state, CANON, pulse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError):
+            _quadrature_sigma2(state, CANON, pulse)
 
 
 # mpmath HJ exit action at CANON, generated by tests/reference/hj_exit_mpmath.py
