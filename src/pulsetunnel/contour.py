@@ -5,14 +5,17 @@ each segment a->b is the map z = a + s*(b - a) of a real parameter s in
 [0, 1], and the adaptive Gauss-Kronrod G7-K15 rule of QUADPACK (Piessens et
 al. 1983) works on panels in s.  A path that must pass a singularity on a
 given side goes round it through extra waypoints: only the homotopy class of
-a path enters the value.  Each pass evaluates the integrand once, on a complex
-array holding the 15 nodes of every new panel, so integrands must accept
-arrays.  integrate_paths is the one entry point: it runs any number of paths
-through one such loop, and a single integral is a batch of one.  Each path
-converges under its own test, sum of its panel errors <= max(epsabs,
-epsrel*|I|).  A path that reaches its panel limit or its roundoff floor
-without converging, or whose integrand is not finite, gets ConvergenceError
-naming the path in its own slot; the others go on, as in QUADPACK.
+a path enters the value.  A caller that knows where the integrand is
+singular may name those points; the first pass then starts from panels
+bisected toward them, not from one panel per segment.  Each pass evaluates
+the integrand once, on a complex array holding the 15 nodes of every new
+panel, so integrands must accept arrays.  integrate_paths is the one entry
+point: it runs any number of paths through one such loop, and a single
+integral is a batch of one.  Each path converges under its own test, sum of
+its panel errors <= max(epsabs, epsrel*|I|).  A path that reaches its panel
+limit or its roundoff floor without converging, or whose integrand is not
+finite, gets ConvergenceError naming the path in its own slot; the others go
+on, as in QUADPACK.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ _RULES = np.stack([_KRONROD, _KRONROD - _GAUSS], axis=1).astype(complex)
 _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
-def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
+def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
+                    near=None):
     """(values, abs_err, n_evals) of the integrals of f along `paths`.
 
     Each path is a list of complex waypoints, integrated segment by segment
@@ -68,12 +72,18 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
     50*eps times that integral, so this suits integrals meant to cancel.
     epsrel and epsl1 are scalars or one value per path.
+    near, if given, holds one sequence of complex points per path at which
+    f is singular: before the first pass each segment is bisected in s,
+    level by level, while a panel's chord is longer than its distance to the
+    nearest of its path's points (at most 400 panels a path; a point that is
+    not finite or lies on the chord splits nothing).
     abs_err is the summed G7-K15 error estimate over a path's panels and
-    n_evals the number of points f was evaluated at on it.  values is a
-    list: slot p holds path p's integral, or the ConvergenceError it gave
-    up with, and then it is bisected no more: at its panel limit or roundoff
-    count (abs_err as `residual`, diagnostics {"path": p, "tol": its
-    tolerance}), or at a non-finite f (diagnostics {"z": that node, "path": p}).
+    n_evals the number of points f was evaluated at on it, 15*(2*panels -
+    initial panels).  values is a list: slot p holds path p's integral, or
+    the ConvergenceError it gave up with, and then it is bisected no more:
+    at its panel limit or roundoff count (abs_err as `residual`, diagnostics
+    {"path": p, "tol": its tolerance}), or at a non-finite f (diagnostics
+    {"z": that node, "path": p}).
     """
     segments = _segments(paths)
     seg_path, length = segments[0], np.abs(segments[2])
@@ -85,9 +95,11 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
     owner = np.arange(length.size)
     lo = np.zeros(owner.size)
     hi = np.ones(owner.size)
+    if near is not None:
+        owner, lo, hi = _presplit(segments, near, owner, lo, hi)
     failed = {}             # path: the ConvergenceError it gave up with
     val, err, absval = _gk15(f, segments, owner, lo, hi, failed)
-    n_first = np.bincount(seg_path, minlength=n)
+    n_first = np.bincount(seg_path[owner], minlength=n)
     n_panels = n_first.copy()
     roundoff = np.zeros(n, dtype=int)
     use_l1 = bool(np.any(epsl1))
@@ -124,10 +136,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0):
             continue        # decide again without the paths that gave up
         split = split.nonzero()[0]
         if np.count_nonzero(n_split > room):
-            # keep each path's `room` worst panels
-            ranked = split[np.lexsort((-err[split], pid[split]))]
-            rank = np.arange(ranked.size) - np.searchsorted(pid[ranked], pid[ranked])
-            split = np.sort(ranked[rank < room[pid[ranked]]])
+            split = _worst(split, pid, err, room)
         k = split.size
         s_pid = pid[split]
         mid = 0.5 * (lo[split] + hi[split])
@@ -164,6 +173,51 @@ def _segments(paths):
     cols = list(zip(*[r for r in rows if abs(r[2]) > 0.0])) or [()] * 3
     return (np.array(cols[0], dtype=int), np.array(cols[1], dtype=complex),
             np.array(cols[2], dtype=complex))
+
+
+def _presplit(segments, near, owner, lo, hi):
+    """The panels (owner, lo, hi), bisected level by level while a panel's
+    chord is longer than its distance to the nearest of its path's `near`
+    points.  A point that is not finite, or on the chord, splits nothing; a
+    path stops at _LIMIT panels, the last level splitting the panels of
+    largest chord over distance."""
+    seg_path, origin, jac = segments
+    n = len(near)
+    pts = np.full((n, max(map(len, near), default=0) or 1), np.nan, dtype=complex)
+    for p, q in enumerate(near):
+        pts[p, :len(q)] = q
+    count = np.bincount(seg_path, minlength=n)
+    done = []
+    while owner.size:
+        pid = seg_path[owner]
+        chord = (hi - lo) * jac[owner]
+        with np.errstate(all="ignore"):
+            q = pts[pid] - (origin[owner] + lo * jac[owner])[:, None]
+            t = np.clip((q / chord[:, None]).real, 0.0, 1.0)
+            dist = np.abs(q - t * chord[:, None])
+            dist = np.where(dist > 0.0, dist, np.inf).min(axis=1)
+            ratio = np.abs(chord) / dist
+        split = (ratio > 1.0).nonzero()[0]
+        room = _LIMIT - count
+        if np.count_nonzero(np.bincount(pid[split], minlength=n) > room):
+            split = _worst(split, pid, ratio, room)
+        count += np.bincount(pid[split], minlength=n)
+        keep = np.ones(owner.size, dtype=bool)
+        keep[split] = False
+        done.append((owner[keep], lo[keep], hi[keep]))
+        mid = 0.5 * (lo[split] + hi[split])
+        owner = np.tile(owner[split], 2)
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    owner, lo, hi = (np.concatenate(v) for v in zip(*done))
+    order = np.lexsort((lo, owner))
+    return owner[order], lo[order], hi[order]
+
+
+def _worst(idx, pid, key, room):
+    """The panels idx, less all but the room[p] of largest key on each path p."""
+    ranked = idx[np.lexsort((-key[idx], pid[idx]))]
+    rank = np.arange(ranked.size) - np.searchsorted(pid[ranked], pid[ranked])
+    return np.sort(ranked[rank < room[pid[ranked]]])
 
 
 def _gk15(f, segments, owner, lo, hi, failed):

@@ -103,10 +103,11 @@ def _newton_t0(
     m = barrier.m
     scale = max(m * abs(x), p0 * max(abs(t), 1.0), 1.0)
     pole = 1j * pulse.width if isinstance(pulse, LorentzPulse) else None
-    last_residual = math.inf
+    last_t0, last_residual = t0, math.inf
     for _ in range(_NEWTON_MAX_ITER):
         # an iterate far up the imaginary axis overflows a Gaussian pulse;
-        # its nan residual runs out the iterations, which raises below
+        # the first non-finite residual or iterate stops the solve, which
+        # raises below with the last finite pair
         with np.errstate(over="ignore", invalid="ignore"):
             g = (
                 1j * (t - t0) * p0
@@ -114,9 +115,12 @@ def _newton_t0(
                 + _int_weighted_pulse(t0, t, pulse)
                 - m * x
             )
-            last_residual = abs(g) / scale
-            if last_residual < _NEWTON_TOL:
-                return t0, last_residual
+            residual = abs(g) / scale
+            if not math.isfinite(residual):
+                break
+            last_t0, last_residual = t0, residual
+            if residual < _NEWTON_TOL:
+                return t0, residual
             dg = -1j * p0 - (t - t0) * e0 - (t - t0) * pulse(t0)
             step = -g / dg
         # damp steps that would jump past the pulse pole
@@ -125,6 +129,8 @@ def _newton_t0(
             if abs(step) > 0.5 * gap:
                 step *= 0.5 * gap / abs(step)
         t0 = t0 + step
+        if not cmath.isfinite(t0):
+            break
         if pole is not None and abs(t0 - pole) < abs(pole.imag) * 1e-3:
             raise SingularityError(
                 "saddle time pinches the pulse pole; use the euclidean "
@@ -134,7 +140,7 @@ def _newton_t0(
     raise ConvergenceError(
         "saddle Newton stalled",
         residual=last_residual,
-        diagnostics={"t0": t0, "x": x, "t": t},
+        diagnostics={"t0": last_t0, "x": x, "t": t},
     )
 
 

@@ -225,7 +225,9 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     it from C+ alone, at half the points and with epsabs halved: errors per
     unit of dA stay where they were, but no conjugation check is left.
     Otherwise the engine integrates all of C, and an imaginary part beyond
-    1e-8 (relative) plus the error estimate is a ConvergenceError.
+    1e-8 (relative) plus the error estimate is a ConvergenceError.  Each
+    path's first panels are bisected toward the pulse poles +/- i*width and
+    the branch points t_s, conj(t_s) (integrate_paths, near).
     """
     E, shifts, order, epsrel = (
         np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
@@ -279,9 +281,11 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     if upper:
         paths = [p[:4] + [complex(p[3].real, 0.0)] for p in paths]
     with np.errstate(all="ignore"):     # an inf or a nan gives its path up
-        vals, errs, _ = integrate_paths(f, paths, epsabs=5e-14 if upper else 1e-13,
-                                        epsrel=epsrel,
-                                        epsl1=np.where(order > 0, 1e-12, 0.0))
+        vals, errs, _ = integrate_paths(
+            f, paths, epsabs=5e-14 if upper else 1e-13, epsrel=epsrel,
+            epsl1=np.where(order > 0, 1e-12, 0.0),
+            near=[(1j * width, -1j * width, tr.t_s, tr.t_s.conjugate())
+                  for tr in trajs])
     for k, (p, v) in enumerate(zip(live, vals)):
         if isinstance(v, ConvergenceError):
             v = on_cut.get(k, v)

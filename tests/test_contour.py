@@ -147,19 +147,25 @@ def test_epsl1_lifts_a_cancelling_integral_off_its_roundoff_floor():
 
 # --- Many paths in one call ---------------------------------------------------------
 
+# open and closed polylines, each path with its own pole
+BATCH_POLES = np.array([1.02 + 0.05j, 0.5 + 0.001j, 0.3 - 0.2j, 2.0 + 2.0j])
+BATCH_PATHS = [
+    [0.0, 1.0 - 0.5j, 1.0 + 0.5j],
+    [0.0, 1.0, 1.0 + 1j],
+    _square(0.3 - 0.2j, 0.7),
+    [-1.0, 1.0, 1.0 + 1j, -1.0 + 1j, -1.0],
+]
+
+
+def _batch_pole(z, path):
+    return 1.0 / (z - BATCH_POLES[path])
+
+
 def test_batch_matches_single_paths():
-    # open and closed polylines, each path with its own pole; every path must
-    # get what a call of its own gives, with the same panels
-    poles = np.array([1.02 + 0.05j, 0.5 + 0.001j, 0.3 - 0.2j, 2.0 + 2.0j])
-    paths = [
-        [0.0, 1.0 - 0.5j, 1.0 + 0.5j],
-        [0.0, 1.0, 1.0 + 1j],
-        _square(0.3 - 0.2j, 0.7),
-        [-1.0, 1.0, 1.0 + 1j, -1.0 + 1j, -1.0],
-    ]
-    val, err, n = integrate_paths(lambda z, path: 1.0 / (z - poles[path]), paths)
-    for p, path in enumerate(paths):
-        single = _one(lambda z, path_id: 1.0 / (z - poles[p]), path)
+    # every path must get what a call of its own gives, with the same panels
+    val, err, n = integrate_paths(_batch_pole, BATCH_PATHS)
+    for p, path in enumerate(BATCH_PATHS):
+        single = _one(lambda z, path_id: 1.0 / (z - BATCH_POLES[p]), path)
         assert abs(val[p] - single[0]) <= 1e-10 * abs(single[0])
         assert n[p] == single[2]
         assert err[p] <= max(1e-12, 1e-10 * abs(val[p]))
@@ -260,6 +266,74 @@ def test_non_finite_value_names_its_path():
     assert isinstance(val[2], ConvergenceError) and "path 2" in str(val[2])
     assert val[2].diagnostics["path"] == 2
     assert val[:2] == [1.0, 1.0]
+
+
+# --- Presplit panels ------------------------------------------------------------------
+
+@pytest.mark.parametrize("near", [None, [[]] * 4, [()] * 4])
+def test_no_near_points_is_the_plain_call(near):
+    # no point to split toward: the same panels, bit for bit
+    plain = integrate_paths(_batch_pole, BATCH_PATHS)
+    val, err, n = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
+    assert val == plain[0]
+    assert err.tolist() == plain[1].tolist() and n.tolist() == plain[2].tolist()
+
+
+@pytest.mark.parametrize("epsrel", [1e-10, 1e-12])
+def test_presplit_toward_a_pole_saves_passes_and_points(epsrel):
+    # the polyline of test_polyline_near_a_pole_honours_tolerances, its first
+    # pass graded toward the pole 0.02 away
+    p = 1.02 + 0.05j
+    polyline = [0.0, 1.0 - 0.5j, 1.0 + 0.5j]
+    passes = []
+
+    def f(z, path):
+        passes.append(z.size)
+        return 1.0 / (z - p)
+
+    plain = _one(f, polyline, epsrel=epsrel)
+    passes.clear()
+    val, err, n = integrate_paths(f, [polyline], epsrel=epsrel, near=[[p]])
+    assert abs(val[0] - plain[0]) <= 1e-13 * abs(plain[0])
+    assert err[0] <= max(1e-12, epsrel * abs(val[0]))
+    assert n[0] < plain[2] and len(passes) <= 2 and sum(passes) == n[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_points_off_range_or_on_the_path_split_nothing():
+    # not finite, or on the chord (distance 0): the first pass is the one
+    # panel of the segment, and the call is the plain one
+    near = [[np.nan, np.inf, complex(np.inf, np.nan), complex(-np.inf, 1.0),
+             0.5, 0.0, 1.0]]
+    passes = []
+
+    def f(z, path):
+        passes.append(z.size)
+        return np.exp(z)
+
+    val, err, n = integrate_paths(f, [[0.0, 1.0]], near=near)
+    assert passes[0] == 15
+    plain = integrate_paths(f, [[0.0, 1.0]])
+    assert (val, err.tolist(), n.tolist()) == (plain[0], plain[1].tolist(),
+                                               plain[2].tolist())
+
+
+def test_presplit_stops_at_the_panel_limit():
+    # a point 1e-30 off the chord asks for more levels than s resolves: path 0
+    # is presplit to its 400 panels and no more, and its adaptive loop gives
+    # up at the panel limit with no further pass; path 1 gets the panels of
+    # its own call
+    q = 0.5 + 1e-30j
+
+    def f(z, path):
+        return np.where(path == 0, 1.0 / (z - q), z * z)
+
+    counts = np.zeros(2, dtype=int)
+    val, err, n = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
+                                  near=[[q], []])
+    assert "path 0: the panel limit (400) is reached" in str(val[0])
+    assert n[0] == counts[0] == 15 * 400
+    assert n[1] == 15 and val[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 # --- Determinism ---------------------------------------------------------------------

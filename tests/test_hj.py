@@ -149,12 +149,16 @@ def test_causality(b, xf, t, ampf):
 def test_gaussian_saddle_stall_warns_of_nothing():
     # the Newton iterates climb the imaginary axis, where the Gaussian pulse
     # and its antiderivatives overflow: six RuntimeWarnings once came before
-    # the error, and under warnings-as-errors the first escaped in its place
+    # the error, and under warnings-as-errors the first escaped in its place.
+    # The solve stops at the first non-finite residual, not at the iteration
+    # cap, and reports the last finite iterate and residual
     b = TriangularBarrier(V=6.534048363404706, E_bound=1.562004970806186,
                           field_static=1.303645776966932, m=1.0)
     pulse = GaussianPulse(amplitude=0.09517340506886171, rate=2.792945187597757)
-    with pytest.raises(ConvergenceError, match="saddle Newton stalled"):
+    with pytest.raises(ConvergenceError, match="saddle Newton stalled") as info:
         solve_t0(1.9570525793507085, 0.0, b, pulse)
+    assert math.isfinite(info.value.residual) and info.value.residual > 0
+    assert cmath.isfinite(info.value.diagnostics["t0"])
 
 
 # --- Branch structure examples ---------------------------------------------------

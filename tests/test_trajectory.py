@@ -524,15 +524,21 @@ def test_first_root_step_error_precedence(monkeypatch, rig, expected):
 def test_pole_scan_grid_engine_calls(monkeypatch):
     # the seed-1 grid of the benchmark's pole_scan workload: the scan, four
     # lockstep root steps (the first with dA' at the bracket ends) and the
-    # final stage, 93,270 integrand points in all
+    # final stage, 56,565 integrand points in 11 passes.  Panels presplit
+    # toward the pulse pole and the branch point make the scan one pass and
+    # each later stage two
     barrier = SechBarrier(V=1.5634864789386136, a=1.0, m=1.0)
     pulse = LorentzPulse(amplitude=0.009602560125665217,
                          width=1.9934850717737465, exponent=2)
     energies = np.linspace(0.32325997052977423, 0.6419678192518726, 4)
-    engine, points = trajectory.integrate_paths, []
+    engine, points, passes = trajectory.integrate_paths, [], []
 
     def counted(f, paths, **kw):
-        vals, errs, n_evals = engine(f, paths, **kw)
+        def g(z, path_id):
+            passes.append(z.size)
+            return f(z, path_id)
+
+        vals, errs, n_evals = engine(g, paths, **kw)
         points.append(int(np.sum(n_evals)))
         return vals, errs, n_evals
 
@@ -540,7 +546,8 @@ def test_pole_scan_grid_engine_calls(monkeypatch):
     grid = minimize_delta_actions(energies, barrier, pulse)
     assert all(isinstance(r, trajectory.MinimizedAction) for r in grid)
     assert len(points) == 6
-    assert sum(points) == 93_270
+    assert sum(points) == sum(passes) == 56_565
+    assert len(passes) == 11
 
 
 @pytest.mark.parametrize("barrier,E,pulse", [
