@@ -5,8 +5,9 @@ Prepares a quasi-bound state in a regularized triangular configuration with
 static exponent A0 = 16, measures the static decay exponent, then applies a
 soft pulse and compares the measured exponent reduction with the semiclassical
 prediction, and prints the run's health block (norms, absorbed fractions,
-their balance, step counts).  Runtime about 17 s on one CPU of a 2-CPU x86-64
-machine, nearly all of it in the 80,000 evolution steps.
+their balance, step counts).  Runtime 15-16 s wall on one CPU of a 2-core
+Intel Xeon machine (three runs pinned with taskset), nearly all of it in the
+two evolutions of 80,000 steps, static and pulsed.
 """
 
 import math

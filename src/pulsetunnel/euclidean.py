@@ -156,7 +156,9 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
 def euclidean_actions(energies, barrier: TriangularBarrier,
                       pulse) -> list[EuclideanResult | PulseTunnelError]:
     """euclidean_action at each energy: the tau0 in lockstep, every int G^2
-    in one engine call, and the closed forms on arrays.
+    in one engine call, and the closed forms on arrays.  The int G^2 panels
+    are presplit toward a Lorentzian's poles u = +/- width (integrate_paths,
+    near).
 
     Slot i holds the EuclideanResult of energies[i], or the PulseTunnelError
     that energy raised.  The engine gives each path the panels a call of its
@@ -172,8 +174,12 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
         with np.errstate(over="ignore"):    # an inf gives the path up
             return G(z.real) ** 2
 
+    # G(u) = int_0^u pulse(i*v) dv is singular where pulse(i*u) is
+    near = [(pulse.width, -pulse.width)
+            if isinstance(pulse, LorentzPulse) else ()] * len(solved)
     for i, I2 in zip(solved, integrate_paths(G2, [[0.0, slots[i]] for i in solved],
-                                             epsabs=1e-13, epsrel=1e-11)[0]):
+                                             epsabs=1e-13, epsrel=1e-11,
+                                             near=near)[0]):
         slots[i] = I2 if isinstance(I2, ConvergenceError) else (slots[i], I2.real)
     solved = [i for i, s in enumerate(slots) if isinstance(s, tuple)]
     if solved:

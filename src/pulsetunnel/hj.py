@@ -277,8 +277,10 @@ def action(
 
     The kinetic term integrates p^2 along the straight segment t0 -> t, which
     keeps t0's side of the pulse poles (docs/decisions.md, "Lines-only
-    contour engine").  S(0, t) = -E*t and, with the pulse off, 2*Im S at the
-    static exit reproduces the WKB exponent.  The grid of one of _actions.
+    contour engine"), on panels presplit toward a Lorentzian's poles
+    +/- i*width (integrate_paths, near).  S(0, t) = -E*t and, with the pulse
+    off, 2*Im S at the static exit reproduces the WKB exponent.  The grid of
+    one of _actions.
     """
     if state is None:
         state = solve_t0(x, t, barrier, pulse)
@@ -302,13 +304,16 @@ def _actions(saddles, energies, barrier: TriangularBarrier, pulse) -> list:
         p = momentum(t1, k)
         return p * p
 
+    # p^2 is singular where the pulse is: a Lorentzian's poles +/- i*width
+    near = [(1j * pulse.width, -1j * pulse.width)
+            if isinstance(pulse, LorentzPulse) else ()] * len(saddles)
     # an inf or a nan in the closed forms gives its path up
     with np.errstate(over="ignore", invalid="ignore"):
         # one saddle at a time: the array form of a complex t0 may differ by
         # an ulp
         at_t0 = np.array([pulse.antiderivative(s[0]) for s in saddles])
         kin = integrate_paths(p_squared, [[s[0], s[2]] for s in saddles],
-                              epsrel=1e-11)[0]
+                              epsrel=1e-11, near=near)[0]
         p_end = momentum(t, np.arange(t.size)).tolist()
     return [k if isinstance(k, ConvergenceError) else
             -k / (2.0 * m) + x_k * p + (V - E) * s - V * t_k

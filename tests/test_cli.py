@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pulsetunnel import cli
+from pulsetunnel import cli, euclidean, hj
 from pulsetunnel.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
@@ -16,6 +16,8 @@ from pulsetunnel.cli import (
     read_csv_config,
 )
 from pulsetunnel.errors import ConvergenceError
+
+from engine_spy import spy_engine
 
 
 def _run(argv):
@@ -182,6 +184,18 @@ def test_verify_hj_at_the_true_exit_point(capsys):
             if l.startswith("hj_vs_euclidean")]
     assert len(rows) == 1 and rows[0][4] == "pass"
     assert float(rows[0][3]) < 1e-12
+
+
+def test_verify_engine_calls(monkeypatch, capsys):
+    # the benchmark's verify call: int G^2 in 2 passes (105 points) and the
+    # HJ exit action in 1 (75 points), on panels presplit toward the pulse
+    # poles; from one panel a segment they took 6 and 5 passes
+    euclidean_calls = spy_engine(monkeypatch, euclidean)
+    hj_calls = spy_engine(monkeypatch, hj)
+    assert _run(["verify", "--V", "10", "--E0", "1", "--E", "5", "--amp", "0.05",
+                 "--theta", "1.8", "--n", "3"]) == EXIT_OK
+    assert [(c["passes"], c["points"]) for c in euclidean_calls] == [(2, 105)]
+    assert [(c["passes"], c["points"]) for c in hj_calls] == [(1, 75)]
 
 
 def test_action_curve_rows_and_error_capture(capsys):
@@ -424,12 +438,14 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "4.27196040357e+195,nan,nan,nan,error:DomainError"]),
     # m = 1.75e-191: the kinetic integral of p^2 (~1e-370) and amp*theta
     # underflowed, and hj wrote A = 1.71132219761e-179; the Euclidean A is
-    # 5.70440732536e-180, 1.5e-5 from this row
+    # 5.70440732536e-180 and mpmath's 5.70440732495e-180, 1.5e-5 from this
+    # row (tau0 sits 1.9e-10*theta below the pole).  Panels presplit toward
+    # the poles moved the row from ...688e-180, 3.5e-12 closer to mpmath
     (["action-curve", "--method", "hj", "--V", "25.1017060772112",
       "--E0", "1.895994390930278", "--m", "1.7503228605816456e-191",
       "--theta", "2.692682741860235e-181", "--amp", "2.010261273250176e-186",
       "--n", "30", "--E", "14.509282325711807"], EXIT_OK,
-     ["14.5092823257,5.70449230688e-180,1.43439508508e-94,nan,hj"]),
+     ["14.5092823257,5.70449230686e-180,1.43439508508e-94,nan,hj"]),
     # amp/rate overflows and erfi underflows in the Gaussian's imaginary-axis
     # integral, and amp/rate^2 in its first moment: inf*0 printed a
     # RuntimeWarning on the way to the error row
@@ -471,12 +487,21 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--amp", "0.0628266026920231", "--n", "24", "--pulse", "gauss",
       "--omega-rate", "2.144034800303098e-109", "--E", "6.531701011187358"],
      EXIT_NONCONVERGENCE, "integrand is not finite on integration path 0"),
-    # a panel's share of a path tolerance of ~4e269 overflowed (a
-    # RuntimeWarning); an inf share splits nothing
+    # a panel's share of a path tolerance of ~1e263 overflows in int G^2
+    # (such an overflow printed a RuntimeWarning); an inf share splits
+    # nothing, so the path gives up.  A Gaussian pulse names no poles to
+    # presplit toward
+    (["verify", "--V", "2e+232", "--E0", "1e+71", "--m", "1", "--amp", "1e+60",
+      "--pulse", "gauss", "--omega-rate", "3e-45", "--E", "1"],
+     EXIT_NONCONVERGENCE, "roundoff error prevents"),
+    # the same overflow, tolerance ~4e269, stopped int G^2 of a Lorentzian;
+    # on panels presplit toward its poles the panel values overflow to nan
+    # first (mpmath: int G^2 = 1.27e314 and A = 1.74e320, beyond double
+    # range), so A is nan and its nan deviation fails the check
     (["verify", "--V", "2.538855376756939e+276", "--E0", "2.4697804813007256e+82",
       "--m", "0.577371919643182", "--theta", "3.433312337572352e+43",
       "--amp", "0.05239418693783107", "--n", "26", "--E", "4.038681709829438"],
-     EXIT_NONCONVERGENCE, "roundoff error prevents"),
+     EXIT_NONCONVERGENCE, "verification failed"),
     # amp*width^2 overflows in the Lorentzian's first moment, and inf*0 was
     # an invalid-value RuntimeWarning on the way to the nan
     (["verify", "--V", "10.326278829258557", "--E0", "2.706848838031653e+137",
@@ -511,7 +536,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "nan-pulse-integral-grid", "hj-underflow", "gauss-integral-nan",
         "gauss-moment-nan",
         "gk15-error-overflow", "exit-pole-check-overflow",
-        "gk15-panel-overflow", "gauss-square-overflow", "tolerance-share-overflow",
+        "gk15-panel-overflow", "gauss-square-overflow",
+        "tolerance-share-overflow-gauss", "tolerance-share-overflow",
         "lorentz-moment-nan", "sech-connector-overflow", "rate-nan",
         "hj-huge-mass-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):

@@ -27,6 +27,8 @@ from pulsetunnel.model import (
     static_wkb_exponent,
 )
 
+from engine_spy import spy_engine
+
 finite = dict(allow_nan=False, allow_infinity=False)
 
 CANON = TriangularBarrier(V=10.0, E_bound=5.0, field_static=1.0, m=1.0)
@@ -278,6 +280,53 @@ def test_continuity_at_threshold_under_grid_refinement():
         hi = euclidean_action(E_T + eps, CANON, p).A
         gaps.append(abs(lo - hi))
     assert gaps[1] < 0.2 * gaps[0]
+
+
+# --- Panels presplit toward the pulse poles ---------------------------------------
+
+# the benchmark's seed-1 curve60 grid: 60 energies below the threshold, whose
+# tau0 sit 1.1% to 1.8% below the width
+CURVE60_BARRIER = TriangularBarrier(V=10.37061538262509, E_bound=5.0,
+                                    field_static=1.0, m=1.0)
+CURVE60_PULSE = LorentzPulse(amplitude=0.002, width=1.953069938432006, exponent=3)
+CURVE60 = [2.539012287126507 + (6.770699432337352 - 2.539012287126507) * i / 59
+           for i in range(60)]
+
+
+def test_curve60_grid_engine_calls(monkeypatch):
+    # panels presplit toward u = +/- width: 2 passes and 9,645 integrand
+    # points, where one panel per path took 9 passes and 17,490 points
+    calls = spy_engine(monkeypatch, euclidean)
+    grid = euclidean_actions(CURVE60, CURVE60_BARRIER, CURVE60_PULSE)
+    assert all(isinstance(r, euclidean.EuclideanResult) for r in grid)
+    assert [(c["passes"], c["points"]) for c in calls] == [(2, 9_645)]
+    theta = CURVE60_PULSE.width
+    assert calls[0]["near"] == [(theta, -theta)] * 60
+
+
+@pytest.mark.parametrize("pulse", [
+    ZeroPulse(), GaussianPulse(amplitude=0.05, rate=0.5)], ids=["zero", "gaussian"])
+def test_entire_pulse_names_no_poles(pulse, monkeypatch):
+    calls = spy_engine(monkeypatch, euclidean)
+    euclidean_actions([4.0, 5.0], CANON, pulse)
+    assert calls[0]["near"] == [(), ()]
+
+
+# mpmath int_0^tau0 G^2 du at three curve60 energies, generated by
+# tests/reference/near_mpmath.py
+_G2_REFS = json.loads(
+    (Path(__file__).parent / "reference" / "near.json").read_text()
+)["euclidean"]
+
+
+@pytest.mark.parametrize("ref", _G2_REFS, ids=lambda ref: ref["name"])
+def test_int_G2_matches_mpmath(ref, monkeypatch):
+    b = TriangularBarrier(E_bound=ref["E"], **ref["barrier"])
+    calls = spy_engine(monkeypatch, euclidean)
+    res = euclidean_action(ref["E"], b, LorentzPulse(**ref["pulse"]))
+    assert res.tau0 == ref["tau0"]
+    want = float(ref["int_G2"])
+    assert abs(calls[0]["values"][0] - want) <= 1e-11 * want
 
 
 # --- Threshold and width adaptation ----------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from pulsetunnel import hj
 from pulsetunnel.contour import integrate_paths
 from pulsetunnel.errors import (ConvergenceError, PulseTunnelError, RegimeError,
                                 SingularityError, _one)
@@ -37,6 +38,8 @@ from pulsetunnel.model import (
     ZeroPulse,
     static_wkb_exponent,
 )
+
+from engine_spy import spy_engine
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -521,6 +524,43 @@ def test_exit_exponents_match_mpmath():
         A = exit_exponents(energies, b, LorentzPulse(**fields))[1]
         want = float(ref["A"])
         assert abs(A - want) <= 1e-12 * want
+
+
+# --- Panels presplit toward the pulse poles ---------------------------------------
+
+# mpmath int p^2 from the saddle to t = 0 at the three exit-branch points
+# (x, t = 0) of the benchmark's hj_corrections workload, generated by
+# tests/reference/near_mpmath.py, and the integrand points of each action's
+# one engine pass
+_KINETIC_REFS = json.loads(
+    (Path(__file__).parent / "reference" / "near.json").read_text()
+)["kinetic"]
+_KINETIC_POINTS = {"canon_x1": 75, "small_amp_interior": 135, "deep_x1": 90}
+
+
+@pytest.mark.parametrize("ref", _KINETIC_REFS, ids=lambda ref: ref["name"])
+def test_hj_corrections_action_engine_calls(ref, monkeypatch):
+    # panels presplit toward the poles +/- i*width make each action one pass
+    # of 5, 9 and 6 panels, within the engine's epsrel of mpmath; from one
+    # panel a segment it took 5, 8 and 6 passes and 135, 225 and 165 points
+    b = TriangularBarrier(**ref["barrier"])
+    pulse = LorentzPulse(**ref["pulse"])
+    state = solve_t0(ref["x"], 0.0, b, pulse, branch="exit")
+    assert state.t0 == 1j * ref["t0_imag"]
+    calls = spy_engine(monkeypatch, hj)
+    action(ref["x"], 0.0, b, pulse, state)
+    points = _KINETIC_POINTS[ref["name"]]
+    assert [(c["passes"], c["points"]) for c in calls] == [(1, points)]
+    assert calls[0]["near"] == [(1j * pulse.width, -1j * pulse.width)]
+    want = complex(float(ref["int_p2_real"]), float(ref["int_p2_imag"]))
+    assert abs(calls[0]["values"][0] - want) <= 1e-11 * abs(want)
+
+
+def test_non_lorentz_pulse_names_no_poles(monkeypatch):
+    calls = spy_engine(monkeypatch, hj)
+    hj._actions([(1.5j, 1.0, 0.0), (1.2j, 0.5, 0.0)], [5.0, 5.0], CANON,
+                GaussianPulse(amplitude=0.05, rate=0.5))
+    assert calls[0]["near"] == [(), ()]
 
 
 # --- Energy grids -----------------------------------------------------------------
