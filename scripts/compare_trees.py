@@ -3,16 +3,21 @@
 and report where they differ.
 
     python3 scripts/compare_trees.py OLD_SRC NEW_SRC [--runs N] [--seed S]
+        [--commands hj,euclidean,verify,trajectory]
 
 OLD_SRC and NEW_SRC are directories that hold a `pulsetunnel` package, such
 as the `src/` of two checkouts.  Each tree runs in a worker process of its
 own, which imports the package from that tree and calls `cli.main` on every
 argv in turn, with warnings turned into errors as under `python -W error`.
 
-The argv are `action-curve --method hj`, `action-curve --method euclidean`
-and `verify` on the triangular barrier, in equal shares.  Half of them draw
-every flag log-uniformly from 1e-300 to 1e300 (a quarter of those with a
-Gaussian pulse); the other half draw ordinary Lorentzian regimes.
+The argv are drawn in equal shares from the commands named by --commands
+(default hj,euclidean,verify): `action-curve --method hj`, `action-curve
+--method euclidean` and `verify` on the triangular barrier, and
+`action-curve --barrier sech --method trajectory`.  Half of them draw every
+flag log-uniformly from 1e-300 to 1e300 (for the triangular barrier a
+quarter of those with a Gaussian pulse); the other half draw ordinary
+Lorentzian regimes, for the trajectory energies whose branch point sits
+2% to 30% of the pulse width below its pole.
 
 Prints one block per run whose exit code, standard error or CSV rows differ
 (the rows that differ, side by side) and a summary line.  Exits 1 when an
@@ -26,6 +31,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -33,16 +39,20 @@ import traceback
 import warnings
 
 
-def draw_argv(rng: random.Random) -> list[str]:
-    """One random invocation."""
-    command = rng.choice(["hj", "euclidean", "verify"])
+def draw_argv(rng: random.Random, commands=("hj", "euclidean", "verify")
+              ) -> list[str]:
+    """One random invocation of one of `commands`."""
+    command = rng.choice(commands)
     head = (["verify"] if command == "verify"
             else ["action-curve", "--method", command])
 
     def log_uniform(lo, hi):
         return 10.0 ** rng.uniform(lo, hi)
 
-    if rng.random() < 0.5:
+    if command == "trajectory":
+        head[1:1] = ["--barrier", "sech"]
+        flags, energies = draw_sech(rng, log_uniform)
+    elif rng.random() < 0.5:
         flags = {k: repr(log_uniform(-300, 300))
                  for k in ("V", "E0", "m", "theta", "amp")}
         flags["n"] = str(rng.randint(2, 30))
@@ -67,6 +77,26 @@ def draw_argv(rng: random.Random) -> list[str]:
         return argv + ["--E", repr(energies[0])]
     lo, hi = energies[0], energies[-1]
     return argv + ["--E-grid", f"{lo!r}:{hi!r}:{len(energies)}"]
+
+
+def draw_sech(rng: random.Random, log_uniform) -> tuple[dict, list[float]]:
+    """Flags and energies of one trajectory action curve on the sech^2
+    barrier."""
+    if rng.random() < 0.5:
+        flags = {k: repr(log_uniform(-300, 300))
+                 for k in ("V", "a", "m", "theta", "amp")}
+        flags["n"] = str(rng.randint(2, 30))
+        return flags, [log_uniform(-300, 300)]
+    a, m = rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.0)
+    theta = rng.uniform(0.5, 3.0)
+    # the branch point sits Im t_s = pi*a*sqrt(m/(2E))/2 = (1 - gap)*theta
+    energies = sorted(math.pi**2 * a * a * m / (8.0 * theta**2 * (1.0 - gap)**2)
+                      for gap in (rng.uniform(0.02, 0.3)
+                                  for _ in range(rng.randint(1, 6))))
+    flags = {"V": repr(energies[-1] * rng.uniform(1.1, 4.0)), "a": repr(a),
+             "m": repr(m), "theta": repr(theta), "n": str(rng.randint(2, 6)),
+             "amp": repr(log_uniform(-6, -1))}
+    return flags, energies
 
 
 def worker(src: str) -> None:
@@ -106,6 +136,8 @@ def main() -> int:
     p.add_argument("new_src", nargs="?")
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--commands", default="hj,euclidean,verify",
+                   help="comma-separated: hj, euclidean, verify, trajectory")
     p.add_argument("--worker", help=argparse.SUPPRESS)
     args = p.parse_args()
     if args.worker:
@@ -114,7 +146,8 @@ def main() -> int:
     if not (args.old_src and args.new_src):
         p.error("give OLD_SRC and NEW_SRC")
     rng = random.Random(args.seed)
-    argvs = [draw_argv(rng) for _ in range(args.runs)]
+    commands = args.commands.split(",")
+    argvs = [draw_argv(rng, commands) for _ in range(args.runs)]
     old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
     code_diffs = other_diffs = 0
     for argv, (c0, out0, err0), (c1, out1, err1) in zip(argvs, old, new):

@@ -59,19 +59,24 @@ _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
 def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
-                    near=None):
+                    near=None, l1=False):
     """(values, abs_err, n_evals) of the integrals of f along `paths`.
 
     Each path is a list of complex waypoints, integrated segment by segment
     (segments of zero length are skipped).  All paths share one adaptive
     loop, so each pass makes one call f(z, path_id) on the nodes of every
     path's new panels; path_id is an integer array, like z, naming the path
-    of each node.  Each path converges on its own, with tolerance
-    max(epsabs, epsrel*|I_p|), its own panel limit and its own roundoff
-    count, and is not bisected once it has.  epsl1 adds
-    epsl1 * int |f| |dz| to each path's tolerance; the roundoff floor is
-    50*eps times that integral, so this suits integrals meant to cancel.
-    epsrel and epsl1 are scalars or one value per path.
+    of each node.  f returns one value per node, or an array (K, n) of K
+    integrands on the n nodes: then each path carries K integrals on one
+    set of panels, slot p of values is a list of K values, and abs_err (and
+    the tolerances) are shaped (paths, K).  Each integral converges under
+    its own tolerance max(epsabs, epsrel*|I|); a path converges, and is
+    bisected no more, once all its integrals have, and a panel is bisected
+    while one of its path's open integrals exceeds its length share of that
+    integral's tolerance.  epsl1 adds epsl1 * int |f| |dz| to an integral's
+    tolerance; the roundoff floor is 50*eps times that integral, so this
+    suits integrals meant to cancel.  epsrel and epsl1 are scalars, one
+    value per path, or one per path and integral.
     near, if given, holds one sequence of complex points per path at which
     f is singular: before the first pass each segment is bisected in s,
     level by level, while a panel's chord is longer than its distance to the
@@ -79,19 +84,25 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
     not finite or lies on the chord splits nothing).
     abs_err is the summed G7-K15 error estimate over a path's panels and
     n_evals the number of points f was evaluated at on it, 15*(2*panels -
-    initial panels).  values is a list: slot p holds path p's integral, or
-    the ConvergenceError it gave up with, and then it is bisected no more:
-    at its panel limit or roundoff count (abs_err as `residual`, diagnostics
-    {"path": p, "tol": its tolerance}), or at a non-finite f (diagnostics
-    {"z": that node, "path": p}).
+    initial panels), whatever K.  Slot p of values holds path p's integral,
+    or the ConvergenceError the path gave up with as a whole, and then it
+    is bisected no more: at its panel limit or the roundoff count of one of
+    its integrals (the error estimate and tolerance of its integral
+    furthest from converging as `residual` and diagnostics {"path": p,
+    "tol": tol}), at a non-finite f (diagnostics {"z": that node, "path":
+    p}), or at a non-finite integral or error estimate (diagnostics
+    {"path": p}).  With l1, a fourth item holds int |f| |dz|, shaped like
+    abs_err.
     """
     segments = _segments(paths)
     seg_path, length = segments[0], np.abs(segments[2])
     n = len(paths)
     if not length.size:
-        return [0j] * n, np.zeros(n), np.zeros(n, dtype=int)
+        return ([0j] * n, np.zeros(n), np.zeros(n, dtype=int)) + (
+            (np.zeros(n),) if l1 else ())
 
-    # panels, in parameter s of their segment
+    # panels, in parameter s of their segment; the values, errors and
+    # integrals of |f| of K integrals are shaped (panels, K)
     owner = np.arange(length.size)
     lo = np.zeros(owner.size)
     hi = np.ones(owner.size)
@@ -99,44 +110,61 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
         owner, lo, hi = _presplit(segments, near, owner, lo, hi)
     failed = {}             # path: the ConvergenceError it gave up with
     val, err, absval = _gk15(f, segments, owner, lo, hi, failed)
+    vector = val.ndim == 2
+    if vector:      # per path -> per path and integral
+        epsrel, epsl1 = (np.asarray(v)[:, None] if np.ndim(v) == 1 else v
+                         for v in (epsrel, epsl1))
     n_first = np.bincount(seg_path[owner], minlength=n)
     n_panels = n_first.copy()
-    roundoff = np.zeros(n, dtype=int)
+    roundoff = np.zeros((n,) + val.shape[1:])
     use_l1 = bool(np.any(epsl1))
     while True:
         pid = seg_path[owner]
-        total = np.bincount(pid, val.real, n) + 1j * np.bincount(pid, val.imag, n)
-        err_sum = np.bincount(pid, err, n)
+        total = _sums(pid, val.real, n) + 1j * _sums(pid, val.imag, n)
+        err_sum = _sums(pid, err, n)
         tol = np.maximum(epsabs, epsrel * np.abs(total))
         if use_l1:
-            tol = np.maximum(tol, epsl1 * np.bincount(pid, absval, n))
-        active = err_sum > tol
+            tol = np.maximum(tol, epsl1 * _sums(pid, absval, n))
+        lost = ~np.isfinite(total + err_sum)
+        if np.count_nonzero(lost):
+            for p in _any(lost).nonzero()[0].tolist():
+                failed.setdefault(p, ConvergenceError(
+                    f"integral is not finite on integration path {p}",
+                    diagnostics={"path": p}))
+        open_ = err_sum > tol
         if failed:
-            active[list(failed)] = False
+            open_[list(failed)] = False
+        active = _any(open_)
         if not np.count_nonzero(active):
             break
-        # bisect the panels above their length share of their path's
+        # bisect the panels above their length share of an open integral's
         # tolerance; a panel whose error is its roundoff floor cannot improve
         span = (hi - lo) * length[owner]
         with np.errstate(over="ignore"):    # an inf share splits nothing
-            share = tol[pid] * span / np.bincount(pid, span, n)[pid]
-        split = active[pid] & (err > share) & (err > _FLOOR * absval)
+            share = (tol[pid].T * span / np.bincount(pid, span, n)[pid]).T
+        wants = open_[pid] & (err > share) & (err > _FLOOR * absval)
+        split = _any(wants)
         n_split = np.bincount(pid[split], minlength=n)
         room = _LIMIT - n_panels
-        stuck = (roundoff >= _ROUNDOFF) | (n_split == 0)
+        stuck = _any(roundoff >= _ROUNDOFF) | (n_split == 0)
         stop = (active & (stuck | (room <= 0))).nonzero()[0]
         for p in stop.tolist():
             reason = ("roundoff error prevents the requested tolerance"
                       if stuck[p] else f"the panel limit ({_LIMIT}) is reached")
+            e, t = err_sum[p], tol[p]
+            if vector:      # the integral furthest from its tolerance
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    j = np.argmax(np.where(open_[p], e / t, -np.inf))
+                e, t = e[j], t[j]
             failed[p] = ConvergenceError(
                 f"contour quadrature, path {p}: {reason}; error estimate "
-                f"{err_sum[p]:.3g} against tolerance {tol[p]:.3g}",
-                residual=err_sum[p], diagnostics={"path": p, "tol": tol[p]})
+                f"{e:.3g} against tolerance {t:.3g}",
+                residual=e, diagnostics={"path": p, "tol": t})
         if stop.size:
             continue        # decide again without the paths that gave up
         split = split.nonzero()[0]
         if np.count_nonzero(n_split > room):
-            split = _worst(split, pid, err, room)
+            split = _worst(split, pid, err.max(axis=1) if vector else err, room)
         k = split.size
         s_pid = pid[split]
         mid = 0.5 * (lo[split] + hi[split])
@@ -145,13 +173,13 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
         c_hi = np.concatenate([mid, hi[split]])
         c_val, c_err, c_abs = _gk15(f, segments, c_owner, c_lo, c_hi, failed)
         n_panels += np.bincount(s_pid, minlength=n)
-        # QUADPACK's roundoff test: bisection that neither moves the value
-        # nor reduces the error estimate
+        # QUADPACK's roundoff test, per integral that asked for the
+        # bisection: it neither moved the value nor reduced the error
         pair_val = c_val[:k] + c_val[k:]
         pair_err = c_err[:k] + c_err[k:]
         stalled = ((np.abs(val[split] - pair_val) <= 1e-5 * np.abs(pair_val))
-                   & (pair_err >= 0.99 * err[split]))
-        roundoff += np.bincount(s_pid[stalled], minlength=n)
+                   & (pair_err >= 0.99 * err[split]) & wants[split])
+        roundoff += _sums(s_pid, stalled, n)
         keep = np.ones(owner.size, dtype=bool)
         keep[split] = False
         owner = np.concatenate([owner[keep], c_owner])
@@ -160,9 +188,25 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
         val = np.concatenate([val[keep], c_val])
         err = np.concatenate([err[keep], c_err])
         absval = np.concatenate([absval[keep], c_abs])
+    values = [failed.get(p, v) for p, v in enumerate(total.tolist())]
     # each bisection adds one panel and evaluates two
-    return ([failed.get(p, v) for p, v in enumerate(total.tolist())], err_sum,
-            15 * (2 * n_panels - n_first))
+    out = values, err_sum, 15 * (2 * n_panels - n_first)
+    return out + (_sums(pid, absval, n),) if l1 else out
+
+
+def _any(x):
+    """x (paths or panels,), or whether any of its K columns holds."""
+    return x.any(axis=1) if x.ndim == 2 else x
+
+
+def _sums(pid, x, n):
+    """Per-path sums of the panel values x, (panels,) or (panels, K), each
+    in panel order, as np.bincount adds."""
+    if x.ndim == 1:
+        return np.bincount(pid, x, n)
+    K = x.shape[1]
+    bins = (pid[:, None] * K + np.arange(K)).ravel()
+    return np.bincount(bins, x.ravel(), n * K).reshape(n, K)
 
 
 def _segments(paths):
@@ -221,8 +265,9 @@ def _worst(idx, pid, key, room):
 
 
 def _gk15(f, segments, owner, lo, hi, failed):
-    """G7-K15 value, QUADPACK error estimate and integral of |f| per panel.
-    A path with a node where f is not finite gets its ConvergenceError in
+    """G7-K15 value, QUADPACK error estimate and integral of |f| per panel,
+    each shaped (panels,), or (panels, K) where f gives K integrands.  A
+    path with a node where f is not finite gets its ConvergenceError in
     `failed`, and f counts as 0 there."""
     seg_path, origin, jac = (v[owner] for v in segments)
     half = 0.5 * (hi - lo)
@@ -230,9 +275,11 @@ def _gk15(f, segments, owner, lo, hi, failed):
     z = origin[:, None] + (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES) * jac
     path_id = seg_path.repeat(_NODES.size)
     fz = np.asarray(f(z.ravel(), path_id), dtype=complex)
-    fz = (np.broadcast_to(fz, z.size) if fz.ndim == 0 else fz).reshape(z.shape)
+    vector = fz.ndim == 2
+    fz = (np.broadcast_to(fz, z.size) if fz.ndim == 0 else fz).reshape(-1, *z.shape)
     bad = ~np.isfinite(fz)
     if np.count_nonzero(bad):
+        bad = bad.any(axis=0)
         ids, first = np.unique(path_id.reshape(z.shape)[bad], return_index=True)
         for p, z_bad in zip(ids.tolist(), z[bad][first].tolist()):
             failed[p] = ConvergenceError(
@@ -240,10 +287,12 @@ def _gk15(f, segments, owner, lo, hi, failed):
                 diagnostics={"z": z_bad, "path": p})
         fz = np.where(bad, 0.0, fz)
     # a finite f times a long segment may overflow: the inf or nan it leaves
-    # in the panel's value and error is silent, as in Python floats
+    # in the panel's value and error is silent, as in Python floats.  The K
+    # integrands' panels are stacked as (K*panels) rows of 15 nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        fv = fz * jac
+        fv = (fz * jac).reshape(-1, _NODES.size)
         kronrod, diff = (fv @ _RULES).T     # K15 and K15 - G7 per unit half-width
+        half = np.tile(half, fz.shape[0]) if vector else half
         resabs = half * (np.abs(fv) @ _KRONROD)
         resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
         err = half * np.abs(diff)
@@ -252,4 +301,7 @@ def _gk15(f, segments, owner, lo, hi, failed):
         scaled = resasc * np.minimum(
             1.0, 200.0 * err / np.where(varies, resasc, 1.0)) ** 1.5
         err = np.where(varies, scaled, err)
-    return half * kronrod, np.maximum(err, _FLOOR * resabs), resabs
+    out = half * kronrod, np.maximum(err, _FLOOR * resabs), resabs
+    if vector:      # (K*panels,) -> (panels, K)
+        out = (np.ascontiguousarray(v.reshape(fz.shape[0], -1).T) for v in out)
+    return tuple(out)

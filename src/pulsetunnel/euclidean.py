@@ -8,7 +8,7 @@ pulse singularity matches the static traversal time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,8 +164,24 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     that energy raised.  The engine gives each path the panels a call of its
     own would give, so every result is the one-energy value to the bit, and
     a path whose integral gives up leaves its ConvergenceError in its own
-    slot.
+    slot.  The problem is solved at a mass near 1 (_unit_mass), so that
+    int G^2 does not underflow at tiny masses, where that rescaling is
+    exact and keeps the square of the field in range.
     """
+    try:
+        scaled, s_pulse, scale = _unit_mass(barrier, pulse)
+    except PulseTunnelError:    # the scaled field or amplitude overflows
+        scaled, s_pulse, scale = barrier, pulse, 1.0
+    # exact, and the closed forms' square of the field stays in range where
+    # it was
+    e0, e0_scaled = barrier.field_static, scaled.field_static
+    if (scaled.m / scale / scale, e0_scaled / scale,
+            s_pulse.amplitude / scale) == (barrier.m, e0, pulse.amplitude) \
+            and abs(e0_scaled) <= max(abs(e0), 2.0**500) \
+            and (e0_scaled == 0.0 or abs(e0_scaled) >= min(abs(e0), 2.0**-500)):
+        barrier, pulse = scaled, s_pulse
+    else:
+        scale = 1.0
     slots = _solve_tau0s(energies, barrier, pulse)
     solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
@@ -185,14 +201,16 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     if solved:
         tau0, I2 = (np.array(v) for v in zip(*(slots[i] for i in solved)))
         E = np.array([energies[i] for i in solved], dtype=float)
-        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse)):
+        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse,
+                                                scale)):
             slots[i] = res
     return slots
 
 
-def _closed_forms(E, tau0, I2, barrier, pulse) -> list[EuclideanResult]:
+def _closed_forms(E, tau0, I2, barrier, pulse, scale) -> list[EuclideanResult]:
     """EuclideanResults at the roots tau0 of the energies E, given
-    I2 = int_0^tau0 G^2 du, all three arrays."""
+    I2 = int_0^tau0 G^2 du, all three arrays, for a barrier and pulse that
+    _unit_mass rescaled by `scale`."""
     e0, m = barrier.field_static, barrier.m
     VmE = barrier.V - E
 
@@ -228,7 +246,21 @@ def _closed_forms(E, tau0, I2, barrier, pulse) -> list[EuclideanResult]:
     return [EuclideanResult(A=a, A0=a0, tau0=t, deltaE=d, regime=reg, E_T=E_T,
                             exit_point=x)
             for a, a0, t, d, reg, x in zip(A.tolist(), A0.tolist(), tau0.tolist(),
-                                           deltaE.tolist(), regimes, x_exit.tolist())]
+                                           deltaE.tolist(), regimes,
+                                           (x_exit * scale).tolist())]
+
+
+def _unit_mass(barrier, pulse):
+    """(barrier, pulse, scale) of the same problem with lengths rescaled by
+    1/scale, scale = 2^k: m by 4^k, field and amplitude by 2^k, while times,
+    energies and actions stay.  k puts m*4^k nearest 1, so k = 0 for
+    0.5 <= m <= 2; momenta near sqrt(2(V-E)) keep amp*width and the
+    integrals of p^2 and G^2 from underflowing.  Raises the model's
+    DomainError when the scaled field or amplitude overflows."""
+    scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
+    return (replace(barrier, m=barrier.m * scale * scale,
+                    field_static=barrier.field_static * scale),
+            replace(pulse, amplitude=pulse.amplitude * scale), scale)
 
 
 def threshold_energy(barrier: TriangularBarrier, pulse) -> float:

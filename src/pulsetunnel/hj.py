@@ -17,7 +17,7 @@ import numpy as np
 from .contour import integrate_paths
 from .errors import (ConvergenceError, DomainError, PulseTunnelError, RegimeError,
                      SingularityError, _one)
-from .euclidean import _solve_tau0s
+from .euclidean import _solve_tau0s, _unit_mass
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse, _int_square
 from .roots import _find_root
 
@@ -433,14 +433,8 @@ def exit_exponents(energies, barrier: TriangularBarrier,
             slots.append(exc)
     live = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     try:
-        # lengths rescaled by 2^k (m by 4^k, field and amplitude by 2^k; S
-        # stays) with m*4^k nearest 1, so k = 0 for 0.5 <= m <= 2: p near
-        # sqrt(2(V-E)) keeps amp*width and the integral of p^2 from
-        # underflowing
-        scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
-        barrier = replace(barrier, m=barrier.m * scale * scale,
-                          field_static=barrier.field_static * scale)
-        pulse = replace(pulse, amplitude=pulse.amplitude * scale)
+        # at a mass near 1, S stays: the integral of p^2 does not underflow
+        barrier, pulse, _ = _unit_mass(barrier, pulse)
         tau0 = _solve_tau0s([energies[i] for i in live], barrier, pulse)
     except PulseTunnelError as exc:     # the scaled field or amplitude overflows
         tau0 = [exc] * len(live)

@@ -210,14 +210,25 @@ def delta_action(
 
 def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
                    upper=False) -> list:
-    """-i int_C pulse * d^k x0/dt^k dt for paths (E, shift, k), in one engine call.
+    """-i int_C pulse * d^k x0/dt^k dt for rows (E, shifts, k), in one engine call.
 
-    E, `shifts`, `order` and `epsrel` broadcast to one path each; slot p of
-    the list returned holds path p's value or its PulseTunnelError.  Order 0
-    integrates the position and gives delta_action, order 1 the velocity and
-    gives dA'(dt_shift), order 2 the acceleration and gives dA''.  dA' is
-    meant to cancel at the exit shift, so the tolerance of the derivative
-    paths also admits 1e-12 * int |f|.
+    `shifts` is one shift per row, or rows of K shifts; E, `order` and
+    `epsrel` broadcast to one value per row.  The list returned holds one
+    slot per shift, row by row, with its value or its PulseTunnelError.
+    Order 0 integrates the position and gives delta_action, order 1 the
+    velocity and gives dA'(dt_shift), order 2 the acceleration and gives
+    dA''.  dA' is meant to cancel at the exit shift, so the tolerance of the
+    derivative paths also admits 1e-12 * int |f|.
+
+    A row is one path: its integrals run in the frame of its first shift s,
+    where the trajectory x0(t + s) is fixed and the pulse of shift s_k sits
+    at t - (s_k - s), so x0 is evaluated once per node for all K.  Each
+    shift's contour (build_contour, which rejects the shifts it cannot
+    serve) moves into that frame, and the row's contour has their common
+    leg and connector heights, the leftmost tail end and left vertical, and
+    the rightmost right vertical: every pulse pole stays above it and the
+    trajectory's branch points below.  The K integrals share its panels;
+    a row the engine gives up on fails all its shifts.
 
     C is conjugation-symmetric and the integrand takes conjugate values at
     mirrored points, so the value is 2 Im I+, with I+ the integral over the
@@ -225,38 +236,57 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     it from C+ alone, at half the points and with epsabs halved: errors per
     unit of dA stay where they were, but no conjugation check is left.
     Otherwise the engine integrates all of C, and an imaginary part beyond
-    1e-8 (relative) plus the error estimate is a ConvergenceError.  Each
-    path's first panels are bisected toward the pulse poles +/- i*width and
-    the branch points t_s, conj(t_s) (integrate_paths, near).
+    1e-8 (relative) plus the error estimate, plus the 1e-12 * int |f| of a
+    derivative path's tolerance, is a ConvergenceError.  Each row's first
+    panels are bisected toward its pulse poles and the branch points t_s,
+    conj(t_s) (integrate_paths, near).
     """
-    E, shifts, order, epsrel = (
-        np.ravel(v) for v in np.broadcast_arrays(E, shifts, order, epsrel))
+    shifts = np.asarray(shifts, dtype=float)
+    shifts = shifts.reshape(-1, shifts.shape[-1] if shifts.ndim == 2 else 1)
+    E, order, epsrel, _ = np.broadcast_arrays(E, order, epsrel, shifts[:, 0])
+    shifts = np.broadcast_to(shifts, (E.size, shifts.shape[1]))
+    K = shifts.shape[1]
     if not _check_pulse(pulse):
-        return [0.0] * E.size
+        return [0.0] * shifts.size
     width = pulse.width
-    out, live, trajs, paths = [None] * E.size, [], [], []
-    for p in range(E.size):
-        try:
-            E_p = float(E[p])
-            tr = unperturbed_trajectory(E_p, barrier,
-                                        _aligned_shift(E_p, barrier, shifts[p]))
-            if width - tr.tau_s < 1e-9 * width:
-                raise RegimeError(
-                    "contour pinch: pulse width -> Im t_s; the perturbative "
-                    "branch breaks down (near-resonance), a nonperturbative "
-                    "treatment is needed"
-                )
-            paths.append(list(build_contour(tr, width)))
-        except PulseTunnelError as exc:
-            out[p] = exc
+    out, live, trajs, paths, near, delta = [None] * shifts.size, [], [], [], [], []
+    for r in range(E.size):
+        E_r, fits = float(E[r]), {}
+        for k in range(K):
+            try:
+                tr = unperturbed_trajectory(
+                    E_r, barrier, _aligned_shift(E_r, barrier, shifts[r, k]))
+                if width - tr.tau_s < 1e-9 * width:
+                    raise RegimeError(
+                        "contour pinch: pulse width -> Im t_s; the perturbative "
+                        "branch breaks down (near-resonance), a nonperturbative "
+                        "treatment is needed"
+                    )
+                fits[k] = (tr, build_contour(tr, width))
+            except PulseTunnelError as exc:
+                out[r * K + k] = exc
+        if not fits:
             continue
-        live.append(p)
+        tr = next(iter(fits.values()))[0]
+        # each shift's offset in the row's frame; a rejected shift is a zero
+        # integrand there (nan offset)
+        d = np.full(K, np.nan)
+        for k, (t_k, _) in fits.items():
+            d[k] = t_k.dt_shift - tr.dt_shift
+        live.append(r)
         trajs.append(tr)
+        paths.append(_row_contour([(c, d[k]) for k, (_, c) in fits.items()]))
+        near.append([p + d[k] for k in fits for p in (1j * width, -1j * width)]
+                    + [tr.t_s, tr.t_s.conjugate()])
+        delta.append(d)
     # per-path constants, gathered point by point in the integrand
     omega, u0, shift, tau_s, re_ts = (
         np.array([getattr(tr, k) for tr in trajs])
         for k in ("omega", "u0", "dt_shift", "tau_s", "t_s"))
     re_ts = re_ts.real
+    delta = np.array(delta).reshape(-1, K)
+    rejected = np.isnan(delta)
+    delta[rejected] = 0.0
     order, epsrel = order[live], epsrel[live]
     kinds = np.unique(order)
     on_cut = {}     # path: its SingularityError, in place of the engine's
@@ -276,34 +306,59 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
                 pid = path_id[sel]
                 x[sel] = _motion(k, t[sel], barrier.a, omega[pid], u0[pid],
                                  shift[pid])
-        return np.where(cut, np.nan, pulse(t) * x) if hit else pulse(t) * x
+        if K == 1:      # one integrand per node, in the shift's own frame
+            fz = pulse(t) * x
+        else:
+            fz = pulse(t - delta[path_id].T) * x
+            if rejected.any():
+                fz[rejected[path_id].T] = 0.0
+        return np.where(cut, np.nan, fz) if hit else fz
 
     if upper:
         paths = [p[:4] + [complex(p[3].real, 0.0)] for p in paths]
+    epsl1 = np.where(order > 0, 1e-12, 0.0)
     with np.errstate(all="ignore"):     # an inf or a nan gives its path up
-        vals, errs, _ = integrate_paths(
+        vals, errs, _, l1 = integrate_paths(
             f, paths, epsabs=5e-14 if upper else 1e-13, epsrel=epsrel,
-            epsl1=np.where(order > 0, 1e-12, 0.0),
-            near=[(1j * width, -1j * width, tr.t_s, tr.t_s.conjugate())
-                  for tr in trajs])
-    for k, (p, v) in enumerate(zip(live, vals)):
-        if isinstance(v, ConvergenceError):
-            v = on_cut.get(k, v)
-        elif upper:
-            v = 2.0 * v.imag
-        else:
-            v = -1j * v
-            scale = max(abs(v), 1e-12)
-            if abs(v.imag) > 1e-8 * scale + errs[k]:
-                v = ConvergenceError(
-                    "contour quadrature lost conjugation symmetry",
-                    residual=abs(v.imag) / scale,
-                    diagnostics={"contour": paths[k], "value": v,
-                                 "dt_shift": shifts[p]})
-            else:
-                v = v.real
-        out[p] = v
+            epsl1=epsl1, near=near, l1=True)
+    errs, l1 = (v.reshape(len(paths), K) for v in (errs, l1))
+    for q, (r, row) in enumerate(zip(live, vals)):
+        if isinstance(row, ConvergenceError):
+            row = [on_cut.get(q, row)] * K
+        elif K == 1:
+            row = [row]
+        for k, v in enumerate(row):
+            if rejected[q, k]:
+                continue        # its slot holds build_contour's error
+            if upper and not isinstance(v, PulseTunnelError):
+                v = 2.0 * v.imag
+            elif not isinstance(v, PulseTunnelError):
+                v = -1j * v
+                scale = max(abs(v), 1e-12)
+                if abs(v.imag) > 1e-8 * scale + errs[q, k] + epsl1[q] * l1[q, k]:
+                    v = ConvergenceError(
+                        "contour quadrature lost conjugation symmetry",
+                        residual=abs(v.imag) / scale,
+                        diagnostics={"contour": paths[q], "value": v,
+                                     "dt_shift": shifts[r, k]})
+                else:
+                    v = v.real
+            out[r * K + k] = v
     return out
+
+
+def _row_contour(contours):
+    """One contour for the (contour, offset) pairs of a row: each contour
+    moved by its offset, then the common heights, the leftmost tail end and
+    left vertical and the rightmost right vertical.  A lone contour is the
+    row's frame (offset 0) and is kept as it is."""
+    if len(contours) == 1:
+        return list(contours[0][0])
+    tail, c1, c2 = (fold(c[i].real + d for c, d in contours)
+                    for fold, i in ((min, 0), (min, 1), (max, 3)))
+    H, y = contours[0][0][0].imag, contours[0][0][2].imag
+    return [complex(tail, H), complex(c1, H), complex(c1, y), complex(c2, y),
+            complex(c2, -y), complex(c1, -y), complex(c1, -H), complex(tail, -H)]
 
 
 @dataclass(frozen=True)
@@ -379,15 +434,17 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     def call(paths, upper=True):
         """Values per slot of paths (slot, shift, order, epsrel), in path
-        order, a failing path's error in its place."""
+        order, a failing path's error in its place; a path may hold a row
+        of shifts, one value each."""
         live = [p for p in paths if not isinstance(slots[p[0]], PulseTunnelError)]
         out = {}
         if live:
             owner, shifts, order, epsrel = zip(*live)
-            for i, v in zip(owner, _delta_actions([E[i] for i in owner], barrier,
-                                                  pulse, shifts, order=order,
-                                                  epsrel=epsrel, upper=upper)):
-                out.setdefault(i, []).append(v)
+            vals = _delta_actions([E[i] for i in owner], barrier, pulse, shifts,
+                                  order=order, epsrel=epsrel, upper=upper)
+            K = len(vals) // len(owner)
+            for j, v in enumerate(vals):
+                out.setdefault(owner[j // K], []).append(v)
         return out
 
     def settle(vals):
@@ -399,7 +456,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         return vals
 
     # scan
-    dA = settle(call([(i, s, 0, 1e-6) for i, g in scans.items() for s in g]))
+    dA = settle(call([(i, g, 0, 1e-6) for i, g in scans.items()]))
     x, lo, hi = {}, {}, {}
     for i, v in dA.items():
         grid, k = scans[i], int(np.argmin(v))

@@ -16,10 +16,10 @@ def spy_engine(monkeypatch, module):
             call["passes"] += 1
             return f(z, path_id)
 
-        vals, errs, n_evals = engine(g, paths, *args, **kw)
-        call.update(points=int(np.sum(n_evals)), values=vals)
+        out = engine(g, paths, *args, **kw)
+        call.update(points=int(np.sum(out[2])), values=out[0])
         calls.append(call)
-        return vals, errs, n_evals
+        return out
 
     monkeypatch.setattr(module, "integrate_paths", counted)
     return calls

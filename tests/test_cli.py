@@ -497,11 +497,12 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # the same overflow, tolerance ~4e269, stopped int G^2 of a Lorentzian;
     # on panels presplit toward its poles the panel values overflow to nan
     # first (mpmath: int G^2 = 1.27e314 and A = 1.74e320, beyond double
-    # range), so A is nan and its nan deviation fails the check
+    # range): the path gives up on its non-finite integral (a nan A and
+    # "verification failed" before)
     (["verify", "--V", "2.538855376756939e+276", "--E0", "2.4697804813007256e+82",
       "--m", "0.577371919643182", "--theta", "3.433312337572352e+43",
       "--amp", "0.05239418693783107", "--n", "26", "--E", "4.038681709829438"],
-     EXIT_NONCONVERGENCE, "verification failed"),
+     EXIT_NONCONVERGENCE, "integral is not finite on integration path 0"),
     # amp*width^2 overflows in the Lorentzian's first moment, and inf*0 was
     # an invalid-value RuntimeWarning on the way to the nan
     (["verify", "--V", "10.326278829258557", "--E0", "2.706848838031653e+137",

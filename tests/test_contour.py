@@ -336,6 +336,114 @@ def test_presplit_stops_at_the_panel_limit():
     assert n[1] == 15 and val[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
+# --- Several integrals per path --------------------------------------------------------
+
+def _stacked(z, path):
+    """Three integrands per node: the path's pole, its mirror and z^2."""
+    p = BATCH_POLES[path]
+    return np.stack([1.0 / (z - p), 1.0 / (z - p.conjugate()), z * z])
+
+
+@pytest.mark.parametrize("near", [None, [[p, p.conjugate()] for p in BATCH_POLES]])
+def test_stacked_integrals_match_their_own_calls(near):
+    # each of the K integrals on a path's shared panels meets the tolerance
+    # of its own scalar call, whose value it matches within that tolerance
+    epsrel = [1e-10, 1e-12, 1e-6, 1e-8]
+    val, err, n = integrate_paths(_stacked, BATCH_PATHS, epsrel=epsrel, near=near)
+    assert err.shape == (4, 3)
+    for p, path in enumerate(BATCH_PATHS):
+        assert len(val[p]) == 3
+        for k in range(3):
+            own = _one(lambda z, path_id: _stacked(z, p + 0 * path_id)[k], path,
+                       epsrel=epsrel[p], near=None if near is None else [near[p]])
+            tol = max(1e-12, epsrel[p] * abs(own[0]))
+            assert err[p, k] <= max(1e-12, epsrel[p] * abs(val[p][k]))
+            assert abs(val[p][k] - own[0]) <= 2.0 * tol
+            # shared panels are at least as fine as any one integral's
+            assert n[p] >= own[2]
+
+
+def test_one_integrand_per_node_is_the_parent_call():
+    # a 1-D integrand keeps the engine's earlier results bit for bit
+    # (values, error estimates and counts of the engine before it took
+    # stacked integrands), and a stack of one gives the same
+    pinned = {
+        None: (["(-0.8185236631476993-1.5753615124717126j)",
+                "(0.8039167161784386+4.246341053815725j)",
+                "(-5.551115123125783e-17+6.283185307179586j)",
+                "(5.551115123125783e-17-1.3877787807814457e-16j)"],
+               [2.4169020859032128e-11, 1.589352238309294e-10,
+                7.828169996844484e-14, 3.2821998992259626e-14],
+               [510, 660, 420, 120]),
+        "near": (["(-0.8185236631476991-1.5753615124717126j)",
+                  "(0.8039167161784383+4.246341053815726j)",
+                  "(-2.498001805406602e-16+6.283185307179586j)",
+                  "(5.551115123125783e-17-5.551115123125783e-17j)"],
+                 [5.5803618530195846e-12, 2.7127608316588095e-10,
+                  7.828169996844484e-14, 3.2821998992259626e-14],
+                 [285, 330, 360, 105]),
+    }
+    for key, (values, errs, counts) in pinned.items():
+        near = [[p] for p in BATCH_POLES] if key else None
+        val, err, n = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
+        assert [repr(v) for v in val] == values
+        assert err.tolist() == errs and n.tolist() == counts
+        one = integrate_paths(lambda z, path: _batch_pole(z, path)[None],
+                              BATCH_PATHS, near=near)
+        assert [v[0] for v in one[0]] == val
+        assert one[1][:, 0].tolist() == errs and one[2].tolist() == counts
+
+
+def test_one_open_integral_fails_its_whole_path():
+    # integral 1 of path 0 never converges: path 0 fills its 400 panels and
+    # gives up as a whole, naming that integral's estimate; path 1 carries
+    # the same stack on its own and converges
+    def f(z, path):
+        steps = np.where(path == 0, _steps(z, path), z)
+        return np.stack([z * z, steps])
+
+    counts = np.zeros(2, dtype=int)
+    val, err, n = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
+                                  epsabs=0.0, epsrel=1e-12)
+    exc = val[0]
+    assert isinstance(exc, ConvergenceError)
+    assert "path 0: the panel limit (400) is reached" in str(exc)
+    assert exc.residual == err[0, 1] > exc.diagnostics["tol"]
+    assert n[0] == counts[0] == 15 * (2 * 400 - 1)
+    assert val[1] == pytest.approx([1.0 / 3.0, 0.5], rel=1e-14)
+    assert n[1] == counts[1] == 15
+
+
+def test_stacked_integrals_count_each_node_once():
+    sizes = []
+
+    def f(z, path):
+        sizes.append(z.size)
+        return np.stack([1.0 / (z - (1.02 + 0.05j)), np.exp(z), z])
+
+    val, err, n = integrate_paths(f, [[0.0, 1.0, 1.0 + 1j]])
+    assert len(sizes) > 1 and sum(sizes) == n[0]
+    assert n[0] == _one(lambda z, path: 1.0 / (z - (1.02 + 0.05j)),
+                        [0.0, 1.0, 1.0 + 1j])[2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_integral_names_its_path():
+    # finite integrand values whose panel sums overflow (1e308 over a segment
+    # of length 10): the integral is inf, not a result
+    def f(z, path):
+        return np.where(path == 1, 1e308, 1.0) + 0.0 * z
+
+    val, err, n = integrate_paths(f, [[0.0, 10.0]] * 3)
+    assert str(val[1]) == "integral is not finite on integration path 1"
+    assert val[1].diagnostics == {"path": 1}
+    assert val[0] == val[2] == pytest.approx(10.0, rel=1e-14)
+    stacked = integrate_paths(lambda z, path: np.stack([f(z, 0 * path), f(z, path)]),
+                              [[0.0, 10.0]] * 2)[0]
+    assert stacked[0] == pytest.approx([10.0, 10.0], rel=1e-14)
+    assert str(stacked[1]) == "integral is not finite on integration path 1"
+
+
 # --- Determinism ---------------------------------------------------------------------
 
 def test_reruns_bitwise_identical():

@@ -329,6 +329,35 @@ def test_int_G2_matches_mpmath(ref, monkeypatch):
     assert abs(calls[0]["values"][0] - want) <= 1e-11 * want
 
 
+def test_tiny_mass_int_G2_does_not_underflow():
+    # at m = 1.5e-233 the integrand G^2 |dz| underflowed, int G^2 read 0 and
+    # A was 2.30607277558e-122, 6.5e-5 off; solved at a mass near 1 it meets
+    # mpmath's 2.30592311835e-122
+    b = TriangularBarrier(V=1.2538039812530647e+119, E_bound=1.0,
+                          field_static=1.4248148910699025e+33,
+                          m=1.477343215151712e-233)
+    pulse = LorentzPulse(amplitude=2.941778264689318e+147,
+                         width=9.214783785117464e-242, exponent=17)
+    res = euclidean_action(9.857287467267142e-169, b, pulse)
+    assert abs(res.A - 2.30592311835e-122) <= 1e-9 * 2.30592311835e-122
+
+
+@pytest.mark.parametrize("k", [-3, 5, 200])
+def test_mass_rescaling_is_exact(k):
+    # m*4^k, field and amplitude *2^k is the same problem with lengths
+    # scaled by 2^-k: solved at the mass of CANON, every result is that of
+    # CANON, the exit point scaled back
+    s = 2.0 ** k
+    b = TriangularBarrier(V=10.0, E_bound=5.0, field_static=s, m=s * s)
+    pulse = LorentzPulse(amplitude=0.05 * s, width=2.0, exponent=3)
+    energies = [2.0, 5.0, 8.5]
+    canon = euclidean_actions(energies, CANON, LorentzPulse(0.05, 2.0, 3))
+    for got, want in zip(euclidean_actions(energies, b, pulse), canon):
+        assert (got.A, got.A0, got.tau0, got.deltaE, got.regime, got.E_T) == (
+            want.A, want.A0, want.tau0, want.deltaE, want.regime, want.E_T)
+        assert got.exit_point == want.exit_point / s
+
+
 # --- Threshold and width adaptation ----------------------------------------------
 
 def test_threshold_example_and_identity():

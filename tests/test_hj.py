@@ -15,7 +15,7 @@ from pulsetunnel import hj
 from pulsetunnel.contour import integrate_paths
 from pulsetunnel.errors import (ConvergenceError, PulseTunnelError, RegimeError,
                                 SingularityError, _one)
-from pulsetunnel.euclidean import euclidean_action, euclidean_actions
+from pulsetunnel.euclidean import _solve_tau0s, euclidean_action, euclidean_actions
 from pulsetunnel.hj import (
     _axis_saddle,
     _exit_action_x1,
@@ -594,17 +594,18 @@ def test_grid_slot_is_its_grid_of_one(pulse, energies):
 
 
 def test_grid_slots_keep_their_own_step_counts():
-    # amp*width underflows to 0, so G = 0 and g < 0 across each Euclidean
-    # bracket: every tau0 solve ends in "no tau0 root", each after its own
-    # number of steps.  The HJ route rescales the mass to 1, which keeps
-    # amp*width, and solves
+    # at this mass amp*width underflows to 0, so G = 0 and g < 0 across each
+    # unscaled bracket: every lockstep tau0 solve ends in "no tau0 root",
+    # each after its own number of steps.  Both routes rescale the mass to
+    # 1, which keeps amp*width, and solve; the Euclidean route once wrote
+    # these errors
     b = TriangularBarrier(V=0.5130646078276279, E_bound=0.25,
                           field_static=0.20517156515853233,
                           m=1.6381026198579793e-125)
     pulse = LorentzPulse(amplitude=7.341420578647063e-179,
                          width=5.336853902104038e-180, exponent=30)
     energies = [b.V * f for f in (0.01, 0.3, 0.7, 0.9, 0.99)]
-    slots = euclidean_actions(energies, b, pulse)
+    slots = _solve_tau0s(energies, b, pulse)
     assert [str(s).split(" after ")[1] for s in slots] == [
         "54 steps", "56 steps", "66 steps", "84 steps", "100 steps"]
     for grid in (euclidean_actions, exit_exponents):
@@ -612,6 +613,7 @@ def test_grid_slots_keep_their_own_step_counts():
         assert [_outcome(s) for s in slots] == [
             _outcome(grid([E], b, pulse)[0]) for E in energies]
     assert all(isinstance(A, float) for A in exit_exponents(energies, b, pulse))
+    assert all(math.isfinite(res.A) for res in euclidean_actions(energies, b, pulse))
 
 
 def test_validity_rejects_oversized_width():

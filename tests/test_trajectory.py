@@ -358,6 +358,83 @@ def test_upper_half_matches_whole_contour(gap_frac):
         np.testing.assert_allclose(upper, whole, rtol=rel, atol=abs_)
 
 
+@pytest.mark.parametrize("gap_frac", [0.3, 0.1, 0.02])
+def test_scan_row_matches_per_shift_contours(gap_frac):
+    # the minimizer's scan: 17 shifts on one row, each a pulse slid along one
+    # shared contour, against a contour per shift
+    theta = (math.pi / 2.0) / (1.0 - gap_frac)
+    pulse = LorentzPulse(amplitude=0.005, width=theta, exponent=2)
+    shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, _SCAN)
+    row = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
+    each = _delta_actions(0.5, SECH, pulse, shifts, epsrel=1e-6, upper=True)
+    assert len(row) == _SCAN
+    np.testing.assert_allclose(row, each, rtol=1e-8, atol=0.0)
+
+
+def test_scan_row_keeps_each_shifts_contour_error(monkeypatch):
+    # a shift that build_contour rejects keeps its RegimeError in its slot,
+    # and the row's other shifts are what they are without it
+    theta = (math.pi / 2.0) / 0.9
+    pulse = LorentzPulse(amplitude=0.005, width=theta, exponent=2)
+    shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, 5)
+    build = trajectory.build_contour
+
+    def rejecting(traj, width):
+        if traj.dt_shift == _aligned_shift(0.5, SECH, shifts[2]):
+            raise RegimeError("connector")
+        return build(traj, width)
+
+    clean = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
+    monkeypatch.setattr(trajectory, "build_contour", rejecting)
+    row = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
+    assert str(row[2]) == "connector"
+    np.testing.assert_allclose(row[:2] + row[3:], clean[:2] + clean[3:],
+                               rtol=1e-8, atol=0.0)
+
+
+def test_conjugation_check_catches_a_sheet_error(monkeypatch):
+    # theta = 2.5: the contour of before the one-sheet construction put the
+    # left vertical at Re t_s - 1/omega and the connector at half the mirror,
+    # so at dt = -2.09 it crossed the pole and the cut.  Crossed on the upper
+    # half only, the two halves no longer mirror each other, and the
+    # whole-contour check rejects dA and dA' alike
+    pulse = LorentzPulse(amplitude=0.01, width=2.5, exponent=2)
+    build = trajectory.build_contour
+
+    def upper_off_sheet(traj, width):
+        good = build(traj, width)
+        c1 = traj.t_s.real - 1.0 / traj.omega
+        c2 = 0.5 * (-traj.t_s.real - 2.0 * traj.dt_shift)
+        H, y = good[0].imag, good[2].imag
+        return (good[0], complex(c1, H), complex(c1, y), complex(c2, y)) + good[4:]
+
+    monkeypatch.setattr(trajectory, "build_contour", upper_off_sheet)
+    dt = -3.0 * (2.5 - math.pi / 2.0) * 0.75
+    for order in (0, 1):
+        [res] = _delta_actions(0.5, SECH, pulse, [dt], order=order, epsrel=1e-8)
+        assert isinstance(res, ConvergenceError)
+        assert str(res) == "contour quadrature lost conjugation symmetry"
+        assert res.residual > 0.1
+
+
+def test_near_pinch_root_passes_the_conjugation_check():
+    # gap/theta = 1.9e-4: at the root dA' cancels to ~1e-12 while each half
+    # of the contour is O(10), so the roundoff of the whole-contour value
+    # (Im 6.5e-13) crossed an error estimate at its 50*eps*int|f| floor
+    # (5.9e-13); the check now also admits the 1e-12*int|f| of the path's
+    # tolerance
+    barrier = SechBarrier(V=74.39630366945457, a=2.6518634528734126,
+                          m=1.2252818319781313)
+    pulse = LorentzPulse(amplitude=1.2014666607333529e-05,
+                         width=0.8611912960209469, exponent=2)
+    E = 14.338778105321014
+    res = minimize_delta_action(E, barrier, pulse)
+    tight = _delta_actions(E, barrier, pulse, [res.dt_shift], epsrel=1e-12,
+                           upper=True)[0]
+    assert abs(res.dA - tight) <= 1e-8 * abs(tight)
+    assert res.energy_residual < 1e-10
+
+
 def test_minimize_canonical_example():
     res = minimize_delta_action(0.5, SECH, PULSE)
     gap = 2.0 - math.pi / 2.0
@@ -468,8 +545,13 @@ def test_grid_slot_failures_rerun_nothing(monkeypatch):
     calls, steps = [], []
 
     def counted_engine(f, paths, **kw):
-        calls.append(len(paths))
-        return engine(f, paths, **kw)
+        def g(z, path_id):
+            fz = f(z, path_id)
+            calls[-1] = (len(paths), fz.shape[:-1])
+            return fz
+
+        calls.append(None)
+        return engine(g, paths, **kw)
 
     def counted_root(fdf, *args, **kw):
         def step(x, live):
@@ -484,8 +566,10 @@ def test_grid_slot_failures_rerun_nothing(monkeypatch):
         "RegimeError", "RegimeError", "ConvergenceError", "MinimizedAction",
         "MinimizedAction", "DomainError", "ConvergenceError"]
     assert len(calls) == 2 + len(steps)
-    # the scan: 17 shifts at each energy that reaches the engine
-    assert calls[0] == 4 * _SCAN
+    # the scan: one path of 17 shifts at each energy that reaches the engine;
+    # the later stages integrate one shift per path
+    assert calls[0] == (4, (_SCAN,))
+    assert all(k == () for _, k in calls[1:])
 
 
 @pytest.mark.parametrize("rig,expected", [
@@ -524,8 +608,8 @@ def test_first_root_step_error_precedence(monkeypatch, rig, expected):
 def test_pole_scan_grid_engine_calls(monkeypatch):
     # the seed-1 grid of the benchmark's pole_scan workload: the scan, four
     # lockstep root steps (the first with dA' at the bracket ends) and the
-    # final stage, 56,565 integrand points in 11 passes.  Panels presplit
-    # toward the pulse pole and the branch point make the scan one pass and
+    # final stage, 29,940 integrand points in 11 passes.  Panels presplit
+    # toward the pulse poles and the branch point make the scan one pass and
     # each later stage two
     barrier = SechBarrier(V=1.5634864789386136, a=1.0, m=1.0)
     pulse = LorentzPulse(amplitude=0.009602560125665217,
@@ -538,16 +622,19 @@ def test_pole_scan_grid_engine_calls(monkeypatch):
             passes.append(z.size)
             return f(z, path_id)
 
-        vals, errs, n_evals = engine(g, paths, **kw)
-        points.append(int(np.sum(n_evals)))
-        return vals, errs, n_evals
+        out = engine(g, paths, **kw)
+        points.append(int(np.sum(out[2])))
+        return out
 
     monkeypatch.setattr(trajectory, "integrate_paths", counted)
     grid = minimize_delta_actions(energies, barrier, pulse)
     assert all(isinstance(r, trajectory.MinimizedAction) for r in grid)
     assert len(points) == 6
-    assert sum(points) == sum(passes) == 56_565
+    assert sum(points) == sum(passes) == 29_940
     assert len(passes) == 11
+    # the scan's 17 shifts per energy share one contour: 1,995 points where
+    # a contour per shift took 28,620
+    assert points[0] == passes[0] <= 2_500
 
 
 @pytest.mark.parametrize("barrier,E,pulse", [
