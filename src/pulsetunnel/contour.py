@@ -59,8 +59,8 @@ _FLOOR = 50.0 * np.finfo(float).eps    # roundoff floor per unit of int |f|
 
 
 def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
-                    near=None, l1=False):
-    """(values, abs_err, n_evals) of the integrals of f along `paths`.
+                    near=None):
+    """(values, abs_err, n_evals, l1) of the integrals of f along `paths`.
 
     Each path is a list of complex waypoints, integrated segment by segment
     (segments of zero length are skipped).  All paths share one adaptive
@@ -68,38 +68,40 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
     path's new panels; path_id is an integer array, like z, naming the path
     of each node.  f returns one value per node, or an array (K, n) of K
     integrands on the n nodes: then each path carries K integrals on one
-    set of panels, slot p of values is a list of K values, and abs_err (and
-    the tolerances) are shaped (paths, K).  Each integral converges under
-    its own tolerance max(epsabs, epsrel*|I|); a path converges, and is
-    bisected no more, once all its integrals have, and a panel is bisected
-    while one of its path's open integrals exceeds its length share of that
-    integral's tolerance.  epsl1 adds epsl1 * int |f| |dz| to an integral's
-    tolerance; the roundoff floor is 50*eps times that integral, so this
-    suits integrals meant to cancel.  epsrel and epsl1 are scalars, one
-    value per path, or one per path and integral.
+    set of panels, slot p of values is a list of K values, and abs_err, l1
+    (and the tolerances) are shaped (paths, K).  Each integral converges
+    under its own tolerance max(epsabs, epsrel*|I|); a path converges, and
+    is bisected no more, once all its integrals have, and a panel is
+    bisected while one of its path's open integrals exceeds its length
+    share of that integral's tolerance.  epsl1 adds epsl1 * int |f| |dz| to
+    an integral's tolerance; the roundoff floor is 50*eps times that
+    integral, so this suits integrals meant to cancel.  epsrel and epsl1 are
+    scalars, one value per path, or one per path and integral.
     near, if given, holds one sequence of complex points per path at which
     f is singular: before the first pass each segment is bisected in s,
     level by level, while a panel's chord is longer than its distance to the
     nearest of its path's points (at most 400 panels a path; a point that is
     not finite or lies on the chord splits nothing).
-    abs_err is the summed G7-K15 error estimate over a path's panels and
-    n_evals the number of points f was evaluated at on it, 15*(2*panels -
-    initial panels), whatever K.  Slot p of values holds path p's integral,
-    or the ConvergenceError the path gave up with as a whole, and then it
-    is bisected no more: at its panel limit or the roundoff count of one of
-    its integrals (the error estimate and tolerance of its integral
-    furthest from converging as `residual` and diagnostics {"path": p,
-    "tol": tol}), at a non-finite f (diagnostics {"z": that node, "path":
-    p}), or at a non-finite integral or error estimate (diagnostics
-    {"path": p}).  With l1, a fourth item holds int |f| |dz|, shaped like
-    abs_err.
+    abs_err is the summed G7-K15 error estimate over a path's panels, l1 the
+    integral of |f| |dz| and n_evals the number of points f was evaluated at
+    on it, 15*(2*panels - initial panels), whatever K.  Slot p of values
+    holds path p's integral, or the ConvergenceError the path gave up with
+    as a whole, and then it is bisected no more: at its panel limit or the
+    roundoff count of one of its integrals (the error estimate and
+    tolerance of its integral furthest from converging as `residual` and
+    diagnostics {"path": p, "tol": tol}), at a non-finite f (diagnostics
+    {"z": that node, "path": p}), or at a non-finite integral or error
+    estimate (diagnostics {"path": p}).
+
+    A one-value integrand keeps its panel arrays flat, (panels,): run as
+    stacks of K = 1 its passes would take about a third longer, in numpy's
+    per-call overhead on these small arrays.
     """
     segments = _segments(paths)
     seg_path, length = segments[0], np.abs(segments[2])
     n = len(paths)
     if not length.size:
-        return ([0j] * n, np.zeros(n), np.zeros(n, dtype=int)) + (
-            (np.zeros(n),) if l1 else ())
+        return [0j] * n, np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
 
     # panels, in parameter s of their segment; the values, errors and
     # integrals of |f| of K integrals are shaped (panels, K)
@@ -190,8 +192,7 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
         absval = np.concatenate([absval[keep], c_abs])
     values = [failed.get(p, v) for p, v in enumerate(total.tolist())]
     # each bisection adds one panel and evaluates two
-    out = values, err_sum, 15 * (2 * n_panels - n_first)
-    return out + (_sums(pid, absval, n),) if l1 else out
+    return values, err_sum, 15 * (2 * n_panels - n_first), _sums(pid, absval, n)
 
 
 def _any(x):

@@ -129,10 +129,20 @@ def _imag_axis_moments(pulse, tau):
     with np.errstate(over="ignore", invalid="ignore"):
         m1 = -pulse.first_moment_antiderivative(1j * tau).real
         if isinstance(pulse, LorentzPulse):
-            # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n)
+            # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n).  That
+            # difference of J's keeps eps/x^2 of its size, so where
+            # n*x^2 < 1e-4 the series sum_k binom(n+k-1, k) x^(2k+3)/(2k+3)
+            # takes over, to rounding at four terms
             x, n = tau / pulse.width, pulse.exponent
-            m2 = (pulse.amplitude * pulse.width**3
-                  * (_lorentz_J(x, n) - _lorentz_J(x, n - 1)))
+            J2 = _lorentz_J(x, n) - _lorentz_J(x, n - 1)
+            small = n * x * x < 1e-4
+            if np.count_nonzero(small):
+                x2, term, series = x * x, x**3 / 3.0, 0.0
+                for k in range(4):
+                    series = series + term
+                    term = term * x2 * (n + k) / (k + 1) * (2 * k + 3) / (2 * k + 5)
+                J2 = np.where(small, series, J2)
+            m2 = pulse.amplitude * pulse.width**3 * J2
         elif isinstance(pulse, GaussianPulse):
             # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
             r2 = pulse.rate**2
@@ -166,22 +176,52 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     a path whose integral gives up leaves its ConvergenceError in its own
     slot.  The problem is solved at a mass near 1 (_unit_mass), so that
     int G^2 does not underflow at tiny masses, where that rescaling is
-    exact and keeps the square of the field in range.
+    exact and keeps the square of the field in range.  An energy whose
+    rescaled problem fails, or gives a number that is not finite, is solved
+    again as given, and that result or error stands; only an overflow of the
+    rescaled closed forms, a DomainError in the energy's slot, stands over
+    a failure as given.  The problem as given raises such an ArithmeticError.
     """
+    slots = [None] * len(energies)
+    if rescaled := _exact_unit_mass(barrier, pulse):
+        slots = _actions(energies, *rescaled, contain=True)
+    if redo := [i for i, s in enumerate(slots) if not _finite(s)]:
+        for i, s in zip(redo, _actions([energies[i] for i in redo], barrier, pulse)):
+            if _finite(s) or not (isinstance(slots[i], DomainError)
+                                  and "overflow" in slots[i].diagnostics):
+                slots[i] = s
+    return slots
+
+
+def _exact_unit_mass(barrier, pulse):
+    """_unit_mass's (barrier, pulse, scale), or None where its scale is 1,
+    the rescaling is not exact, or it moves the field out of 2^+-500 (and
+    so the closed forms' square of the field out of range) where the field
+    was in."""
     try:
         scaled, s_pulse, scale = _unit_mass(barrier, pulse)
     except PulseTunnelError:    # the scaled field or amplitude overflows
-        scaled, s_pulse, scale = barrier, pulse, 1.0
-    # exact, and the closed forms' square of the field stays in range where
-    # it was
+        return None
     e0, e0_scaled = barrier.field_static, scaled.field_static
-    if (scaled.m / scale / scale, e0_scaled / scale,
-            s_pulse.amplitude / scale) == (barrier.m, e0, pulse.amplitude) \
-            and abs(e0_scaled) <= max(abs(e0), 2.0**500) \
-            and (e0_scaled == 0.0 or abs(e0_scaled) >= min(abs(e0), 2.0**-500)):
-        barrier, pulse = scaled, s_pulse
-    else:
-        scale = 1.0
+    exact = (scaled.m / scale / scale, e0_scaled / scale,
+             s_pulse.amplitude / scale) == (barrier.m, e0, pulse.amplitude)
+    in_range = (abs(e0_scaled) <= max(abs(e0), 2.0**500)
+                and (e0_scaled == 0.0 or abs(e0_scaled) >= min(abs(e0), 2.0**-500)))
+    return (scaled, s_pulse, scale) if scale != 1.0 and exact and in_range else None
+
+
+def _finite(slot) -> bool:
+    """Whether slot is a EuclideanResult whose numbers are all finite."""
+    return isinstance(slot, EuclideanResult) and all(
+        map(math.isfinite, (slot.A, slot.A0, slot.tau0, slot.deltaE,
+                            slot.exit_point)))
+
+
+def _actions(energies, barrier, pulse, scale=1.0, contain=False) -> list:
+    """euclidean_actions' slots for a barrier and pulse that _unit_mass
+    rescaled by `scale` (1: as given).  With `contain`, an ArithmeticError
+    of the closed forms is a DomainError, diagnostics {"overflow": it}, in
+    the slot of each energy that reached them."""
     slots = _solve_tau0s(energies, barrier, pulse)
     solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
@@ -201,8 +241,15 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     if solved:
         tau0, I2 = (np.array(v) for v in zip(*(slots[i] for i in solved)))
         E = np.array([energies[i] for i in solved], dtype=float)
-        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse,
-                                                scale)):
+        try:
+            results = _closed_forms(E, tau0, I2, barrier, pulse, scale)
+        except ArithmeticError as exc:
+            if not contain:
+                raise
+            results = [DomainError(
+                f"{type(exc).__name__} {exc}; the inputs leave double-precision "
+                "range", diagnostics={"overflow": exc})] * len(solved)
+        for i, res in zip(solved, results):
             slots[i] = res
     return slots
 

@@ -320,7 +320,7 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     with np.errstate(all="ignore"):     # an inf or a nan gives its path up
         vals, errs, _, l1 = integrate_paths(
             f, paths, epsabs=5e-14 if upper else 1e-13, epsrel=epsrel,
-            epsl1=epsl1, near=near, l1=True)
+            epsl1=epsl1, near=near)
     errs, l1 = (v.reshape(len(paths), K) for v in (errs, l1))
     for q, (r, row) in enumerate(zip(live, vals)):
         if isinstance(row, ConvergenceError):
@@ -350,10 +350,8 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
 def _row_contour(contours):
     """One contour for the (contour, offset) pairs of a row: each contour
     moved by its offset, then the common heights, the leftmost tail end and
-    left vertical and the rightmost right vertical.  A lone contour is the
-    row's frame (offset 0) and is kept as it is."""
-    if len(contours) == 1:
-        return list(contours[0][0])
+    left vertical and the rightmost right vertical; a lone contour, in its
+    own frame (offset 0), is rebuilt as it was."""
     tail, c1, c2 = (fold(c[i].real + d for c, d in contours)
                     for fold, i in ((min, 0), (min, 1), (max, 3)))
     H, y = contours[0][0][0].imag, contours[0][0][2].imag
@@ -447,16 +445,20 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
                 out.setdefault(owner[j // K], []).append(v)
         return out
 
-    def settle(vals):
-        """vals less its slots with an error; each takes its first one."""
+    def settle(vals, first=()):
+        """vals less its slots with an error; each takes its first one, or
+        its first of a class in `first` if it has one."""
         for i, v in list(vals.items()):
             if err := [e for e in v if isinstance(e, PulseTunnelError)]:
-                slots[i] = err[0]
+                slots[i] = next((e for e in err if isinstance(e, first)), err[0])
                 del vals[i]
         return vals
 
-    # scan
-    dA = settle(call([(i, g, 0, 1e-6) for i, g in scans.items()]))
+    # scan.  A row the engine gives up on fails all its shifts, so a shift
+    # that build_contour rejected (DomainError, RegimeError) reports ahead
+    # of it, as with a contour per shift where no earlier shift fails
+    dA = settle(call([(i, g, 0, 1e-6) for i, g in scans.items()]),
+                first=(DomainError, RegimeError))
     x, lo, hi = {}, {}, {}
     for i, v in dA.items():
         grid, k = scans[i], int(np.argmin(v))

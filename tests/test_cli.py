@@ -531,6 +531,21 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "24.454348188254006", "--amp", "3.238570241318718e-266",
       "--n", "22", "--E", "6.457202094625802"], EXIT_OK,
      ["6.45720209463,nan,nan,nan,error:ConvergenceError"]),
+    # the Euclidean route solves at unit mass: there tau0 solves and the
+    # closed forms overflow in width^2, a DomainError row (as the unsolved
+    # tau0 of the problem as given was), not an OverflowError that ends the
+    # grid
+    (["action-curve", "--method", "euclidean", "--V", "6.556333933865696e+260",
+      "--E0", "1.6819491418467846e+134", "--m", "1.3995617848832137e+99",
+      "--theta", "1.6180599624645942e+250", "--amp", "1.8119968835737745e+63",
+      "--n", "17", "--E", "476344.50543758966"], EXIT_OK,
+     ["476344.505438,nan,nan,nan,error:DomainError"]),
+    # at unit mass the amplitude's moments overflow to a nan A; the problem
+    # as given solves
+    (["verify", "--V", "2.0054737124425817e+170", "--E0", "3.140969280995144e-59",
+      "--m", "6.515820548072835e-267", "--theta", "4.057973489721655e+89",
+      "--amp", "6.212863020630919e-47", "--n", "3", "--E", "1.213014931832307e-33"],
+     EXIT_OK, ["euclidean_A,6.95780052795e+168,6.95780052795e+168,0,pass"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
@@ -540,7 +555,7 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "gk15-panel-overflow", "gauss-square-overflow",
         "tolerance-share-overflow-gauss", "tolerance-share-overflow",
         "lorentz-moment-nan", "sech-connector-overflow", "rate-nan",
-        "hj-huge-mass-overflow"])
+        "hj-huge-mass-overflow", "unit-mass-overflow", "unit-mass-nan"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

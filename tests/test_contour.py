@@ -25,7 +25,7 @@ def _noisy(z, path_id):
 
 def _one(f, path, **tolerances):
     """(value, abs_err, n_evals) of a one-path call."""
-    val, err, n = integrate_paths(f, [path], **tolerances)
+    val, err, n, _ = integrate_paths(f, [path], **tolerances)
     return val[0], err[0], n[0]
 
 
@@ -163,7 +163,7 @@ def _batch_pole(z, path):
 
 def test_batch_matches_single_paths():
     # every path must get what a call of its own gives, with the same panels
-    val, err, n = integrate_paths(_batch_pole, BATCH_PATHS)
+    val, err, n, _ = integrate_paths(_batch_pole, BATCH_PATHS)
     for p, path in enumerate(BATCH_PATHS):
         single = _one(lambda z, path_id: 1.0 / (z - BATCH_POLES[p]), path)
         assert abs(val[p] - single[0]) <= 1e-10 * abs(single[0])
@@ -183,7 +183,7 @@ def test_converged_path_is_not_bisected():
     def f(z, path):
         return 1.0 / (z - poles[path])
 
-    val, err, n = integrate_paths(f, paths, epsabs=0.0, epsrel=1e-4)
+    val, err, n, _ = integrate_paths(f, paths, epsabs=0.0, epsrel=1e-4)
     assert n[0] == 2 * 15 and n[1] > 10 * 15
     assert err[0] <= 1e-4 * abs(val[0])
     short = integrate_paths(f, [[0.2, 0.3]], epsabs=0.0, epsrel=1.0)[1][0]
@@ -201,7 +201,7 @@ def test_paths_meet_their_own_tolerance():
 
     # a scalar epsrel, or one per path with the panels of a path's own call
     for epsrel in (1e-6, 1e-12, [1e-12, 1e-6, 1e-9]):
-        val, err, n = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=epsrel)
+        val, err, n, _ = integrate_paths(f, [[0.0, 1.0]] * 3, epsabs=0.0, epsrel=epsrel)
         for k, tol in enumerate(np.broadcast_to(epsrel, 3)):
             assert err[k] <= tol * abs(val[k])
             assert abs(val[k] - scale[k] * exact) <= tol * abs(val[k])
@@ -224,7 +224,7 @@ def test_batch_error_names_its_path():
               epsabs=0.0, epsrel=1e-13)
     # path 1 fills its own 400 panels, whatever path 0 uses
     assert counts.tolist() == [15, 15 * (2 * 400 - 1)]
-    val, err, n = integrate_paths(f, [[0.0, 1.0]], epsabs=0.0, epsrel=1e-13)
+    val, err, n, _ = integrate_paths(f, [[0.0, 1.0]], epsabs=0.0, epsrel=1e-13)
     assert val[0] == pytest.approx(0.5, rel=1e-14) and n[0] == 15
 
 
@@ -244,7 +244,7 @@ def test_failed_paths_stop_and_the_others_keep_their_own_results():
         passes.append(np.bincount(path, minlength=4))
         return np.where((path == 2) & (len(passes) >= 3), np.nan, g(z, path))
 
-    val, err, n = integrate_paths(f, [[0.0, 1.0]] * 4)
+    val, err, n, _ = integrate_paths(f, [[0.0, 1.0]] * 4)
     assert "path 1: the panel limit" in str(val[1])
     assert str(val[2]) == "integrand is not finite on integration path 2"
     counts = np.array(passes)
@@ -274,7 +274,7 @@ def test_non_finite_value_names_its_path():
 def test_no_near_points_is_the_plain_call(near):
     # no point to split toward: the same panels, bit for bit
     plain = integrate_paths(_batch_pole, BATCH_PATHS)
-    val, err, n = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
+    val, err, n, _ = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
     assert val == plain[0]
     assert err.tolist() == plain[1].tolist() and n.tolist() == plain[2].tolist()
 
@@ -293,7 +293,7 @@ def test_presplit_toward_a_pole_saves_passes_and_points(epsrel):
 
     plain = _one(f, polyline, epsrel=epsrel)
     passes.clear()
-    val, err, n = integrate_paths(f, [polyline], epsrel=epsrel, near=[[p]])
+    val, err, n, _ = integrate_paths(f, [polyline], epsrel=epsrel, near=[[p]])
     assert abs(val[0] - plain[0]) <= 1e-13 * abs(plain[0])
     assert err[0] <= max(1e-12, epsrel * abs(val[0]))
     assert n[0] < plain[2] and len(passes) <= 2 and sum(passes) == n[0]
@@ -311,7 +311,7 @@ def test_points_off_range_or_on_the_path_split_nothing():
         passes.append(z.size)
         return np.exp(z)
 
-    val, err, n = integrate_paths(f, [[0.0, 1.0]], near=near)
+    val, err, n, _ = integrate_paths(f, [[0.0, 1.0]], near=near)
     assert passes[0] == 15
     plain = integrate_paths(f, [[0.0, 1.0]])
     assert (val, err.tolist(), n.tolist()) == (plain[0], plain[1].tolist(),
@@ -329,7 +329,7 @@ def test_presplit_stops_at_the_panel_limit():
         return np.where(path == 0, 1.0 / (z - q), z * z)
 
     counts = np.zeros(2, dtype=int)
-    val, err, n = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
+    val, err, n, _ = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
                                   near=[[q], []])
     assert "path 0: the panel limit (400) is reached" in str(val[0])
     assert n[0] == counts[0] == 15 * 400
@@ -349,7 +349,7 @@ def test_stacked_integrals_match_their_own_calls(near):
     # each of the K integrals on a path's shared panels meets the tolerance
     # of its own scalar call, whose value it matches within that tolerance
     epsrel = [1e-10, 1e-12, 1e-6, 1e-8]
-    val, err, n = integrate_paths(_stacked, BATCH_PATHS, epsrel=epsrel, near=near)
+    val, err, n, _ = integrate_paths(_stacked, BATCH_PATHS, epsrel=epsrel, near=near)
     assert err.shape == (4, 3)
     for p, path in enumerate(BATCH_PATHS):
         assert len(val[p]) == 3
@@ -385,7 +385,7 @@ def test_one_integrand_per_node_is_the_parent_call():
     }
     for key, (values, errs, counts) in pinned.items():
         near = [[p] for p in BATCH_POLES] if key else None
-        val, err, n = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
+        val, err, n, _ = integrate_paths(_batch_pole, BATCH_PATHS, near=near)
         assert [repr(v) for v in val] == values
         assert err.tolist() == errs and n.tolist() == counts
         one = integrate_paths(lambda z, path: _batch_pole(z, path)[None],
@@ -403,7 +403,7 @@ def test_one_open_integral_fails_its_whole_path():
         return np.stack([z * z, steps])
 
     counts = np.zeros(2, dtype=int)
-    val, err, n = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
+    val, err, n, _ = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
                                   epsabs=0.0, epsrel=1e-12)
     exc = val[0]
     assert isinstance(exc, ConvergenceError)
@@ -421,10 +421,25 @@ def test_stacked_integrals_count_each_node_once():
         sizes.append(z.size)
         return np.stack([1.0 / (z - (1.02 + 0.05j)), np.exp(z), z])
 
-    val, err, n = integrate_paths(f, [[0.0, 1.0, 1.0 + 1j]])
+    val, err, n, _ = integrate_paths(f, [[0.0, 1.0, 1.0 + 1j]])
     assert len(sizes) > 1 and sum(sizes) == n[0]
     assert n[0] == _one(lambda z, path: 1.0 / (z - (1.02 + 0.05j)),
                         [0.0, 1.0, 1.0 + 1j])[2]
+
+
+def test_l1_is_the_integral_of_the_modulus():
+    # the fourth item is int |f| |dz| per path (its K15 sums on the panels
+    # of f), and per path and integral for a stack; |dz| makes it the same
+    # on a path and its reverse
+    f = lambda z, path: (z + 1.0) * np.where(path == 0, 1.0, 1j)
+    _, _, _, l1 = integrate_paths(f, [[0.0, 1.0], [1.0, 0.0], [0.0, 1j]])
+    # int_0^1 sqrt(1 + y^2) dy on the imaginary leg
+    up = 0.5 * math.sqrt(2.0) + 0.5 * math.asinh(1.0)
+    np.testing.assert_allclose(l1, [1.5, 1.5, up], rtol=1e-8)
+    _, err, _, l1 = integrate_paths(
+        lambda z, path: np.stack([z, 2.0 * z]), [[0.0, 1.0]] * 2)
+    assert l1.shape == err.shape == (2, 2)
+    np.testing.assert_allclose(l1, [[0.5, 1.0]] * 2, rtol=1e-14)
 
 
 @pytest.mark.filterwarnings("error")
@@ -434,7 +449,7 @@ def test_non_finite_integral_names_its_path():
     def f(z, path):
         return np.where(path == 1, 1e308, 1.0) + 0.0 * z
 
-    val, err, n = integrate_paths(f, [[0.0, 10.0]] * 3)
+    val, err, n, _ = integrate_paths(f, [[0.0, 10.0]] * 3)
     assert str(val[1]) == "integral is not finite on integration path 1"
     assert val[1].diagnostics == {"path": 1}
     assert val[0] == val[2] == pytest.approx(10.0, rel=1e-14)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from pulsetunnel import euclidean
 from pulsetunnel.errors import ConvergenceError, DomainError
 from pulsetunnel.euclidean import (
+    _imag_axis_moments,
     adapt_pulse_width,
     euclidean_action,
     euclidean_actions,
@@ -340,6 +341,23 @@ def test_tiny_mass_int_G2_does_not_underflow():
                          width=9.214783785117464e-242, exponent=17)
     res = euclidean_action(9.857287467267142e-169, b, pulse)
     assert abs(res.A - 2.30592311835e-122) <= 1e-9 * 2.30592311835e-122
+
+
+def test_tiny_tau0_second_moment_keeps_its_digits():
+    # tau0 = 1.8e-40*theta: J_22 - J_21 cancelled to eps/x^2 of its size,
+    # and solved at a mass near 1, where e0^2 no longer overflows, A read
+    # -8.96e-73.  The series of int_0^x s^2 (1 - s^2)^-n ds meets mpmath's
+    # A = 4.58478957895e-85
+    b = TriangularBarrier(V=389392044.54490155, E_bound=1.0,
+                          field_static=1.9531958896761045e+201,
+                          m=3.8199856176503746e+207)
+    pulse = LorentzPulse(amplitude=6.732699534750694e+149,
+                         width=5.0351735709165667e-54, exponent=22)
+    res = euclidean_action(4.12577243041503e-300, b, pulse)
+    assert abs(res.A - 4.58478957895e-85) <= 1e-10 * 4.58478957895e-85
+    x = 1e-6
+    _, m2 = _imag_axis_moments(LorentzPulse(1.0, 1.0, 22), np.array([x]))
+    assert abs(m2[0] - (x**3 / 3.0 + 22.0 * x**5 / 5.0)) <= 1e-15 * m2[0]
 
 
 @pytest.mark.parametrize("k", [-3, 5, 200])

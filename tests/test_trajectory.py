@@ -379,8 +379,10 @@ def test_scan_row_keeps_each_shifts_contour_error(monkeypatch):
     shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, 5)
     build = trajectory.build_contour
 
+    rejected = [shifts[2]]
+
     def rejecting(traj, width):
-        if traj.dt_shift == _aligned_shift(0.5, SECH, shifts[2]):
+        if traj.dt_shift in [_aligned_shift(0.5, SECH, s) for s in rejected]:
             raise RegimeError("connector")
         return build(traj, width)
 
@@ -390,6 +392,21 @@ def test_scan_row_keeps_each_shifts_contour_error(monkeypatch):
     assert str(row[2]) == "connector"
     np.testing.assert_allclose(row[:2] + row[3:], clean[:2] + clean[3:],
                                rtol=1e-8, atol=0.0)
+    # a row the engine gives up on fails its other shifts; the minimizer's
+    # scan reports the rejected shift ahead of the row's error
+    engine = trajectory.integrate_paths
+
+    def giving_up(f, paths, **kw):
+        vals, *rest = engine(f, paths, **kw)
+        return [ConvergenceError("row")] * len(vals), *rest
+
+    monkeypatch.setattr(trajectory, "integrate_paths", giving_up)
+    row = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
+    assert [str(v) for v in row] == ["row", "row", "connector", "row", "row"]
+    scan = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, _SCAN).tolist()
+    rejected = [scan[9]]
+    [res] = minimize_delta_actions([0.5], SECH, pulse)
+    assert isinstance(res, RegimeError) and str(res) == "connector"
 
 
 def test_conjugation_check_catches_a_sheet_error(monkeypatch):
@@ -397,7 +414,9 @@ def test_conjugation_check_catches_a_sheet_error(monkeypatch):
     # left vertical at Re t_s - 1/omega and the connector at half the mirror,
     # so at dt = -2.09 it crossed the pole and the cut.  Crossed on the upper
     # half only, the two halves no longer mirror each other, and the
-    # whole-contour check rejects dA and dA' alike
+    # whole-contour check rejects dA and dA' alike.  A row of one shift is
+    # integrated on that shift's contour as built (the row contour would
+    # rebuild its lower half from the upper)
     pulse = LorentzPulse(amplitude=0.01, width=2.5, exponent=2)
     build = trajectory.build_contour
 
@@ -409,6 +428,7 @@ def test_conjugation_check_catches_a_sheet_error(monkeypatch):
         return (good[0], complex(c1, H), complex(c1, y), complex(c2, y)) + good[4:]
 
     monkeypatch.setattr(trajectory, "build_contour", upper_off_sheet)
+    monkeypatch.setattr(trajectory, "_row_contour", lambda rows: list(rows[0][0]))
     dt = -3.0 * (2.5 - math.pi / 2.0) * 0.75
     for order in (0, 1):
         [res] = _delta_actions(0.5, SECH, pulse, [dt], order=order, epsrel=1e-8)
