@@ -20,13 +20,18 @@ Lorentzian regimes, for the trajectory energies whose branch point sits
 2% to 30% of the pulse width below its pole.
 
 Prints one block per run whose exit code, standard error or CSV rows differ
-(the rows that differ, side by side) and a summary line.  Exits 1 when an
-exit code differs, else 0.
+(the rows that differ, side by side), a summary line, and a count per
+change of row class over the rows that differ: a row's class is the error
+class of an `error:<class>` row, else `value`, and a row that one tree did
+not write is `exit <code>` (for example `ConvergenceError -> DomainError:
+1`); a differing run that wrote no rows counts once, as `exit <code> ->
+exit <code>`.  Exits 1 when an exit code differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -130,6 +135,15 @@ def rows(stdout: str) -> list[str]:
     return [line for line in stdout.splitlines() if not line.startswith("#")]
 
 
+def row_class(row: str | None, code: int) -> str:
+    """A CSV result row's class: its error class, `value`, or `exit <code>`
+    for a row that its run did not write."""
+    if row is None:
+        return f"exit {code}"
+    cell = row.rsplit(",", 1)[-1]
+    return cell.removeprefix("error:") if cell.startswith("error:") else "value"
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old_src", nargs="?")
@@ -150,6 +164,7 @@ def main() -> int:
     argvs = [draw_argv(rng, commands) for _ in range(args.runs)]
     old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
     code_diffs = other_diffs = 0
+    changes = collections.Counter()     # (old class, new class): rows
     for argv, (c0, out0, err0), (c1, out1, err1) in zip(argvs, old, new):
         if (c0, out0, err0) == (c1, out1, err1):
             continue
@@ -163,9 +178,17 @@ def main() -> int:
                                             fillvalue="(none)"):
             if r0 != r1:
                 print(f"  row: {r0} -> {r1}")
+        # the result rows, past the column header; a run that wrote none on
+        # either side counts once, as its exit codes
+        pairs = list(itertools.zip_longest(rows(out0)[1:], rows(out1)[1:]))
+        for r0, r1 in pairs or [(None, None)]:
+            if r0 != r1 or r0 is None:
+                changes[row_class(r0, c0), row_class(r1, c1)] += 1
     same = args.runs - code_diffs - other_diffs
     print(f"{args.runs} runs: {same} identical, {other_diffs} differ with the "
           f"same exit code, {code_diffs} differ in exit code")
+    for (k0, k1), count in sorted(changes.items()):
+        print(f"{k0} -> {k1}: {count}")
     return 1 if code_diffs else 0
 
 

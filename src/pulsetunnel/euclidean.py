@@ -194,20 +194,17 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
 
 
 def _exact_unit_mass(barrier, pulse):
-    """_unit_mass's (barrier, pulse, scale), or None where its scale is 1,
-    the rescaling is not exact, or it moves the field out of 2^+-500 (and
-    so the closed forms' square of the field out of range) where the field
-    was in."""
+    """_unit_mass's (barrier, pulse, scale), or None where it refuses, its
+    scale is 1, or it moves the field out of 2^+-500 (and so the closed
+    forms' square of the field out of range) where the field was in."""
     try:
         scaled, s_pulse, scale = _unit_mass(barrier, pulse)
-    except PulseTunnelError:    # the scaled field or amplitude overflows
+    except PulseTunnelError:
         return None
     e0, e0_scaled = barrier.field_static, scaled.field_static
-    exact = (scaled.m / scale / scale, e0_scaled / scale,
-             s_pulse.amplitude / scale) == (barrier.m, e0, pulse.amplitude)
     in_range = (abs(e0_scaled) <= max(abs(e0), 2.0**500)
                 and (e0_scaled == 0.0 or abs(e0_scaled) >= min(abs(e0), 2.0**-500)))
-    return (scaled, s_pulse, scale) if scale != 1.0 and exact and in_range else None
+    return (scaled, s_pulse, scale) if scale != 1.0 and in_range else None
 
 
 def _finite(slot) -> bool:
@@ -303,11 +300,19 @@ def _unit_mass(barrier, pulse):
     energies and actions stay.  k puts m*4^k nearest 1, so k = 0 for
     0.5 <= m <= 2; momenta near sqrt(2(V-E)) keep amp*width and the
     integrals of p^2 and G^2 from underflowing.  Raises the model's
-    DomainError when the scaled field or amplitude overflows."""
+    DomainError when the scaled field or amplitude overflows, and a
+    DomainError when m*4^k, the field or the amplitude times 2^k does not
+    divide back to itself: the rescaled problem would be another one."""
     scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
-    return (replace(barrier, m=barrier.m * scale * scale,
-                    field_static=barrier.field_static * scale),
-            replace(pulse, amplitude=pulse.amplitude * scale), scale)
+    scaled = replace(barrier, m=barrier.m * scale * scale,
+                     field_static=barrier.field_static * scale)
+    s_pulse = replace(pulse, amplitude=pulse.amplitude * scale)
+    if ((scaled.m / scale / scale, scaled.field_static / scale,
+         s_pulse.amplitude / scale)
+            != (barrier.m, barrier.field_static, pulse.amplitude)):
+        raise DomainError(f"the rescaling to unit mass (scale {scale!r}) is not "
+                          "exact; the inputs leave double-precision range")
+    return scaled, s_pulse, scale
 
 
 def threshold_energy(barrier: TriangularBarrier, pulse) -> float:

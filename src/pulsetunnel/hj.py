@@ -436,7 +436,7 @@ def exit_exponents(energies, barrier: TriangularBarrier,
         # at a mass near 1, S stays: the integral of p^2 does not underflow
         barrier, pulse, _ = _unit_mass(barrier, pulse)
         tau0 = _solve_tau0s([energies[i] for i in live], barrier, pulse)
-    except PulseTunnelError as exc:     # the scaled field or amplitude overflows
+    except PulseTunnelError as exc:     # _unit_mass refuses the inputs
         tau0 = [exc] * len(live)
     exits = {}      # slot: tau0, and m*x at the exit but for its pulse term
     for i, tau in zip(live, tau0):

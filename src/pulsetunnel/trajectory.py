@@ -190,6 +190,20 @@ def _aligned_shift(E: float, barrier: SechBarrier, dt_shift: float) -> float:
     return dt_shift - (-singularity_time(E, barrier, 0.0).real)
 
 
+def _shift_contour(E, barrier, width, dt_shift):
+    """The trajectory of the pulse-frame shift dt_shift and its contour
+    (build_contour), or the error of the first check that refuses them: E
+    outside (0, V), the pinch, the ordering or the connector."""
+    traj = unperturbed_trajectory(E, barrier, _aligned_shift(E, barrier, dt_shift))
+    if width - traj.tau_s < 1e-9 * width:
+        raise RegimeError(
+            "contour pinch: pulse width -> Im t_s; the perturbative "
+            "branch breaks down (near-resonance), a nonperturbative "
+            "treatment is needed"
+        )
+    return traj, build_contour(traj, width)
+
+
 def delta_action(
     E: float,
     barrier: SechBarrier,
@@ -223,12 +237,13 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     A row is one path: its integrals run in the frame of its first shift s,
     where the trajectory x0(t + s) is fixed and the pulse of shift s_k sits
     at t - (s_k - s), so x0 is evaluated once per node for all K.  Each
-    shift's contour (build_contour, which rejects the shifts it cannot
-    serve) moves into that frame, and the row's contour has their common
-    leg and connector heights, the leftmost tail end and left vertical, and
-    the rightmost right vertical: every pulse pole stays above it and the
-    trajectory's branch points below.  The K integrals share its panels;
-    a row the engine gives up on fails all its shifts.
+    shift's contour (_shift_contour) moves into that frame, and the row's
+    contour has their common leg and connector heights, the leftmost tail
+    end and left vertical, and the rightmost right vertical: every pulse
+    pole stays above it and the trajectory's branch points below.  The K
+    integrals share its panels.  A row's slots hold K values or one error
+    K times: that of its first shift _shift_contour refuses, and then the
+    row makes no path, or the one the engine gives the row up with.
 
     C is conjugation-symmetric and the integrand takes conjugate values at
     mirrored points, so the value is 2 Im I+, with I+ the integral over the
@@ -251,32 +266,18 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     width = pulse.width
     out, live, trajs, paths, near, delta = [None] * shifts.size, [], [], [], [], []
     for r in range(E.size):
-        E_r, fits = float(E[r]), {}
-        for k in range(K):
-            try:
-                tr = unperturbed_trajectory(
-                    E_r, barrier, _aligned_shift(E_r, barrier, shifts[r, k]))
-                if width - tr.tau_s < 1e-9 * width:
-                    raise RegimeError(
-                        "contour pinch: pulse width -> Im t_s; the perturbative "
-                        "branch breaks down (near-resonance), a nonperturbative "
-                        "treatment is needed"
-                    )
-                fits[k] = (tr, build_contour(tr, width))
-            except PulseTunnelError as exc:
-                out[r * K + k] = exc
-        if not fits:
+        try:
+            fits = [_shift_contour(float(E[r]), barrier, width, s)
+                    for s in shifts[r]]
+        except PulseTunnelError as exc:
+            out[r * K:(r + 1) * K] = [exc] * K
             continue
-        tr = next(iter(fits.values()))[0]
-        # each shift's offset in the row's frame; a rejected shift is a zero
-        # integrand there (nan offset)
-        d = np.full(K, np.nan)
-        for k, (t_k, _) in fits.items():
-            d[k] = t_k.dt_shift - tr.dt_shift
+        tr = fits[0][0]
+        d = [t_k.dt_shift - tr.dt_shift for t_k, _ in fits]    # in its frame
         live.append(r)
         trajs.append(tr)
-        paths.append(_row_contour([(c, d[k]) for k, (_, c) in fits.items()]))
-        near.append([p + d[k] for k in fits for p in (1j * width, -1j * width)]
+        paths.append(_row_contour([(c, d_k) for (_, c), d_k in zip(fits, d)]))
+        near.append([p + d_k for d_k in d for p in (1j * width, -1j * width)]
                     + [tr.t_s, tr.t_s.conjugate()])
         delta.append(d)
     # per-path constants, gathered point by point in the integrand
@@ -285,8 +286,6 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
         for k in ("omega", "u0", "dt_shift", "tau_s", "t_s"))
     re_ts = re_ts.real
     delta = np.array(delta).reshape(-1, K)
-    rejected = np.isnan(delta)
-    delta[rejected] = 0.0
     order, epsrel = order[live], epsrel[live]
     kinds = np.unique(order)
     on_cut = {}     # path: its SingularityError, in place of the engine's
@@ -310,8 +309,6 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
             fz = pulse(t) * x
         else:
             fz = pulse(t - delta[path_id].T) * x
-            if rejected.any():
-                fz[rejected[path_id].T] = 0.0
         return np.where(cut, np.nan, fz) if hit else fz
 
     if upper:
@@ -324,15 +321,12 @@ def _delta_actions(E, barrier, pulse, shifts, *, order=0, epsrel=1e-10,
     errs, l1 = (v.reshape(len(paths), K) for v in (errs, l1))
     for q, (r, row) in enumerate(zip(live, vals)):
         if isinstance(row, ConvergenceError):
-            row = [on_cut.get(q, row)] * K
-        elif K == 1:
-            row = [row]
-        for k, v in enumerate(row):
-            if rejected[q, k]:
-                continue        # its slot holds build_contour's error
-            if upper and not isinstance(v, PulseTunnelError):
+            out[r * K:(r + 1) * K] = [on_cut.get(q, row)] * K
+            continue
+        for k, v in enumerate([row] if K == 1 else row):
+            if upper:
                 v = 2.0 * v.imag
-            elif not isinstance(v, PulseTunnelError):
+            else:
                 v = -1j * v
                 scale = max(abs(v), 1e-12)
                 if abs(v.imag) > 1e-8 * scale + errs[q, k] + epsl1[q] * l1[q, k]:
@@ -445,20 +439,16 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
                 out.setdefault(owner[j // K], []).append(v)
         return out
 
-    def settle(vals, first=()):
-        """vals less its slots with an error; each takes its first one, or
-        its first of a class in `first` if it has one."""
+    def settle(vals):
+        """vals less its slots with an error; each takes its first one."""
         for i, v in list(vals.items()):
             if err := [e for e in v if isinstance(e, PulseTunnelError)]:
-                slots[i] = next((e for e in err if isinstance(e, first)), err[0])
+                slots[i] = err[0]
                 del vals[i]
         return vals
 
-    # scan.  A row the engine gives up on fails all its shifts, so a shift
-    # that build_contour rejected (DomainError, RegimeError) reports ahead
-    # of it, as with a contour per shift where no earlier shift fails
-    dA = settle(call([(i, g, 0, 1e-6) for i, g in scans.items()]),
-                first=(DomainError, RegimeError))
+    # scan
+    dA = settle(call([(i, g, 0, 1e-6) for i, g in scans.items()]))
     x, lo, hi = {}, {}, {}
     for i, v in dA.items():
         grid, k = scans[i], int(np.argmin(v))
@@ -505,7 +495,11 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
             [x[i] for i in bracketed], [_XTOL] * len(bracketed), "dA'", f_hi=f_hi)):
         slots[i] = r
 
-    # dA and dA' at the roots, on the whole contour
+    # dA and dA' at the roots, on the whole contour.  The dA' path is kept
+    # for more than the residual it reports: next to the pinch (gap/theta =
+    # 1e-6) Newton stops with |dA'| = 0.49, its step under the tolerance
+    # where dA'' ~ 7.6e12, and only this path giving up at its roundoff
+    # floor keeps that energy's A = -79.4 (A0 = 4.94) out of the results
     final = settle(call([(i, slots[i], k, tol) for i in bracketed
                          for k, tol in ((0, 1e-8), (1, 1e-10))], upper=False))
     for i, (dA_i, slope) in final.items():

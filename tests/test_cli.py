@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pulsetunnel import cli, euclidean, hj
+from pulsetunnel import cli, euclidean, hj, trajectory
 from pulsetunnel.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
@@ -173,6 +173,46 @@ def test_verify_sech_without_interior_minimum(flags, capsys):
                  *flags])
     assert code == EXIT_NONCONVERGENCE
     assert "no interior minimum" in capsys.readouterr().err
+
+
+def test_trajectory_curve_of_a_zero_pulse_is_the_static_action(capsys):
+    # the minimizer gives an amplitude of 0 no contour: A = A0, deltaA = 0
+    assert _run(["action-curve", "--barrier", "sech", "--method",
+                 "trajectory", "--V", "1.5", "--amp", "0",
+                 "--E-grid", "0.4:0.6:3"]) == EXIT_OK
+    assert _body(capsys.readouterr())[1:] == [
+        "0.4,5.26294440057,5.26294440057,0,perturbative",
+        "0.5,4.59961087823,4.59961087823,0,perturbative",
+        "0.6,3.99991153395,3.99991153395,0,perturbative"]
+
+
+def test_trajectory_curve_of_a_gaussian_pulse_has_error_rows(capsys):
+    # an entire pulse has no pole for the contour to pass: every energy is a
+    # RegimeError row
+    assert _run(["action-curve", "--barrier", "sech", "--method",
+                 "trajectory", "--V", "1.5", "--pulse", "gauss", "--amp",
+                 "0.01", "--E-grid", "0.4:0.6:3"]) == EXIT_OK
+    assert _body(capsys.readouterr())[1:] == [
+        f"{E},nan,nan,nan,error:RegimeError" for E in ("0.4", "0.5", "0.6")]
+
+
+def test_verify_sech_reports_the_minimizer_against_the_pole_form(capsys):
+    # the two info rows are the minimizer's dA and shift against the pole
+    # form's, as the library computes them
+    config = RunConfig(barrier="sech", V=1.5, a=1.0, theta=2.0, n=2,
+                       amp=0.01, E=0.5)
+    assert _run(["verify", "--barrier", "sech", "--V", "1.5", "--a", "1",
+                 "--theta", "2", "--n", "2", "--amp", "0.01",
+                 "--E", "0.5"]) == EXIT_OK
+    barrier, pulse = config.make_barrier(), config.make_pulse()
+    res = trajectory.minimize_delta_action(0.5, barrier, pulse)
+    dA_form, dt_form = trajectory.pole_form(0.5, barrier, pulse)
+    expected = [("trajectory_dA_vs_pole_form", res.dA, dA_form),
+                ("dt_shift_vs_closed_form", res.dt_shift, dt_form)]
+    assert _body(capsys.readouterr())[1:] == [
+        ",".join([check, *map(cli._format, (value, ref, abs(value - ref) / abs(ref))),
+                  "info"])
+        for check, value, ref in expected]
 
 
 def test_verify_hj_at_the_true_exit_point(capsys):
@@ -525,12 +565,14 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--amp", "1.6057648494324502e+191", "--n", "28",
       "--E", "6.610292655321379e-205"], EXIT_REGIME, "rate = nan is not finite"),
     # at a huge mass the HJ route's pulse closed forms overflowed
-    # (RuntimeWarnings) before the action's path gave up
+    # (RuntimeWarnings) before the action's path gave up.  That pulse was
+    # zero: the amplitude rescaled to unit mass, 3.24e-266 * 2^-272,
+    # underflows, and the route now refuses the rescaling
     (["action-curve", "--method", "hj", "--V", "16.669541926155848",
       "--E0", "20.4886926937551", "--m", "3.440470987465432e+163",
       "--theta", "24.454348188254006", "--amp", "3.238570241318718e-266",
       "--n", "22", "--E", "6.457202094625802"], EXIT_OK,
-     ["6.45720209463,nan,nan,nan,error:ConvergenceError"]),
+     ["6.45720209463,nan,nan,nan,error:DomainError"]),
     # the Euclidean route solves at unit mass: there tau0 solves and the
     # closed forms overflow in width^2, a DomainError row (as the unsolved
     # tau0 of the problem as given was), not an OverflowError that ends the
@@ -546,6 +588,15 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--m", "6.515820548072835e-267", "--theta", "4.057973489721655e+89",
       "--amp", "6.212863020630919e-47", "--n", "3", "--E", "1.213014931832307e-33"],
      EXIT_OK, ["euclidean_A,6.95780052795e+168,6.95780052795e+168,0,pass"]),
+    # the amplitude rescaled to unit mass, 1e-180 * 2^-498, is 0: the HJ
+    # route refuses that rescaling (it wrote A = A0, the action of no
+    # pulse), while the Euclidean route solves the problem as given
+    (["action-curve", "--method", "hj", "--m", "1e300", "--amp", "1e-180",
+      "--theta", "1e150", "--E", "5"], EXIT_OK,
+     ["5,nan,nan,nan,error:DomainError"]),
+    (["action-curve", "--method", "euclidean", "--m", "1e300", "--amp",
+      "1e-180", "--theta", "1e150", "--E", "5"], EXIT_OK,
+     ["5,nan,nan,nan,error:ConvergenceError"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
@@ -555,7 +606,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "gk15-panel-overflow", "gauss-square-overflow",
         "tolerance-share-overflow-gauss", "tolerance-share-overflow",
         "lorentz-moment-nan", "sech-connector-overflow", "rate-nan",
-        "hj-huge-mass-overflow", "unit-mass-overflow", "unit-mass-nan"])
+        "hj-huge-mass-overflow", "unit-mass-overflow", "unit-mass-nan",
+        "unit-mass-inexact-hj", "unit-mass-inexact-euclidean"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

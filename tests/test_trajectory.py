@@ -372,41 +372,50 @@ def test_scan_row_matches_per_shift_contours(gap_frac):
 
 
 def test_scan_row_keeps_each_shifts_contour_error(monkeypatch):
-    # a shift that build_contour rejects keeps its RegimeError in its slot,
-    # and the row's other shifts are what they are without it
+    # a row whose shifts build_contour rejects holds the error of its first
+    # rejected shift in every slot and sends the engine no path; a row of
+    # other shifts in the same call is what it is in a call of its own, and
+    # the minimizer's scan reports that first rejection
     theta = (math.pi / 2.0) / 0.9
     pulse = LorentzPulse(amplitude=0.005, width=theta, exponent=2)
     shifts = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, 5)
-    build = trajectory.build_contour
-
-    rejected = [shifts[2]]
+    clean = 0.9 * shifts
+    alone = _delta_actions(0.5, SECH, pulse, [clean], epsrel=1e-6, upper=True)
+    build, engine = trajectory.build_contour, trajectory.integrate_paths
+    rejected, paths_sent = [shifts[3], shifts[2]], []
 
     def rejecting(traj, width):
-        if traj.dt_shift in [_aligned_shift(0.5, SECH, s) for s in rejected]:
-            raise RegimeError("connector")
+        for j, s in enumerate(rejected):
+            if traj.dt_shift == _aligned_shift(0.5, SECH, s):
+                raise RegimeError(f"connector {j}")
         return build(traj, width)
 
-    clean = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
-    monkeypatch.setattr(trajectory, "build_contour", rejecting)
-    row = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
-    assert str(row[2]) == "connector"
-    np.testing.assert_allclose(row[:2] + row[3:], clean[:2] + clean[3:],
-                               rtol=1e-8, atol=0.0)
-    # a row the engine gives up on fails its other shifts; the minimizer's
-    # scan reports the rejected shift ahead of the row's error
-    engine = trajectory.integrate_paths
+    def counted(f, paths, **kw):
+        paths_sent.append(len(paths))
+        return engine(f, paths, **kw)
 
+    monkeypatch.setattr(trajectory, "build_contour", rejecting)
+    monkeypatch.setattr(trajectory, "integrate_paths", counted)
+    rows = _delta_actions(0.5, SECH, pulse, [shifts, clean], epsrel=1e-6,
+                          upper=True)
+    assert all(v is rows[0] for v in rows[:5]) and str(rows[0]) == "connector 1"
+    assert rows[5:] == alone and paths_sent == [1]
+
+    # a row the engine gives up on fails all its shifts with that error
     def giving_up(f, paths, **kw):
         vals, *rest = engine(f, paths, **kw)
         return [ConvergenceError("row")] * len(vals), *rest
 
     monkeypatch.setattr(trajectory, "integrate_paths", giving_up)
-    row = _delta_actions(0.5, SECH, pulse, [shifts], epsrel=1e-6, upper=True)
-    assert [str(v) for v in row] == ["row", "row", "connector", "row", "row"]
+    rows = _delta_actions(0.5, SECH, pulse, [shifts, clean], epsrel=1e-6,
+                          upper=True)
+    assert [str(v) for v in rows] == ["connector 1"] * 5 + ["row"] * 5
+    monkeypatch.setattr(trajectory, "integrate_paths", counted)
     scan = np.linspace(-3.0 * (theta - math.pi / 2.0), 0.0, _SCAN).tolist()
-    rejected = [scan[9]]
+    rejected, paths_sent = [scan[9], scan[4]], []
     [res] = minimize_delta_actions([0.5], SECH, pulse)
-    assert isinstance(res, RegimeError) and str(res) == "connector"
+    assert isinstance(res, RegimeError) and str(res) == "connector 1"
+    assert sum(paths_sent) == 0
 
 
 def test_conjugation_check_catches_a_sheet_error(monkeypatch):
