@@ -125,8 +125,8 @@ def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
 
 def _imag_axis_moments(pulse, tau):
     """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact,
-    at each tau of an array; an inf or a nan is silent, as in Python floats."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    at each tau of an array; a number that overflows is a silent inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m1 = -pulse.first_moment_antiderivative(1j * tau).real
         if isinstance(pulse, LorentzPulse):
             # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n).  That
@@ -142,10 +142,10 @@ def _imag_axis_moments(pulse, tau):
                     series = series + term
                     term = term * x2 * (n + k) / (k + 1) * (2 * k + 3) / (2 * k + 5)
                 J2 = np.where(small, series, J2)
-            m2 = pulse.amplitude * pulse.width**3 * J2
+            m2 = pulse.amplitude * np.float64(pulse.width)**3 * J2
         elif isinstance(pulse, GaussianPulse):
             # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
-            r2 = pulse.rate**2
+            r2 = np.float64(pulse.rate)**2
             m2 = ((pulse.amplitude * tau * np.exp(r2 * tau * tau)
                    - pulse.integral_imag_axis(tau)) / (2.0 * r2))
         else:
@@ -174,37 +174,24 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     that energy raised.  The engine gives each path the panels a call of its
     own would give, so every result is the one-energy value to the bit, and
     a path whose integral gives up leaves its ConvergenceError in its own
-    slot.  The problem is solved at a mass near 1 (_unit_mass), so that
-    int G^2 does not underflow at tiny masses, where that rescaling is
-    exact and keeps the square of the field in range.  An energy whose
-    rescaled problem fails, or gives a number that is not finite, is solved
-    again as given, and that result or error stands; only an overflow of the
-    rescaled closed forms, a DomainError in the energy's slot, stands over
-    a failure as given.  The problem as given raises such an ArithmeticError.
+    slot.  The problem is solved at a mass near 1 (_unit_mass, as in
+    hj.exit_exponents), so that int G^2 does not underflow at tiny masses.
+    An energy whose rescaled slot is an error, or is not finite, is solved
+    again as given, and that slot stands.  A closed form that overflows
+    gives an inf or a nan, never an ArithmeticError, so it stays in the
+    slot of its own energy.
     """
     slots = [None] * len(energies)
-    if rescaled := _exact_unit_mass(barrier, pulse):
-        slots = _actions(energies, *rescaled, contain=True)
-    if redo := [i for i, s in enumerate(slots) if not _finite(s)]:
-        for i, s in zip(redo, _actions([energies[i] for i in redo], barrier, pulse)):
-            if _finite(s) or not (isinstance(slots[i], DomainError)
-                                  and "overflow" in slots[i].diagnostics):
-                slots[i] = s
-    return slots
-
-
-def _exact_unit_mass(barrier, pulse):
-    """_unit_mass's (barrier, pulse, scale), or None where it refuses, its
-    scale is 1, or it moves the field out of 2^+-500 (and so the closed
-    forms' square of the field out of range) where the field was in."""
     try:
         scaled, s_pulse, scale = _unit_mass(barrier, pulse)
-    except PulseTunnelError:
-        return None
-    e0, e0_scaled = barrier.field_static, scaled.field_static
-    in_range = (abs(e0_scaled) <= max(abs(e0), 2.0**500)
-                and (e0_scaled == 0.0 or abs(e0_scaled) >= min(abs(e0), 2.0**-500)))
-    return (scaled, s_pulse, scale) if scale != 1.0 and in_range else None
+    except PulseTunnelError:    # every energy is solved as given
+        scale = 1.0
+    if scale != 1.0:
+        slots = _actions(energies, scaled, s_pulse, scale)
+    if redo := [i for i, s in enumerate(slots) if not _finite(s)]:
+        for i, s in zip(redo, _actions([energies[i] for i in redo], barrier, pulse)):
+            slots[i] = s
+    return slots
 
 
 def _finite(slot) -> bool:
@@ -214,11 +201,9 @@ def _finite(slot) -> bool:
                             slot.exit_point)))
 
 
-def _actions(energies, barrier, pulse, scale=1.0, contain=False) -> list:
+def _actions(energies, barrier, pulse, scale=1.0) -> list:
     """euclidean_actions' slots for a barrier and pulse that _unit_mass
-    rescaled by `scale` (1: as given).  With `contain`, an ArithmeticError
-    of the closed forms is a DomainError, diagnostics {"overflow": it}, in
-    the slot of each energy that reached them."""
+    rescaled by `scale` (1: as given)."""
     slots = _solve_tau0s(energies, barrier, pulse)
     solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     G = pulse.integral_imag_axis
@@ -238,15 +223,7 @@ def _actions(energies, barrier, pulse, scale=1.0, contain=False) -> list:
     if solved:
         tau0, I2 = (np.array(v) for v in zip(*(slots[i] for i in solved)))
         E = np.array([energies[i] for i in solved], dtype=float)
-        try:
-            results = _closed_forms(E, tau0, I2, barrier, pulse, scale)
-        except ArithmeticError as exc:
-            if not contain:
-                raise
-            results = [DomainError(
-                f"{type(exc).__name__} {exc}; the inputs leave double-precision "
-                "range", diagnostics={"overflow": exc})] * len(solved)
-        for i, res in zip(solved, results):
+        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse, scale)):
             slots[i] = res
     return slots
 
@@ -254,21 +231,20 @@ def _actions(energies, barrier, pulse, scale=1.0, contain=False) -> list:
 def _closed_forms(E, tau0, I2, barrier, pulse, scale) -> list[EuclideanResult]:
     """EuclideanResults at the roots tau0 of the energies E, given
     I2 = int_0^tau0 G^2 du, all three arrays, for a barrier and pulse that
-    _unit_mass rescaled by `scale`."""
+    _unit_mass rescaled by `scale`.  A number that overflows is an inf or a
+    nan in its energy's result."""
     e0, m = barrier.field_static, barrier.m
     VmE = barrier.V - E
 
     # int G and int u*G by parts, with G' = g, g(u) = pulse(i*u)
     G0 = pulse.integral_imag_axis(tau0)
     m1, m2 = _imag_axis_moments(pulse, tau0)
-    with np.errstate(over="raise"):     # as a power of Python floats did
-        tau0_3 = tau0**3
-    with np.errstate(over="ignore", invalid="ignore"):     # as in Python floats
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         IG = tau0 * G0 - m1
         I1 = 0.5 * (tau0 * tau0 * G0 - m2)
         A = (
             2.0 * VmE * tau0
-            - e0**2 * tau0_3 / (3.0 * m)
+            - np.float64(e0)**2 * tau0**3 / (3.0 * m)
             - 2.0 * e0 * I1 / m
             - I2 / m
         )
@@ -317,13 +293,16 @@ def _unit_mass(barrier, pulse):
 
 def threshold_energy(barrier: TriangularBarrier, pulse) -> float:
     """E_T = V - width^2*field_static^2/(2m): the energy with tau00(E) = width,
-    clamped to [1e-12, 1 - 1e-12]*V."""
+    clamped to [1e-12, 1 - 1e-12]*V; nan where one square overflows and the
+    other underflows."""
     if not isinstance(pulse, LorentzPulse):
         raise DomainError("threshold energy is defined for Lorentzian pulses")
-    raw = barrier.V - pulse.width**2 * barrier.field_static**2 / (2.0 * barrier.m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        raw = barrier.V - (np.float64(pulse.width)**2
+                           * np.float64(barrier.field_static)**2 / (2.0 * barrier.m))
     lo = 1e-12 * barrier.V
     hi = barrier.V * (1.0 - 1e-12)
-    return min(max(raw, lo), hi)
+    return float(min(max(raw, lo), hi))
 
 
 def threshold_form(E: float, E_T: float, V: float, theta: float) -> float:

@@ -44,7 +44,6 @@ class SaddleState:
 
     t0: complex
     t: float
-    x: float
     F: complex          # 1 + i(t0-t)/tau00 * (1 + h(t0))
     h: complex          # pulse(t0)/field_static
     residual: float     # |saddle equation residual| / scale
@@ -224,7 +223,7 @@ def solve_t0(
     if not active or branch == "static":
         t0 = _static_t0(x, t, barrier)
         if not active:
-            return _make_state(t0, x, t, barrier, pulse, 0.0)
+            return _make_state(t0, t, barrier, pulse, 0.0)
         try:
             for lam in np.linspace(0.0, 1.0, _HOMOTOPY_STEPS + 1)[1:]:
                 scaled = replace(pulse, amplitude=pulse.amplitude * lam)
@@ -242,7 +241,7 @@ def solve_t0(
                 raise
             t0, res = _newton_t0(t + 1j * tau_max + 0.1 * pulse.width,
                                  x, t, barrier, pulse)
-        return _make_state(t0, x, t, barrier, pulse, res)
+        return _make_state(t0, t, barrier, pulse, res)
     if branch != "exit":
         raise DomainError(f"unknown branch {branch!r}")
     if not isinstance(pulse, LorentzPulse):
@@ -254,14 +253,14 @@ def solve_t0(
             t0, res = _newton_t0(t0, x, t_k, barrier, pulse)
     else:
         t0, res = _newton_t0(t0, x, 0.0, barrier, pulse)
-    return _make_state(t0, x, t, barrier, pulse, res)
+    return _make_state(t0, t, barrier, pulse, res)
 
 
-def _make_state(t0, x, t, barrier, pulse, residual) -> SaddleState:
+def _make_state(t0, t, barrier, pulse, residual) -> SaddleState:
     e0 = barrier.field_static
     h = complex(pulse(t0)) / e0 if e0 > 0 else 0.0j
     F = 1.0 + 1j * (t0 - t) / barrier.tau00 * (1.0 + h)
-    return SaddleState(t0=complex(t0), t=t, x=x, F=F, h=h, residual=residual)
+    return SaddleState(t0=complex(t0), t=t, F=F, h=h, residual=residual)
 
 
 # --- Classical action -----------------------------------------------------------
@@ -387,22 +386,26 @@ def sigma2(state: SaddleState, barrier: TriangularBarrier, pulse) -> complex:
 
 # --- Exit branch and amplitude bound -------------------------------------------
 
-def _exit_action_x1(barrier: TriangularBarrier, pulse) -> float:
-    """Im S at the small-amplitude exit point x1 = field_static*width^2/(2m):
-    (V-E)*width*(1 - width^2/(3 tau00^2)).  RegimeError unless the pulse is
-    Lorentzian with exponent >= 3 and narrower than tau00, which the exit
-    branch needs."""
+def _require_exit_branch(barrier: TriangularBarrier, pulse) -> None:
+    """RegimeError unless the pulse is Lorentzian with exponent >= 3 and
+    narrower than tau00, which the exit branch needs."""
     if not isinstance(pulse, LorentzPulse):
         raise RegimeError("branch analysis requires a Lorentzian-power pulse")
     if pulse.exponent < 3:
         raise RegimeError("branch analysis requires integer pulse exponent >= 3")
-    theta = pulse.width
-    tau00 = barrier.tau00
-    if theta >= tau00:
+    if pulse.width >= barrier.tau00:
         raise RegimeError(
             "pulse width >= static traversal time: use the euclidean "
             "high-energy branch"
         )
+
+
+def _exit_action_x1(barrier: TriangularBarrier, pulse) -> float:
+    """Im S at the small-amplitude exit point x1 = field_static*width^2/(2m):
+    (V-E)*width*(1 - width^2/(3 tau00^2)), where _require_exit_branch
+    passes."""
+    _require_exit_branch(barrier, pulse)
+    theta, tau00 = pulse.width, barrier.tau00
     VmE = barrier.V - barrier.E_bound
     return VmE * theta * (1.0 - theta**2 / (3.0 * tau00**2))
 
@@ -427,8 +430,9 @@ def exit_exponents(energies, barrier: TriangularBarrier,
     """
     slots = []
     for E in energies:
-        try:
-            slots.append(_exit_action_x1(replace(barrier, E_bound=E), pulse))
+        try:    # the refusals of _exit_action_x1, without its value
+            _require_exit_branch(replace(barrier, E_bound=E), pulse)
+            slots.append(None)
         except PulseTunnelError as exc:
             slots.append(exc)
     live = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
@@ -443,11 +447,11 @@ def exit_exponents(energies, barrier: TriangularBarrier,
         slots[i] = tau
         if isinstance(tau, PulseTunnelError):
             continue
-        try:    # the saddle state's pole check; its value may overflow, unread
+        try:    # the pole check, its value unread, and m*x: both may overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 pulse(1j * tau)
-            exits[i] = tau, (tau * barrier.p0(energies[i])
-                             - 0.5 * barrier.field_static * tau**2)
+                exits[i] = tau, (tau * barrier.p0(energies[i])
+                                 - 0.5 * barrier.field_static * np.float64(tau)**2)
         except SingularityError as exc:
             slots[i] = exc
     if not exits:

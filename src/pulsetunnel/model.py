@@ -101,9 +101,6 @@ class SechBarrier:
         if self.V <= 0 or self.a <= 0 or self.m <= 0:
             raise DomainError("SechBarrier requires V > 0, a > 0, m > 0")
 
-    def potential(self, x):
-        return self.V / np.cosh(np.asarray(x) / self.a) ** 2
-
     def omega(self, E: float) -> float:
         """Oscillation frequency sqrt(2E/(m a^2)) of the trajectory at energy E."""
         self._check_energy(E)
@@ -235,7 +232,9 @@ class LorentzPulse:
         """int_0^t s*pulse(s) ds, exact elementary form."""
         n = self.exponent
         u = 1.0 + (np.asarray(t, dtype=complex) / self.width) ** 2
-        out = self.amplitude * self.width**2 / (2.0 * (1 - n)) * (u ** (1 - n) - 1.0)
+        # the callers hold the errstate for an overflowing width^2
+        out = (self.amplitude * np.float64(self.width)**2 / (2.0 * (1 - n))
+               * (u ** (1 - n) - 1.0))
         return out if out.ndim else complex(out)
 
 
@@ -255,7 +254,8 @@ class GaussianPulse:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=complex)
-        out = self.amplitude * np.exp(-(self.rate**2) * t**2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = self.amplitude * np.exp(-(np.float64(self.rate)**2) * t**2)
         return out if out.ndim else complex(out)
 
     def derivatives(self, t):
@@ -287,11 +287,10 @@ class GaussianPulse:
     def first_moment_antiderivative(self, t):
         z2 = (self.rate * np.asarray(t, dtype=complex)) ** 2
         rise = 1.0 - np.exp(-z2)
-        # an overflowing scale times rise = 0 is a silent nan, as in
-        # integral_imag_axis
-        scale = self.amplitude / (2.0 * self.rate**2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = scale * rise
+        # an overflowing amplitude/(2 rate^2) times rise = 0 is a silent
+        # nan, as in integral_imag_axis
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = self.amplitude / (2.0 * np.float64(self.rate)**2) * rise
         return out if out.ndim else complex(out)
 
 

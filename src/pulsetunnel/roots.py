@@ -9,7 +9,7 @@ from .errors import ConvergenceError, PulseTunnelError, _one
 _RTOL, _MAX_STEPS = 4.0 * 2.0**-52, 100
 
 
-def _find_root(fdf, lo, hi, x, xtol, name, f_hi=None):
+def _find_root(fdf, lo, hi, x, xtol, name):
     """Roots of functions f_i, each rising on (lo[i], hi[i]) from
     f_i(lo[i]) < 0, from x[i], in lockstep: each step makes one call
     fdf(x, live) for lists (f, f') at the iterates x of the slots `live`,
@@ -21,16 +21,14 @@ def _find_root(fdf, lo, hi, x, xtol, name, f_hi=None):
     an f entry that is one ends its slot with it.  Given floats and a scalar
     fdf(x), it solves that grid of one: the root, or its error raised.
     An OverflowError or a non-finite f is beyond the root, as is hi until it
-    is evaluated, unless f_hi[i] gives a finite f_i(hi[i]) (the list f_hi
-    is read at each step and updated in place, so fdf may fill it in): a
-    bracket that closes on one of them, unless the Newton step from its last
-    point ends within that tolerance of it, or no root in 100 steps, is a
-    ConvergenceError."""
+    is evaluated: a bracket that closes on one of them, unless the Newton
+    step from its last point ends within that tolerance of it, or no root in
+    100 steps, is a ConvergenceError."""
     if isinstance(x, float):    # zip((f, f')) gives the lists ((f,), (f',))
         return _one(_find_root(lambda x, live: zip(fdf(x[0])), [lo], [hi], [x],
                                [xtol], name))
     bracket, lo, hi, x = list(zip(lo, hi)), list(lo), list(hi), list(x)
-    f_hi = [math.inf] * len(x) if f_hi is None else f_hi
+    f_hi = [math.inf] * len(x)
     out, live, step = [None] * len(x), list(range(len(x))), 0
     while live:
         step += 1

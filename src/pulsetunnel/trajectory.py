@@ -465,7 +465,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
 
     # root of dA', all energies in lockstep; the first step also takes dA'
     # at lo and hi, ahead of the iterate's paths
-    bracketed, f_hi, ends = list(x), [math.inf] * len(x), True
+    bracketed, ends = list(x), True
 
     def fdf(shifts, live):      # (dA', dA'') per slot, or the slot's error
         nonlocal ends
@@ -477,13 +477,11 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
         vals = call(paths)
         for k in live if ends else ():
             i, v = bracketed[k], vals[bracketed[k]]
-            if not any(isinstance(e, PulseTunnelError) for e in v[:2]):
-                f_hi[k] = v[1]
-                if v[0] > 0 or v[1] < 0:    # ahead of the iterate's errors
-                    v.insert(2, ConvergenceError(
-                        "dA' does not rise across the scan bracket of the minimum",
-                        diagnostics={"bracket": (lo[i], hi[i]),
-                                     "slopes": tuple(v[:2])}))
+            if (not any(isinstance(e, PulseTunnelError) for e in v[:2])
+                    and (v[0] > 0 or v[1] < 0)):    # ahead of the iterate's errors
+                v.insert(2, ConvergenceError(
+                    "dA' does not rise across the scan bracket of the minimum",
+                    diagnostics={"bracket": (lo[i], hi[i]), "slopes": tuple(v[:2])}))
         ends = False
         vals = settle(vals)
         return zip(*(vals[bracketed[k]][-2:] if bracketed[k] in vals
@@ -492,7 +490,7 @@ def minimize_delta_actions(energies, barrier: SechBarrier,
     # a slot holds its root, or its error, until the last stage
     for i, r in zip(bracketed, _find_root(
             fdf, [lo[i] for i in bracketed], [hi[i] for i in bracketed],
-            [x[i] for i in bracketed], [_XTOL] * len(bracketed), "dA'", f_hi=f_hi)):
+            [x[i] for i in bracketed], [_XTOL] * len(bracketed), "dA'")):
         slots[i] = r
 
     # dA and dA' at the roots, on the whole contour.  The dA' path is kept

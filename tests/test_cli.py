@@ -16,6 +16,7 @@ from pulsetunnel.cli import (
     read_csv_config,
 )
 from pulsetunnel.errors import ConvergenceError
+from pulsetunnel.model import static_wkb_exponent
 
 from engine_spy import spy_engine
 
@@ -173,6 +174,30 @@ def test_verify_sech_without_interior_minimum(flags, capsys):
                  *flags])
     assert code == EXIT_NONCONVERGENCE
     assert "no interior minimum" in capsys.readouterr().err
+
+
+def test_adapt_sech_matches_the_width_to_the_branch_point(capsys):
+    # the recommended width is the trajectory's Im t_s at the target energy,
+    # and A0 its static exponent
+    assert _run(["adapt", "--barrier", "sech", "--V", "1", "--a", "1",
+                 "--E", "0.5", "--amp", "0.01"]) == EXIT_OK
+    assert _body(capsys.readouterr()) == [
+        "E_target,theta,Im_t_s,A0_at_target",
+        "0.5,1.57079632679,1.57079632679,2.60258056914"]
+    config = RunConfig(barrier="sech", V=1.0, a=1.0, E=0.5, amp=0.01)
+    [(E, theta, im_t_s, A0)] = cli.cmd_adapt(config)[1]
+    barrier = config.make_barrier()
+    assert theta == im_t_s == barrier.tau_s(0.5)
+    assert A0 == static_wkb_exponent(barrier, 0.5)
+
+
+def test_verify_sech_pulse_pole_inside_the_branch_point(capsys):
+    # width 1 < Im t_s = pi/2: the pole form's ordering check
+    assert _run(["verify", "--barrier", "sech", "--V", "1", "--a", "1",
+                 "--E", "0.5", "--theta", "1", "--n", "2",
+                 "--amp", "0.01"]) == EXIT_REGIME
+    assert capsys.readouterr().err == (
+        "regime error: Im t_s >= pulse width: unsupported ordering\n")
 
 
 def test_trajectory_curve_of_a_zero_pulse_is_the_static_action(capsys):
@@ -410,9 +435,11 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # (once a RuntimeError of scipy's brentq)
     (["verify", "--pulse", "gauss", "--m", "1e300", "--amp", "1e-300",
       "--E", "5"], EXIT_NONCONVERGENCE, "no tau0 root"),
-    # an OverflowError in the Euclidean closed forms
+    # the square of the field overflows in the Euclidean closed forms: an
+    # A that is not finite, the energy's own error row (an OverflowError
+    # ended the run with exit 2)
     (["action-curve", "--method", "euclidean", "--E0", "1e200", "--E", "5",
-      "--amp", "0.05"], EXIT_REGIME, "OverflowError"),
+      "--amp", "0.05"], EXIT_OK, ["5,nan,nan,nan,error:RegimeError"]),
     # a ZeroDivisionError in SechBarrier.omega
     (["action-curve", "--barrier", "sech", "--a", "1e-300", "--E", "0.5",
       "--amp", "0.01"], EXIT_REGIME, "ZeroDivisionError"),
@@ -515,11 +542,15 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--E", "2.1837817529984827e+163"], EXIT_NONCONVERGENCE,
      "verification failed"),
     # a finite integrand times a segment of length ~1e270 overflowed in the
-    # quadrature panel (RuntimeWarnings) before the closed forms overflowed
+    # quadrature panel (RuntimeWarnings).  At unit mass the closed forms
+    # overflow to a non-finite A, and the problem as given gives its path
+    # up (an OverflowError of the rescaled closed forms stood over that,
+    # exit 2)
     (["verify", "--V", "1.0783617325190618", "--E0", "2.2214735342680316",
       "--m", "8.740976176192478e+239", "--theta", "1.8867665778916902e+270",
       "--amp", "0.0007234993853730605", "--n", "30",
-      "--E", "0.39546703932249494"], EXIT_REGIME, "OverflowError"),
+      "--E", "0.39546703932249494"], EXIT_NONCONVERGENCE,
+     "integral is not finite on integration path 0"),
     # the square of a finite Gaussian imaginary-axis integral above 1e154
     # overflowed in the integrand of int G^2 (a RuntimeWarning)
     (["verify", "--V", "2.5354499579356537e+297", "--E0", "1.257705865496538",
@@ -597,6 +628,49 @@ def test_near_pinch_quadrature_gives_up(capsys):
     (["action-curve", "--method", "euclidean", "--m", "1e300", "--amp",
       "1e-180", "--theta", "1e150", "--E", "5"], EXIT_OK,
      ["5,nan,nan,nan,error:ConvergenceError"]),
+    # tau0^3 overflows at E = 1 only: an OverflowError ended the grid, and
+    # the last row is the one --E 9.99999e209 writes
+    (["action-curve", "--method", "euclidean", "--V", "1e210", "--amp", "0",
+      "--E-grid", "1:9.99999e209:2"], EXIT_OK,
+     ["1,nan,nan,nan,error:RegimeError",
+      "9.99999e+209,1.8856180829e+306,1.8856180829e+306,-1.39234637989e+188,"
+      "static"]),
+    # the amplitude rescaled to unit mass is 0 and the closed forms as given
+    # overflow: an OverflowError ended the grid
+    (["action-curve", "--method", "euclidean", "--V", "1.241508140373612e-63",
+      "--E0", "2.5122638818184113e+274", "--m", "7.925803192869302e+248",
+      "--theta", "5.847446394940261e+164", "--amp", "1.6041971655598132e-234",
+      "--n", "29", "--E-grid", "1e-300:2.755579860493272e-259:3"], EXIT_OK,
+     ["1e-300,nan,nan,nan,error:RegimeError",
+      "1.37778993025e-259,nan,nan,nan,error:RegimeError",
+      "2.75557986049e-259,nan,nan,nan,error:RegimeError"]),
+    # the field rescaled to unit mass is below 2^-500, a window that refused
+    # this value (a DomainError row); mpmath at 60 digits gives
+    # A = 5.99955550376036e+116
+    (["action-curve", "--method", "euclidean", "--V", "1.573020394829774e+65",
+      "--E0", "2.1305494432020302e-27", "--m", "1.1143871098218067e+277",
+      "--theta", "1.1083647564116863e+91", "--amp", "6.545671847090052e+119",
+      "--n", "4", "--pulse", "gauss", "--omega-rate", "3.361839341557346e-71",
+      "--E", "1.3318582433318546e-08"], EXIT_OK,
+     ["1.33185824333e-08,5.99955550376e+116,1.84323915511e+263,"
+      "-1.57302039483e+65,no-threshold"]),
+    # the square of the field overflowed in E_T (an OverflowError, exit 2),
+    # which now clamps to 1e-12*V; the two routes agree to 6.8e-15
+    (["verify", "--V", "3.1504880417882014e+79",
+      "--E0", "1.1310293157917188e+230", "--m", "2.422914584719198e+287",
+      "--theta", "1.9877772523417114e+65", "--amp", "1.524432596715184e+216",
+      "--n", "13", "--E", "1.0367986408365252e-211"], EXIT_OK,
+     ["euclidean_A,1.45116126668e+33,1.45116126668e+33,0,pass",
+      "hj_vs_euclidean,1.45116126668e+33,1.45116126668e+33,6.75309699491e-15,"
+      "pass",
+      "euclidean_vs_threshold_form,1.45116126668e+33,8.34995795099e+144,1,"
+      "info"]),
+    # the HJ route's per-energy check computed the exit action at x1, whose
+    # width^2 and tau00^2 are unread, and its OverflowError ended the grid
+    (["action-curve", "--method", "hj", "--V", "1e300", "--E0", "1e-5",
+      "--theta", "2", "--amp", "0.05", "--E-grid", "1:9.99999999999999e299:2"],
+     EXIT_OK, ["1,nan,nan,nan,error:ConvergenceError",
+               "1e+300,nan,nan,nan,error:ConvergenceError"]),
 ], ids=["tau0-root", "euclidean-overflow", "sech-division", "rate-overflow",
         "tau00-overflow", "adapt-inf", "adapt-nan", "quanta-inf",
         "adapt-tiny-E0", "tau0-tiny-bracket", "nan-pulse-integral",
@@ -607,7 +681,10 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "tolerance-share-overflow-gauss", "tolerance-share-overflow",
         "lorentz-moment-nan", "sech-connector-overflow", "rate-nan",
         "hj-huge-mass-overflow", "unit-mass-overflow", "unit-mass-nan",
-        "unit-mass-inexact-hj", "unit-mass-inexact-euclidean"])
+        "unit-mass-inexact-hj", "unit-mass-inexact-euclidean",
+        "euclidean-grid-overflow", "euclidean-grid-overflow-as-given",
+        "unit-mass-field-window", "verify-overflow-as-given",
+        "hj-grid-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

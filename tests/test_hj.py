@@ -477,7 +477,7 @@ def test_sigma2_at_F_zero_raises_the_sigma1_error():
     # with the pulse off F = 1 + i(t0 - t)/tau00 vanishes at t0 = t + i*tau00,
     # where the closed form divides by F^3; the quadrature's leg 1 ends on
     # that point and its source is not finite there
-    state = _make_state(0.3 + 1j * CANON.tau00, 1.0, 0.3, CANON, ZeroPulse(), 0.0)
+    state = _make_state(0.3 + 1j * CANON.tau00, 0.3, CANON, ZeroPulse(), 0.0)
     assert state.F == 0.0
     for correction in (sigma1, sigma2):
         with pytest.raises(SingularityError, match="F = 0"):
@@ -493,7 +493,7 @@ def test_sigma2_not_finite_raises_convergence_error():
     # field, and the cube of (1 + h)/tau00 overflows; the quadrature met the
     # same non-finite source
     pulse = GaussianPulse(amplitude=0.05, rate=3.0)
-    state = _make_state(7.2j, 1.0, 0.0, CANON, pulse, 0.0)
+    state = _make_state(7.2j, 0.0, CANON, pulse, 0.0)
     with pytest.raises(ConvergenceError, match="not finite"):
         sigma2(state, CANON, pulse)
     with np.errstate(over="ignore", invalid="ignore"):

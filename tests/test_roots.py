@@ -162,17 +162,26 @@ def test_a_slot_error_ends_that_slot_only():
     assert _bisect_grid(roots, [])[0] == []
 
 
-def test_f_hi_marks_the_upper_end_as_evaluated():
+def test_a_root_at_the_unevaluated_upper_end_is_a_convergence_error():
     # f(x) = x - 1 has its root at hi = 1; with f' reported as 0 every step
-    # bisects, so no iterate has f >= 0: hi is beyond the root, unless f_hi
-    # gives f(1)
+    # bisects, so no iterate has f >= 0: hi is beyond the root
     def fdf(x, live):
         return [v - 1.0 for v in x], [0.0] * len(x)
 
     [out] = _find_root(fdf, [0.0], [1.0], [0.5], [1e-15], "test")
     assert isinstance(out, ConvergenceError)
-    [root] = _find_root(fdf, [0.0], [1.0], [0.5], [1e-15], "test", f_hi=[0.0])
-    assert root == pytest.approx(1.0, abs=1e-14)
+
+
+def test_an_overflow_of_a_scalar_fdf_is_beyond_the_root():
+    # a scalar fdf that raises OverflowError right of 0.5, as Python floats
+    # do, from 0.9: that point closes the bracket, and bisection brings the
+    # iterate below 0.5, where Newton finds the root at 0.3
+    def fdf(x):
+        if x > 0.5:
+            raise OverflowError("beyond")
+        return x - 0.3, 1.0
+
+    assert _find_root(fdf, 0.0, 1.0, 0.9, 1e-15, "test") == 0.3
 
 
 def test_cli_imports_neither_scipy_optimize_nor_integrate():
