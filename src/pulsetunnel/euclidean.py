@@ -175,7 +175,10 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
     own would give, so every result is the one-energy value to the bit, and
     a path whose integral gives up leaves its ConvergenceError in its own
     slot.  The problem is solved at a mass near 1 (_unit_mass, as in
-    hj.exit_exponents), so that int G^2 does not underflow at tiny masses.
+    hj.exit_exponents), so that int G^2 does not underflow at tiny masses,
+    unless the rescaling takes the square of the field below the normal
+    doubles where it was not: the closed forms' field_static^2*tau0^3/(3m),
+    up to a third of 2(V-E)*tau0, would be lost without an inf or a nan.
     An energy whose rescaled slot is an error, or is not finite, is solved
     again as given, and that slot stands.  A closed form that overflows
     gives an inf or a nan, never an ArithmeticError, so it stays in the
@@ -186,7 +189,9 @@ def euclidean_actions(energies, barrier: TriangularBarrier,
         scaled, s_pulse, scale = _unit_mass(barrier, pulse)
     except PulseTunnelError:    # every energy is solved as given
         scale = 1.0
-    if scale != 1.0:
+    # |x| < 2^-511 is x^2 < 2^-1022, the least normal double
+    if scale != 1.0 and not (abs(scaled.field_static) < 2.0**-511
+                             <= abs(barrier.field_static)):
         slots = _actions(energies, scaled, s_pulse, scale)
     if redo := [i for i, s in enumerate(slots) if not _finite(s)]:
         for i, s in zip(redo, _actions([energies[i] for i in redo], barrier, pulse)):

@@ -644,16 +644,23 @@ def test_near_pinch_quadrature_gives_up(capsys):
      ["1e-300,nan,nan,nan,error:RegimeError",
       "1.37778993025e-259,nan,nan,nan,error:RegimeError",
       "2.75557986049e-259,nan,nan,nan,error:RegimeError"]),
-    # the field rescaled to unit mass is below 2^-500, a window that refused
-    # this value (a DomainError row); mpmath at 60 digits gives
-    # A = 5.99955550376036e+116
+    # the field rescaled to unit mass, 1.14e-163, squares to 0, which would
+    # drop e0^2*tau0^3/(3m), a third of 2(V-E)*tau0 here, and write
+    # A = 1.5*A0: the problem is solved as given (A = A0, as with no pulse
+    # it must)
+    (["action-curve", "--method", "euclidean", "--m", "1e200", "--E0", "1e-63",
+      "--V", "2e-125", "--amp", "0", "--E", "1e-125"], EXIT_OK,
+     ["1e-125,5.96284794e-25,5.96284794e-25,1.31208517726e-141,static"]),
+    # the same guard where the problem as given has no static traversal time
+    # (inf): a DomainError row.  At unit mass the field squares to 0 and
+    # A = 5.99955550376e+116 is mpmath's only because tau0 << tau00 makes
+    # that term negligible, which the guard does not test
     (["action-curve", "--method", "euclidean", "--V", "1.573020394829774e+65",
       "--E0", "2.1305494432020302e-27", "--m", "1.1143871098218067e+277",
       "--theta", "1.1083647564116863e+91", "--amp", "6.545671847090052e+119",
       "--n", "4", "--pulse", "gauss", "--omega-rate", "3.361839341557346e-71",
       "--E", "1.3318582433318546e-08"], EXIT_OK,
-     ["1.33185824333e-08,5.99955550376e+116,1.84323915511e+263,"
-      "-1.57302039483e+65,no-threshold"]),
+     ["1.33185824333e-08,nan,nan,nan,error:DomainError"]),
     # the square of the field overflowed in E_T (an OverflowError, exit 2),
     # which now clamps to 1e-12*V; the two routes agree to 6.8e-15
     (["verify", "--V", "3.1504880417882014e+79",
@@ -683,7 +690,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "hj-huge-mass-overflow", "unit-mass-overflow", "unit-mass-nan",
         "unit-mass-inexact-hj", "unit-mass-inexact-euclidean",
         "euclidean-grid-overflow", "euclidean-grid-overflow-as-given",
-        "unit-mass-field-window", "verify-overflow-as-given",
+        "unit-mass-field-underflow", "unit-mass-field-underflow-as-given",
+        "verify-overflow-as-given",
         "hj-grid-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
