@@ -225,34 +225,50 @@ def _presplit(segments, near, owner, lo, hi):
     chord is longer than its distance to the nearest of its path's `near`
     points.  A point that is not finite, or on the chord, splits nothing; a
     path stops at _LIMIT panels, the last level splitting the panels of
-    largest chord over distance."""
+    largest chord over distance.
+
+    A level costs mostly numpy's fixed per-call overhead, so the panel
+    counts are kept only where the limit can bind: `spare` is a lower bound
+    on the room left on every path that still splits, and only a level that
+    splits more panels than that counts each path's panels."""
     seg_path, origin, jac = segments
     n = len(near)
     pts = np.full((n, max(map(len, near), default=0) or 1), np.nan, dtype=complex)
     for p, q in enumerate(near):
         pts[p, :len(q)] = q
-    count = np.bincount(seg_path, minlength=n)
+    spare = _LIMIT - np.bincount(seg_path, minlength=n).max()
     done = []
-    while owner.size:
-        pid = seg_path[owner]
-        chord = (hi - lo) * jac[owner]
-        with np.errstate(all="ignore"):
-            q = pts[pid] - (origin[owner] + lo * jac[owner])[:, None]
-            t = np.clip((q / chord[:, None]).real, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        while owner.size:
+            pid = seg_path[owner]
+            j = jac[owner]
+            chord = (hi - lo) * j
+            q = pts[pid] - (origin[owner] + lo * j)[:, None]
+            t = np.minimum(np.maximum((q / chord[:, None]).real, 0.0), 1.0)
             dist = np.abs(q - t * chord[:, None])
             dist = np.where(dist > 0.0, dist, np.inf).min(axis=1)
             ratio = np.abs(chord) / dist
-        split = (ratio > 1.0).nonzero()[0]
-        room = _LIMIT - count
-        if np.count_nonzero(np.bincount(pid[split], minlength=n) > room):
-            split = _worst(split, pid, ratio, room)
-        count += np.bincount(pid[split], minlength=n)
-        keep = np.ones(owner.size, dtype=bool)
-        keep[split] = False
-        done.append((owner[keep], lo[keep], hi[keep]))
-        mid = 0.5 * (lo[split] + hi[split])
-        owner = np.tile(owner[split], 2)
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            wide = ratio > 1.0
+            split = wide.nonzero()[0]
+            if split.size > spare:
+                # a path's panels are those done and those of this level
+                panels = np.concatenate([d[0] for d in done] + [owner])
+                room = _LIMIT - np.bincount(seg_path[panels], minlength=n)
+                n_split = np.bincount(pid[split], minlength=n)
+                if np.count_nonzero(n_split > room):
+                    split = _worst(split, pid, ratio, room)
+                    n_split = np.bincount(pid[split], minlength=n)
+                    wide = np.zeros(owner.size, dtype=bool)
+                    wide[split] = True
+                spare = (room - n_split)[n_split > 0].min(initial=_LIMIT)
+            else:
+                spare -= split.size
+            keep = ~wide
+            done.append((owner[keep], lo[keep], hi[keep]))
+            o, a, b = owner[split], lo[split], hi[split]
+            mid = 0.5 * (a + b)
+            owner = np.concatenate((o, o))
+            lo, hi = np.concatenate((a, mid)), np.concatenate((mid, b))
     owner, lo, hi = (np.concatenate(v) for v in zip(*done))
     order = np.lexsort((lo, owner))
     return owner[order], lo[order], hi[order]

@@ -247,9 +247,15 @@ def _closed_forms(E, tau0, I2, barrier, pulse, scale) -> list[EuclideanResult]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         IG = tau0 * G0 - m1
         I1 = 0.5 * (tau0 * tau0 * G0 - m2)
+        # where tau0^3 underflows, (e0 tau0)(e0 tau0 tau0) keeps the term
+        # and cannot overflow where (e0 tau0)^2 would
+        cube = tau0**3
+        static = np.where(cube < np.finfo(float).tiny,
+                          (e0 * tau0) * (e0 * tau0 * tau0) / (3.0 * m),
+                          np.float64(e0)**2 * cube / (3.0 * m))
         A = (
             2.0 * VmE * tau0
-            - np.float64(e0)**2 * tau0**3 / (3.0 * m)
+            - static
             - 2.0 * e0 * I1 / m
             - I2 / m
         )

@@ -435,11 +435,13 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # (once a RuntimeError of scipy's brentq)
     (["verify", "--pulse", "gauss", "--m", "1e300", "--amp", "1e-300",
       "--E", "5"], EXIT_NONCONVERGENCE, "no tau0 root"),
-    # the square of the field overflows in the Euclidean closed forms: an
-    # A that is not finite, the energy's own error row (an OverflowError
-    # ended the run with exit 2)
+    # the square of the field overflows in the Euclidean closed forms, where
+    # tau0 = 3.2e-200 cubes to 0 (an OverflowError ended the run with exit
+    # 2, then inf*0 wrote a nan A, a RegimeError row); (e0*tau0)*(e0*tau0*tau0)
+    # keeps the term, and A is mpmath's 2.10818510677892e-199
     (["action-curve", "--method", "euclidean", "--E0", "1e200", "--E", "5",
-      "--amp", "0.05"], EXIT_OK, ["5,nan,nan,nan,error:RegimeError"]),
+      "--amp", "0.05"], EXIT_OK,
+     ["5,2.10818510678e-199,2.10818510678e-199,5,above-threshold"]),
     # a ZeroDivisionError in SechBarrier.omega
     (["action-curve", "--barrier", "sech", "--a", "1e-300", "--E", "0.5",
       "--amp", "0.01"], EXIT_REGIME, "ZeroDivisionError"),
@@ -672,6 +674,18 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "pass",
       "euclidean_vs_threshold_form,1.45116126668e+33,8.34995795099e+144,1,"
       "info"]),
+    # tau0 = 4.5e-143 cubed to 0, which dropped e0^2*tau0^3/(3m) and wrote
+    # A = 9.14224853036e-32; mpmath (60 digits) gives 6.0948323535763e-32
+    (["verify", "--V", "1.0076805016801355e+111", "--E0", "8.801300084708343e+117",
+      "--m", "7.909356510718178e-161", "--theta", "1.1748737838047837e-08",
+      "--amp", "2.6862990030350974e+54", "--n", "30",
+      "--E", "1.7865063607502375e+19"], EXIT_OK,
+     ["euclidean_A,6.09483235358e-32,6.09483235358e-32,0,pass"]),
+    # tau0 = 1.26e-106 cubes to a subnormal and e0^2 overflowed (A = -inf,
+    # exit 2); e0*tau0 = 1.26e154 squares past double range too, but
+    # (e0*tau0)*(e0*tau0*tau0) does not.  mpmath gives 1.34923846833851e+202
+    (["verify", "--V", "8e307", "--E0", "1e260", "--E", "1", "--amp", "0.05"],
+     EXIT_OK, ["euclidean_A,1.34923846834e+202,1.34923846834e+202,0,pass"]),
     # the HJ route's per-energy check computed the exit action at x1, whose
     # width^2 and tau00^2 are unread, and its OverflowError ended the grid
     (["action-curve", "--method", "hj", "--V", "1e300", "--E0", "1e-5",
@@ -691,8 +705,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "unit-mass-inexact-hj", "unit-mass-inexact-euclidean",
         "euclidean-grid-overflow", "euclidean-grid-overflow-as-given",
         "unit-mass-field-underflow", "unit-mass-field-underflow-as-given",
-        "verify-overflow-as-given",
-        "hj-grid-overflow"])
+        "verify-overflow-as-given", "tau0-cube-underflow",
+        "tau0-cube-underflow-huge-field", "hj-grid-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)
     assert _run(argv) == code

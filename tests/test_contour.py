@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from pulsetunnel.contour import integrate_paths
+from pulsetunnel.contour import _presplit, integrate_paths
 from pulsetunnel.errors import ConvergenceError
 from pulsetunnel.model import LorentzPulse, SechBarrier
 from pulsetunnel.trajectory import delta_action
+
+from presplit_reference import presplit
 
 
 def _steps(z, path_id):
@@ -334,6 +336,90 @@ def test_presplit_stops_at_the_panel_limit():
     assert "path 0: the panel limit (400) is reached" in str(val[0])
     assert n[0] == counts[0] == 15 * 400
     assert n[1] == 15 and val[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def test_limit_on_one_path_leaves_the_others_splitting():
+    # path 0's 120 segments all pass near 0 and reach its 400 panels at the
+    # second level, while path 1 splits toward its point for about 20
+    # levels: those levels count each path's panels, and path 1 keeps the
+    # panels, value and error of its own call
+    zigzag = [(-1.0) ** k + 0.01j * k for k in range(121)]
+    q = 0.5 + 1e-6j
+
+    def f(z, path):
+        return np.where(path == 0, np.exp(z), 1.0 / (z - q))
+
+    val, err, n, _ = integrate_paths(f, [zigzag, [0.0, 1.0]], near=[[0.0], [q]])
+    assert n[0] == 15 * 400
+    own = integrate_paths(lambda z, path: f(z, path + 1), [[0.0, 1.0]], near=[[q]])
+    assert (val[1], err[1], n[1]) == (own[0][0], own[1][0], own[2][0])
+    assert n[1] >= 15 * 40
+
+
+_BAD = np.array([np.nan, np.inf, complex(-np.inf, 1.0), complex(np.inf, np.nan),
+                 1e308 + 1e308j])
+
+
+def _presplit_call(rng, kind):
+    """(segments, near) of one random _presplit call of the given kind, the
+    segments as contour._segments gives them."""
+    seg_path, origin, jac, near = [], [], [], []
+    for p in range(rng.integers(1, 4)):
+        if kind == "walk":      # axis-parallel dyadic steps: exact chords
+            step = rng.integers(1, 9, size=rng.integers(2, 7)) / 4.0
+            w = np.cumsum(step * 1j ** rng.integers(4, size=step.size))
+        elif kind == "zigzag":  # every segment passes near 0
+            m = rng.integers(60, 260)
+            w = rng.uniform(0.2, 1.0, m) * np.exp(1j * np.pi * (np.arange(m) + rng.random(m)))
+        elif kind == "repeat":  # one segment, back and forth: ties in L/d
+            w = np.resize([0.0, 1.0 + 0.5j], rng.integers(60, 260))
+        else:                   # "deep": many far segments, one point off a near one
+            w = np.concatenate([[0.3, 0.7], 10.0 + np.arange(rng.integers(120, 200))])
+        a, d = w[:-1], np.diff(w)
+        k = rng.integers(0, 6)
+        seg = rng.integers(0, a.size, size=k)
+        on = a[seg] + rng.integers(0, 5, size=k) / 4.0 * d[seg]
+        off = on + 10.0 ** rng.uniform(-3.0, 0.5, k) * np.exp(2j * np.pi * rng.random(k))
+        u = rng.random(k)
+        pts = np.where(u < 0.1, _BAD[seg % _BAD.size], np.where(u < 0.2, on, off)).tolist()
+        if kind == "zigzag":
+            pts.append(0.05 * rng.normal())
+        elif kind == "deep":    # more levels than s resolves near it
+            pts.append(rng.uniform(0.3, 0.7) + 10.0 ** rng.uniform(-40.0, -20.0) * 1j)
+        seg_path.append(np.full(a.size, p))
+        origin.append(a)
+        jac.append(d)
+        near.append(pts)
+    segments = tuple(np.concatenate(v).astype(t) for v, t in
+                     ((seg_path, int), (origin, complex), (jac, complex)))
+    return segments, near
+
+
+def test_presplit_matches_the_reference_level_loop():
+    # the level loop that counts panels only where the limit can bind gives
+    # the panels of the loop that counts them at every level, bit for bit:
+    # points not finite, on a chord, past the range of s, and levels where
+    # the limit binds, with ties in L/d among identical segments
+    rng = np.random.default_rng(35)
+    kinds = rng.choice(["walk", "zigzag", "repeat", "deep"], p=[0.5, 0.25, 0.24, 0.01],
+                       size=2000)
+    limited = deep = ties = 0
+    for kind in kinds:
+        segments, near = _presplit_call(rng, kind)
+        k = segments[0].size
+        got = _presplit(segments, near, np.arange(k), np.zeros(k), np.ones(k))
+        want = presplit(segments, near, np.arange(k), np.zeros(k), np.ones(k))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        owner, lo, hi = got
+        per_path = np.bincount(segments[0][owner])
+        limited += per_path.max() == 400
+        deep += (hi - lo).min() < 2.0**-53      # where mid stops being exact
+        if kind == "repeat":    # identical segments split alike, but for a tie cut
+            per_seg = np.bincount(owner)            # at the limiting level
+            ties += any(np.ptp(per_seg[segments[0] == p][::2]) > 0
+                        for p in (per_path == 400).nonzero()[0])
+    assert limited >= 500 and deep >= 5 and ties >= 50
 
 
 # --- Several integrals per path --------------------------------------------------------
