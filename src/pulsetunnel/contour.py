@@ -80,8 +80,8 @@ def integrate_paths(f, paths, epsabs=_EPSABS, epsrel=_EPSREL, *, epsl1=0.0,
     near, if given, holds one sequence of complex points per path at which
     f is singular: before the first pass each segment is bisected in s,
     level by level, while a panel's chord is longer than its distance to the
-    nearest of its path's points (at most 400 panels a path; a point that is
-    not finite or lies on the chord splits nothing).
+    nearest of its path's points (at most 400 panels a path; a point not
+    finite or on the chord, or a panel one ulp wide, splits nothing).
     abs_err is the summed G7-K15 error estimate over a path's panels, l1 the
     integral of |f| |dz| and n_evals the number of points f was evaluated at
     on it, 15*(2*panels - initial panels), whatever K.  Slot p of values
@@ -223,9 +223,10 @@ def _segments(paths):
 def _presplit(segments, near, owner, lo, hi):
     """The panels (owner, lo, hi), bisected level by level while a panel's
     chord is longer than its distance to the nearest of its path's `near`
-    points.  A point that is not finite, or on the chord, splits nothing; a
-    path stops at _LIMIT panels, the last level splitting the panels of
-    largest chord over distance.
+    points.  A point that is not finite, or on the chord, splits nothing,
+    nor does a panel whose midpoint rounds to one of its ends; a path stops
+    at _LIMIT panels, the last level splitting the panels of largest chord
+    over distance.
 
     A level costs mostly numpy's fixed per-call overhead, so the panel
     counts are kept only where the limit can bind: `spare` is a lower bound
@@ -249,6 +250,8 @@ def _presplit(segments, near, owner, lo, hi):
             dist = np.where(dist > 0.0, dist, np.inf).min(axis=1)
             ratio = np.abs(chord) / dist
             wide = ratio > 1.0
+            if hi[0] - lo[0] < 2.0**-50:    # a level's panels share a width
+                wide &= (lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)
             split = wide.nonzero()[0]
             if split.size > spare:
                 # a path's panels are those done and those of this level

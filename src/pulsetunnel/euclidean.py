@@ -3,25 +3,25 @@
 Yields the maximum tunneling exponent A, the under-barrier traversal time tau0,
 the outgoing energy shift deltaE and the threshold energy E_T at which the
 pulse singularity matches the static traversal time.
+
+Each energy is solved in units of its own, momentum p0 and a time T
+(_units; docs/decisions.md, "Scale-free Euclidean route"): there the root
+s = tau0/T and every number but the action unit 2(V-E)*T lies in a window
+about 1, so no product of the inputs leaves double range unless the value
+it stands for does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import integrate_paths
 from .errors import ConvergenceError, DomainError, PulseTunnelError, _one
-from .model import (
-    GaussianPulse,
-    LorentzPulse,
-    TriangularBarrier,
-    SechBarrier,
-    ZeroPulse,
-    _lorentz_J,
-)
+from .model import LorentzPulse, TriangularBarrier, SechBarrier, ZeroPulse, _lorentz_J
 from .roots import _find_root
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
     "adapt_pulse_width",
 ]
 
+# int g^2's absolute tolerance, in units of the action unit 2(V-E)*T
+_EPSABS = 5e-15
+
 
 @dataclass(frozen=True)
 class EuclideanResult:
@@ -44,6 +47,91 @@ class EuclideanResult:
     regime: str
     E_T: float | None
     exit_point: float
+
+
+# V - E, p0, tau00, time unit T, action unit U = 2(V - E)T, T/tau00,
+# amplitude*T/p0 and width/T (inf with the pulse off)
+_Units = namedtuple("_Units", "VmE p0 tau00 T U a b w")
+
+
+def _mul_div(x, y, z):
+    """x*y/z of positive floats from their mantissas: inf or 0 only where
+    the value leaves double range, and the plain product to the bit within."""
+    (mx, ex), (my, ey), (mz, ez) = map(math.frexp, (x, y, z))
+    try:
+        return math.ldexp(mx * my / mz, ex + ey - ez)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _units(E, barrier: TriangularBarrier, pulse) -> _Units:
+    """The units of energy E: momentum p0 = sqrt(2m(V-E)) and time T, the
+    static traversal time tau00 = p0/field_static, or p0/amplitude where the
+    pulse's peak field is the larger, or the pulse width (1/rate for a
+    Gaussian) where it is below half of that: a, b <= 1 and w >= 1/2, and
+    G(u) = int_0^u pulse(i v) dv = p0*g(u/T), g(s) = b*s*R0(s/w).  Raises
+    the DomainErrors of solve_tau0's inputs."""
+    if not (0 < E < barrier.V):
+        raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
+    e0, amp, VmE = barrier.field_static, pulse.amplitude, barrier.V - E
+    if e0 <= 0:
+        raise DomainError("solve_tau0 needs a decaying barrier "
+                          "(field_static > 0)")
+    # p0 = sqrt(2m(V-E)) from the mantissas, as sqrt(2.0*m*(V-E)) rounds in
+    # double range, but finite where only 2m(V-E) leaves it
+    (mm, em), (mv, ev) = math.frexp(barrier.m), math.frexp(VmE)
+    e = em + ev + 1
+    p0 = math.ldexp(math.sqrt(mm * mv * 2 ** (e & 1)), e >> 1)
+    tau00 = p0 / e0
+    if not math.isfinite(tau00):
+        raise DomainError(f"the static traversal time {tau00} leaves "
+                          "double-precision range")
+    if isinstance(pulse, ZeroPulse) or amp == 0.0:
+        return _Units(VmE, p0, tau00, tau00, 2.0 * VmE * tau00, 1.0, 0.0, math.inf)
+    width = pulse.width if isinstance(pulse, LorentzPulse) else 1.0 / pulse.rate
+    # ratios of the inputs; within a factor 2 of the width either unit keeps
+    # s of order 1, and the other one keeps ordinary bits
+    w = width / tau00 if tau00 else math.inf
+    a = min(1.0, e0 / amp)
+    if a == 1.0 and width >= 0.5 * tau00:
+        return _Units(VmE, p0, tau00, tau00, 2.0 * VmE * tau00, 1.0, amp / e0, w)
+    c = _mul_div(amp, width, p0)
+    if width < 0.5 * (tau00 if a == 1.0 else p0 / amp):
+        return _Units(VmE, p0, tau00, width, 2.0 * VmE * width, w, c, 1.0)
+    return _Units(VmE, p0, tau00, p0 / amp, 2.0 * _mul_div(VmE, p0, amp), a, 1.0, c)
+
+
+def _ratios(x, n: int, moments: bool = False) -> list:
+    """[R0] or [R0, R1, R2] at each x of an array: R_j = int_0^x y^j r(y) dy
+    / x^(j+1) for the rise r(y) = (1 - y^2)^-n, or exp(y^2) for n = 0 (a
+    Gaussian, or a pulse that is off, read at x = 0).  Below x = 1e-150, R0
+    and R1 are 1 and 1/2 to rounding; R2 is its Taylor series where its
+    closed form keeps only eps/x^2 of its size.  The callers hold errstate."""
+    tiny = x < 1e-150
+    n_tiny = np.count_nonzero(tiny)
+    x2 = x * x if moments else None
+    if n_tiny == x.size:    # no pulse, or a width beyond double range
+        R = [np.full_like(x, 1.0 / (j + 1)) for j in range(3 if moments else 1)]
+    elif n:     # int_0^x r = J_n(x) by the reduction formula
+        R = [_lorentz_J(x, n) / x]
+        if moments:
+            R += [np.expm1((1 - n) * np.log1p(-x2)) / (2 * (n - 1) * x2),
+                  (R[0] - _lorentz_J(x, n - 1) / x) / x2]
+    else:       # int_0^x exp(y^2) dy = sqrt(pi)/2 * erfi(x)
+        from scipy.special import erfi  # only Gaussians load scipy
+        R = [0.5 * math.sqrt(math.pi) * erfi(x) / x]
+        if moments:
+            R += [np.expm1(x2) / (2.0 * x2), (np.exp(x2) - R[0]) / (2.0 * x2)]
+    if n_tiny:
+        for j, Rj in enumerate(R[:2]):
+            Rj[tiny] = 1.0 / (j + 1)
+    if moments and np.count_nonzero(small := (n or 1) * x2 < 1e-4):
+        x2, term, series = x2[small], 1.0, 0.0
+        for k in range(4):      # sum_k r_k x^(2k)/(2k + 3)
+            series = series + term / (2 * k + 3)
+            term = term * x2 * ((n + k) if n else 1) / (k + 1)
+        R[2][small] = series
+    return R
 
 
 def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
@@ -60,97 +148,66 @@ def solve_tau0(E: float, barrier: TriangularBarrier, pulse) -> float:
 
 
 def _solve_tau0s(energies, barrier: TriangularBarrier, pulse) -> list:
-    """solve_tau0 at each energy, all roots in lockstep (roots._find_root):
-    slot i holds the root at energies[i] or the PulseTunnelError it raised."""
-    e0, amp = barrier.field_static, pulse.amplitude
-    lorentz = isinstance(pulse, LorentzPulse)
+    """solve_tau0 at each energy: slot i holds the root at energies[i] or
+    the PulseTunnelError it raised."""
+    return [r if isinstance(r, PulseTunnelError) else r[0].T * r[1]
+            for r in _roots(energies, barrier, pulse)]
+
+
+def _roots(energies, barrier: TriangularBarrier, pulse) -> list:
+    """(units, s) at each energy, the roots s = tau0/T of a*s + g(s) = 1 in
+    lockstep (roots._find_root), or the PulseTunnelError it raised."""
+    n = getattr(pulse, "exponent", 0)
     slots, live, brackets = [], [], []
     for E in energies:
         try:
-            if not (0 < E < barrier.V):
-                raise DomainError(f"need 0 < E < V={barrier.V}, got E={E}")
-            p0 = barrier.p0(E)
-            if e0 <= 0:
-                raise DomainError("solve_tau0 needs a decaying barrier "
-                                  "(field_static > 0)")
-            tau00 = p0 / e0
-            if not math.isfinite(tau00):
-                raise DomainError(f"the static traversal time {tau00} leaves "
-                                  "double-precision range")
+            u = _units(E, barrier, pulse)
         except DomainError as exc:
             slots.append(exc)
             continue
-        slots.append(tau00)
-        if isinstance(pulse, ZeroPulse) or amp == 0.0:
+        slots.append((u, 1.0))
+        a, b, w = u.a, u.b, u.w
+        if b == 0.0 and a == 1.0:   # f(s) = s - 1
             continue
-        # G(tau) >= amp*tau, so g >= 0 at p0/(e0 + amp): start there, or
-        # nearer the root (docs/decisions.md, "One root finder")
-        hi, x = tau00, p0 / (e0 + amp)
-        if lorentz:
-            # next to the width G -> amp*theta/(2(n-1)) * q^(1-n), q = 1 -
-            # tau^2/theta^2: q where that meets p0 - e0*theta, floored at p0/n
-            theta, n = pulse.width, pulse.exponent
-            hi = min(tau00, theta)
-            q = (amp * theta / (2.0 * (n - 1) * max(p0 - e0 * theta, p0 / n))
+        # a*s and g(s) >= b*s reach 1 at 1/max(a, b), f >= 0 at 1/(a + b):
+        # start there or nearer the root (docs/decisions.md, "One root finder")
+        hi, x = ((1.0 / max(a, b), 1.0 / (a + b)) if a + b > 0.0
+                 else (math.inf, math.inf))
+        if n:
+            # next to the pole g -> b*w/(2(n-1)) * q^(1-n), q = 1 - s^2/w^2:
+            # q where that meets 1 - a*w, floored at 1/n
+            hi = min(hi, w)
+            q = (b * w / (2.0 * (n - 1) * max(1.0 - a * w, 1.0 / n))
                  ) ** (1.0 / (n - 1))
             if q < 1.0:
-                x = min(x, theta * math.sqrt(1.0 - q), math.nextafter(theta, 0.0))
-        else:   # G >= amp*(exp(r^2 tau^2) - 1)/(2 r^2 tau), so g >= 0 here too
-            r = pulse.rate
-            x = min(x, math.sqrt(math.log1p(2.0 * r * r * tau00 * p0 / amp)) / r)
+                x = min(x, w * math.sqrt(1.0 - q), math.nextafter(w, 0.0))
+        else:   # below hi, g(s) >= b*w^2 (exp(s^2/w^2) - 1)/(2 hi): f >= 0
+            for _ in range(2 if b > 0.0 else 0):    # where that reaches 1
+                L = math.log(2.0 * hi) - math.log(b) - 2.0 * math.log(w)
+                hi = min(hi, w * math.sqrt(np.logaddexp(0.0, L)) or hi)
+            x = hi = min(x, hi)
         live.append(len(slots) - 1)
-        brackets.append((p0, hi, x, 1e-15 * hi))
+        brackets.append((a, b, w, hi, x, 0.0))
     if not live:
         return slots
-    p0, hi, x, xtol = zip(*brackets)
-    p0 = np.array(p0)
+    a, b, w, hi, x, xtol = zip(*brackets)
+    abw = np.array([a, b, w])
 
-    def g(tau, k):      # and g' = e0 + pulse(i*tau), at the slots live[k]
-        # a rise that overflows is beyond the root, as its OverflowError was
-        # in Python floats, where an inf elsewhere is silent too
-        tau = np.array(tau)
-        with np.errstate(over="ignore", divide="ignore"):
-            rise = ((1.0 - (tau / theta) ** 2) ** -n if lorentz
-                    else np.exp((r * tau) ** 2))
+    def f(s, k):        # and f' = a + b*r(s/w), at the slots live[k]
+        # a rise that overflows is beyond the root; any other inf is silent
+        (a, b, w), s = abw.take(k, axis=1), np.array(s)
+        y = s / w
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rise = (1.0 - y * y) ** -n if n else np.exp(y * y)
             beyond = rise == math.inf
-            f = e0 * tau + pulse.integral_imag_axis(np.where(beyond, 0.0, tau)) - p0[k]
-            df = e0 + amp * rise
-        f[beyond], df[beyond] = math.inf, math.nan
-        return f.tolist(), df.tolist()
+            fs = a * s + b * s * _ratios(np.where(beyond, 0.0, y), n)[0] - 1.0
+            df = a + b * rise
+        fs[beyond], df[beyond] = math.inf, math.nan
+        return fs.tolist(), df.tolist()
 
-    for i, root in zip(live, _find_root(g, [0.0] * len(live), hi, x, xtol, "tau0")):
-        slots[i] = root
+    for i, root in zip(live, _find_root(f, [0.0] * len(live), hi, x, xtol, "tau0")):
+        slots[i] = root if isinstance(root, PulseTunnelError) else (slots[i][0], root)
     return slots
-
-
-def _imag_axis_moments(pulse, tau):
-    """(int_0^tau u*g du, int_0^tau u^2*g du) for g(u) = pulse(i*u), exact,
-    at each tau of an array; a number that overflows is a silent inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m1 = -pulse.first_moment_antiderivative(1j * tau).real
-        if isinstance(pulse, LorentzPulse):
-            # x^2 (1 - x^2)^-n = (1 - x^2)^-n - (1 - x^2)^(1-n).  That
-            # difference of J's keeps eps/x^2 of its size, so where
-            # n*x^2 < 1e-4 the series sum_k binom(n+k-1, k) x^(2k+3)/(2k+3)
-            # takes over, to rounding at four terms
-            x, n = tau / pulse.width, pulse.exponent
-            J2 = _lorentz_J(x, n) - _lorentz_J(x, n - 1)
-            small = n * x * x < 1e-4
-            if np.count_nonzero(small):
-                x2, term, series = x * x, x**3 / 3.0, 0.0
-                for k in range(4):
-                    series = series + term
-                    term = term * x2 * (n + k) / (k + 1) * (2 * k + 3) / (2 * k + 5)
-                J2 = np.where(small, series, J2)
-            m2 = pulse.amplitude * np.float64(pulse.width)**3 * J2
-        elif isinstance(pulse, GaussianPulse):
-            # u^2 exp(r^2 u^2) = (d/du[u exp(r^2 u^2)] - exp(r^2 u^2)) / (2 r^2)
-            r2 = np.float64(pulse.rate)**2
-            m2 = ((pulse.amplitude * tau * np.exp(r2 * tau * tau)
-                   - pulse.integral_imag_axis(tau)) / (2.0 * r2))
-        else:
-            m2 = 0.0
-    return m1, m2
 
 
 def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanResult:
@@ -165,141 +222,69 @@ def euclidean_action(E: float, barrier: TriangularBarrier, pulse) -> EuclideanRe
 
 def euclidean_actions(energies, barrier: TriangularBarrier,
                       pulse) -> list[EuclideanResult | PulseTunnelError]:
-    """euclidean_action at each energy: the tau0 in lockstep, every int G^2
-    in one engine call, and the closed forms on arrays.  The int G^2 panels
-    are presplit toward a Lorentzian's poles u = +/- width (integrate_paths,
-    near).
+    """euclidean_action at each energy, each in its own units (_units): the
+    roots s in lockstep, every int_0^s g^2 in one engine call, on panels
+    presplit toward a Lorentzian's poles s = +/- w, and the closed forms on
+    arrays.  Slot i holds the EuclideanResult of energies[i], the one-energy
+    value to the bit, or the PulseTunnelError that energy raised; a path
+    whose integral gives up, or a closed form that overflows to an inf or a
+    nan, touches only its own slot."""
+    slots = _roots(energies, barrier, pulse)
+    solved = [i for i, r in enumerate(slots) if not isinstance(r, PulseTunnelError)]
+    n = getattr(pulse, "exponent", 0)
+    bw = np.array([[slots[i][0].b for i in solved], [slots[i][0].w for i in solved]])
 
-    Slot i holds the EuclideanResult of energies[i], or the PulseTunnelError
-    that energy raised.  The engine gives each path the panels a call of its
-    own would give, so every result is the one-energy value to the bit, and
-    a path whose integral gives up leaves its ConvergenceError in its own
-    slot.  The problem is solved at a mass near 1 (_unit_mass, as in
-    hj.exit_exponents), so that int G^2 does not underflow at tiny masses,
-    unless the rescaling takes the square of the field below the normal
-    doubles where it was not: the closed forms' field_static^2*tau0^3/(3m),
-    up to a third of 2(V-E)*tau0, would be lost without an inf or a nan.
-    An energy whose rescaled slot is an error, or is not finite, is solved
-    again as given, and that slot stands.  A closed form that overflows
-    gives an inf or a nan, never an ArithmeticError, so it stays in the
-    slot of its own energy.
-    """
-    slots = [None] * len(energies)
-    try:
-        scaled, s_pulse, scale = _unit_mass(barrier, pulse)
-    except PulseTunnelError:    # every energy is solved as given
-        scale = 1.0
-    # |x| < 2^-511 is x^2 < 2^-1022, the least normal double
-    if scale != 1.0 and not (abs(scaled.field_static) < 2.0**-511
-                             <= abs(barrier.field_static)):
-        slots = _actions(energies, scaled, s_pulse, scale)
-    if redo := [i for i, s in enumerate(slots) if not _finite(s)]:
-        for i, s in zip(redo, _actions([energies[i] for i in redo], barrier, pulse)):
-            slots[i] = s
-    return slots
+    def g2(z, k):
+        (b, w), s = bw.take(k, axis=1), z.real
+        with np.errstate(all="ignore"):     # an inf gives the path up
+            g = b * s * _ratios(s / w, n)[0]
+            return g * g
 
-
-def _finite(slot) -> bool:
-    """Whether slot is a EuclideanResult whose numbers are all finite."""
-    return isinstance(slot, EuclideanResult) and all(
-        map(math.isfinite, (slot.A, slot.A0, slot.tau0, slot.deltaE,
-                            slot.exit_point)))
-
-
-def _actions(energies, barrier, pulse, scale=1.0) -> list:
-    """euclidean_actions' slots for a barrier and pulse that _unit_mass
-    rescaled by `scale` (1: as given)."""
-    slots = _solve_tau0s(energies, barrier, pulse)
-    solved = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
-    G = pulse.integral_imag_axis
-
-    def G2(z, path_id):
-        with np.errstate(over="ignore"):    # an inf gives the path up
-            return G(z.real) ** 2
-
-    # G(u) = int_0^u pulse(i*v) dv is singular where pulse(i*u) is
-    near = [(pulse.width, -pulse.width)
-            if isinstance(pulse, LorentzPulse) else ()] * len(solved)
-    for i, I2 in zip(solved, integrate_paths(G2, [[0.0, slots[i]] for i in solved],
-                                             epsabs=1e-13, epsrel=1e-11,
-                                             near=near)[0]):
-        slots[i] = I2 if isinstance(I2, ConvergenceError) else (slots[i], I2.real)
-    solved = [i for i, s in enumerate(slots) if isinstance(s, tuple)]
-    if solved:
-        tau0, I2 = (np.array(v) for v in zip(*(slots[i] for i in solved)))
-        E = np.array([energies[i] for i in solved], dtype=float)
-        for i, res in zip(solved, _closed_forms(E, tau0, I2, barrier, pulse, scale)):
+    # g(s) is singular where the pulse is: a Lorentzian's poles s = +/- w
+    near = [(x, -x) if n else () for x in bw[1].tolist()]
+    I2 = integrate_paths(g2, [[0.0, slots[i][1]] for i in solved],
+                         epsabs=_EPSABS, epsrel=1e-11, near=near)[0]
+    done = [(i, slots[i], v.real) for i, v in zip(solved, I2)
+            if not isinstance(v, ConvergenceError)]
+    for i, v in zip(solved, I2):    # an error stands, a value is replaced
+        slots[i] = v
+    if done:
+        done, roots, I2 = zip(*done)
+        for i, res in zip(done, _closed_forms(roots, np.array(I2), barrier, pulse)):
             slots[i] = res
     return slots
 
 
-def _closed_forms(E, tau0, I2, barrier, pulse, scale) -> list[EuclideanResult]:
-    """EuclideanResults at the roots tau0 of the energies E, given
-    I2 = int_0^tau0 G^2 du, all three arrays, for a barrier and pulse that
-    _unit_mass rescaled by `scale`.  A number that overflows is an inf or a
-    nan in its energy's result."""
-    e0, m = barrier.field_static, barrier.m
-    VmE = barrier.V - E
-
-    # int G and int u*G by parts, with G' = g, g(u) = pulse(i*u)
-    G0 = pulse.integral_imag_axis(tau0)
-    m1, m2 = _imag_axis_moments(pulse, tau0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        IG = tau0 * G0 - m1
-        I1 = 0.5 * (tau0 * tau0 * G0 - m2)
-        # where tau0^3 underflows, (e0 tau0)(e0 tau0 tau0) keeps the term
-        # and cannot overflow where (e0 tau0)^2 would
-        cube = tau0**3
-        static = np.where(cube < np.finfo(float).tiny,
-                          (e0 * tau0) * (e0 * tau0 * tau0) / (3.0 * m),
-                          np.float64(e0)**2 * cube / (3.0 * m))
-        A = (
-            2.0 * VmE * tau0
-            - static
-            - 2.0 * e0 * I1 / m
-            - I2 / m
-        )
-        x_exit = e0 * tau0**2 / (2.0 * m) + IG / m
-        field_at_exit = e0 + complex(pulse(0.0)).real
-        deltaE = VmE - field_at_exit * x_exit
-        tau00 = np.sqrt(2.0 * m * VmE) / e0     # A0 is static_wkb_exponent
-        A0 = (4.0 / 3.0) * VmE * tau00
+def _closed_forms(roots, I2, barrier, pulse) -> list[EuclideanResult]:
+    """EuclideanResults at the roots (units, s), given the array I2 of
+    int_0^s g^2.  With g(s) = b*s*R0 and m_j = int_0^s u^j g' = b*s^(j+1)*R_j,
+        A/(2(V-E)T) = s - a^2 s^3/3 - a(s^2 g - m2) - I2,
+        x_exit = (2(V-E)T/p0) * X, X = a s^2/2 + s g - m1,
+        deltaE = (V-E)(1 - 2(a + b) X),
+    so with the pulse off (s = a = 1, b = 0) A = A0 to rounding and
+    deltaE = 0 exactly.  An overflow is an inf or a nan in its result."""
+    units, s = zip(*roots)
+    VmE, p0, tau00, T, U, a, b, w, s = (np.array(v) for v in (*zip(*units), s))
+    with np.errstate(all="ignore"):
+        R0, R1, R2 = _ratios(s / w, getattr(pulse, "exponent", 0), moments=True)
+        s3 = s**3
+        A = U * (s - a * a * s3 / 3.0 - a * b * s3 * (R0 - R2) - I2)
+        X = s * s * (0.5 * a + b * (R0 - R1))
+        x_exit = U / p0 * X
+        deltaE = VmE * (1.0 - 2.0 * (a + b) * X)
+        A0 = (4.0 / 3.0) * VmE * tau00      # static_wkb_exponent
     E_T = None
     if isinstance(pulse, ZeroPulse) or pulse.amplitude == 0.0:
-        regimes = ["static"] * len(E)
+        regimes = ["static"] * len(s)
     elif not isinstance(pulse, LorentzPulse):
-        regimes = ["no-threshold"] * len(E)
+        regimes = ["no-threshold"] * len(s)
     else:
         E_T, theta = threshold_energy(barrier, pulse), pulse.width
         regimes = ["near-threshold" if abs(t - theta) < 0.05 * theta
                    else "above-threshold" if t < theta else "below-threshold"
                    for t in tau00.tolist()]
-    return [EuclideanResult(A=a, A0=a0, tau0=t, deltaE=d, regime=reg, E_T=E_T,
-                            exit_point=x)
-            for a, a0, t, d, reg, x in zip(A.tolist(), A0.tolist(), tau0.tolist(),
-                                           deltaE.tolist(), regimes,
-                                           (x_exit * scale).tolist())]
-
-
-def _unit_mass(barrier, pulse):
-    """(barrier, pulse, scale) of the same problem with lengths rescaled by
-    1/scale, scale = 2^k: m by 4^k, field and amplitude by 2^k, while times,
-    energies and actions stay.  k puts m*4^k nearest 1, so k = 0 for
-    0.5 <= m <= 2; momenta near sqrt(2(V-E)) keep amp*width and the
-    integrals of p^2 and G^2 from underflowing.  Raises the model's
-    DomainError when the scaled field or amplitude overflows, and a
-    DomainError when m*4^k, the field or the amplitude times 2^k does not
-    divide back to itself: the rescaled problem would be another one."""
-    scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
-    scaled = replace(barrier, m=barrier.m * scale * scale,
-                     field_static=barrier.field_static * scale)
-    s_pulse = replace(pulse, amplitude=pulse.amplitude * scale)
-    if ((scaled.m / scale / scale, scaled.field_static / scale,
-         s_pulse.amplitude / scale)
-            != (barrier.m, barrier.field_static, pulse.amplitude)):
-        raise DomainError(f"the rescaling to unit mass (scale {scale!r}) is not "
-                          "exact; the inputs leave double-precision range")
-    return scaled, s_pulse, scale
+    cols = zip(A.tolist(), A0.tolist(), (s * T).tolist(), deltaE.tolist(), regimes)
+    return [EuclideanResult(*c, E_T, x) for c, x in zip(cols, x_exit.tolist())]
 
 
 def threshold_energy(barrier: TriangularBarrier, pulse) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .contour import integrate_paths
 from .errors import (ConvergenceError, DomainError, PulseTunnelError, RegimeError,
                      SingularityError, _one)
-from .euclidean import _solve_tau0s, _unit_mass
+from .euclidean import _solve_tau0s
 from .model import LorentzPulse, TriangularBarrier, ZeroPulse, _int_square
 from .roots import _find_root
 
@@ -438,7 +438,7 @@ def exit_exponents(energies, barrier: TriangularBarrier,
     live = [i for i, s in enumerate(slots) if not isinstance(s, PulseTunnelError)]
     try:
         # at a mass near 1, S stays: the integral of p^2 does not underflow
-        barrier, pulse, _ = _unit_mass(barrier, pulse)
+        barrier, pulse = _unit_mass(barrier, pulse)
         tau0 = _solve_tau0s([energies[i] for i in live], barrier, pulse)
     except PulseTunnelError as exc:     # _unit_mass refuses the inputs
         tau0 = [exc] * len(live)
@@ -467,6 +467,23 @@ def exit_exponents(energies, barrier: TriangularBarrier,
     for i, S_i in zip(exits, S):
         slots[i] = S_i if isinstance(S_i, ConvergenceError) else 2.0 * S_i.imag
     return slots
+
+
+def _unit_mass(barrier, pulse):
+    """(barrier, pulse) with lengths rescaled by 2^-k: m times 4^k nearest
+    1, field and amplitude times 2^k; times, energies and actions stay.
+    Raises a DomainError where a rescaled input overflows or does not divide
+    back to itself: the rescaled problem would be another one."""
+    scale = 2.0 ** round(-0.5 * math.log2(barrier.m))
+    scaled = replace(barrier, m=barrier.m * scale * scale,
+                     field_static=barrier.field_static * scale)
+    s_pulse = replace(pulse, amplitude=pulse.amplitude * scale)
+    if ((scaled.m / scale / scale, scaled.field_static / scale,
+         s_pulse.amplitude / scale)
+            != (barrier.m, barrier.field_static, pulse.amplitude)):
+        raise DomainError(f"the rescaling to unit mass (scale {scale!r}) is not "
+                          "exact; the inputs leave double-precision range")
+    return scaled, s_pulse
 
 
 def amp_lower_bound(barrier: TriangularBarrier, pulse) -> float:

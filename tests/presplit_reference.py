@@ -10,9 +10,10 @@ from pulsetunnel.contour import _LIMIT, _worst
 def presplit(segments, near, owner, lo, hi):
     """The panels (owner, lo, hi), bisected level by level while a panel's
     chord is longer than its distance to the nearest of its path's `near`
-    points.  A point that is not finite, or on the chord, splits nothing; a
-    path stops at _LIMIT panels, the last level splitting the panels of
-    largest chord over distance."""
+    points.  A point that is not finite, or on the chord, splits nothing,
+    nor does a panel whose midpoint rounds to one of its ends; a path stops
+    at _LIMIT panels, the last level splitting the panels of largest chord
+    over distance."""
     seg_path, origin, jac = segments
     n = len(near)
     pts = np.full((n, max(map(len, near), default=0) or 1), np.nan, dtype=complex)
@@ -30,6 +31,8 @@ def presplit(segments, near, owner, lo, hi):
             dist = np.where(dist > 0.0, dist, np.inf).min(axis=1)
             ratio = np.abs(chord) / dist
         split = (ratio > 1.0).nonzero()[0]
+        mid = 0.5 * (lo[split] + hi[split])
+        split = split[(lo[split] < mid) & (mid < hi[split])]
         room = _LIMIT - count
         if np.count_nonzero(np.bincount(pid[split], minlength=n) > room):
             split = _worst(split, pid, ratio, room)

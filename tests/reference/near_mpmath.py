@@ -58,8 +58,8 @@ CURVE60_PULSE = {"amplitude": 0.002, "width": 1.953069938432006, "exponent": 3}
 # grid index, energy and the package's tau0
 TRAVERSALS = [
     (0, 2.539012287126507, 1.9312585144542327),
-    (29, 4.618994104264042, 1.9273294738013713),
-    (59, 6.770699432337352, 1.9171859327228407),
+    (29, 4.618994104264042, 1.927329473801371),
+    (59, 6.770699432337352, 1.9171859327228404),
 ]
 
 

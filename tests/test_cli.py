@@ -286,6 +286,16 @@ def _body(captured):
     return [l for l in captured.out.splitlines() if not l.startswith("#")]
 
 
+def test_static_rows_have_zero_delta_E(capsys):
+    # with the pulse off the Euclidean root is s = 1 in each energy's units
+    # and the deltaE bracket 1 - 2(a + b)X is exactly 0 (it read
+    # -8.881784197e-16 at E = 5)
+    assert _run(["action-curve", "--amp", "0", "--E-grid", "2:8:3"]) == EXIT_OK
+    rows = [r.split(",") for r in _body(capsys.readouterr())[1:]]
+    assert [r[4] for r in rows] == ["static"] * 3
+    assert [float(r[3]) for r in rows] == [0.0] * 3
+
+
 def test_euclidean_grid_across_the_barrier_keeps_its_error_rows(capsys):
     # the grid runs as one batch; energies outside (0, V) keep their
     # DomainError rows, and every other row is that energy's own --E run
@@ -435,23 +445,29 @@ def test_near_pinch_quadrature_gives_up(capsys):
     # (once a RuntimeError of scipy's brentq)
     (["verify", "--pulse", "gauss", "--m", "1e300", "--amp", "1e-300",
       "--E", "5"], EXIT_NONCONVERGENCE, "no tau0 root"),
-    # the square of the field overflows in the Euclidean closed forms, where
+    # the square of the field overflowed in the Euclidean closed forms, where
     # tau0 = 3.2e-200 cubes to 0 (an OverflowError ended the run with exit
-    # 2, then inf*0 wrote a nan A, a RegimeError row); (e0*tau0)*(e0*tau0*tau0)
-    # keeps the term, and A is mpmath's 2.10818510677892e-199
+    # 2, then inf*0 wrote a nan A, a RegimeError row).  In units of tau00 no
+    # number leaves double range: A is mpmath's 2.10818510677892e-199, and
+    # deltaE, which read 5 = V - E when the field's term underflowed, is 0
+    # (amp/E0 = 5e-202; mpmath's deltaE is below 16*eps*(V - E))
     (["action-curve", "--method", "euclidean", "--E0", "1e200", "--E", "5",
       "--amp", "0.05"], EXIT_OK,
-     ["5,2.10818510678e-199,2.10818510678e-199,5,above-threshold"]),
+     ["5,2.10818510678e-199,2.10818510678e-199,0,above-threshold"]),
     # a ZeroDivisionError in SechBarrier.omega
     (["action-curve", "--barrier", "sech", "--a", "1e-300", "--E", "0.5",
       "--amp", "0.01"], EXIT_REGIME, "ZeroDivisionError"),
     # an OverflowError in the exit action at x1 (tau00^2)
     (["rate", "--V", "1", "--E0", "1e-300", "--amp", "1", "--E", "0.5"],
      EXIT_REGIME, "OverflowError"),
-    # an infinite static traversal time (once a ValueError of scipy's brentq)
+    # an infinite static traversal time (once a ValueError of scipy's
+    # brentq): 2m(V - E) = 2e330 overflowed, while p0 = 1.4e165 and tau00 =
+    # 2.8e165 do not.  In units of the width 1/rate the pulse's
+    # amp*T/p0 = 7e-366 underflows to 0, so g = 0 and the root, s ~ 29,
+    # is not found (exit 3, where it was exit 2)
     (["verify", "--pulse", "gauss", "--V", "1e30", "--m", "1e300",
-      "--amp", "1e-200", "--E0", "0.5", "--E", "1e-200"], EXIT_REGIME,
-     "static traversal time inf"),
+      "--amp", "1e-200", "--E0", "0.5", "--E", "1e-200"], EXIT_NONCONVERGENCE,
+     "no tau0 root in (0, 2.82843e+165) after 100 steps"),
     # non-finite result cells (these wrote inf and nan with exit 0)
     (["adapt", "--a", "2", "--V", "1e200", "--amp", "1e30", "--theta", "1e300",
       "--E", "5", "--n", "2"], EXIT_REGIME, "amp_min = inf is not finite"),
@@ -487,23 +503,29 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "2.943177261788327e-30", "--amp", "3.85577264811186e-26",
       "--n", "24", "--E", "8.320930153007496e-255"], EXIT_OK,
      ["euclidean_A,9.75432870799e-88,9.75432870799e-88,0,pass"]),
-    # amp*theta overflows and tau0/theta underflows: G = inf*0 is nan, an
+    # amp*theta overflows and tau0/theta underflows: G = inf*0 was nan, an
     # error row (this printed a RuntimeWarning, which the suite's warning
-    # filter turns into an error)
+    # filter turns into an error).  In units of p0/amp, g(s) = s*R0(s/w)
+    # with R0(0) = 1 forms no such product: A is mpmath's 6.033645737844e+108
     (["action-curve", "--method", "euclidean", "--V", "4.2719604035728106e+195",
       "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
       "--n", "30", "--E", "2.3536092068914477e+187"], EXIT_OK,
-     ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError"]),
-    # the same inputs over an energy grid: each energy's G is inf*0 or inf
-    # (amp*theta overflows, so no energy of these inputs solves), in one
-    # lockstep array call, and the last energy is V
+     ["2.35360920689e+187,6.03364573784e+108,5.2649537291e+293,0,"
+      "above-threshold"]),
+    # the same inputs over an energy grid, in one lockstep array call: each
+    # energy's G was inf*0 or inf, and each now writes mpmath's A
+    # (3.284300743653e+108 and 1.161175663646e+108 after the first); the
+    # last energy is V
     (["action-curve", "--method", "euclidean", "--V", "4.2719604035728106e+195",
       "--theta", "3.0388723531942082e+287", "--amp", "8.725990815273443e+184",
       "--n", "30", "--E-grid",
       "2.3536092068914477e+187:4.2719604035728106e+195:4"], EXIT_OK,
-     ["2.35360920689e+187,nan,nan,nan,error:ConvergenceError",
-      "1.42398681688e+195,nan,nan,nan,error:ConvergenceError",
-      "2.84797361023e+195,nan,nan,nan,error:ConvergenceError",
+     ["2.35360920689e+187,6.03364573784e+108,5.2649537291e+293,0,"
+      "above-threshold",
+      "1.42398681688e+195,3.28430074365e+108,2.86587781237e+293,0,"
+      "above-threshold",
+      "2.84797361023e+195,1.16117566365e+108,1.01324081759e+293,0,"
+      "above-threshold",
       "4.27196040357e+195,nan,nan,nan,error:DomainError"]),
     # m = 1.75e-191: the kinetic integral of p^2 (~1e-370) and amp*theta
     # underflowed, and hj wrote A = 1.71132219761e-179; the Euclidean A is
@@ -515,21 +537,23 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "2.692682741860235e-181", "--amp", "2.010261273250176e-186",
       "--n", "30", "--E", "14.509282325711807"], EXIT_OK,
      ["14.5092823257,5.70449230686e-180,1.43439508508e-94,nan,hj"]),
-    # amp/rate overflows and erfi underflows in the Gaussian's imaginary-axis
-    # integral, and amp/rate^2 in its first moment: inf*0 printed a
-    # RuntimeWarning on the way to the error row
+    # amp/rate overflowed and erfi underflowed in the Gaussian's
+    # imaginary-axis integral, and amp/rate^2 in its first moment: inf*0
+    # printed a RuntimeWarning on the way to an error row.  In units of
+    # p0/amp neither product is formed, and the rows hold mpmath's A,
+    # 6.384365378592e-61 and 8.774649678413e-207
     (["action-curve", "--method", "euclidean", "--V", "11.853754663842217",
       "--m", "1.4348040068819126e+17", "--theta", "7.183446065548428e+155",
       "--amp", "4.565792734705011e+70", "--n", "24", "--pulse", "gauss",
       "--omega-rate", "1.0066222702909754e-269",
       "--E", "2.082438085624027e-169"], EXIT_OK,
-     ["2.08243808562e-169,nan,nan,nan,error:ConvergenceError"]),
+     ["2.08243808562e-169,6.38436537859e-61,29149689061.3,0,no-threshold"]),
     (["action-curve", "--method", "euclidean", "--V", "3.4185784495693756",
       "--E0", "2.720749521432889", "--m", "0.5122895244086876",
       "--theta", "9.969942636296925e+242", "--amp", "1.4387818620763562e+206",
       "--n", "24", "--pulse", "gauss", "--omega-rate", "3.0183264190468845e-72",
       "--E", "2.4620992883079778"], EXIT_OK,
-     ["2.46209928831,nan,nan,nan,error:RegimeError"]),
+     ["2.46209928831,8.77464967841e-207,0.464019444051,0,no-threshold"]),
     # the quadrature's error scaling overflowed in a power (a RuntimeWarning)
     # before the pulse pole stopped the run
     (["verify", "--V", "24.502744408282176", "--m", "2.673074693225846e+261",
@@ -544,29 +568,32 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--E", "2.1837817529984827e+163"], EXIT_NONCONVERGENCE,
      "verification failed"),
     # a finite integrand times a segment of length ~1e270 overflowed in the
-    # quadrature panel (RuntimeWarnings).  At unit mass the closed forms
-    # overflow to a non-finite A, and the problem as given gives its path
-    # up (an OverflowError of the rescaled closed forms stood over that,
-    # exit 2)
+    # quadrature panel (RuntimeWarnings), and the path gave up (exit 3).  In
+    # units of tau00 the path is [0, s], s < 1, and A is the constant-field
+    # form (4/3)(V - E) p0/(E0 + amp) to 1e-300 (tau0/theta = 2.6e-151),
+    # 4.47694486459378e+119
     (["verify", "--V", "1.0783617325190618", "--E0", "2.2214735342680316",
       "--m", "8.740976176192478e+239", "--theta", "1.8867665778916902e+270",
       "--amp", "0.0007234993853730605", "--n", "30",
-      "--E", "0.39546703932249494"], EXIT_NONCONVERGENCE,
-     "integral is not finite on integration path 0"),
+      "--E", "0.39546703932249494"], EXIT_OK,
+     ["euclidean_A,4.47694486459e+119,4.47694486459e+119,0,pass"]),
     # the square of a finite Gaussian imaginary-axis integral above 1e154
-    # overflowed in the integrand of int G^2 (a RuntimeWarning)
+    # overflowed in the integrand of int G^2 (a RuntimeWarning; exit 3).  In
+    # units of the width 1/rate, g stays below 1 and s = 13.7, but the
+    # action unit 2(V - E)*T = 2.4e406 overflows: A, mpmath's 2.34e407, leaves
+    # double range (exit 2)
     (["verify", "--V", "2.5354499579356537e+297", "--E0", "1.257705865496538",
       "--m", "0.6642800639294909", "--theta", "102403199726.50885",
       "--amp", "0.0628266026920231", "--n", "24", "--pulse", "gauss",
       "--omega-rate", "2.144034800303098e-109", "--E", "6.531701011187358"],
-     EXIT_NONCONVERGENCE, "integrand is not finite on integration path 0"),
-    # a panel's share of a path tolerance of ~1e263 overflows in int G^2
+     EXIT_REGIME, "value = inf is not finite"),
+    # a panel's share of a path tolerance of ~1e263 overflowed in int G^2
     # (such an overflow printed a RuntimeWarning); an inf share splits
-    # nothing, so the path gives up.  A Gaussian pulse names no poles to
-    # presplit toward
+    # nothing, so the path gave up (exit 3).  In units of the width 1/rate
+    # int g^2 is of order 1, and A is mpmath's 5.178363727305e+277
     (["verify", "--V", "2e+232", "--E0", "1e+71", "--m", "1", "--amp", "1e+60",
       "--pulse", "gauss", "--omega-rate", "3e-45", "--E", "1"],
-     EXIT_NONCONVERGENCE, "roundoff error prevents"),
+     EXIT_OK, ["euclidean_A,5.17836372731e+277,5.17836372731e+277,0,pass"]),
     # the same overflow, tolerance ~4e269, stopped int G^2 of a Lorentzian;
     # on panels presplit toward its poles the panel values overflow to nan
     # first (mpmath: int G^2 = 1.27e314 and A = 1.74e320, beyond double
@@ -576,12 +603,14 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--m", "0.577371919643182", "--theta", "3.433312337572352e+43",
       "--amp", "0.05239418693783107", "--n", "26", "--E", "4.038681709829438"],
      EXIT_NONCONVERGENCE, "integral is not finite on integration path 0"),
-    # amp*width^2 overflows in the Lorentzian's first moment, and inf*0 was
-    # an invalid-value RuntimeWarning on the way to the nan
+    # amp*width^2 overflowed in the Lorentzian's first moment, and inf*0 was
+    # an invalid-value RuntimeWarning on the way to a nan A (exit 2).  The
+    # moments are now b*s^(j+1)*R_j(s/w), and A is mpmath's
+    # 5.035648597853e-212
     (["verify", "--V", "10.326278829258557", "--E0", "2.706848838031653e+137",
       "--m", "1.444785265319069", "--theta", "1.845603364847251e+50",
       "--amp", "3.8017239705924795e+212", "--n", "26", "--E", "6.17877234232731"],
-     EXIT_REGIME, "value = nan is not finite"),
+     EXIT_OK, ["euclidean_A,5.03564859785e-212,5.03564859785e-212,0,pass"]),
     # the connector check fails at some scan shifts only (its interval
     # collapses in rounding at theta = 1e288); the shifts that pass
     # overflow in the trajectory (RuntimeWarnings) and give their paths up
@@ -606,15 +635,16 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "--theta", "24.454348188254006", "--amp", "3.238570241318718e-266",
       "--n", "22", "--E", "6.457202094625802"], EXIT_OK,
      ["6.45720209463,nan,nan,nan,error:DomainError"]),
-    # the Euclidean route solves at unit mass: there tau0 solves and the
-    # closed forms overflow in width^2, a DomainError row (as the unsolved
-    # tau0 of the problem as given was), not an OverflowError that ends the
-    # grid
+    # solved at unit mass, the closed forms overflowed in width^2, a
+    # DomainError row, not an OverflowError that ends the grid.  In units of
+    # tau00 nothing overflows: A is the constant-field form
+    # (4/3)(V - E) p0/(E0 + amp), 7.0409054225723e+306, to 1e-300
+    # (tau0/theta = 5e-205)
     (["action-curve", "--method", "euclidean", "--V", "6.556333933865696e+260",
       "--E0", "1.6819491418467846e+134", "--m", "1.3995617848832137e+99",
       "--theta", "1.6180599624645942e+250", "--amp", "1.8119968835737745e+63",
       "--n", "17", "--E", "476344.50543758966"], EXIT_OK,
-     ["476344.505438,nan,nan,nan,error:DomainError"]),
+     ["476344.505438,7.04090542257e+306,7.04090542257e+306,0,above-threshold"]),
     # at unit mass the amplitude's moments overflow to a nan A; the problem
     # as given solves
     (["verify", "--V", "2.0054737124425817e+170", "--E0", "3.140969280995144e-59",
@@ -631,48 +661,71 @@ def test_near_pinch_quadrature_gives_up(capsys):
       "1e-180", "--theta", "1e150", "--E", "5"], EXIT_OK,
      ["5,nan,nan,nan,error:ConvergenceError"]),
     # tau0^3 overflows at E = 1 only: an OverflowError ended the grid, and
-    # the last row is the one --E 9.99999e209 writes
+    # the last row is the one --E 9.99999e209 writes.  Its deltaE, which
+    # read -1.39234637989e+188, is now exactly 0, as with no pulse it must
     (["action-curve", "--method", "euclidean", "--V", "1e210", "--amp", "0",
       "--E-grid", "1:9.99999e209:2"], EXIT_OK,
      ["1,nan,nan,nan,error:RegimeError",
-      "9.99999e+209,1.8856180829e+306,1.8856180829e+306,-1.39234637989e+188,"
-      "static"]),
-    # the amplitude rescaled to unit mass is 0 and the closed forms as given
-    # overflow: an OverflowError ended the grid
+      "9.99999e+209,1.8856180829e+306,1.8856180829e+306,0,static"]),
+    # the amplitude rescaled to unit mass was 0 and the closed forms as
+    # given overflowed: an OverflowError ended the grid, then each energy
+    # wrote a RegimeError row.  In units of tau00 each writes the
+    # constant-field form (4/3)(V - E) p0/(E0 + amp), 9.24345814574337e-245,
+    # to 1e-300 (tau0/theta = 1e-346)
     (["action-curve", "--method", "euclidean", "--V", "1.241508140373612e-63",
       "--E0", "2.5122638818184113e+274", "--m", "7.925803192869302e+248",
       "--theta", "5.847446394940261e+164", "--amp", "1.6041971655598132e-234",
       "--n", "29", "--E-grid", "1e-300:2.755579860493272e-259:3"], EXIT_OK,
-     ["1e-300,nan,nan,nan,error:RegimeError",
-      "1.37778993025e-259,nan,nan,nan,error:RegimeError",
-      "2.75557986049e-259,nan,nan,nan,error:RegimeError"]),
-    # the field rescaled to unit mass, 1.14e-163, squares to 0, which would
-    # drop e0^2*tau0^3/(3m), a third of 2(V-E)*tau0 here, and write
-    # A = 1.5*A0: the problem is solved as given (A = A0, as with no pulse
-    # it must)
+     ["1e-300,9.24345814574e-245,9.24345814574e-245,0,above-threshold",
+      "1.37778993025e-259,9.24345814574e-245,9.24345814574e-245,0,"
+      "above-threshold",
+      "2.75557986049e-259,9.24345814574e-245,9.24345814574e-245,0,"
+      "above-threshold"]),
+    # the field rescaled to unit mass, 1.14e-163, squared to 0, which would
+    # have dropped e0^2*tau0^3/(3m) and written A = 1.5*A0, so the problem
+    # was solved as given, where deltaE read 1.31208517726e-141.  With no
+    # pulse, s = 1 in units of tau00, A = A0 and deltaE is exactly 0
     (["action-curve", "--method", "euclidean", "--m", "1e200", "--E0", "1e-63",
       "--V", "2e-125", "--amp", "0", "--E", "1e-125"], EXIT_OK,
-     ["1e-125,5.96284794e-25,5.96284794e-25,1.31208517726e-141,static"]),
-    # the same guard where the problem as given has no static traversal time
-    # (inf): a DomainError row.  At unit mass the field squares to 0 and
-    # A = 5.99955550376e+116 is mpmath's only because tau0 << tau00 makes
-    # that term negligible, which the guard does not test
+     ["1e-125,5.96284794e-25,5.96284794e-25,0,static"]),
+    # 2m(V - E) overflows, so as given the static traversal time was inf (a
+    # DomainError row), and at unit mass the field squared to 0.  p0 formed
+    # from the mantissas is finite, and A is the constant-field form
+    # (4/3)(V - E) p0/(E0 + amp), 5.99955550376036e+116, to 1e-38
+    # (rate*tau0 = 1e-19); deltaE is 2.2e-16 of V - E, mpmath's 7.3e26 to
+    # rounding
     (["action-curve", "--method", "euclidean", "--V", "1.573020394829774e+65",
       "--E0", "2.1305494432020302e-27", "--m", "1.1143871098218067e+277",
       "--theta", "1.1083647564116863e+91", "--amp", "6.545671847090052e+119",
       "--n", "4", "--pulse", "gauss", "--omega-rate", "3.361839341557346e-71",
       "--E", "1.3318582433318546e-08"], EXIT_OK,
-     ["1.33185824333e-08,nan,nan,nan,error:DomainError"]),
+     ["1.33185824333e-08,5.99955550376e+116,1.84323915511e+263,"
+      "3.49280692109e+49,no-threshold"]),
     # the square of the field overflowed in E_T (an OverflowError, exit 2),
-    # which now clamps to 1e-12*V; the two routes agree to 6.8e-15
+    # which now clamps to 1e-12*V; the two routes agree to 2.0e-16 (6.8e-15
+    # at unit mass)
     (["verify", "--V", "3.1504880417882014e+79",
       "--E0", "1.1310293157917188e+230", "--m", "2.422914584719198e+287",
       "--theta", "1.9877772523417114e+65", "--amp", "1.524432596715184e+216",
       "--n", "13", "--E", "1.0367986408365252e-211"], EXIT_OK,
      ["euclidean_A,1.45116126668e+33,1.45116126668e+33,0,pass",
-      "hj_vs_euclidean,1.45116126668e+33,1.45116126668e+33,6.75309699491e-15,"
+      "hj_vs_euclidean,1.45116126668e+33,1.45116126668e+33,1.9862049985e-16,"
       "pass",
       "euclidean_vs_threshold_form,1.45116126668e+33,8.34995795099e+144,1,"
+      "info"]),
+    # amp/E0 = 3.4e320 overflows and tau0/tau00 = 3e-321 is subnormal, so
+    # the Euclidean route solves in units of p0/amp, where s is near 1; at
+    # unit mass the field, 2^-511 below the least normal square, made the
+    # route solve as given and write a nan A (exit 3).  Both routes meet
+    # mpmath's 8.139827177836e-92
+    (["verify", "--V", "1.4606524654104543e+19", "--E0", "1.6381010370107702e-62",
+      "--m", "1.816017722650769e+277", "--theta", "5.315510841964998e+32",
+      "--amp", "5.510854384353517e+258", "--n", "6",
+      "--E", "1.8375855709722109"], EXIT_OK,
+     ["euclidean_A,8.13982717784e-92,8.13982717784e-92,0,pass",
+      "hj_vs_euclidean,8.13982717784e-92,8.13982717784e-92,3.3478527714e-16,"
+      "pass",
+      "euclidean_vs_threshold_form,8.13982717784e-92,1.55282280325e+52,1,"
       "info"]),
     # tau0 = 4.5e-143 cubed to 0, which dropped e0^2*tau0^3/(3m) and wrote
     # A = 9.14224853036e-32; mpmath (60 digits) gives 6.0948323535763e-32
@@ -705,7 +758,8 @@ def test_near_pinch_quadrature_gives_up(capsys):
         "unit-mass-inexact-hj", "unit-mass-inexact-euclidean",
         "euclidean-grid-overflow", "euclidean-grid-overflow-as-given",
         "unit-mass-field-underflow", "unit-mass-field-underflow-as-given",
-        "verify-overflow-as-given", "tau0-cube-underflow",
+        "verify-overflow-as-given", "field-underflow-verify",
+        "tau0-cube-underflow",
         "tau0-cube-underflow-huge-field", "hj-grid-overflow"])
 def test_extreme_inputs_exit_code(argv, code, message, capsys):
     # the first five ended in a traceback (exit 1)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsetunnel.contour import _presplit, integrate_paths
+from pulsetunnel.contour import _presplit, _segments, integrate_paths
 from pulsetunnel.errors import ConvergenceError
 from pulsetunnel.model import LorentzPulse, SechBarrier
 from pulsetunnel.trajectory import delta_action
@@ -321,21 +321,45 @@ def test_points_off_range_or_on_the_path_split_nothing():
 
 
 def test_presplit_stops_at_the_panel_limit():
-    # a point 1e-30 off the chord asks for more levels than s resolves: path 0
-    # is presplit to its 400 panels and no more, and its adaptive loop gives
-    # up at the panel limit with no further pass; path 1 gets the panels of
-    # its own call
+    # 64 points 1e-12 off the chord ask for about 64 panels each: path 0 is
+    # presplit to its 400 panels and no more, and its adaptive loop gives up
+    # at the panel limit with no further pass; path 1 gets the panels of its
+    # own call
     q = 0.5 + 1e-30j
+    near = [(k + 0.5) / 64 + 1e-12j for k in range(64)]
 
     def f(z, path):
         return np.where(path == 0, 1.0 / (z - q), z * z)
 
     counts = np.zeros(2, dtype=int)
     val, err, n, _ = integrate_paths(_counted(f, counts), [[0.0, 1.0]] * 2,
-                                  near=[[q], []])
+                                  near=[near, []])
     assert "path 0: the panel limit (400) is reached" in str(val[0])
     assert n[0] == counts[0] == 15 * 400
     assert n[1] == 15 and val[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def test_presplit_keeps_one_ulp_panels_whole():
+    # the waypoint 0.3+0.1j, named as a near point, sits a rounding error
+    # off the end of the first segment, so that segment is bisected toward
+    # s = 1 down to panels one ulp wide, whose midpoints round to an end:
+    # they stay whole (88 panels), where the level loop split them on up to
+    # the 400-panel limit (6,000 points; 225 with the pole alone named).
+    # The second segment's 4 panels hold the waypoint as an end, at
+    # distance 0
+    pole = 0.1 + 0.05j
+    path = [0.0, 0.3 + 0.1j, 1.0]
+    segments = _segments([path])
+    owner, lo, hi = _presplit(segments, [[0.3 + 0.1j, pole]], np.arange(2),
+                              np.zeros(2), np.ones(2))
+    assert np.bincount(owner).tolist() == [88, 4]
+    assert np.all(lo < hi)
+    val, _, n, _ = integrate_paths(lambda z, k: 1.0 / (z - pole), [path],
+                                   near=[[0.3 + 0.1j, pole]])
+    want, _, n_want, _ = integrate_paths(lambda z, k: 1.0 / (z - pole), [path],
+                                         near=[[pole]])
+    assert n[0] == 1_380 and n_want[0] == 225
+    assert val[0] == pytest.approx(want[0], rel=1e-14)
 
 
 def test_limit_on_one_path_leaves_the_others_splitting():

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from pulsetunnel import euclidean
 from pulsetunnel.errors import ConvergenceError, DomainError
 from pulsetunnel.euclidean import (
-    _imag_axis_moments,
+    _ratios,
     adapt_pulse_width,
     euclidean_action,
     euclidean_actions,
@@ -57,6 +57,17 @@ def test_static_reduction(b, frac):
     assert res.A == pytest.approx(res.A0, rel=1e-12)
     assert res.deltaE == pytest.approx(0.0, abs=1e-10)
     assert res.tau0 == pytest.approx(b.tau00_at(E), rel=1e-12)
+
+
+@given(b=_barriers(), frac=st.floats(0.01, 0.99, **finite),
+       n=st.integers(2, 30))
+def test_static_delta_E_is_exactly_zero(b, frac, n):
+    # a zero pulse, or one of amplitude 0, gives s = 1, a = 1 and b = 0 in
+    # each energy's units: the bracket of deltaE is 1 - 1 = 0
+    E = frac * b.V
+    for pulse in (ZeroPulse(), LorentzPulse(0.0, 1.0, n), GaussianPulse(0.0, 1.0)):
+        res = euclidean_action(E, b, pulse)
+        assert res.deltaE == 0.0 and res.regime == "static"
 
 
 # --- Traversal time --------------------------------------------------------------
@@ -247,15 +258,17 @@ def test_grid_keeps_domain_errors_in_their_slots():
 
 
 def test_non_finite_path_fills_only_its_own_slot(monkeypatch):
-    # tau0 is 1.52 at E = 8.5 and at most 1.30 at E = 9 and 9.5, so
-    # poisoning Re z > 1.45 hits the first panel of E = 8.5 alone
+    # s = tau0/T is 0.878 at E = 8.5 and at least 0.916 at E = 9 and 9.5,
+    # so poisoning the paths that end below 0.9 hits E = 8.5 alone
     energies = [9.5, 8.5, 9.0]
     good = [euclidean_action(E, CANON, PULSE5) for E in energies]
     integrate_paths = euclidean.integrate_paths
 
     def poisoned(f, paths, **kw):
+        bad = [p for p, path in enumerate(paths) if path[-1] < 0.9]
+
         def g(z, path_id):
-            return np.where(z.real > 1.45, np.nan, f(z, path_id))
+            return np.where(np.isin(path_id, bad), np.nan, f(z, path_id))
         return integrate_paths(g, paths, **kw)
 
     monkeypatch.setattr(euclidean, "integrate_paths", poisoned)
@@ -295,14 +308,16 @@ CURVE60 = [2.539012287126507 + (6.770699432337352 - 2.539012287126507) * i / 59
 
 
 def test_curve60_grid_engine_calls(monkeypatch):
-    # panels presplit toward u = +/- width: 2 passes and 9,645 integrand
-    # points, where one panel per path took 9 passes and 17,490 points
+    # panels presplit toward the poles s = +/- w of each energy's units
+    # (width/tau00, or 1 where the width is the time unit): 2 passes and
+    # 9,345 integrand points, where one panel per path took 9 passes and
+    # 17,490 points
     calls = spy_engine(monkeypatch, euclidean)
     grid = euclidean_actions(CURVE60, CURVE60_BARRIER, CURVE60_PULSE)
     assert all(isinstance(r, euclidean.EuclideanResult) for r in grid)
-    assert [(c["passes"], c["points"]) for c in calls] == [(2, 9_645)]
-    theta = CURVE60_PULSE.width
-    assert calls[0]["near"] == [(theta, -theta)] * 60
+    assert [(c["passes"], c["points"]) for c in calls] == [(2, 9_345)]
+    w = [euclidean._units(E, CURVE60_BARRIER, CURVE60_PULSE).w for E in CURVE60]
+    assert calls[0]["near"] == [(x, -x) for x in w] and w.count(1.0) == 3
 
 
 @pytest.mark.parametrize("pulse", [
@@ -324,16 +339,19 @@ _G2_REFS = json.loads(
 def test_int_G2_matches_mpmath(ref, monkeypatch):
     b = TriangularBarrier(E_bound=ref["E"], **ref["barrier"])
     calls = spy_engine(monkeypatch, euclidean)
-    res = euclidean_action(ref["E"], b, LorentzPulse(**ref["pulse"]))
+    pulse = LorentzPulse(**ref["pulse"])
+    res = euclidean_action(ref["E"], b, pulse)
     assert res.tau0 == ref["tau0"]
+    # the engine integrates g(s) = G(s*T)/p0 over s = u/T
+    u = euclidean._units(ref["E"], b, pulse)
     want = float(ref["int_G2"])
-    assert abs(calls[0]["values"][0] - want) <= 1e-11 * want
+    assert abs(calls[0]["values"][0] * u.p0**2 * u.T - want) <= 1e-11 * want
 
 
 def test_tiny_mass_int_G2_does_not_underflow():
     # at m = 1.5e-233 the integrand G^2 |dz| underflowed, int G^2 read 0 and
-    # A was 2.30607277558e-122, 6.5e-5 off; solved at a mass near 1 it meets
-    # mpmath's 2.30592311835e-122
+    # A was 2.30607277558e-122, 6.5e-5 off; in the energy's own units
+    # int g^2 is of order 1, and A meets mpmath's 2.30592311835e-122
     b = TriangularBarrier(V=1.2538039812530647e+119, E_bound=1.0,
                           field_static=1.4248148910699025e+33,
                           m=1.477343215151712e-233)
@@ -345,9 +363,8 @@ def test_tiny_mass_int_G2_does_not_underflow():
 
 def test_tiny_tau0_second_moment_keeps_its_digits():
     # tau0 = 1.8e-40*theta: J_22 - J_21 cancelled to eps/x^2 of its size,
-    # and solved at a mass near 1, where e0^2 no longer overflows, A read
-    # -8.96e-73.  The series of int_0^x s^2 (1 - s^2)^-n ds meets mpmath's
-    # A = 4.58478957895e-85
+    # and A read -8.96e-73 where e0^2 did not overflow.  The series of
+    # int_0^x s^2 (1 - s^2)^-n ds / x^3 meets mpmath's A = 4.58478957895e-85
     b = TriangularBarrier(V=389392044.54490155, E_bound=1.0,
                           field_static=1.9531958896761045e+201,
                           m=3.8199856176503746e+207)
@@ -356,15 +373,15 @@ def test_tiny_tau0_second_moment_keeps_its_digits():
     res = euclidean_action(4.12577243041503e-300, b, pulse)
     assert abs(res.A - 4.58478957895e-85) <= 1e-10 * 4.58478957895e-85
     x = 1e-6
-    _, m2 = _imag_axis_moments(LorentzPulse(1.0, 1.0, 22), np.array([x]))
-    assert abs(m2[0] - (x**3 / 3.0 + 22.0 * x**5 / 5.0)) <= 1e-15 * m2[0]
+    _, _, R2 = _ratios(np.array([x]), 22, moments=True)
+    assert abs(R2[0] - (1.0 / 3.0 + 22.0 * x**2 / 5.0)) <= 1e-15 * R2[0]
 
 
 @pytest.mark.parametrize("k", [-3, 5, 200])
 def test_mass_rescaling_is_exact(k):
     # m*4^k, field and amplitude *2^k is the same problem with lengths
-    # scaled by 2^-k: solved at the mass of CANON, every result is that of
-    # CANON, the exit point scaled back
+    # scaled by 2^-k: each energy's units see no power of two, so every
+    # result is that of CANON, the exit point scaled by 2^-k
     s = 2.0 ** k
     b = TriangularBarrier(V=10.0, E_bound=5.0, field_static=s, m=s * s)
     pulse = LorentzPulse(amplitude=0.05 * s, width=2.0, exponent=3)

@@ -594,20 +594,21 @@ def test_grid_slot_is_its_grid_of_one(pulse, energies):
 
 
 def test_grid_slots_keep_their_own_step_counts():
-    # at this mass amp*width underflows to 0, so G = 0 and g < 0 across each
-    # unscaled bracket: every lockstep tau0 solve ends in "no tau0 root",
-    # each after its own number of steps.  Both routes rescale the mass to
-    # 1, which keeps amp*width, and solve; the Euclidean route once wrote
-    # these errors
+    # at this mass amp*width underflows to 0: solved in time units, every
+    # lockstep tau0 solve ended in "no tau0 root", each after its own number
+    # of steps (54 to 100), and the Euclidean route once wrote these errors.
+    # In each energy's own units nothing underflows: the roots as given are
+    # those of the problem rescaled to unit mass, to the bit, 2.9e-11 to
+    # 3.2e-11 of the width below its pole
     b = TriangularBarrier(V=0.5130646078276279, E_bound=0.25,
                           field_static=0.20517156515853233,
                           m=1.6381026198579793e-125)
     pulse = LorentzPulse(amplitude=7.341420578647063e-179,
                          width=5.336853902104038e-180, exponent=30)
     energies = [b.V * f for f in (0.01, 0.3, 0.7, 0.9, 0.99)]
-    slots = _solve_tau0s(energies, b, pulse)
-    assert [str(s).split(" after ")[1] for s in slots] == [
-        "54 steps", "56 steps", "66 steps", "84 steps", "100 steps"]
+    roots = _solve_tau0s(energies, b, pulse)
+    assert roots == _solve_tau0s(energies, *hj._unit_mass(b, pulse))
+    assert all(2.9e-11 < 1.0 - t / pulse.width < 3.2e-11 for t in roots)
     for grid in (euclidean_actions, exit_exponents):
         slots = grid(energies, b, pulse)
         assert [_outcome(s) for s in slots] == [
